@@ -21,7 +21,9 @@ import numpy as np
 from .drivers import NONE, TamedDriver, TamingSpec, derive_constants
 from .forward import PathEnsemble, TerminalSpec
 from .grids import IncrementBatch
-from .regression import BasisSpec, fit_basis, predict
+# Nothing here calls predict; it stays bound as backward.predict because the
+# benchmark's trace probes (perfbench/spans.py) look it up by that name.
+from .regression import BasisSpec, predict, sample_design  # noqa: F401
 from .trees import TreeModel
 
 EXPLICIT_TAMED = "explicit_tamed"
@@ -145,12 +147,20 @@ def _solve_implicit(driver: TamedDriver, t: float, c, z, h: float,
 
 
 class _LsmcProjector:
+    """Hermite least squares on the step's state: one design per step,
+    shared by the step's fits and fitted values."""
+
     def __init__(self, basis: BasisSpec):
         self.basis = basis
+        self.design = None
 
-    def project(self, step: int, x, targets):
-        fit = fit_basis(self.basis, x, targets)
-        return predict(fit, self.basis, x), fit.rank, fit.smallest_singular_value
+    def begin_step(self, step: int, x) -> None:
+        self.design = None  # release the previous step's design before building the next
+        self.design = sample_design(self.basis, x)
+
+    def project(self, targets):
+        fit = self.design.fit(targets)
+        return self.design.fitted(fit), fit.rank, fit.smallest_singular_value
 
 
 class _PrefixProjector:
@@ -161,9 +171,13 @@ class _PrefixProjector:
             raise ValueError(f"exact tree basis expects 2^{steps} paths, got {paths}")
         self.steps = steps
         self.paths = paths
+        self.step = None
 
-    def project(self, step: int, x, targets):
-        groups = 2**step
+    def begin_step(self, step: int, x) -> None:
+        self.step = step
+
+    def project(self, targets):
+        groups = 2**self.step
         block = self.paths // groups
         means = np.asarray(targets, dtype=float).reshape(groups, block).mean(axis=1)
         return np.repeat(means, block), groups, 1.0
@@ -173,6 +187,14 @@ def _effective_driver(scheme: SchemeSpec, tamed: TamedDriver) -> TamedDriver:
     if scheme.kind == EXPLICIT_UNTAMED and tamed.taming.kind != NONE:
         return replace(tamed, taming=TamingSpec(kind=NONE))
     return tamed
+
+
+def _check_implicit_guard(scheme: SchemeSpec, driver: TamedDriver, h: float) -> None:
+    """The implicit solve needs h max(0, M_y) < 1 for a unique root."""
+    if scheme.kind == IMPLICIT:
+        guard = h * max(0.0, driver.base.constants.m_y)
+        if guard >= 1.0:
+            raise ValueError(f"implicit step guard violated: h*max(0, M_y) = {guard:.4g} >= 1")
 
 
 def run_backward(scheme: SchemeSpec, tamed: TamedDriver, ensemble: PathEnsemble,
@@ -195,12 +217,7 @@ def run_backward(scheme: SchemeSpec, tamed: TamedDriver, ensemble: PathEnsemble,
     if not math.isclose(tamed.h, grid.h, rel_tol=1e-9):
         raise ValueError(f"driver was tamed at h={tamed.h}, grid has h={grid.h}")
     driver = _effective_driver(scheme, tamed)
-    if scheme.kind == IMPLICIT:
-        guard = grid.h * max(0.0, driver.base.constants.m_y)
-        if guard >= 1.0:
-            raise ValueError(
-                f"implicit step guard violated: h*max(0, M_y) = {guard:.4g} >= 1"
-            )
+    _check_implicit_guard(scheme, driver, grid.h)
 
     if isinstance(basis, ExactTreeBasis):
         projector = _PrefixProjector(basis.steps, paths)
@@ -236,11 +253,12 @@ def run_backward(scheme: SchemeSpec, tamed: TamedDriver, ensemble: PathEnsemble,
             if not np.all(np.isfinite(z_target)):
                 exploded, first_bad = True, i
                 break
-            z_i, diag.z_fit_rank[i], diag.z_fit_sv[i] = projector.project(i, x, z_target)
+            projector.begin_step(i, x)
+            z_i, diag.z_fit_rank[i], diag.z_fit_sv[i] = projector.project(z_target)
             Z[:, i, 0] = z_i
 
             if scheme.kind == IMPLICIT:
-                c, diag.y_fit_rank[i], diag.y_fit_sv[i] = projector.project(i, x, y_next)
+                c, diag.y_fit_rank[i], diag.y_fit_sv[i] = projector.project(y_next)
                 y_i, iters = _solve_implicit(
                     driver, t, c, z_i, h, scheme.implicit_tol, scheme.implicit_max_iter, i)
                 diag.implicit_iterations[i] = iters
@@ -249,7 +267,7 @@ def run_backward(scheme: SchemeSpec, tamed: TamedDriver, ensemble: PathEnsemble,
                 if not np.all(np.isfinite(y_target)):
                     exploded, first_bad = True, i
                     break
-                y_i, diag.y_fit_rank[i], diag.y_fit_sv[i] = projector.project(i, x, y_target)
+                y_i, diag.y_fit_rank[i], diag.y_fit_sv[i] = projector.project(y_target)
 
             if not np.all(np.isfinite(y_i)):
                 exploded, first_bad = True, i
@@ -277,10 +295,7 @@ def tree_exact_run(scheme: SchemeSpec, tamed: TamedDriver, tree: TreeModel,
     if not math.isclose(tamed.h, grid.h, rel_tol=1e-9):
         raise ValueError(f"driver was tamed at h={tamed.h}, grid has h={grid.h}")
     driver = _effective_driver(scheme, tamed)
-    if scheme.kind == IMPLICIT:
-        guard = grid.h * max(0.0, driver.base.constants.m_y)
-        if guard >= 1.0:
-            raise ValueError(f"implicit step guard violated: h*max(0, M_y) = {guard:.4g} >= 1")
+    _check_implicit_guard(scheme, driver, grid.h)
 
     h = grid.h
     sqrt_h = math.sqrt(h)
@@ -372,7 +387,8 @@ def zeta_diagnostic(output, tamed: TamedDriver, *, ensemble: PathEnsemble | None
         t = grid.times[i]
         y_next = output.Y[:, i + 1]
         target = (y_next + tamed(t, y_next, output.Z[:, i, 0]) * grid.h) * H[:, i]
-        zeta[:, i], _, _ = projector.project(i, ensemble.X[:, i], target)
+        projector.begin_step(i, ensemble.X[:, i])
+        zeta[:, i], _, _ = projector.project(target)
     D = output.Z[:, :, 0] - zeta
     norms = np.mean(D**2, axis=0) * grid.h
     return ZetaDiagnostic(zeta=zeta, D=D, norms=norms)

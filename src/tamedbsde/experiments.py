@@ -31,6 +31,7 @@ from .drivers import INNER_PROJ, TamedDriver, derive_constants, verify_assumptio
 from .forward import euler_simulate, terminal_values
 from .grids import (
     GAUSSIAN,
+    LAMBDA_FLOOR,
     IncrementBatch,
     NoiseModel,
     PartitionGrid,
@@ -58,7 +59,7 @@ def aggregate_to_grid(batch: IncrementBatch, fine: PartitionGrid, coarse: Partit
         return IncrementBatch(dW=dW, H=dW / coarse.h, lam=1.0)
     radius = truncation_radius(model, coarse.h)
     lam = lambda_of_truncation(radius, coarse.h)
-    if lam < 0.5:
+    if lam < LAMBDA_FLOOR:
         raise ValueError(f"aggregated truncation gives Lambda={lam:.4f} < 1/2 at h={coarse.h:.6g}")
     return IncrementBatch(dW=dW, H=np.clip(dW, -radius, radius) / coarse.h, lam=lam)
 

@@ -38,14 +38,17 @@ class RegressionFit:
 
 
 def hermite_matrix(x: np.ndarray, size: int) -> np.ndarray:
-    """Columns He_0(x) .. He_{size-1}(x) via the three-term recurrence."""
+    """Columns He_0(x) .. He_{size-1}(x) via the three-term recurrence,
+    run on 1-D temporaries rather than on strided columns of the output."""
     x = np.asarray(x, dtype=float)
     out = np.empty((x.size, size), dtype=float)
     out[:, 0] = 1.0
     if size > 1:
         out[:, 1] = x
+    prev, cur = 1.0, x
     for k in range(2, size):
-        out[:, k] = x * out[:, k - 1] - (k - 1) * out[:, k - 2]
+        prev, cur = cur, x * cur - (k - 1) * prev
+        out[:, k] = cur
     return out
 
 
@@ -100,11 +103,39 @@ def fit_least_squares(design: np.ndarray, targets, basis: BasisSpec | None = Non
                          rank=int(rank), smallest_singular_value=smallest)
 
 
+@dataclass(frozen=True)
+class SampleDesign:
+    """The design matrix of one sample with its standardization.
+
+    Built once per sample; every fit on the sample and every fitted value
+    at the sample's own points reuse the same C-ordered matrix, so fitted
+    values equal `predict(fit, basis, x)` bit for bit without a rebuild.
+    """
+
+    basis: BasisSpec
+    center: float
+    scale: float
+    matrix: np.ndarray
+
+    def fit(self, targets) -> RegressionFit:
+        return fit_least_squares(self.matrix, targets, basis=self.basis,
+                                 center=self.center, scale=self.scale)
+
+    def fitted(self, fit: RegressionFit) -> np.ndarray:
+        """Fitted values at the sample points of a fit made on this design."""
+        return self.matrix @ fit.coeffs
+
+
+def sample_design(basis: BasisSpec, x) -> SampleDesign:
+    """Standardize x and build its design matrix."""
+    center, scale = standardization(basis, x)
+    return SampleDesign(basis=basis, center=center, scale=scale,
+                        matrix=design_matrix(basis, x, center, scale))
+
+
 def fit_basis(basis: BasisSpec, x, targets) -> RegressionFit:
     """Standardize x, build the design matrix and fit in one step."""
-    center, scale = standardization(basis, x)
-    design = design_matrix(basis, x, center, scale)
-    return fit_least_squares(design, targets, basis=basis, center=center, scale=scale)
+    return sample_design(basis, x).fit(targets)
 
 
 def predict(fit: RegressionFit, basis: BasisSpec, x) -> np.ndarray:

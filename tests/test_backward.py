@@ -26,7 +26,9 @@ from tamedbsde import (
     tree_exact_run,
     zeta_diagnostic,
 )
+from tamedbsde import regression
 from tamedbsde.backward import step_size_condition
+from tamedbsde.regression import fit_basis, predict
 from tamedbsde.trees import path_node_index
 
 ZERO = polynomial_driver([0.0])
@@ -143,6 +145,55 @@ def test_regression_backend_closed_form():
     out = run_backward(SchemeSpec(kind="explicit_tamed"), untamed(LINEAR, grid.h),
                        ens, xi, batch, BasisSpec(size=3))
     np.testing.assert_allclose(out.Y[:, 0], (1.0 - grid.h) ** 10, atol=1e-9)
+
+
+def _wide_ensemble(steps, paths=3000):
+    grid = build_grid(1.0, steps)
+    batch = sample_increments(grid, paths, 1, 31, NoiseModel())
+    ens = euler_simulate(SdeSpec(x0=0.3, diff_const=1.25), grid, batch)
+    xi = terminal_values(TerminalSpec((0.0, 0.0, 1.0)), ens)
+    return grid, batch, ens, xi
+
+
+@pytest.mark.parametrize("theta_prime", [1.0, 0.5])
+def test_step_projection_bitwise_equals_fit_then_predict(theta_prime):
+    grid, batch, ens, xi = _wide_ensemble(6)
+    basis = BasisSpec(size=12, standardize=True)
+    tamed = TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h)
+    out = run_backward(SchemeSpec(kind="explicit_tamed", theta_prime=theta_prime),
+                       tamed, ens, xi, batch, basis)
+    assert not out.exploded
+    h = grid.h
+    for i in range(grid.steps):
+        t, x, y_next = grid.times[i], ens.X[:, i], out.Y[:, i + 1]
+        z_target = (y_next + (1.0 - theta_prime) * tamed(t, y_next, 0.0) * h) * batch.H[:, i, 0]
+        z_i = predict(fit_basis(basis, x, z_target), basis, x)
+        assert np.array_equal(out.Z[:, i, 0], z_i), i
+        y_target = y_next + tamed(t, y_next, z_i) * h
+        assert np.array_equal(out.Y[:, i], predict(fit_basis(basis, x, y_target), basis, x)), i
+
+
+def test_one_design_build_per_step(monkeypatch):
+    calls = {"design": 0, "fit": 0}
+    design_matrix, fit_least_squares = regression.design_matrix, regression.fit_least_squares
+
+    def counting_design(*args, **kwargs):
+        calls["design"] += 1
+        return design_matrix(*args, **kwargs)
+
+    def counting_fit(*args, **kwargs):
+        calls["fit"] += 1
+        return fit_least_squares(*args, **kwargs)
+
+    monkeypatch.setattr(regression, "design_matrix", counting_design)
+    monkeypatch.setattr(regression, "fit_least_squares", counting_fit)
+    steps = 7
+    grid, batch, ens, xi = _wide_ensemble(steps, paths=500)
+    out = run_backward(SchemeSpec(kind="implicit"), untamed(CUBIC, grid.h),
+                       ens, xi, batch, BasisSpec(size=6))
+    assert not out.exploded
+    # two projections (Z, then E_i[Y_{i+1}]) per step share one design
+    assert calls == {"design": steps, "fit": 2 * steps}
 
 
 def test_terminal_column_is_exact():

@@ -11,6 +11,7 @@ from tamedbsde import (
     fit_least_squares,
     predict,
 )
+from tamedbsde.regression import hermite_matrix
 from tamedbsde.trees import build_tree, enumerate_tree_paths
 
 
@@ -22,6 +23,28 @@ def test_single_basis_function_is_constant_column():
 def test_hermite_values_at_zero():
     mat = design_matrix(BasisSpec(size=3, standardize=False), np.array([0.0]))
     np.testing.assert_array_equal(mat[0], [1.0, 0.0, -1.0])
+
+
+def _hermite_by_columns(x, size):
+    # reference: the three-term recurrence reading its inputs back from the
+    # output columns
+    out = np.empty((x.size, size))
+    out[:, 0] = 1.0
+    if size > 1:
+        out[:, 1] = x
+    for k in range(2, size):
+        out[:, k] = x * out[:, k - 1] - (k - 1) * out[:, k - 2]
+    return out
+
+
+def test_hermite_matrix_bitwise_matches_recurrence():
+    # a strided column of a wider sample, scaled so high degrees span many
+    # orders of magnitude
+    x = np.random.default_rng(3).normal(scale=2.0, size=(301, 2))[:, 0]
+    for size in range(1, 13):
+        mat = hermite_matrix(x, size)
+        assert mat.flags.c_contiguous
+        assert np.array_equal(mat, _hermite_by_columns(x, size)), size
 
 
 def test_hermite_linear_row():
