@@ -46,6 +46,7 @@ from .backward import (
     comparison_check,
     positivity_report,
     run_backward,
+    run_backward_group,
     tree_exact_run,
     zeta_diagnostic,
 )

@@ -8,12 +8,15 @@ then the Y update: the explicit kinds set
 Y_i = E_i[ Y_{i+1} + f^h(t_i, Y_{i+1}, Z_i) h ], the implicit kind sets
 Y_i = E_i[Y_{i+1}] + f^h(t_i, Y_i, Z_i) h and solves for Y_i per path.
 Conditional expectations come either from the Hermite regression layer or,
-on enumerated tree paths, from exact per-prefix averaging.
+on enumerated tree paths, from exact per-prefix averaging.  Several schemes
+on one path ensemble run backward in lockstep and share each step's
+projector.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -73,13 +76,15 @@ class SchemeDiagnostics:
 
 @dataclass
 class SchemeOutput:
-    """Per-path output: Y is (paths, N+1), Z is (paths, N, 1)."""
+    """Per-path output: Y is (paths, N+1), Z is (paths, N, 1); wallclock_ms
+    is the scheme's share of its backward pass (see run_backward_group)."""
 
     Y: np.ndarray
     Z: np.ndarray
     diagnostics: SchemeDiagnostics
     exploded: bool = False
     first_bad_step: int | None = None
+    wallclock_ms: float = 0.0
 
 
 @dataclass
@@ -147,8 +152,9 @@ def _solve_implicit(driver: TamedDriver, t: float, c, z, h: float,
 
 
 class _LsmcProjector:
-    """Hermite least squares on the step's state: one design per step,
-    shared by the step's fits and fitted values."""
+    """Hermite least squares on the step's state: one design and one
+    factorization per step, shared by every fit and fitted value of the
+    step (of every scheme of a lockstep group)."""
 
     def __init__(self, basis: BasisSpec):
         self.basis = basis
@@ -197,15 +203,89 @@ def _check_implicit_guard(scheme: SchemeSpec, driver: TamedDriver, h: float) -> 
             raise ValueError(f"implicit step guard violated: h*max(0, M_y) = {guard:.4g} >= 1")
 
 
-def run_backward(scheme: SchemeSpec, tamed: TamedDriver, ensemble: PathEnsemble,
-                 xi: np.ndarray, batch: IncrementBatch,
-                 basis: BasisSpec | ExactTreeBasis) -> SchemeOutput:
-    """Backward recursion over a path ensemble.
+class _SchemeRecursion:
+    """One scheme's arrays, explosion status and own time during a backward
+    pass; the step's conditional expectations come from a shared projector."""
 
-    An exploding run (non-finite target or prediction) is flagged, its
-    remaining columns are NaN and the first bad step index is recorded; the
+    def __init__(self, scheme: SchemeSpec, driver: TamedDriver, xi: np.ndarray, n: int):
+        paths = xi.shape[0]
+        self.scheme = scheme
+        self.driver = driver
+        self.Y = np.full((paths, n + 1), np.nan)
+        self.Z = np.full((paths, n, 1), np.nan)
+        self.diag = SchemeDiagnostics(
+            max_abs_y=np.full(n + 1, np.nan), min_y=np.full(n + 1, np.nan),
+            z_fit_rank=np.zeros(n, dtype=int), z_fit_sv=np.full(n, np.nan),
+            y_fit_rank=np.zeros(n, dtype=int), y_fit_sv=np.full(n, np.nan),
+            implicit_iterations=np.zeros(n, dtype=int),
+        )
+        self.Y[:, n] = xi
+        self.diag.max_abs_y[n] = np.max(np.abs(xi))
+        self.diag.min_y[n] = np.min(xi)
+        self.first_bad = None
+        self.seconds = 0.0
+
+    def z_target(self, i: int, t: float, h: float, h_inc: np.ndarray):
+        """(Y_{i+1} + (1-theta') f^h(t_i, Y_{i+1}, 0) h) H_{i+1}, or None
+        (and the scheme marked exploded at i) when it is not finite."""
+        y_next = self.Y[:, i + 1]
+        f_at_zero = self.driver(t, y_next, 0.0)
+        target = (y_next + (1.0 - self.scheme.theta_prime) * f_at_zero * h) * h_inc
+        if not np.all(np.isfinite(target)):
+            self.first_bad = i
+            return None
+        return target
+
+    def advance(self, i: int, t: float, h: float, projector, z_target: np.ndarray) -> None:
+        """Z_i, then Y_i; a non-finite Y target or Y_i marks the scheme
+        exploded at i."""
+        scheme, driver, diag = self.scheme, self.driver, self.diag
+        y_next = self.Y[:, i + 1]
+        z_i, diag.z_fit_rank[i], diag.z_fit_sv[i] = projector.project(z_target)
+        self.Z[:, i, 0] = z_i
+
+        if scheme.kind == IMPLICIT:
+            c, diag.y_fit_rank[i], diag.y_fit_sv[i] = projector.project(y_next)
+            y_i, diag.implicit_iterations[i] = _solve_implicit(
+                driver, t, c, z_i, h, scheme.implicit_tol, scheme.implicit_max_iter, i)
+        else:
+            y_target = y_next + driver(t, y_next, z_i) * h
+            if not np.all(np.isfinite(y_target)):
+                self.first_bad = i
+                return
+            y_i, diag.y_fit_rank[i], diag.y_fit_sv[i] = projector.project(y_target)
+
+        if not np.all(np.isfinite(y_i)):
+            self.first_bad = i
+            return
+        self.Y[:, i] = y_i
+        diag.max_abs_y[i] = np.max(np.abs(y_i))
+        diag.min_y[i] = np.min(y_i)
+
+    def output(self) -> SchemeOutput:
+        return SchemeOutput(Y=self.Y, Z=self.Z, diagnostics=self.diag,
+                            exploded=self.first_bad is not None, first_bad_step=self.first_bad,
+                            wallclock_ms=self.seconds * 1e3)
+
+
+def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: PathEnsemble,
+                       xi: np.ndarray, batch: IncrementBatch,
+                       basis: BasisSpec | ExactTreeBasis) -> list[SchemeOutput]:
+    """Backward recursion of several (scheme, driver) pairs over one path
+    ensemble, in lockstep.
+
+    At each step the design of X_i is built and factored once, and every
+    scheme still running takes its Z projection, then its Y projection,
+    from it.  Each target is projected on its own, so a scheme's output does
+    not depend on the rest of the group or its order.  An exploding scheme
+    (non-finite target or prediction) is flagged, its remaining columns are
+    NaN, the first bad step index is recorded and it leaves the group; the
     caller gets partial data rather than an exception, because explosion of
     the untamed explicit scheme is an experimental observable.
+
+    A scheme's `wallclock_ms` is its own time (targets, driver calls,
+    projections, implicit solve) plus an equal share of each step's design
+    and factorization among the schemes that used it.
     """
     grid = ensemble.grid
     n = grid.steps
@@ -214,10 +294,13 @@ def run_backward(scheme: SchemeSpec, tamed: TamedDriver, ensemble: PathEnsemble,
         raise ValueError(f"increment batch shape {batch.dW.shape} does not match ({paths}, {n}, 1)")
     if xi.shape != (paths,):
         raise ValueError(f"terminal values have shape {xi.shape}, expected ({paths},)")
-    if not math.isclose(tamed.h, grid.h, rel_tol=1e-9):
-        raise ValueError(f"driver was tamed at h={tamed.h}, grid has h={grid.h}")
-    driver = _effective_driver(scheme, tamed)
-    _check_implicit_guard(scheme, driver, grid.h)
+    runs = []
+    for scheme, tamed in members:
+        if not math.isclose(tamed.h, grid.h, rel_tol=1e-9):
+            raise ValueError(f"driver was tamed at h={tamed.h}, grid has h={grid.h}")
+        driver = _effective_driver(scheme, tamed)
+        _check_implicit_guard(scheme, driver, grid.h)
+        runs.append(_SchemeRecursion(scheme, driver, xi, n))
 
     if isinstance(basis, ExactTreeBasis):
         projector = _PrefixProjector(basis.steps, paths)
@@ -225,58 +308,38 @@ def run_backward(scheme: SchemeSpec, tamed: TamedDriver, ensemble: PathEnsemble,
         projector = _LsmcProjector(basis)
 
     h = grid.h
-    theta = scheme.theta_prime
     H = batch.H[:, :, 0]
-
-    Y = np.full((paths, n + 1), np.nan)
-    Z = np.full((paths, n, 1), np.nan)
-    diag = SchemeDiagnostics(
-        max_abs_y=np.full(n + 1, np.nan), min_y=np.full(n + 1, np.nan),
-        z_fit_rank=np.zeros(n, dtype=int), z_fit_sv=np.full(n, np.nan),
-        y_fit_rank=np.zeros(n, dtype=int), y_fit_sv=np.full(n, np.nan),
-        implicit_iterations=np.zeros(n, dtype=int),
-    )
-    Y[:, n] = xi
-    diag.max_abs_y[n] = np.max(np.abs(xi))
-    diag.min_y[n] = np.min(xi)
-
-    exploded = False
-    first_bad = None
+    running = runs
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n - 1, -1, -1):
             t = grid.times[i]
-            x = ensemble.X[:, i]
-            y_next = Y[:, i + 1]
-
-            f_at_zero = driver(t, y_next, 0.0)
-            z_target = (y_next + (1.0 - theta) * f_at_zero * h) * H[:, i]
-            if not np.all(np.isfinite(z_target)):
-                exploded, first_bad = True, i
+            step = []
+            for run in running:
+                start = time.perf_counter()
+                z_target = run.z_target(i, t, h, H[:, i])
+                run.seconds += time.perf_counter() - start
+                if z_target is not None:
+                    step.append((run, z_target))
+            if not step:
                 break
-            projector.begin_step(i, x)
-            z_i, diag.z_fit_rank[i], diag.z_fit_sv[i] = projector.project(z_target)
-            Z[:, i, 0] = z_i
+            start = time.perf_counter()
+            projector.begin_step(i, ensemble.X[:, i])
+            share = (time.perf_counter() - start) / len(step)
+            for run, z_target in step:
+                start = time.perf_counter()
+                run.advance(i, t, h, projector, z_target)
+                run.seconds += time.perf_counter() - start + share
+            running = [run for run, _ in step if run.first_bad is None]
 
-            if scheme.kind == IMPLICIT:
-                c, diag.y_fit_rank[i], diag.y_fit_sv[i] = projector.project(y_next)
-                y_i, iters = _solve_implicit(
-                    driver, t, c, z_i, h, scheme.implicit_tol, scheme.implicit_max_iter, i)
-                diag.implicit_iterations[i] = iters
-            else:
-                y_target = y_next + driver(t, y_next, z_i) * h
-                if not np.all(np.isfinite(y_target)):
-                    exploded, first_bad = True, i
-                    break
-                y_i, diag.y_fit_rank[i], diag.y_fit_sv[i] = projector.project(y_target)
+    return [run.output() for run in runs]
 
-            if not np.all(np.isfinite(y_i)):
-                exploded, first_bad = True, i
-                break
-            Y[:, i] = y_i
-            diag.max_abs_y[i] = np.max(np.abs(y_i))
-            diag.min_y[i] = np.min(y_i)
 
-    return SchemeOutput(Y=Y, Z=Z, diagnostics=diag, exploded=exploded, first_bad_step=first_bad)
+def run_backward(scheme: SchemeSpec, tamed: TamedDriver, ensemble: PathEnsemble,
+                 xi: np.ndarray, batch: IncrementBatch,
+                 basis: BasisSpec | ExactTreeBasis) -> SchemeOutput:
+    """Backward recursion of one scheme over a path ensemble: the group of
+    one of `run_backward_group`."""
+    return run_backward_group([(scheme, tamed)], ensemble, xi, batch, basis)[0]
 
 
 def _tree_children(tree: TreeModel, values: np.ndarray):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -110,24 +111,38 @@ class DriverSpec:
         if self.constants is None:
             object.__setattr__(self, "constants", derive_base_constants(self.y_coeffs, self.z_coeff))
 
-    @property
+    # The properties below are computed once per instance; cached_property
+    # stores them in the instance dict, which a frozen dataclass allows.
+    @cached_property
     def degree(self) -> int:
         nz = [k for k, a in enumerate(self.y_coeffs) if a != 0.0]
         return max(nz) if nz else 0
 
-    @property
+    @cached_property
     def growth_power(self) -> int:
         """Polynomial growth degree m >= 1 used by the taming formulas."""
         return max(self.degree, 1)
 
+    @cached_property
+    def coeff_array(self) -> np.ndarray:
+        """y_coeffs as a read-only float array, lowest degree first."""
+        return _read_only(np.asarray(self.y_coeffs, dtype=float))
+
+    @cached_property
+    def slope_coeffs(self) -> np.ndarray:
+        """Coefficients of P' as a read-only array ([0.] for a constant P)."""
+        return _read_only(npoly.polyder(self.coeff_array))
+
     def y_part(self, y):
-        return npoly.polyval(y, np.asarray(self.y_coeffs, dtype=float))
+        return npoly.polyval(y, self.coeff_array)
 
     def y_part_slope(self, y):
-        d = npoly.polyder(np.asarray(self.y_coeffs, dtype=float))
-        if d.size == 0:
-            return np.zeros_like(np.asarray(y, dtype=float))
-        return npoly.polyval(y, d)
+        return npoly.polyval(y, self.slope_coeffs)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def polynomial_driver(y_coeffs, z_coeff: float = 0.0, domain_bound: float = 10.0) -> DriverSpec:
@@ -185,11 +200,11 @@ class TamedDriver:
         if not self.h > 0.0:
             raise ValueError("h must be positive")
 
-    @property
+    @cached_property
     def exponent(self) -> float:
         return self.taming.resolved_exponent(self.base.growth_power)
 
-    @property
+    @cached_property
     def radius(self) -> float:
         return self.taming.r0 * self.h ** (-self.exponent)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -22,7 +21,8 @@ from .backward import (
     EXPLICIT_TAMED,
     SchemeOutput,
     positivity_report,
-    run_backward,
+    run_backward,  # noqa: F401  (unused; the benchmark's trace probes look it up here)
+    run_backward_group,
     step_size_condition,
     tree_exact_run,
 )
@@ -147,11 +147,11 @@ def _build_ensembles(cfg: ExperimentConfig):
     return out
 
 
-def _timed_run(cfg, run, grid, batch, ensemble, xi, basis) -> tuple[SchemeOutput, float]:
-    tamed = _tamed(cfg, run, grid.h)
-    start = time.perf_counter()
-    output = run_backward(run.scheme, tamed, ensemble, xi, batch, basis)
-    return output, (time.perf_counter() - start) * 1e3
+def _run_grid(cfg: ExperimentConfig, runs: list[SchemeRun], grid, batch, ensemble, xi,
+              basis) -> list[SchemeOutput]:
+    """All `runs` on one grid, in lockstep on one design per step."""
+    members = [(run.scheme, _tamed(cfg, run, grid.h)) for run in runs]
+    return run_backward_group(members, ensemble, xi, batch, basis)
 
 
 def _proxy_runs(cfg: ExperimentConfig) -> list[SchemeRun]:
@@ -177,47 +177,43 @@ def _error_against(proxy: np.ndarray, output: SchemeOutput, stride: int) -> floa
 def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     """Run every configured scheme on every grid and measure the distance
     max_i E[|Y_i - Y^proxy_i|^2]^(1/2) against the fine-grid proxy (the
-    average of the implicit and inner-tamed outputs at the largest N)."""
+    average of the implicit and inner-tamed outputs at the largest N).
+
+    The schemes of one grid run as one lockstep group.  The finest grid runs
+    first, and only the proxy is kept from it; with threads > 1 the pool
+    runs the coarser grids' groups.  The groups do not depend on the thread
+    count, so neither do the results."""
     basis = BasisSpec(size=cfg.basis_size, standardize=cfg.basis_standardize)
     per_grid = _build_ensembles(cfg)
     finest = cfg.grids[-1]
     proxy_schemes = _proxy_runs(cfg)
 
-    def run_one(run: SchemeRun, n: int):
-        grid, batch, ensemble, xi = per_grid[n]
-        return _timed_run(cfg, run, grid, batch, ensemble, xi, basis)
+    outputs = _run_grid(cfg, cfg.schemes, *per_grid[finest], basis)
+    by_label = dict(zip((run.label for run in cfg.schemes), outputs))
+    for run in proxy_schemes:
+        if by_label[run.label].exploded:
+            raise RuntimeError(f"proxy scheme {run.label!r} exploded on the finest grid")
+    proxy = np.mean([by_label[run.label].Y for run in proxy_schemes], axis=0)
 
-    proxy_outputs: dict[str, tuple[SchemeOutput, float]] = {}
-    if cfg.threads > 1 and len(proxy_schemes) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = {s.label: pool.submit(run_one, s, finest) for s in proxy_schemes}
-            proxy_outputs = {label: f.result() for label, f in futures.items()}
-    else:
-        proxy_outputs = {s.label: run_one(s, finest) for s in proxy_schemes}
-    for label, (output, _) in proxy_outputs.items():
-        if output.exploded:
-            raise RuntimeError(f"proxy scheme {label!r} exploded on the finest grid")
-    proxy = np.mean([out.Y for out, _ in proxy_outputs.values()], axis=0)
+    def grid_rows(n: int, outputs: list[SchemeOutput]) -> list[ErrorRow]:
+        h = per_grid[n][0].h
+        return [ErrorRow(run.label, n, h, _error_against(proxy, output, finest // n),
+                         output.wallclock_ms, output.exploded, cfg.seed)
+                for run, output in zip(cfg.schemes, outputs)]
 
-    rows: list[ErrorRow] = []
-    for label, (output, ms) in proxy_outputs.items():
-        rows.append(ErrorRow(label, finest, per_grid[finest][0].h,
-                             _error_against(proxy, output, 1), ms, output.exploded, cfg.seed))
+    rows = grid_rows(finest, outputs)
+    del outputs, by_label
 
-    todo = [(run, n) for run in cfg.schemes for n in cfg.grids
-            if not (n == finest and run.label in proxy_outputs)]
+    def job(n: int) -> list[ErrorRow]:
+        return grid_rows(n, _run_grid(cfg, cfg.schemes, *per_grid[n], basis))
 
-    def job(run, n):
-        output, ms = run_one(run, n)
-        stride = finest // n
-        err = _error_against(proxy, output, stride)
-        return ErrorRow(run.label, n, per_grid[n][0].h, err, ms, output.exploded, cfg.seed)
-
+    coarse = cfg.grids[:-1]
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows += list(pool.map(lambda args: job(*args), todo))
+            groups = list(pool.map(job, coarse))
     else:
-        rows += [job(run, n) for run, n in todo]
+        groups = [job(n) for n in coarse]
+    rows += [row for group in groups for row in group]
 
     rows.sort(key=lambda row: (row.scheme, row.steps))
     return ErrorReport(rows=rows, proxy_labels=[s.label for s in proxy_schemes], seed=cfg.seed)
@@ -242,13 +238,13 @@ def positivity_study(cfg: ExperimentConfig) -> PositivityStudyReport:
     xi = terminal_values(cfg.terminal, ensemble)
     basis = BasisSpec(size=cfg.basis_size, standardize=cfg.basis_standardize)
 
+    runs = sorted(cfg.schemes, key=lambda s: s.label)
+    outputs = _run_grid(cfg, runs, grid, batch, ensemble, xi, basis)
     rows: list[ExtremaRow] = []
     conditions = []
-    for run in sorted(cfg.schemes, key=lambda s: s.label):
-        tamed = _tamed(cfg, run, grid.h)
-        output = run_backward(run.scheme, tamed, ensemble, xi, batch, basis)
+    for run, output in zip(runs, outputs):
         rows += _extrema_rows(run.label, positivity_report(output), grid.times)
-        cond = grid.h * derive_constants(tamed).l_y
+        cond = grid.h * derive_constants(_tamed(cfg, run, grid.h)).l_y
         conditions.append((run.label, cond, cond < 1.0))
     return PositivityStudyReport(rows=rows, conditions=conditions, backend="regression")
 

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 GAUSSIAN = "gaussian"
 TRUNCATED = "truncated_gaussian"
@@ -97,6 +96,14 @@ class IncrementBatch:
     lam: float
 
 
+def _normal_pdf_sf(rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Standard-normal density and upper tail at rho, with the arithmetic of
+    scipy.stats.norm (whose import costs more than the rest of the package)
+    on a 0-d float64 array."""
+    x = np.asarray(rho, dtype=np.float64)
+    return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi), ndtr(-x)
+
+
 def truncation_radius(model: NoiseModel, h: float) -> float:
     """Effective clipping radius R(h) for a truncated noise model.
 
@@ -124,8 +131,9 @@ def lambda_of_truncation(radius: float, h: float) -> float:
     if not radius > 0.0 or not h > 0.0:
         raise ValueError("radius and h must be positive")
     rho = radius / math.sqrt(h)
+    pdf, sf = _normal_pdf_sf(rho)
     # E[G^2 1_{|G|<=rho}] + rho^2 P(|G|>rho) for standard normal G
-    return math.erf(rho / math.sqrt(2.0)) - 2.0 * rho * norm.pdf(rho) + 2.0 * rho * rho * norm.sf(rho)
+    return math.erf(rho / math.sqrt(2.0)) - 2.0 * rho * pdf + 2.0 * rho * rho * sf
 
 
 def truncation_l2_gap(radius: float, h: float) -> float:
@@ -138,7 +146,8 @@ def truncation_l2_gap(radius: float, h: float) -> float:
     if not radius > 0.0 or not h > 0.0:
         raise ValueError("radius and h must be positive")
     rho = radius / math.sqrt(h)
-    return 2.0 * ((1.0 + rho * rho) * norm.sf(rho) - rho * norm.pdf(rho)) / h
+    pdf, sf = _normal_pdf_sf(rho)
+    return 2.0 * ((1.0 + rho * rho) * sf - rho * pdf) / h
 
 
 def _raw_uint64(seed: int, start: int, count: int) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Least-squares projection on a probabilists'-Hermite basis of the state.
 
 One fit approximates one conditional expectation E_i[target | X_i = x].
+Every fit goes through an rcond-truncated thin SVD of the design, so one
+factorization of a sample serves any number of targets.
 The sample is standardized (centered and scaled) before evaluating the
 basis by default; the variance of X grows with t_i and raw high-degree
 Hermite columns become badly conditioned without it.
@@ -77,49 +79,91 @@ def design_matrix(basis: BasisSpec, x, center: float | None = None, scale: float
     return hermite_matrix((x - center) / scale, basis.size)
 
 
-def fit_least_squares(design: np.ndarray, targets, basis: BasisSpec | None = None,
-                      center: float = 0.0, scale: float = 1.0) -> RegressionFit:
-    """Minimum-norm least squares with small singular values discarded.
+@dataclass(frozen=True)
+class Factorization:
+    """Rcond-truncated thin SVD A = U_r diag(s_r) V_r^T of one design matrix.
 
-    Raises ValueError naming the first non-finite design/target entry.
+    Only the r singular values above RCOND * s_0 and their vectors are kept,
+    which is the rank and the minimum-norm solution `lstsq` uses.
     """
-    targets = np.asarray(targets, dtype=float)
-    if design.shape[0] != targets.shape[0]:
-        raise ValueError(f"design has {design.shape[0]} rows, targets {targets.shape[0]}")
+
+    u: np.ndarray
+    s: np.ndarray
+    vt: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return int(self.s.size)
+
+    @property
+    def smallest_singular_value(self) -> float:
+        return float(self.s[-1]) if self.s.size else 0.0
+
+    def solve(self, targets: np.ndarray) -> np.ndarray:
+        """Minimum-norm least-squares coefficients V_r ((U_r^T t) / s_r); a
+        2-D target gets one column of coefficients per column."""
+        return ((targets.T @ self.u) / self.s @ self.vt).T
+
+
+def factorize(design: np.ndarray) -> Factorization:
+    """Thin SVD of the design, truncated at RCOND relative to s_0.
+
+    Raises ValueError naming the first non-finite design entry.
+    """
     bad = ~np.isfinite(design)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ValueError(f"non-finite design entry at row {i}, column {j}")
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    rank = int(np.count_nonzero(s > RCOND * s[0])) if s.size else 0
+    return Factorization(u=u[:, :rank], s=s[:rank], vt=vt[:rank])
+
+
+def fit_least_squares(design: np.ndarray, targets, basis: BasisSpec | None = None,
+                      center: float = 0.0, scale: float = 1.0,
+                      factors: Factorization | None = None) -> RegressionFit:
+    """Minimum-norm least squares with small singular values discarded.
+
+    `factors` is the design's factorization when the caller already has it;
+    without it the design is factored here.  Raises ValueError naming the
+    first non-finite design/target entry.
+    """
+    targets = np.asarray(targets, dtype=float)
+    if design.shape[0] != targets.shape[0]:
+        raise ValueError(f"design has {design.shape[0]} rows, targets {targets.shape[0]}")
+    if factors is None:
+        factors = factorize(design)
     bad = ~np.isfinite(targets)
     if bad.any():
         raise ValueError(f"non-finite target at index {int(np.argmax(bad))}")
 
-    coeffs, _, rank, sv = np.linalg.lstsq(design, targets, rcond=RCOND)
-    retained = sv[sv > RCOND * sv[0]] if sv.size else sv
-    smallest = float(retained[-1]) if retained.size else 0.0
     if basis is None:
         basis = BasisSpec(size=design.shape[1], standardize=False)
-    return RegressionFit(coeffs=coeffs, basis=basis, center=center, scale=scale,
-                         rank=int(rank), smallest_singular_value=smallest)
+    return RegressionFit(coeffs=factors.solve(targets), basis=basis, center=center, scale=scale,
+                         rank=factors.rank, smallest_singular_value=factors.smallest_singular_value)
 
 
 @dataclass(frozen=True)
 class SampleDesign:
-    """The design matrix of one sample with its standardization.
+    """The design matrix of one sample with its standardization and its
+    factorization.
 
-    Built once per sample; every fit on the sample and every fitted value
-    at the sample's own points reuse the same C-ordered matrix, so fitted
-    values equal `predict(fit, basis, x)` bit for bit without a rebuild.
+    Built once per sample; every fit on the sample reuses the one
+    factorization, and every fitted value at the sample's own points the
+    same C-ordered matrix, so fitted values equal `predict(fit, basis, x)`
+    bit for bit without a rebuild.  Each target is projected on its own, so
+    a fit does not depend on which other targets share the design.
     """
 
     basis: BasisSpec
     center: float
     scale: float
     matrix: np.ndarray
+    factors: Factorization
 
     def fit(self, targets) -> RegressionFit:
         return fit_least_squares(self.matrix, targets, basis=self.basis,
-                                 center=self.center, scale=self.scale)
+                                 center=self.center, scale=self.scale, factors=self.factors)
 
     def fitted(self, fit: RegressionFit) -> np.ndarray:
         """Fitted values at the sample points of a fit made on this design."""
@@ -127,10 +171,11 @@ class SampleDesign:
 
 
 def sample_design(basis: BasisSpec, x) -> SampleDesign:
-    """Standardize x and build its design matrix."""
+    """Standardize x, build its design matrix and factor it."""
     center, scale = standardization(basis, x)
-    return SampleDesign(basis=basis, center=center, scale=scale,
-                        matrix=design_matrix(basis, x, center, scale))
+    matrix = design_matrix(basis, x, center, scale)
+    return SampleDesign(basis=basis, center=center, scale=scale, matrix=matrix,
+                        factors=factorize(matrix))
 
 
 def fit_basis(basis: BasisSpec, x, targets) -> RegressionFit:

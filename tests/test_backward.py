@@ -21,6 +21,7 @@ from tamedbsde import (
     polynomial_driver,
     positivity_report,
     run_backward,
+    run_backward_group,
     sample_increments,
     terminal_values,
     tree_exact_run,
@@ -194,6 +195,54 @@ def test_one_design_build_per_step(monkeypatch):
     assert not out.exploded
     # two projections (Z, then E_i[Y_{i+1}]) per step share one design
     assert calls == {"design": steps, "fit": 2 * steps}
+
+
+def _assert_same_output(a, b):
+    assert np.array_equal(a.Y, b.Y, equal_nan=True)
+    assert np.array_equal(a.Z, b.Z, equal_nan=True)
+    for name in ("max_abs_y", "min_y", "z_fit_rank", "z_fit_sv", "y_fit_rank", "y_fit_sv",
+                 "implicit_iterations"):
+        assert np.array_equal(getattr(a.diagnostics, name), getattr(b.diagnostics, name),
+                              equal_nan=True), name
+    assert (a.exploded, a.first_bad_step) == (b.exploded, b.first_bad_step)
+
+
+def test_group_membership_does_not_change_outputs(monkeypatch):
+    steps = 8
+    grid, batch, ens, xi = _wide_ensemble(steps, paths=1000)
+    basis = BasisSpec(size=12, standardize=True)
+    h = grid.h
+    members = [
+        (SchemeSpec(kind="implicit"), untamed(CUBIC, h)),
+        (SchemeSpec(kind="explicit_tamed"), TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), h)),
+        (SchemeSpec(kind="explicit_tamed", theta_prime=0.5),
+         TamedDriver(CUBIC, TamingSpec(kind="mult_c"), h)),
+        (SchemeSpec(kind="explicit_untamed"), untamed(CUBIC, h)),
+    ]
+    solo = [run_backward(scheme, tamed, ens, xi, batch, basis) for scheme, tamed in members]
+    # the untamed scheme explodes mid-run and leaves the group
+    assert [out.exploded for out in solo] == [False, False, False, True]
+    assert 0 < solo[-1].first_bad_step < steps - 1
+
+    calls = {"design": 0, "factorize": 0}
+    design_matrix, factorize = regression.design_matrix, regression.factorize
+
+    def counting_design(*args, **kwargs):
+        calls["design"] += 1
+        return design_matrix(*args, **kwargs)
+
+    def counting_factorize(*args, **kwargs):
+        calls["factorize"] += 1
+        return factorize(*args, **kwargs)
+
+    monkeypatch.setattr(regression, "design_matrix", counting_design)
+    monkeypatch.setattr(regression, "factorize", counting_factorize)
+    group = run_backward_group(members, ens, xi, batch, basis)
+    assert calls == {"design": steps, "factorize": steps}
+    reversed_group = run_backward_group(members[::-1], ens, xi, batch, basis)[::-1]
+    for alone, together, backwards in zip(solo, group, reversed_group):
+        _assert_same_output(alone, together)
+        _assert_same_output(alone, backwards)
 
 
 def test_terminal_column_is_exact():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+
+import tamedbsde
 from tamedbsde.cli import main
 
 CONV = """
@@ -111,3 +116,13 @@ def test_unknown_scheme_kind_is_config_error(tmp_path):
     cfg.write_text(CONV.format(out=tmp_path / "x.csv").replace(
         "scheme.1.kind = implicit", "scheme.1.kind = sideways"))
     assert main(["converge", str(cfg)]) == 2
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs more to import than the rest of the package
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tamedbsde.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, tamedbsde.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "False"

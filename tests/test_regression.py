@@ -11,7 +11,7 @@ from tamedbsde import (
     fit_least_squares,
     predict,
 )
-from tamedbsde.regression import hermite_matrix
+from tamedbsde.regression import RCOND, hermite_matrix, sample_design
 from tamedbsde.trees import build_tree, enumerate_tree_paths
 
 
@@ -139,3 +139,35 @@ def test_reproduces_tree_conditional_expectation():
     exact = ens.X[:, i] ** 2 + grid.h
     fit = fit_basis(BasisSpec(size=4), ens.X[:, i], target)
     np.testing.assert_allclose(predict(fit, fit.basis, ens.X[:, i]), exact, atol=1e-8)
+
+
+def test_factorized_fit_agrees_with_lstsq():
+    rng = np.random.default_rng(0)
+    x = rng.normal(0.3, 1.25, size=40_000)
+    design = sample_design(BasisSpec(size=12), x)
+    eps = np.finfo(float).eps
+    for target in (np.sin(x) + 0.1 * rng.normal(size=x.size), x**2,
+                   np.tanh(x) + rng.normal(size=x.size)):
+        coeffs, _, rank, sv = np.linalg.lstsq(design.matrix, target, rcond=RCOND)
+        retained = sv[sv > RCOND * sv[0]]
+        reference = design.matrix @ coeffs
+        fit = design.fit(target)
+        cond = retained[0] / retained[-1]
+        assert np.max(np.abs(design.fitted(fit) - reference)) \
+            <= 64 * cond * eps * np.max(np.abs(reference))
+        assert fit.rank == rank == 12
+        assert abs(fit.smallest_singular_value - retained[-1]) <= 64 * eps * sv[0]
+
+
+def test_constant_sample_has_rank_one():
+    design = sample_design(BasisSpec(size=6), np.full(200, 0.5))
+    fit = design.fit(np.linspace(0.0, 1.0, 200))
+    assert fit.rank == 1
+    np.testing.assert_allclose(design.fitted(fit), 0.5, rtol=1e-12)
+
+
+def test_non_finite_design_entry_named():
+    design = design_matrix(BasisSpec(size=3, standardize=False), np.linspace(-1, 1, 6))
+    design[4, 2] = np.inf
+    with pytest.raises(ValueError, match="row 4, column 2"):
+        fit_least_squares(design, np.zeros(6))
