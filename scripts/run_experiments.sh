@@ -1,8 +1,17 @@
 #!/usr/bin/env bash
 # Run every experiment at desk scale; CSVs land in scripts/out/.
+# Uses the `tamedbsde` console script when it is on PATH, otherwise
+# `python3 -m tamedbsde` on this checkout's sources.
 set -euo pipefail
 cd "$(dirname "$0")"
 mkdir -p out
+
+if command -v tamedbsde >/dev/null 2>&1; then
+    tamedbsde() { command tamedbsde "$@"; }
+else
+    export PYTHONPATH="$(cd .. && pwd)/src${PYTHONPATH:+:$PYTHONPATH}"
+    tamedbsde() { python3 -m tamedbsde "$@"; }
+fi
 
 tamedbsde converge convergence_study.cfg --out out/convergence_study.csv
 tamedbsde positivity positivity_study.cfg --out out/positivity_regression.csv

@@ -118,36 +118,43 @@ def _solve_implicit(driver: TamedDriver, t: float, c, z, h: float,
     h |d f^h/dy| stays below 1/2, Newton otherwise; Newton steps that grow
     the residual are halved.  Under the step guard h max(0, M_y) < 1 the map
     y -> y - h f^h(y) is strictly increasing, so the root is unique.
+
+    A path's y is frozen once its residual meets the tolerance (the same y
+    gives the same residual), so each iteration works on the still
+    unconverged paths only.
     """
     c = np.asarray(c, dtype=float)
     ctil = c + h * driver.base.z_coeff * np.asarray(z, dtype=float)
     y = ctil.copy()
+    active = np.arange(y.size)
+    ya, ca = y, ctil
     iterations = 0
     for it in range(max_iter):
         iterations = it + 1
-        fy = driver.tamed_y_part(y)
-        res = y - ctil - h * fy
-        scale = 1.0 + np.abs(y)
-        done = np.abs(res) <= tol * scale
-        if done.all():
-            break
-        slope = driver.y_slope(y)
+        fy = driver.tamed_y_part(ya)
+        res = ya - ca - h * fy
+        pending = ~(np.abs(res) <= tol * (1.0 + np.abs(ya)))
+        if not pending.all():
+            y[active] = ya
+            if not pending.any():
+                break
+            active, ya, ca, fy, res = active[pending], ya[pending], ca[pending], fy[pending], res[pending]
+        slope = driver.y_slope(ya)
         kappa = h * np.abs(slope)
-        fp_next = ctil + h * fy
+        fp_next = ca + h * fy
         dg = np.maximum(1.0 - h * slope, 0.1)
-        newton_next = y - res / dg
+        newton_next = ya - res / dg
         y_next = np.where(kappa <= 0.5, fp_next, newton_next)
         # halve steps that made the residual worse
-        res_next = y_next - ctil - h * driver.tamed_y_part(y_next)
+        res_next = y_next - ca - h * driver.tamed_y_part(y_next)
         worse = np.abs(res_next) > np.abs(res)
-        y_next = np.where(worse, 0.5 * (y + y_next), y_next)
-        y = np.where(done, y, y_next)
+        ya = np.where(worse, 0.5 * (ya + y_next), y_next)
     else:
-        fy = driver.tamed_y_part(y)
-        res = y - ctil - h * fy
-        bad = np.abs(res) > tol * (1.0 + np.abs(y))
+        y[active] = ya
+        res = ya - ca - h * driver.tamed_y_part(ya)
+        bad = np.abs(res) > tol * (1.0 + np.abs(ya))
         if bad.any():
-            raise ImplicitSolverError(int(np.argmax(bad)), step)
+            raise ImplicitSolverError(int(active[np.argmax(bad)]), step)
     return y, iterations
 
 
@@ -225,22 +232,22 @@ class _SchemeRecursion:
         self.first_bad = None
         self.seconds = 0.0
 
-    def z_target(self, i: int, t: float, h: float, h_inc: np.ndarray):
-        """(Y_{i+1} + (1-theta') f^h(t_i, Y_{i+1}, 0) h) H_{i+1}, or None
-        (and the scheme marked exploded at i) when it is not finite."""
-        y_next = self.Y[:, i + 1]
-        f_at_zero = self.driver(t, y_next, 0.0)
-        target = (y_next + (1.0 - self.scheme.theta_prime) * f_at_zero * h) * h_inc
-        if not np.all(np.isfinite(target)):
-            self.first_bad = i
-            return None
-        return target
+    def advance(self, i: int, t: float, h: float, projector, h_inc: np.ndarray) -> bool:
+        """Z_i, then Y_i, projected with the step's shared projector.
 
-    def advance(self, i: int, t: float, h: float, projector, z_target: np.ndarray) -> None:
-        """Z_i, then Y_i; a non-finite Y target or Y_i marks the scheme
-        exploded at i."""
+        The tamed y-part at Y_{i+1} is evaluated once, for the Z target
+        (Y_{i+1} + (1-theta') f^h(t_i, Y_{i+1}, 0) h) H_{i+1} and the explicit
+        Y target.  A non-finite target or Y_i marks the scheme exploded at i.
+        Returns whether the projector was used (the Z target was finite).
+        """
         scheme, driver, diag = self.scheme, self.driver, self.diag
         y_next = self.Y[:, i + 1]
+        p = driver.tamed_y_part(y_next)
+        f_at_zero = p + driver.base.z_coeff * 0.0
+        z_target = (y_next + (1.0 - scheme.theta_prime) * f_at_zero * h) * h_inc
+        if not np.all(np.isfinite(z_target)):
+            self.first_bad = i
+            return False
         z_i, diag.z_fit_rank[i], diag.z_fit_sv[i] = projector.project(z_target)
         self.Z[:, i, 0] = z_i
 
@@ -249,18 +256,19 @@ class _SchemeRecursion:
             y_i, diag.implicit_iterations[i] = _solve_implicit(
                 driver, t, c, z_i, h, scheme.implicit_tol, scheme.implicit_max_iter, i)
         else:
-            y_target = y_next + driver(t, y_next, z_i) * h
+            y_target = y_next + (p + driver.base.z_coeff * z_i) * h
             if not np.all(np.isfinite(y_target)):
                 self.first_bad = i
-                return
+                return True
             y_i, diag.y_fit_rank[i], diag.y_fit_sv[i] = projector.project(y_target)
 
         if not np.all(np.isfinite(y_i)):
             self.first_bad = i
-            return
+            return True
         self.Y[:, i] = y_i
         diag.max_abs_y[i] = np.max(np.abs(y_i))
         diag.min_y[i] = np.min(y_i)
+        return True
 
     def output(self) -> SchemeOutput:
         return SchemeOutput(Y=self.Y, Z=self.Z, diagnostics=self.diag,
@@ -276,7 +284,8 @@ def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: 
 
     At each step the design of X_i is built and factored once, and every
     scheme still running takes its Z projection, then its Y projection,
-    from it.  Each target is projected on its own, so a scheme's output does
+    from it.  The design comes first, so a scheme's targets and tamed
+    y-part live only during its own turn.  Each target is projected on its own, so a scheme's output does
     not depend on the rest of the group or its order.  An exploding scheme
     (non-finite target or prediction) is flagged, its remaining columns are
     NaN, the first bad step index is recorded and it leaves the group; the
@@ -312,24 +321,21 @@ def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: 
     running = runs
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n - 1, -1, -1):
-            t = grid.times[i]
-            step = []
-            for run in running:
-                start = time.perf_counter()
-                z_target = run.z_target(i, t, h, H[:, i])
-                run.seconds += time.perf_counter() - start
-                if z_target is not None:
-                    step.append((run, z_target))
-            if not step:
+            if not running:
                 break
+            t = grid.times[i]
             start = time.perf_counter()
             projector.begin_step(i, ensemble.X[:, i])
-            share = (time.perf_counter() - start) / len(step)
-            for run, z_target in step:
+            design_s = time.perf_counter() - start
+            used = []
+            for run in running:
                 start = time.perf_counter()
-                run.advance(i, t, h, projector, z_target)
-                run.seconds += time.perf_counter() - start + share
-            running = [run for run, _ in step if run.first_bad is None]
+                if run.advance(i, t, h, projector, H[:, i]):
+                    used.append(run)
+                run.seconds += time.perf_counter() - start
+            for run in used:
+                run.seconds += design_s / len(used)
+            running = [run for run in used if run.first_bad is None]
 
     return [run.output() for run in runs]
 
@@ -363,6 +369,7 @@ def tree_exact_run(scheme: SchemeSpec, tamed: TamedDriver, tree: TreeModel,
     h = grid.h
     sqrt_h = math.sqrt(h)
     theta = scheme.theta_prime
+    z_coeff = driver.base.z_coeff
 
     Y: list = [None] * (n + 1)
     Z: list = [None] * n
@@ -375,15 +382,18 @@ def tree_exact_run(scheme: SchemeSpec, tamed: TamedDriver, tree: TreeModel,
         for i in range(n - 1, -1, -1):
             t = grid.times[i]
             down, up = _tree_children(tree, Y[i + 1])
-            f_down = driver(t, down, 0.0)
-            f_up = driver(t, up, 0.0)
+            # one tamed y-part per level; the z-part of f^h is linear and is
+            # added as TamedDriver.__call__ adds it (z_coeff * 0.0 included)
+            p_down, p_up = _tree_children(tree, driver.tamed_y_part(Y[i + 1]))
+            f_down = p_down + z_coeff * 0.0
+            f_up = p_up + z_coeff * 0.0
             z = ((up + (1.0 - theta) * f_up * h) - (down + (1.0 - theta) * f_down * h)) / (2.0 * sqrt_h)
             if scheme.kind == IMPLICIT:
                 c = 0.5 * (down + up)
                 y, iters_used[i] = _solve_implicit(
                     driver, t, c, z, h, scheme.implicit_tol, scheme.implicit_max_iter, i)
             else:
-                y = 0.5 * ((down + driver(t, down, z) * h) + (up + driver(t, up, z) * h))
+                y = 0.5 * ((down + (p_down + z_coeff * z) * h) + (up + (p_up + z_coeff * z) * h))
             if not (np.all(np.isfinite(z)) and np.all(np.isfinite(y))):
                 exploded, first_bad = True, i
                 for j in range(i, -1, -1):

@@ -10,7 +10,7 @@ experiment configurations, which are z-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -64,7 +64,7 @@ def _real_roots(coeffs) -> np.ndarray:
 def _max_poly_on_candidates(coeffs, candidates) -> float:
     if len(candidates) == 0:
         return 0.0
-    return float(np.max(npoly.polyval(np.asarray(candidates, dtype=float), coeffs)))
+    return float(np.max(horner(polynomial_terms(coeffs), np.asarray(candidates, dtype=float))))
 
 
 def derive_base_constants(y_coeffs, z_coeff: float = 0.0, domain_bound: float = 10.0) -> DriverConstants:
@@ -124,25 +124,45 @@ class DriverSpec:
         return max(self.degree, 1)
 
     @cached_property
-    def coeff_array(self) -> np.ndarray:
-        """y_coeffs as a read-only float array, lowest degree first."""
-        return _read_only(np.asarray(self.y_coeffs, dtype=float))
+    def y_terms(self) -> tuple[np.float64, ...]:
+        """y_coeffs as float64 scalars for `horner`, lowest degree first."""
+        return polynomial_terms(self.y_coeffs)
 
     @cached_property
-    def slope_coeffs(self) -> np.ndarray:
-        """Coefficients of P' as a read-only array ([0.] for a constant P)."""
-        return _read_only(npoly.polyder(self.coeff_array))
+    def slope_terms(self) -> tuple[np.float64, ...]:
+        """Coefficients of P' for `horner` ((0.0,) for a constant P)."""
+        return polynomial_terms(npoly.polyder(np.asarray(self.y_coeffs, dtype=float)))
+
+    @cached_property
+    def value_at_zero(self) -> np.float64:
+        """P(0), as y_part(0.0) computes it."""
+        return self.y_part(0.0)
 
     def y_part(self, y):
-        return npoly.polyval(y, self.coeff_array)
+        return horner(self.y_terms, y)
 
     def y_part_slope(self, y):
-        return npoly.polyval(y, self.slope_coeffs)
+        return horner(self.slope_terms, y)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def polynomial_terms(coeffs) -> tuple[np.float64, ...]:
+    """Polynomial coefficients, lowest degree first, as the float64 scalars
+    `horner` takes."""
+    return tuple(np.asarray(coeffs, dtype=float))
+
+
+def horner(terms: tuple[np.float64, ...], x):
+    """sum_k terms[k] x^k for a scalar or an array x.
+
+    The operations and their order are those of
+    numpy.polynomial.polynomial.polyval (zero terms included), so the result
+    is bitwise equal to polyval(x, terms), signed zeros and inf * 0 -> nan
+    included; only polyval's per-call coercion and reshape are left out.
+    """
+    acc = terms[-1] + x * 0.0
+    for a in terms[-2::-1]:
+        acc = a + acc * x
+    return acc
 
 
 def polynomial_driver(y_coeffs, z_coeff: float = 0.0, domain_bound: float = 10.0) -> DriverSpec:
@@ -226,7 +246,7 @@ class TamedDriver:
         if kind == MULT_A:
             return np.abs(p)
         if kind == MULT_B:
-            p0 = self.base.y_part(0.0)
+            p0 = self.base.value_at_zero
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.abs(p - p0) / np.abs(y)
             return np.where(y == 0.0, 0.0, ratio)
@@ -331,10 +351,10 @@ def _outer_lipschitz(coeffs, r: float) -> float:
     lo = c.copy(); lo[0] += r
     cands += list(_real_roots(hi)) + list(_real_roots(lo)) + list(_real_roots(ddP))
     cands = np.asarray(cands, dtype=float)
-    inside = np.abs(npoly.polyval(cands, c)) <= r * (1.0 + 1e-12) + 1e-12
+    inside = np.abs(horner(polynomial_terms(c), cands)) <= r * (1.0 + 1e-12) + 1e-12
     if not inside.any():
         return 0.0
-    return float(np.max(np.abs(npoly.polyval(cands[inside], dP))))
+    return float(np.max(np.abs(horner(polynomial_terms(dP), cands[inside]))))
 
 
 def _monotone_growth_base(base: DriverSpec, alpha: float = 1.0) -> tuple[float, float, float]:
@@ -575,8 +595,3 @@ def verify_assumptions(driver: TamedDriver, probe: ProbePlan | None = None) -> A
         checks["residual"] = _collect("residual", res - c_res * w, singles, sl, fitted=c_res)
 
     return AssumptionReport(constants=cons, checks=checks)
-
-
-def with_taming(driver: TamedDriver, taming: TamingSpec) -> TamedDriver:
-    """Same base driver and step size, different taming."""
-    return replace(driver, taming=taming)

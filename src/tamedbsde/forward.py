@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
+from .drivers import horner, polynomial_terms
 from .grids import IncrementBatch, PartitionGrid
 
 # Any |X| beyond this is treated as a blow-up so that explosion shows up as
@@ -71,8 +72,12 @@ class TerminalSpec:
         # degree >= 2 terminal maps are only locally Lipschitz
         return self.degree <= 1
 
+    @cached_property
+    def terms(self) -> tuple[np.float64, ...]:
+        return polynomial_terms(self.coeffs)
+
     def __call__(self, x):
-        return npoly.polyval(x, np.asarray(self.coeffs, dtype=float))
+        return horner(self.terms, x)
 
 
 @dataclass(frozen=True)

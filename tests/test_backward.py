@@ -289,6 +289,105 @@ def test_implicit_non_convergence_names_path_and_step():
     assert "path" in str(err.value)
 
 
+def _dense_solve_implicit(driver, c, z, h, tol, max_iter, step):
+    """The implicit solve iterating on every path until all have converged:
+    the reference the active-set solve must reproduce bit for bit."""
+    from tamedbsde.backward import ImplicitSolverError
+
+    ctil = c + h * driver.base.z_coeff * np.asarray(z, dtype=float)
+    y = ctil.copy()
+    iterations = 0
+    for it in range(max_iter):
+        iterations = it + 1
+        fy = driver.tamed_y_part(y)
+        res = y - ctil - h * fy
+        done = np.abs(res) <= tol * (1.0 + np.abs(y))
+        if done.all():
+            break
+        slope = driver.y_slope(y)
+        fp_next = ctil + h * fy
+        newton_next = y - res / np.maximum(1.0 - h * slope, 0.1)
+        y_next = np.where(h * np.abs(slope) <= 0.5, fp_next, newton_next)
+        res_next = y_next - ctil - h * driver.tamed_y_part(y_next)
+        worse = np.abs(res_next) > np.abs(res)
+        y_next = np.where(worse, 0.5 * (y + y_next), y_next)
+        y = np.where(done, y, y_next)
+    else:
+        res = y - ctil - h * driver.tamed_y_part(y)
+        bad = np.abs(res) > tol * (1.0 + np.abs(y))
+        if bad.any():
+            raise ImplicitSolverError(int(np.argmax(bad)), step)
+    return y, iterations
+
+
+def _implicit_inputs(paths=2000):
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal(paths) * np.geomspace(0.01, 30.0, paths)
+    z = rng.standard_normal(paths)
+    # paths sitting on a root of y - y^3 + 0.5 z converge in the first iteration
+    c[::7], z[::7] = 0.0, 0.0
+    c[3::11], z[3::11] = 1.0, 0.0
+    return c, z
+
+
+@pytest.mark.parametrize("kind", ["none", "inner_proj", "outer_proj",
+                                  "mult_a", "mult_b", "mult_c", "mult_d"])
+def test_active_set_solve_bitwise_equals_dense(kind):
+    from tamedbsde.backward import _solve_implicit
+
+    h = 0.25
+    driver = TamedDriver(polynomial_driver([0.0, 1.0, 0.0, -1.0], z_coeff=0.5),
+                         TamingSpec(kind=kind), h)
+    c, z = _implicit_inputs()
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_ref, it_ref = _dense_solve_implicit(driver, c, z, h, 1e-12, 50, 3)
+        y, it = _solve_implicit(driver, 0.0, c, z, h, 1e-12, 50, 3)
+    assert it == it_ref > 1
+    assert y.tobytes() == y_ref.tobytes()
+
+
+@pytest.mark.parametrize("max_iter", [1, 2])
+def test_starved_active_set_solve_names_dense_path(max_iter):
+    from tamedbsde.backward import ImplicitSolverError, _solve_implicit
+
+    h = 0.25
+    driver = TamedDriver(polynomial_driver([0.0, 1.0, 0.0, -1.0], z_coeff=0.5),
+                         TamingSpec(kind="mult_b"), h)
+    c, z = _implicit_inputs()
+    c[0], z[0] = 0.0, 0.0  # path 0 converges at once
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ImplicitSolverError) as ref:
+            _dense_solve_implicit(driver, c, z, h, 1e-12, max_iter, 4)
+        with pytest.raises(ImplicitSolverError) as err:
+            _solve_implicit(driver, 0.0, c, z, h, 1e-12, max_iter, 4)
+    assert ref.value.path > 0
+    assert (err.value.path, err.value.step) == (ref.value.path, 4)
+
+
+def test_one_tamed_y_part_per_explicit_step(monkeypatch):
+    calls = []
+    tamed_y_part = TamedDriver.tamed_y_part
+
+    def counting(self, y):
+        calls.append(np.size(y))
+        return tamed_y_part(self, y)
+
+    monkeypatch.setattr(TamedDriver, "tamed_y_part", counting)
+    steps = 8
+    grid = build_grid(1.0, steps)
+    driver = TamedDriver(CUBIC, TamingSpec(kind="mult_c"), grid.h)
+    scheme = SchemeSpec(kind="explicit_tamed", theta_prime=0.5)
+    tree = build_tree(SdeSpec(x0=0.0, diff_const=1.0), grid)
+    tree_exact_run(scheme, driver, tree, TerminalSpec((0.0, 1.0)))
+    assert len(calls) == steps
+
+    calls.clear()
+    grid, batch, ens, xi = _wide_ensemble(steps, paths=300)
+    run_backward(scheme, TamedDriver(CUBIC, TamingSpec(kind="mult_c"), grid.h),
+                 ens, xi, batch, BasisSpec(size=4))
+    assert calls == [300] * steps
+
+
 def test_untamed_kind_overrides_taming():
     grid = build_grid(1.0, 4)
     tree = build_tree(SdeSpec(x0=0.0, diff_const=1.0), grid)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from tamedbsde import (
     DriverSpec,
     ProbePlan,
     TamedDriver,
     TamingSpec,
+    TerminalSpec,
     apply_taming,
     derive_constants,
     eval_driver,
@@ -14,6 +16,7 @@ from tamedbsde import (
     taming_residual,
     verify_assumptions,
 )
+from tamedbsde.drivers import DriverConstants
 
 CUBIC = polynomial_driver([0.0, 0.0, 0.0, -1.0])          # f(y) = -y^3
 FHN = polynomial_driver([0.0, 1.0, 0.0, -1.0])            # f(y) = y - y^3
@@ -41,6 +44,31 @@ def test_eval_quadratic():
 def test_eval_z_part():
     spec = polynomial_driver([1.0], z_coeff=0.5)
     assert eval_driver(spec, 0.0, 0.0, 4.0) == 3.0
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200, 1e308]
+COEFFS = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300]),
+                            st.floats(allow_nan=False, allow_infinity=False)),
+                  min_size=1, max_size=6)
+POINT = st.one_of(st.sampled_from(SPECIAL), st.floats())
+POINTS = st.one_of(POINT, st.lists(POINT, min_size=1, max_size=8).map(np.array))
+
+
+def _same_bits(a, b):
+    return type(a) is type(b) and np.shape(a) == np.shape(b) \
+        and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@given(coeffs=COEFFS, x=POINTS)
+@settings(max_examples=300, deadline=None)
+def test_horner_bitwise_equals_polyval(coeffs, x):
+    spec = DriverSpec(tuple(coeffs), 0.0, DriverConstants(0, 0, 0, 0, 0, 0, 0, 1))
+    c = np.asarray(coeffs, dtype=float)
+    with np.errstate(all="ignore"):
+        assert _same_bits(spec.y_part(x), npoly.polyval(x, c))
+        assert _same_bits(spec.y_part_slope(x), npoly.polyval(x, npoly.polyder(c)))
+        if len(coeffs) <= 5:
+            assert _same_bits(TerminalSpec(tuple(coeffs))(x), npoly.polyval(x, c))
 
 
 # ---------------------------------------------------------------- taming maps
