@@ -26,7 +26,6 @@ from .drivers import (
     ProbePlan,
     TamedDriver,
     TamingSpec,
-    apply_taming,
     derive_constants,
     eval_driver,
     polynomial_driver,

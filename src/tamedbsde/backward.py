@@ -7,10 +7,13 @@ Every scheme computes Z first and explicitly,
 then the Y update: the explicit kinds set
 Y_i = E_i[ Y_{i+1} + f^h(t_i, Y_{i+1}, Z_i) h ], the implicit kind sets
 Y_i = E_i[Y_{i+1}] + f^h(t_i, Y_i, Z_i) h and solves for Y_i per path.
-Conditional expectations come either from the Hermite regression layer or,
-on enumerated tree paths, from exact per-prefix averaging.  Several schemes
-on one path ensemble run backward in lockstep and share each step's
-projector.
+One loop runs it over a conditional-expectation operator: `children(v)`
+aligns a level-(i+1) array with level i, and `mean(kids)` and
+`mean_h(kids)` return E_i[v] and E_i[v H_{i+1}] of kids = children(v), each
+with the (rank, smallest singular value) of its projection.  The operator
+is Hermite least squares on Monte-Carlo paths, per-prefix averaging on
+enumerated tree paths or the child average on tree levels; the schemes on
+one path ensemble run in lockstep and share each step's operator.
 """
 
 from __future__ import annotations
@@ -121,17 +124,17 @@ def _solve_implicit(driver: TamedDriver, t: float, c, z, h: float,
 
     A path's y is frozen once its residual meets the tolerance (the same y
     gives the same residual), so each iteration works on the still
-    unconverged paths only.
+    unconverged paths only.  f^h at the candidate carries into the next
+    iteration; it is evaluated again only where the step was halved.
     """
-    c = np.asarray(c, dtype=float)
     ctil = c + h * driver.base.z_coeff * np.asarray(z, dtype=float)
     y = ctil.copy()
     active = np.arange(y.size)
     ya, ca = y, ctil
+    fy = driver.tamed_y_part(ya)
     iterations = 0
     for it in range(max_iter):
         iterations = it + 1
-        fy = driver.tamed_y_part(ya)
         res = ya - ca - h * fy
         pending = ~(np.abs(res) <= tol * (1.0 + np.abs(ya)))
         if not pending.all():
@@ -145,135 +148,197 @@ def _solve_implicit(driver: TamedDriver, t: float, c, z, h: float,
         dg = np.maximum(1.0 - h * slope, 0.1)
         newton_next = ya - res / dg
         y_next = np.where(kappa <= 0.5, fp_next, newton_next)
+        fy = driver.tamed_y_part(y_next)
         # halve steps that made the residual worse
-        res_next = y_next - ca - h * driver.tamed_y_part(y_next)
-        worse = np.abs(res_next) > np.abs(res)
+        worse = np.abs(y_next - ca - h * fy) > np.abs(res)
         ya = np.where(worse, 0.5 * (ya + y_next), y_next)
+        if worse.any():
+            fy[worse] = driver.tamed_y_part(ya[worse])
     else:
         y[active] = ya
-        res = ya - ca - h * driver.tamed_y_part(ya)
+        res = ya - ca - h * fy
         bad = np.abs(res) > tol * (1.0 + np.abs(ya))
         if bad.any():
             raise ImplicitSolverError(int(active[np.argmax(bad)]), step)
     return y, iterations
 
 
-class _LsmcProjector:
-    """Hermite least squares on the step's state: one design and one
-    factorization per step, shared by every fit and fitted value of the
-    step (of every scheme of a lockstep group)."""
+_NO_FIT = (0, math.nan)
 
-    def __init__(self, basis: BasisSpec):
+
+class _LsmcOperator:
+    """Hermite least squares on paths, each its own child: one design and
+    factorization of X_i per step serve every scheme of a lockstep group.
+    A non-finite target (the scheme exploded) projects to NaN, with no fit."""
+
+    def __init__(self, basis: BasisSpec | None, X: np.ndarray, H: np.ndarray):
         self.basis = basis
+        self.X = X
+        self.H = H  # H[:, i] holds H_{i+1}
+        self.step = None
         self.design = None
 
-    def begin_step(self, step: int, x) -> None:
+    def begin_step(self, step: int) -> None:
+        self.step = step
         self.design = None  # release the previous step's design before building the next
-        self.design = sample_design(self.basis, x)
+        self.design = sample_design(self.basis, self.X[:, step])
 
-    def project(self, targets):
-        fit = self.design.fit(targets)
-        return self.design.fitted(fit), fit.rank, fit.smallest_singular_value
+    @staticmethod
+    def children(v):
+        return v
+
+    def mean(self, kids):
+        if not np.isfinite(kids).all():
+            return np.full(kids.shape, np.nan), _NO_FIT
+        return self._project(kids)
+
+    def mean_h(self, kids):
+        return self.mean(kids * self.H[:, self.step])
+
+    def _project(self, target):
+        fit = self.design.fit(target)
+        return self.design.fitted(fit), (fit.rank, fit.smallest_singular_value)
 
 
-class _PrefixProjector:
+class _PrefixOperator(_LsmcOperator):
     """Exact projection on per-prefix indicators of enumerated tree paths."""
 
-    def __init__(self, steps: int, paths: int):
-        if paths != 2**steps:
-            raise ValueError(f"exact tree basis expects 2^{steps} paths, got {paths}")
-        self.steps = steps
-        self.paths = paths
-        self.step = None
-
-    def begin_step(self, step: int, x) -> None:
+    def begin_step(self, step: int) -> None:
         self.step = step
 
-    def project(self, targets):
+    def _project(self, target):
         groups = 2**self.step
-        block = self.paths // groups
-        means = np.asarray(targets, dtype=float).reshape(groups, block).mean(axis=1)
-        return np.repeat(means, block), groups, 1.0
+        block = target.size // groups
+        return np.repeat(target.reshape(groups, block).mean(axis=1), block), (groups, 1.0)
 
 
-def _effective_driver(scheme: SchemeSpec, tamed: TamedDriver) -> TamedDriver:
-    if scheme.kind == EXPLICIT_UNTAMED and tamed.taming.kind != NONE:
-        return replace(tamed, taming=TamingSpec(kind=NONE))
-    return tamed
+class _TreeOperator:
+    """Exact child averages on a tree level: children(v) is the (2, nodes)
+    view of the down and up child of every level-i node."""
+
+    def __init__(self, tree: TreeModel):
+        self.recombining = tree.recombining
+        self.two_sqrt_h = 2.0 * math.sqrt(tree.grid.h)
+
+    def begin_step(self, step: int) -> None:
+        pass
+
+    def children(self, v):
+        if self.recombining:
+            # node j's children are j and j+1: overlapping windows of the
+            # contiguous level (as_strided is slower)
+            return np.ndarray((2, v.size - 1), buffer=v, strides=(v.strides[0], v.strides[0]))
+        return v.reshape(-1, 2).T
+
+    @staticmethod
+    def mean(kids):
+        return 0.5 * (kids[0] + kids[1]), _NO_FIT
+
+    def mean_h(self, kids):
+        return (kids[1] - kids[0]) / self.two_sqrt_h, _NO_FIT
 
 
-def _check_implicit_guard(scheme: SchemeSpec, driver: TamedDriver, h: float) -> None:
-    """The implicit solve needs h max(0, M_y) < 1 for a unique root."""
-    if scheme.kind == IMPLICIT:
-        guard = h * max(0.0, driver.base.constants.m_y)
-        if guard >= 1.0:
-            raise ValueError(f"implicit step guard violated: h*max(0, M_y) = {guard:.4g} >= 1")
+def _path_operator(basis: BasisSpec | ExactTreeBasis, ensemble: PathEnsemble,
+                   batch: IncrementBatch) -> _LsmcOperator:
+    X, H = ensemble.X, batch.H[:, :, 0]
+    if not isinstance(basis, ExactTreeBasis):
+        return _LsmcOperator(basis, X, H)
+    if X.shape[0] != 2**basis.steps:
+        raise ValueError(f"exact tree basis expects 2^{basis.steps} paths, got {X.shape[0]}")
+    return _PrefixOperator(None, X, H)
 
 
-class _SchemeRecursion:
-    """One scheme's arrays, explosion status and own time during a backward
-    pass; the step's conditional expectations come from a shared projector."""
+class _PathLevels:
+    """Y as (paths, N+1), NaN until stored: level j is column j, and storing
+    a level records its extrema."""
 
-    def __init__(self, scheme: SchemeSpec, driver: TamedDriver, xi: np.ndarray, n: int):
-        paths = xi.shape[0]
+    def __init__(self, xi: np.ndarray, n: int):
+        self.array = np.full((xi.shape[0], n + 1), np.nan)
+        self.max_abs = np.full(n + 1, np.nan)
+        self.min = np.full(n + 1, np.nan)
+        self[n] = xi
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        return self.array[:, j]
+
+    def __setitem__(self, j: int, y: np.ndarray) -> None:
+        self.array[:, j] = y
+        self.max_abs[j], self.min[j] = np.max(np.abs(y)), np.min(y)
+
+
+class _SchemeRun:
+    """One scheme in the backward recursion.  `Y[j]` and `Z[j]` are level j
+    of its storage (the terminal level stored on entry); a level it never
+    reaches, because it exploded first, keeps its initial content."""
+
+    def __init__(self, scheme: SchemeSpec, tamed: TamedDriver, grid, Y, Z):
+        if not math.isclose(tamed.h, grid.h, rel_tol=1e-9):
+            raise ValueError(f"driver was tamed at h={tamed.h}, grid has h={grid.h}")
+        if scheme.kind == EXPLICIT_UNTAMED and tamed.taming.kind != NONE:
+            tamed = replace(tamed, taming=TamingSpec(kind=NONE))
+        if scheme.kind == IMPLICIT:
+            # the implicit solve needs h max(0, M_y) < 1 for a unique root
+            guard = grid.h * max(0.0, tamed.base.constants.m_y)
+            if guard >= 1.0:
+                raise ValueError(f"implicit step guard violated: h*max(0, M_y) = {guard:.4g} >= 1")
         self.scheme = scheme
-        self.driver = driver
-        self.Y = np.full((paths, n + 1), np.nan)
-        self.Z = np.full((paths, n, 1), np.nan)
-        self.diag = SchemeDiagnostics(
-            max_abs_y=np.full(n + 1, np.nan), min_y=np.full(n + 1, np.nan),
-            z_fit_rank=np.zeros(n, dtype=int), z_fit_sv=np.full(n, np.nan),
-            y_fit_rank=np.zeros(n, dtype=int), y_fit_sv=np.full(n, np.nan),
-            implicit_iterations=np.zeros(n, dtype=int),
-        )
-        self.Y[:, n] = xi
-        self.diag.max_abs_y[n] = np.max(np.abs(xi))
-        self.diag.min_y[n] = np.min(xi)
+        self.driver = tamed
+        self.Y, self.Z = Y, Z
+        n = grid.steps
+        self.z_fits = [_NO_FIT] * n
+        self.y_fits = [_NO_FIT] * n
+        self.iterations = np.zeros(n, dtype=int)
         self.first_bad = None
         self.seconds = 0.0
 
-    def advance(self, i: int, t: float, h: float, projector, h_inc: np.ndarray) -> bool:
-        """Z_i, then Y_i, projected with the step's shared projector.
-
-        The tamed y-part at Y_{i+1} is evaluated once, for the Z target
-        (Y_{i+1} + (1-theta') f^h(t_i, Y_{i+1}, 0) h) H_{i+1} and the explicit
-        Y target.  A non-finite target or Y_i marks the scheme exploded at i.
-        Returns whether the projector was used (the Z target was finite).
-        """
-        scheme, driver, diag = self.scheme, self.driver, self.diag
-        y_next = self.Y[:, i + 1]
+    def advance(self, i: int, t: float, h: float, op) -> None:
+        """Z_i, then Y_i; a non-finite Z_i or Y_i marks the scheme exploded
+        at i and stores nothing.  The tamed y-part at Y_{i+1} is evaluated
+        once, for the Z target (its z-part added as TamedDriver.__call__
+        adds it) and the explicit Y target."""
+        scheme, driver = self.scheme, self.driver
+        z_coeff = driver.base.z_coeff
+        y_next = self.Y[i + 1]
         p = driver.tamed_y_part(y_next)
-        f_at_zero = p + driver.base.z_coeff * 0.0
-        z_target = (y_next + (1.0 - scheme.theta_prime) * f_at_zero * h) * h_inc
-        if not np.all(np.isfinite(z_target)):
-            self.first_bad = i
-            return False
-        z_i, diag.z_fit_rank[i], diag.z_fit_sv[i] = projector.project(z_target)
-        self.Z[:, i, 0] = z_i
+        z, self.z_fits[i] = op.mean_h(
+            op.children(y_next + (1.0 - scheme.theta_prime) * (p + z_coeff * 0.0) * h))
+        if np.isfinite(z).all():
+            if scheme.kind == IMPLICIT:
+                c, self.y_fits[i] = op.mean(op.children(y_next))
+                y, self.iterations[i] = _solve_implicit(
+                    driver, t, c, z, h, scheme.implicit_tol, scheme.implicit_max_iter, i)
+            else:
+                y, self.y_fits[i] = op.mean(op.children(y_next) + (op.children(p) + z_coeff * z) * h)
+            if np.isfinite(y).all():
+                self.Z[i], self.Y[i] = z, y
+                return
+        self.first_bad = i
 
-        if scheme.kind == IMPLICIT:
-            c, diag.y_fit_rank[i], diag.y_fit_sv[i] = projector.project(y_next)
-            y_i, diag.implicit_iterations[i] = _solve_implicit(
-                driver, t, c, z_i, h, scheme.implicit_tol, scheme.implicit_max_iter, i)
-        else:
-            y_target = y_next + (p + driver.base.z_coeff * z_i) * h
-            if not np.all(np.isfinite(y_target)):
-                self.first_bad = i
-                return True
-            y_i, diag.y_fit_rank[i], diag.y_fit_sv[i] = projector.project(y_target)
 
-        if not np.all(np.isfinite(y_i)):
-            self.first_bad = i
-            return True
-        self.Y[:, i] = y_i
-        diag.max_abs_y[i] = np.max(np.abs(y_i))
-        diag.min_y[i] = np.min(y_i)
-        return True
+def _backward(runs: list[_SchemeRun], op, grid) -> None:
+    """The backward recursion of every run over one operator, in lockstep.
 
-    def output(self) -> SchemeOutput:
-        return SchemeOutput(Y=self.Y, Z=self.Z, diagnostics=self.diag,
-                            exploded=self.first_bad is not None, first_bad_step=self.first_bad,
-                            wallclock_ms=self.seconds * 1e3)
+    Each step's `begin_step` (on paths, the design and its factorization)
+    comes before the runs' turns, so a run's targets live only during its
+    own turn; a run's `seconds` is its own time plus an equal share of each
+    `begin_step` among the runs still going.  An exploded run leaves the
+    lockstep with its partial data: explosion of the untamed explicit
+    scheme is an experimental observable, not an error.
+    """
+    running = runs
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(grid.steps - 1, -1, -1):
+            if not running:
+                break
+            t = grid.times[i]
+            start = time.perf_counter()
+            op.begin_step(i)
+            shared = (time.perf_counter() - start) / len(running)
+            for run in running:
+                start = time.perf_counter()
+                run.advance(i, t, grid.h, op)
+                run.seconds += time.perf_counter() - start + shared
+            running = [run for run in running if run.first_bad is None]
 
 
 def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: PathEnsemble,
@@ -284,17 +349,9 @@ def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: 
 
     At each step the design of X_i is built and factored once, and every
     scheme still running takes its Z projection, then its Y projection,
-    from it.  The design comes first, so a scheme's targets and tamed
-    y-part live only during its own turn.  Each target is projected on its own, so a scheme's output does
-    not depend on the rest of the group or its order.  An exploding scheme
-    (non-finite target or prediction) is flagged, its remaining columns are
-    NaN, the first bad step index is recorded and it leaves the group; the
-    caller gets partial data rather than an exception, because explosion of
-    the untamed explicit scheme is an experimental observable.
-
-    A scheme's `wallclock_ms` is its own time (targets, driver calls,
-    projections, implicit solve) plus an equal share of each step's design
-    and factorization among the schemes that used it.
+    from it.  Each target is projected on its own, so a scheme's output
+    does not depend on the rest of the group or its order.  An exploding
+    scheme's columns from its first bad step down are NaN.
     """
     grid = ensemble.grid
     n = grid.steps
@@ -303,41 +360,22 @@ def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: 
         raise ValueError(f"increment batch shape {batch.dW.shape} does not match ({paths}, {n}, 1)")
     if xi.shape != (paths,):
         raise ValueError(f"terminal values have shape {xi.shape}, expected ({paths},)")
-    runs = []
-    for scheme, tamed in members:
-        if not math.isclose(tamed.h, grid.h, rel_tol=1e-9):
-            raise ValueError(f"driver was tamed at h={tamed.h}, grid has h={grid.h}")
-        driver = _effective_driver(scheme, tamed)
-        _check_implicit_guard(scheme, driver, grid.h)
-        runs.append(_SchemeRecursion(scheme, driver, xi, n))
+    # Z level j is column j of a (paths, N) array, written through its transpose
+    runs = [_SchemeRun(scheme, tamed, grid, _PathLevels(xi, n), np.full((paths, n), np.nan).T)
+            for scheme, tamed in members]
+    _backward(runs, _path_operator(basis, ensemble, batch), grid)
 
-    if isinstance(basis, ExactTreeBasis):
-        projector = _PrefixProjector(basis.steps, paths)
-    else:
-        projector = _LsmcProjector(basis)
-
-    h = grid.h
-    H = batch.H[:, :, 0]
-    running = runs
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n - 1, -1, -1):
-            if not running:
-                break
-            t = grid.times[i]
-            start = time.perf_counter()
-            projector.begin_step(i, ensemble.X[:, i])
-            design_s = time.perf_counter() - start
-            used = []
-            for run in running:
-                start = time.perf_counter()
-                if run.advance(i, t, h, projector, H[:, i]):
-                    used.append(run)
-                run.seconds += time.perf_counter() - start
-            for run in used:
-                run.seconds += design_s / len(used)
-            running = [run for run in used if run.first_bad is None]
-
-    return [run.output() for run in runs]
+    outputs = []
+    for run in runs:
+        z_rank, z_sv = map(np.array, zip(*run.z_fits))
+        y_rank, y_sv = map(np.array, zip(*run.y_fits))
+        diag = SchemeDiagnostics(max_abs_y=run.Y.max_abs, min_y=run.Y.min, z_fit_rank=z_rank,
+                                 z_fit_sv=z_sv, y_fit_rank=y_rank, y_fit_sv=y_sv,
+                                 implicit_iterations=run.iterations)
+        outputs.append(SchemeOutput(Y=run.Y.array, Z=run.Z.T[:, :, None], diagnostics=diag,
+                                    exploded=run.first_bad is not None, first_bad_step=run.first_bad,
+                                    wallclock_ms=run.seconds * 1e3))
+    return outputs
 
 
 def run_backward(scheme: SchemeSpec, tamed: TamedDriver, ensemble: PathEnsemble,
@@ -348,63 +386,20 @@ def run_backward(scheme: SchemeSpec, tamed: TamedDriver, ensemble: PathEnsemble,
     return run_backward_group([(scheme, tamed)], ensemble, xi, batch, basis)[0]
 
 
-def _tree_children(tree: TreeModel, values: np.ndarray):
-    """(down, up) child values aligned with the parent level."""
-    if tree.recombining:
-        return values[:-1], values[1:]
-    resh = values.reshape(-1, 2)
-    return resh[:, 0], resh[:, 1]
-
-
 def tree_exact_run(scheme: SchemeSpec, tamed: TamedDriver, tree: TreeModel,
                    terminal: TerminalSpec) -> TreeSchemeOutput:
     """Same recursion with E_i computed as the exact half/half child average."""
-    grid = tree.grid
-    n = grid.steps
-    if not math.isclose(tamed.h, grid.h, rel_tol=1e-9):
-        raise ValueError(f"driver was tamed at h={tamed.h}, grid has h={grid.h}")
-    driver = _effective_driver(scheme, tamed)
-    _check_implicit_guard(scheme, driver, grid.h)
+    n = tree.steps
+    run = _SchemeRun(scheme, tamed, tree.grid,
+                     [None] * n + [np.asarray(terminal(tree.levels[n]), dtype=float)], [None] * n)
+    _backward([run], _TreeOperator(tree), tree.grid)
 
-    h = grid.h
-    sqrt_h = math.sqrt(h)
-    theta = scheme.theta_prime
-    z_coeff = driver.base.z_coeff
+    def filled(levels):
+        return [np.full(tree.node_count(j), np.nan) if v is None else v for j, v in enumerate(levels)]
 
-    Y: list = [None] * (n + 1)
-    Z: list = [None] * n
-    iters_used = np.zeros(n, dtype=int)
-    Y[n] = np.asarray(terminal(tree.levels[n]), dtype=float)
-
-    exploded = False
-    first_bad = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n - 1, -1, -1):
-            t = grid.times[i]
-            down, up = _tree_children(tree, Y[i + 1])
-            # one tamed y-part per level; the z-part of f^h is linear and is
-            # added as TamedDriver.__call__ adds it (z_coeff * 0.0 included)
-            p_down, p_up = _tree_children(tree, driver.tamed_y_part(Y[i + 1]))
-            f_down = p_down + z_coeff * 0.0
-            f_up = p_up + z_coeff * 0.0
-            z = ((up + (1.0 - theta) * f_up * h) - (down + (1.0 - theta) * f_down * h)) / (2.0 * sqrt_h)
-            if scheme.kind == IMPLICIT:
-                c = 0.5 * (down + up)
-                y, iters_used[i] = _solve_implicit(
-                    driver, t, c, z, h, scheme.implicit_tol, scheme.implicit_max_iter, i)
-            else:
-                y = 0.5 * ((down + (p_down + z_coeff * z) * h) + (up + (p_up + z_coeff * z) * h))
-            if not (np.all(np.isfinite(z)) and np.all(np.isfinite(y))):
-                exploded, first_bad = True, i
-                for j in range(i, -1, -1):
-                    Y[j] = np.full(tree.node_count(j), np.nan)
-                    Z[j] = np.full(tree.node_count(j), np.nan)
-                break
-            Z[i] = z
-            Y[i] = y
-
-    return TreeSchemeOutput(tree=tree, Y=Y, Z=Z, implicit_iterations=iters_used,
-                            exploded=exploded, first_bad_step=first_bad)
+    return TreeSchemeOutput(tree=tree, Y=filled(run.Y), Z=filled(run.Z),
+                            implicit_iterations=run.iterations,
+                            exploded=run.first_bad is not None, first_bad_step=run.first_bad)
 
 
 @dataclass
@@ -427,43 +422,29 @@ def zeta_diagnostic(output, tamed: TamedDriver, *, ensemble: PathEnsemble | None
     """
     if output.exploded:
         raise ValueError("zeta diagnostic needs a run that completed without explosion")
+    on_tree = isinstance(output, TreeSchemeOutput)
+    if on_tree:
+        grid, op, Y, Z = output.tree.grid, _TreeOperator(output.tree), output.Y, output.Z
+    else:
+        if ensemble is None or batch is None or basis is None:
+            raise ValueError("path-ensemble zeta diagnostic needs ensemble, batch and basis")
+        grid, op = ensemble.grid, _path_operator(basis, ensemble, batch)
+        Y, Z = output.Y.T, output.Z[:, :, 0].T
 
-    if isinstance(output, TreeSchemeOutput):
-        tree = output.tree
-        h = tree.grid.h
-        sqrt_h = math.sqrt(h)
-        zeta, D, norms = [], [], np.empty(tree.steps)
-        for i in range(tree.steps):
-            t = tree.grid.times[i]
-            down, up = _tree_children(tree, output.Y[i + 1])
-            z_i = output.Z[i]
-            targ_down = down + tamed(t, down, z_i) * h
-            targ_up = up + tamed(t, up, z_i) * h
-            zeta_i = (targ_up - targ_down) / (2.0 * sqrt_h)
-            d_i = z_i - zeta_i
-            zeta.append(zeta_i)
-            D.append(d_i)
-            w = tree.level_weights(i)
-            norms[i] = float(np.sum(w * d_i**2) * h)
-        return ZetaDiagnostic(zeta=zeta, D=D, norms=norms)
-
-    if ensemble is None or batch is None or basis is None:
-        raise ValueError("path-ensemble zeta diagnostic needs ensemble, batch and basis")
-    grid = ensemble.grid
-    n = grid.steps
-    paths = ensemble.X.shape[0]
-    projector = (_PrefixProjector(basis.steps, paths) if isinstance(basis, ExactTreeBasis)
-                 else _LsmcProjector(basis))
-    H = batch.H[:, :, 0]
-    zeta = np.empty((paths, n))
-    for i in range(n):
-        t = grid.times[i]
-        y_next = output.Y[:, i + 1]
-        target = (y_next + tamed(t, y_next, output.Z[:, i, 0]) * grid.h) * H[:, i]
-        projector.begin_step(i, ensemble.X[:, i])
-        zeta[:, i], _, _ = projector.project(target)
-    D = output.Z[:, :, 0] - zeta
-    norms = np.mean(D**2, axis=0) * grid.h
+    h, z_coeff = grid.h, tamed.base.z_coeff
+    zeta, D = [], []
+    for i in range(grid.steps):
+        op.begin_step(i)
+        # one tamed y-part per level; the z-part is added as TamedDriver.__call__ adds it
+        kids_p = op.children(tamed.tamed_y_part(Y[i + 1]))
+        zeta.append(op.mean_h(op.children(Y[i + 1]) + (kids_p + z_coeff * Z[i]) * h)[0])
+        D.append(Z[i] - zeta[i])
+    if on_tree:
+        weights = output.tree.level_weights
+        norms = np.array([float(np.sum(weights(i) * d**2) * h) for i, d in enumerate(D)])
+    else:
+        zeta, D = np.stack(zeta, axis=1), np.stack(D, axis=1)
+        norms = np.mean(D**2, axis=0) * h
     return ZetaDiagnostic(zeta=zeta, D=D, norms=norms)
 
 
@@ -519,38 +500,37 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
     h = grid.h
     sqrt_h = math.sqrt(h)
     n = grid.steps
+    op = _TreeOperator(tree)
+    c1, c2 = tamed1.base.z_coeff, tamed2.base.z_coeff
 
     terminal_margin = float(np.min(out1.Y[n] - out2.Y[n]))
 
     driver_margin = np.inf
     b_min = np.empty(n)
+    sign = np.array([[-1.0], [1.0]])  # the H sign of the down and up child
     for i in range(n):
-        t = grid.times[i]
-        y2_down, y2_up = _tree_children(tree, out2.Y[i + 1])
-        z2 = out2.Z[i]
-        diff_down = tamed1(t, y2_down, z2) - tamed2(t, y2_down, z2)
-        diff_up = tamed1(t, y2_up, z2) - tamed2(t, y2_up, z2)
-        driver_margin = min(driver_margin, float(np.min(diff_down)), float(np.min(diff_up)))
-
-        y1_down, y1_up = _tree_children(tree, out1.Y[i + 1])
-        z1 = out1.Z[i]
-        betas = []
-        for y1c, y2c, hsign in ((y1_down, y2_down, -1.0), (y1_up, y2_up, 1.0)):
-            dy = y1c - y2c
-            num = tamed1(t, y1c, z1) - tamed1(t, y2c, z1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                beta = np.where(dy != 0.0, num / np.where(dy != 0.0, dy, 1.0), 0.0)
-            if z_free:
-                b = 1.0 + h * beta
-            else:
-                dz = z1 - z2
-                gamma = np.where(dz != 0.0, tamed1.base.z_coeff, 0.0)
-                num_hat = tamed1(t, y1c, 0.0) - tamed1(t, y2c, 0.0)
-                beta_hat = np.where(dy != 0.0, num_hat / np.where(dy != 0.0, dy, 1.0), 0.0)
-                b = 1.0 + h * beta + h * gamma * (1.0 + (1.0 - scheme.theta_prime) * h * beta_hat) \
-                    * hsign / sqrt_h
-            betas.append(np.min(b))
-        b_min[i] = min(betas)
+        # one tamed y-part per driver and level, split into (down, up)
+        # children; the z-part is added as TamedDriver.__call__ adds it
+        y1, y2 = op.children(out1.Y[i + 1]), op.children(out2.Y[i + 1])
+        p1_y1 = op.children(tamed1.tamed_y_part(out1.Y[i + 1]))
+        p1_y2 = op.children(tamed1.tamed_y_part(out2.Y[i + 1]))
+        p2_y2 = op.children(tamed2.tamed_y_part(out2.Y[i + 1]))
+        z1, z2 = out1.Z[i], out2.Z[i]
+        diff = (p1_y2 + c1 * z2) - (p2_y2 + c2 * z2)
+        driver_margin = min(driver_margin, float(np.min(diff[0])), float(np.min(diff[1])))
+        dy = y1 - y2
+        num = (p1_y1 + c1 * z1) - (p1_y2 + c1 * z1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            beta = np.where(dy != 0.0, num / np.where(dy != 0.0, dy, 1.0), 0.0)
+        if z_free:
+            b = 1.0 + h * beta
+        else:
+            gamma = np.where(z1 - z2 != 0.0, c1, 0.0)
+            num_hat = (p1_y1 + c1 * 0.0) - (p1_y2 + c1 * 0.0)
+            beta_hat = np.where(dy != 0.0, num_hat / np.where(dy != 0.0, dy, 1.0), 0.0)
+            b = 1.0 + h * beta + h * gamma * (1.0 + (1.0 - scheme.theta_prime) * h * beta_hat) \
+                * sign / sqrt_h
+        b_min[i] = min(np.min(b[0]), np.min(b[1]))
 
     deltas = [out1.Y[i] - out2.Y[i] for i in range(n + 1)]
     output_margin = float(min(np.min(d) for d in deltas))

@@ -290,11 +290,6 @@ class TamedDriver:
         return (dp * denom - p * df_num / r) / denom**2
 
 
-def apply_taming(driver: TamedDriver, t, y, z):
-    """f^h(t, y, z) for the driver's taming kind at its step size."""
-    return driver(t, y, z)
-
-
 def taming_residual(driver: TamedDriver, t, y, z):
     """R^h = f - f^h; vanishes pointwise as h -> 0."""
     return eval_driver(driver.base, t, y, z) - driver(t, y, z)
@@ -474,11 +469,6 @@ class AssumptionReport:
     @property
     def passed(self) -> bool:
         return all(ch.passed for ch in self.checks.values())
-
-    def summary_lines(self):
-        for name, ch in self.checks.items():
-            extra = f" fitted_C={ch.fitted_constant:.6g}" if ch.fitted_constant is not None else ""
-            yield f"{name}: {'pass' if ch.passed else 'FAIL'} worst_margin={ch.worst_margin:.3e}{extra}"
 
 
 def _collect(name, margins, samples, slack, fitted=None, cap=10) -> AssumptionCheck:

@@ -9,6 +9,7 @@ the proxy can be evaluated at coarse grid points without interpolation.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -30,16 +31,13 @@ from .config import ConfigError, ExperimentConfig, SchemeRun
 from .drivers import INNER_PROJ, TamedDriver, derive_constants, verify_assumptions
 from .forward import euler_simulate, terminal_values
 from .grids import (
-    GAUSSIAN,
-    LAMBDA_FLOOR,
     IncrementBatch,
     NoiseModel,
     PartitionGrid,
     RADEMACHER,
     build_grid,
-    lambda_of_truncation,
+    increments_from_dw,
     sample_increments,
-    truncation_radius,
 )
 from .regression import BasisSpec
 
@@ -54,14 +52,7 @@ def aggregate_to_grid(batch: IncrementBatch, fine: PartitionGrid, coarse: Partit
         raise ValueError("rademacher increments do not aggregate across grids")
     stride = fine.steps // coarse.steps
     m, _, d = batch.dW.shape
-    dW = batch.dW.reshape(m, coarse.steps, stride, d).sum(axis=2)
-    if model.kind == GAUSSIAN:
-        return IncrementBatch(dW=dW, H=dW / coarse.h, lam=1.0)
-    radius = truncation_radius(model, coarse.h)
-    lam = lambda_of_truncation(radius, coarse.h)
-    if lam < LAMBDA_FLOOR:
-        raise ValueError(f"aggregated truncation gives Lambda={lam:.4f} < 1/2 at h={coarse.h:.6g}")
-    return IncrementBatch(dW=dW, H=np.clip(dW, -radius, radius) / coarse.h, lam=lam)
+    return increments_from_dw(model, batch.dW.reshape(m, coarse.steps, stride, d).sum(axis=2), coarse.h)
 
 
 @dataclass(frozen=True)
@@ -209,6 +200,10 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
 
     coarse = cfg.grids[:-1]
     if cfg.threads > 1:
+        # give back the pages the finest group freed: glibc keeps 20-30 MB of them
+        # in some heap layouts, and the pool's threads allocate in other arenas
+        libc = ctypes.CDLL(None) if os.name == "posix" else None
+        getattr(libc, "malloc_trim", lambda pad: 0)(0)
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             groups = list(pool.map(job, coarse))
     else:

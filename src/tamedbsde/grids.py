@@ -185,7 +185,8 @@ def sample_increments(
     path_range=(a, b) returns exactly rows a..b-1 of the full batch.
 
     Raises ValueError when the model disagrees with brownian_dim or when a
-    truncated model's Lambda falls below 1/2 at this step size.
+    truncated model's Lambda falls below 1/2 at this step size (see
+    increments_from_dw).
     """
     if paths < 1:
         raise ValueError("paths must be >= 1")
@@ -204,21 +205,23 @@ def sample_increments(
 
     if model.kind == RADEMACHER:
         raw = _raw_uint64(int(seed), start, count)
-        signs = np.where(raw >> np.uint64(63), 1.0, -1.0)
-        dW = (signs * sqrt_h).reshape(hi - lo, n, d)
-        return IncrementBatch(dW=dW, H=dW / grid.h, lam=1.0)
+        dW = np.where(raw >> np.uint64(63), 1.0, -1.0) * sqrt_h
+    else:
+        dW = ndtri(_uniforms(int(seed), start, count)) * sqrt_h
+    return increments_from_dw(model, dW.reshape(hi - lo, n, d), grid.h)
 
-    gauss = ndtri(_uniforms(int(seed), start, count))
-    dW = (gauss * sqrt_h).reshape(hi - lo, n, d)
-    if model.kind == GAUSSIAN:
-        return IncrementBatch(dW=dW, H=dW / grid.h, lam=1.0)
 
-    radius = truncation_radius(model, grid.h)
-    lam = lambda_of_truncation(radius, grid.h)
+def increments_from_dw(model: NoiseModel, dW: np.ndarray, h: float) -> IncrementBatch:
+    """H and Lambda of Brownian increments dW at step size h: H = dW / h and
+    Lambda = 1, or for truncated noise dW clipped at R(h) over h and the
+    closed-form Lambda, which must not fall below LAMBDA_FLOOR."""
+    if model.kind != TRUNCATED:
+        return IncrementBatch(dW=dW, H=dW / h, lam=1.0)
+    radius = truncation_radius(model, h)
+    lam = lambda_of_truncation(radius, h)
     if lam < LAMBDA_FLOOR:
         raise ValueError(
-            f"truncation radius {radius:.6g} at h={grid.h:.6g} gives Lambda={lam:.4f} < 1/2; "
+            f"truncation radius {radius:.6g} at h={h:.6g} gives Lambda={lam:.4f} < 1/2; "
             "increase radius0 or use the log schedule"
         )
-    H = np.clip(dW, -radius, radius) / grid.h
-    return IncrementBatch(dW=dW, H=H, lam=lam)
+    return IncrementBatch(dW=dW, H=np.clip(dW, -radius, radius) / h, lam=lam)

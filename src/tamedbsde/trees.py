@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .forward import PathEnsemble, SdeSpec
-from .grids import IncrementBatch, PartitionGrid
+from .forward import PathEnsemble, SdeSpec, euler_simulate
+from .grids import RADEMACHER, NoiseModel, PartitionGrid, increments_from_dw
 
 MAX_STEPS_BRANCHING = 14
 MAX_STEPS_RECOMBINING = 2000
@@ -81,9 +81,9 @@ def enumerate_tree_paths(tree: TreeModel) -> PathEnsemble:
 
     Path p at step i sits at node index p >> (N - i) in branching mode, so
     paths sharing a level-i node are contiguous blocks of size 2^(N-i); the
-    exact-projection basis relies on that layout.  Values are produced by
-    the same update expression as build_tree, so they agree bitwise with the
-    node values.
+    exact-projection basis relies on that layout.  The Euler update of
+    euler_simulate is the expression build_tree uses, so the path values
+    agree bitwise with the node values.
     """
     n = tree.steps
     if n > MAX_STEPS_BRANCHING:
@@ -95,15 +95,8 @@ def enumerate_tree_paths(tree: TreeModel) -> PathEnsemble:
     for i in range(n):
         signs[:, i] = np.where((p >> (n - 1 - i)) & 1, 1.0, -1.0)
     dW = (signs * sqrt_h)[:, :, None]
-    batch = IncrementBatch(dW=dW, H=dW / tree.grid.h, lam=1.0)
-
-    sde = tree.sde
-    X = np.empty((paths, n + 1))
-    X[:, 0] = sde.x0
-    for i in range(n):
-        x = X[:, i]
-        X[:, i + 1] = x + sde.drift(x) * tree.grid.h + sde.diffusion(x) * dW[:, i, 0]
-    return PathEnsemble(X=X, increments=batch, grid=tree.grid)
+    batch = increments_from_dw(NoiseModel(kind=RADEMACHER), dW, tree.grid.h)
+    return euler_simulate(tree.sde, tree.grid, batch)
 
 
 def path_node_index(tree: TreeModel, level: int) -> np.ndarray:

@@ -364,6 +364,28 @@ def test_starved_active_set_solve_names_dense_path(max_iter):
     assert (err.value.path, err.value.step) == (ref.value.path, 4)
 
 
+def test_implicit_solve_evaluates_the_driver_once_per_iteration(monkeypatch):
+    from tamedbsde.backward import _solve_implicit
+
+    calls = []
+    tamed_y_part = TamedDriver.tamed_y_part
+
+    def counting(self, y):
+        calls.append(np.size(y))
+        return tamed_y_part(self, y)
+
+    monkeypatch.setattr(TamedDriver, "tamed_y_part", counting)
+    h = 0.25
+    # f = -y contracts (h |f'| <= 1/2): fixed-point steps, none of them halved
+    driver = untamed(LINEAR, h)
+    c = np.linspace(-3.0, 3.0, 101)
+    y, it = _solve_implicit(driver, 0.0, c, np.zeros_like(c), h, 1e-12, 50, 0)
+    np.testing.assert_allclose(y, c / (1.0 + h), rtol=1e-11, atol=1e-11)
+    # f^h at the start, then once per further iteration at the candidate
+    assert it > 5
+    assert len(calls) == it
+
+
 def test_one_tamed_y_part_per_explicit_step(monkeypatch):
     calls = []
     tamed_y_part = TamedDriver.tamed_y_part
@@ -397,6 +419,132 @@ def test_untamed_kind_overrides_taming():
     reference = tree_exact_run(SchemeSpec(kind="explicit_tamed"),
                                untamed(CUBIC, grid.h), tree, term)
     np.testing.assert_allclose(untamed_run.Y[0], reference.Y[0], atol=1e-14)
+
+
+def _reference_tree_run(scheme, tamed, tree, terminal):
+    """The hand-written tree recursion the shared backward loop replaced,
+    with the dense implicit solve: the reference tree_exact_run must
+    reproduce bit for bit."""
+    driver = untamed(tamed.base, tamed.h) if scheme.kind == "explicit_untamed" else tamed
+    grid = tree.grid
+    n, h, theta = grid.steps, grid.h, scheme.theta_prime
+    sqrt_h = math.sqrt(h)
+    z_coeff = driver.base.z_coeff
+
+    def children(values):
+        if tree.recombining:
+            return values[:-1], values[1:]
+        resh = values.reshape(-1, 2)
+        return resh[:, 0], resh[:, 1]
+
+    Y, Z = [None] * (n + 1), [None] * n
+    iterations = np.zeros(n, dtype=int)
+    Y[n] = np.asarray(terminal(tree.levels[n]), dtype=float)
+    exploded, first_bad = False, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 1, -1, -1):
+            down, up = children(Y[i + 1])
+            p_down, p_up = children(driver.tamed_y_part(Y[i + 1]))
+            f_down = p_down + z_coeff * 0.0
+            f_up = p_up + z_coeff * 0.0
+            z = ((up + (1.0 - theta) * f_up * h) - (down + (1.0 - theta) * f_down * h)) / (2.0 * sqrt_h)
+            if scheme.kind == "implicit":
+                y, iterations[i] = _dense_solve_implicit(
+                    driver, 0.5 * (down + up), z, h, scheme.implicit_tol, scheme.implicit_max_iter, i)
+            else:
+                y = 0.5 * ((down + (p_down + z_coeff * z) * h) + (up + (p_up + z_coeff * z) * h))
+            if not (np.all(np.isfinite(z)) and np.all(np.isfinite(y))):
+                exploded, first_bad = True, i
+                for j in range(i, -1, -1):
+                    Y[j] = np.full(tree.node_count(j), np.nan)
+                    Z[j] = np.full(tree.node_count(j), np.nan)
+                break
+            Z[i] = z
+            Y[i] = y
+    return Y, Z, iterations, exploded, first_bad
+
+
+def _assert_tree_run_matches_reference(scheme, tamed, tree, terminal):
+    out = tree_exact_run(scheme, tamed, tree, terminal)
+    Y, Z, iterations, exploded, first_bad = _reference_tree_run(scheme, tamed, tree, terminal)
+    assert [level.tobytes() for level in out.Y] == [level.tobytes() for level in Y]
+    assert [level.tobytes() for level in out.Z] == [level.tobytes() for level in Z]
+    assert out.implicit_iterations.tobytes() == iterations.tobytes()
+    assert (out.exploded, out.first_bad_step) == (exploded, first_bad)
+    return out
+
+
+TREE_SDES = {
+    "recombining": SdeSpec(x0=0.5, diff_const=1.0),
+    "branching": SdeSpec(x0=0.2, drift_const=0.1, diff_const=0.8, diff_slope=0.3),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(TREE_SDES))
+@pytest.mark.parametrize("kind", ["none", "inner_proj", "outer_proj",
+                                  "mult_a", "mult_b", "mult_c", "mult_d"])
+@pytest.mark.parametrize("scheme_kind", ["explicit_tamed", "implicit"])
+@pytest.mark.parametrize("theta_prime", [0.0, 0.5, 1.0])
+def test_tree_run_bitwise_equals_reference_loop(layout, kind, scheme_kind, theta_prime):
+    grid = build_grid(1.0, 9)
+    tree = build_tree(TREE_SDES[layout], grid)
+    assert tree.recombining == (layout == "recombining")
+    driver = TamedDriver(polynomial_driver([0.0, 1.0, 0.0, -1.0], z_coeff=0.5),
+                         TamingSpec(kind=kind), grid.h)
+    scheme = SchemeSpec(kind=scheme_kind, theta_prime=theta_prime)
+    out = _assert_tree_run_matches_reference(scheme, driver, tree, TerminalSpec((0.0, 1.0)))
+    assert not out.exploded
+
+
+@pytest.mark.parametrize("layout", sorted(TREE_SDES))
+def test_exploding_tree_run_bitwise_equals_reference_loop(layout):
+    grid = build_grid(1.0, 9)
+    tree = build_tree(TREE_SDES[layout], grid)
+    scheme = SchemeSpec(kind="explicit_untamed", theta_prime=0.5)
+    tamed = TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h)
+    out = _assert_tree_run_matches_reference(scheme, tamed, tree, TerminalSpec((0.0, 0.0, 0.0, 30.0)))
+    assert out.exploded and 0 < out.first_bad_step < grid.steps - 1
+
+
+def _count_driver_calls(monkeypatch):
+    calls = {"__call__": 0, "tamed_y_part": 0}
+    for name in calls:
+        method = getattr(TamedDriver, name)
+
+        def counting(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(TamedDriver, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("z_coeff", [0.0, 0.5])
+def test_comparison_evaluates_each_tamed_y_part_once_per_level(monkeypatch, z_coeff):
+    steps = 16
+    grid = build_grid(0.5, steps)
+    tree = build_tree(SdeSpec(x0=0.0, diff_const=0.7), grid)
+    taming = TamingSpec(kind="inner_proj", r0=0.3)
+    hi = TamedDriver(polynomial_driver([0.0, 0.0, 0.0, -1.0], z_coeff=z_coeff), taming, grid.h)
+    lo = TamedDriver(polynomial_driver([-0.1, 0.0, 0.0, -1.0], z_coeff=z_coeff), taming, grid.h)
+    term = TerminalSpec((0.0, 1.0))
+    calls = _count_driver_calls(monkeypatch)
+    comparison_check(SchemeSpec(kind="explicit_tamed"), hi, term, lo, term, tree)
+    # two tree runs (one per level each), then f^{h,1} at both outputs and
+    # f^{h,2} at the second, once per level
+    assert calls == {"__call__": 0, "tamed_y_part": 2 * steps + 3 * steps}
+
+
+def test_tree_zeta_evaluates_the_tamed_y_part_once_per_level(monkeypatch):
+    steps = 16
+    grid = build_grid(1.0, steps)
+    tree = build_tree(SdeSpec(x0=0.0, diff_const=1.0), grid)
+    tamed = TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h)
+    out = tree_exact_run(SchemeSpec(kind="explicit_tamed", theta_prime=0.5), tamed,
+                         tree, TerminalSpec((0.0, 1.0)))
+    calls = _count_driver_calls(monkeypatch)
+    zeta_diagnostic(out, tamed)
+    assert calls == {"__call__": 0, "tamed_y_part": steps}
 
 
 # ---------------------------------------------------------------- zeta / D diagnostics

@@ -9,7 +9,6 @@ from tamedbsde import (
     TamedDriver,
     TamingSpec,
     TerminalSpec,
-    apply_taming,
     derive_constants,
     eval_driver,
     polynomial_driver,
@@ -75,17 +74,17 @@ def test_horner_bitwise_equals_polyval(coeffs, x):
 
 def test_inner_projection_forced():
     d = tamed(CUBIC, "inner_proj", r0=1.0, exponent=0.0)
-    assert apply_taming(d, 0.0, 2.0, 0.0) == -1.0
+    assert d(0.0, 2.0, 0.0) == -1.0
 
 
 def test_outer_projection_forced():
     d = tamed(CUBIC, "outer_proj", r0=1.5, exponent=0.0)
-    assert apply_taming(d, 0.0, 2.0, 0.0) == -1.5
+    assert d(0.0, 2.0, 0.0) == -1.5
 
 
 def test_mult_c_value():
     d = tamed(CUBIC, "mult_c", r0=1.0, exponent=0.0)
-    assert apply_taming(d, 0.0, 2.0, 0.0) == pytest.approx(-8.0 / 9.0, rel=1e-14)
+    assert d(0.0, 2.0, 0.0) == pytest.approx(-8.0 / 9.0, rel=1e-14)
 
 
 def test_projections_are_identity_inside_the_ball():
@@ -93,15 +92,15 @@ def test_projections_are_identity_inside_the_ball():
     outer = tamed(CUBIC, "outer_proj", r0=2.0, exponent=0.0)
     for y in (-1.2, -0.5, 0.0, 0.7, 1.2):
         if abs(y) <= 2.0:
-            assert apply_taming(inner, 0.0, y, 0.0) == eval_driver(CUBIC, 0.0, y, 0.0)
+            assert inner(0.0, y, 0.0) == eval_driver(CUBIC, 0.0, y, 0.0)
         if abs(y**3) <= 2.0:
-            assert apply_taming(outer, 0.0, y, 0.0) == eval_driver(CUBIC, 0.0, y, 0.0)
+            assert outer(0.0, y, 0.0) == eval_driver(CUBIC, 0.0, y, 0.0)
 
 
 def test_mult_b_zero_convention():
     d = tamed(FHN, "mult_b", r0=1.0, exponent=0.0)
     # damping factor is 1 at y = 0, so the tamed driver agrees with f there
-    assert apply_taming(d, 0.0, 0.0, 0.0) == eval_driver(FHN, 0.0, 0.0, 0.0)
+    assert d(0.0, 0.0, 0.0) == eval_driver(FHN, 0.0, 0.0, 0.0)
 
 
 @given(y=st.floats(min_value=-25.0, max_value=25.0),
@@ -109,7 +108,7 @@ def test_mult_b_zero_convention():
 @settings(max_examples=200)
 def test_pointwise_domination_on_cubic(y, kind):
     d = tamed(CUBIC, kind, r0=1.0, h=0.25)
-    assert abs(apply_taming(d, 0.0, y, 0.0)) <= abs(eval_driver(CUBIC, 0.0, y, 0.0)) + 1e-12
+    assert abs(d(0.0, y, 0.0)) <= abs(eval_driver(CUBIC, 0.0, y, 0.0)) + 1e-12
 
 
 def test_residual_zero_inside_identity_region():

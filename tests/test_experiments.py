@@ -76,6 +76,15 @@ def test_aggregation_rejects_rademacher():
         aggregate_to_grid(batch, fine, build_grid(1.0, 4), model)
 
 
+def test_aggregation_rejects_lambda_below_floor():
+    # a fixed radius that passes at h = 1/64 gives Lambda ~ 0.13 at h = 1/4
+    fine = build_grid(1.0, 64)
+    model = NoiseModel(kind="truncated_gaussian", radius0=0.2)
+    batch = sample_increments(fine, 10, 1, 3, model)
+    with pytest.raises(ValueError, match="Lambda"):
+        aggregate_to_grid(batch, fine, build_grid(1.0, 4), model)
+
+
 def test_aggregation_retruncates_at_coarse_radius():
     from tamedbsde import truncation_radius
 
