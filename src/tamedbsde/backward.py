@@ -68,8 +68,6 @@ class ExactTreeBasis:
 
 @dataclass
 class SchemeDiagnostics:
-    max_abs_y: np.ndarray
-    min_y: np.ndarray
     z_fit_rank: np.ndarray
     z_fit_sv: np.ndarray
     y_fit_rank: np.ndarray
@@ -80,7 +78,14 @@ class SchemeDiagnostics:
 @dataclass
 class SchemeOutput:
     """Per-path output: Y is (paths, N+1), Z is (paths, N, 1); wallclock_ms
-    is the scheme's share of its backward pass (see run_backward_group)."""
+    is the scheme's share of its backward pass (see run_backward_group).
+
+    Y and Z are stored level-major: they are F-ordered transposed views of
+    the C-ordered (N+1, paths) and (N, paths) arrays the recursion writes a
+    row at a time, so Y[:, i] and Z[:, i, 0] are contiguous rows.
+    np.ascontiguousarray gives a path-major C-order copy where a caller
+    needs one.
+    """
 
     Y: np.ndarray
     Z: np.ndarray
@@ -106,6 +111,14 @@ class TreeSchemeOutput:
         return float(self.Y[0][0])
 
 
+def check_implicit_guard(h: float, m_y: float) -> None:
+    """The implicit solve needs h max(0, M_y) < 1 for a unique root; raises
+    ValueError otherwise."""
+    guard = h * max(0.0, m_y)
+    if guard >= 1.0:
+        raise ValueError(f"implicit step guard violated: h*max(0, M_y) = {guard:.4g} >= 1")
+
+
 class ImplicitSolverError(RuntimeError):
     def __init__(self, path: int, step: int):
         self.path = path
@@ -123,43 +136,61 @@ def _solve_implicit(driver: TamedDriver, t: float, c, z, h: float,
     y -> y - h f^h(y) is strictly increasing, so the root is unique.
 
     A path's y is frozen once its residual meets the tolerance (the same y
-    gives the same residual), so each iteration works on the still
-    unconverged paths only.  f^h at the candidate carries into the next
-    iteration; it is evaluated again only where the step was halved.
+    gives the same residual).  Converged paths leave the iteration once
+    they make up three quarters of it (dropping entries costs several
+    elementwise passes), so later iterations work mostly on unconverged
+    paths.  f^h and the residual at the candidate carry into the next
+    iteration; they are evaluated again only where the step was halved.
     """
     ctil = c + h * driver.base.z_coeff * np.asarray(z, dtype=float)
     y = ctil.copy()
-    active = np.arange(y.size)
-    ya, ca = y, ctil
+    # the iteration runs on y[active]; `done` marks its converged entries,
+    # whose values wait in `frozen` until they are dropped and written to y
+    # (until the first drop, `frozen` is y itself)
+    active, done = np.arange(y.size), np.zeros(y.size, dtype=bool)
+    ya, ca, frozen = y, ctil, y
     fy = driver.tamed_y_part(ya)
+    res = ya - ca - h * fy
+    abs_res = np.abs(res)
     iterations = 0
     for it in range(max_iter):
         iterations = it + 1
-        res = ya - ca - h * fy
-        pending = ~(np.abs(res) <= tol * (1.0 + np.abs(ya)))
-        if not pending.all():
-            y[active] = ya
-            if not pending.any():
+        newly = (abs_res <= tol * (1.0 + np.abs(ya))) & ~done
+        if newly.any():
+            np.copyto(frozen, ya, where=newly)
+            done |= newly
+            left = done.size - np.count_nonzero(done)
+            if left == 0:
                 break
-            active, ya, ca, fy, res = active[pending], ya[pending], ca[pending], fy[pending], res[pending]
-        slope = driver.y_slope(ya)
-        kappa = h * np.abs(slope)
+            if left <= 0.25 * done.size:
+                y[active] = frozen
+                keep = ~done
+                active, ya, ca, fy = active[keep], ya[keep], ca[keep], fy[keep]
+                res, abs_res, frozen = res[keep], abs_res[keep], frozen[keep]
+                done = np.zeros(ya.size, dtype=bool)
+        h_slope = h * driver.y_slope(ya)
         fp_next = ca + h * fy
-        dg = np.maximum(1.0 - h * slope, 0.1)
-        newton_next = ya - res / dg
-        y_next = np.where(kappa <= 0.5, fp_next, newton_next)
+        newton_next = ya - res / np.maximum(1.0 - h_slope, 0.1)
+        y_next = np.where(np.abs(h_slope) <= 0.5, fp_next, newton_next)
         fy = driver.tamed_y_part(y_next)
-        # halve steps that made the residual worse
-        worse = np.abs(y_next - ca - h * fy) > np.abs(res)
+        # halve steps that made the residual worse; the residual carries into
+        # the next iteration and is recomputed only where the step was halved
+        res = y_next - ca - h * fy
+        abs_next = np.abs(res)
+        worse = (abs_next > abs_res) & ~done
+        abs_res = abs_next
         ya = np.where(worse, 0.5 * (ya + y_next), y_next)
         if worse.any():
             fy[worse] = driver.tamed_y_part(ya[worse])
+            res[worse] = ya[worse] - ca[worse] - h * fy[worse]
+            abs_res[worse] = np.abs(res[worse])
     else:
-        y[active] = ya
-        res = ya - ca - h * fy
-        bad = np.abs(res) > tol * (1.0 + np.abs(ya))
+        # out of iterations: the unconverged entries keep their last iterate
+        np.copyto(frozen, ya, where=~done)
+        bad = ~done & (abs_res > tol * (1.0 + np.abs(ya)))
         if bad.any():
             raise ImplicitSolverError(int(active[np.argmax(bad)]), step)
+    y[active] = frozen
     return y, iterations
 
 
@@ -169,19 +200,20 @@ _NO_FIT = (0, math.nan)
 class _LsmcOperator:
     """Hermite least squares on paths, each its own child: one design and
     factorization of X_i per step serve every scheme of a lockstep group.
-    A non-finite target (the scheme exploded) projects to NaN, with no fit."""
+    A non-finite target (the scheme exploded) projects to NaN, with no fit.
+    X and H are level-major: row i of X holds X_i, row i of H holds H_{i+1}."""
 
     def __init__(self, basis: BasisSpec | None, X: np.ndarray, H: np.ndarray):
         self.basis = basis
         self.X = X
-        self.H = H  # H[:, i] holds H_{i+1}
+        self.H = H
         self.step = None
         self.design = None
 
     def begin_step(self, step: int) -> None:
         self.step = step
         self.design = None  # release the previous step's design before building the next
-        self.design = sample_design(self.basis, self.X[:, step])
+        self.design = sample_design(self.basis, self.X[step])
 
     @staticmethod
     def children(v):
@@ -193,7 +225,7 @@ class _LsmcOperator:
         return self._project(kids)
 
     def mean_h(self, kids):
-        return self.mean(kids * self.H[:, self.step])
+        return self.mean(kids * self.H[self.step])
 
     def _project(self, target):
         fit = self.design.fit(target)
@@ -240,36 +272,19 @@ class _TreeOperator:
 
 def _path_operator(basis: BasisSpec | ExactTreeBasis, ensemble: PathEnsemble,
                    batch: IncrementBatch) -> _LsmcOperator:
-    X, H = ensemble.X, batch.H[:, :, 0]
+    # the transposes of the public views: level-major, rows contiguous
+    X, H = ensemble.X.T, batch.H[:, :, 0].T
     if not isinstance(basis, ExactTreeBasis):
         return _LsmcOperator(basis, X, H)
-    if X.shape[0] != 2**basis.steps:
-        raise ValueError(f"exact tree basis expects 2^{basis.steps} paths, got {X.shape[0]}")
+    if X.shape[1] != 2**basis.steps:
+        raise ValueError(f"exact tree basis expects 2^{basis.steps} paths, got {X.shape[1]}")
     return _PrefixOperator(None, X, H)
-
-
-class _PathLevels:
-    """Y as (paths, N+1), NaN until stored: level j is column j, and storing
-    a level records its extrema."""
-
-    def __init__(self, xi: np.ndarray, n: int):
-        self.array = np.full((xi.shape[0], n + 1), np.nan)
-        self.max_abs = np.full(n + 1, np.nan)
-        self.min = np.full(n + 1, np.nan)
-        self[n] = xi
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        return self.array[:, j]
-
-    def __setitem__(self, j: int, y: np.ndarray) -> None:
-        self.array[:, j] = y
-        self.max_abs[j], self.min[j] = np.max(np.abs(y)), np.min(y)
 
 
 class _SchemeRun:
     """One scheme in the backward recursion.  `Y[j]` and `Z[j]` are level j
     of its storage (the terminal level stored on entry); a level it never
-    reaches, because it exploded first, keeps its initial content."""
+    reaches, because it exploded first, is left as it was."""
 
     def __init__(self, scheme: SchemeSpec, tamed: TamedDriver, grid, Y, Z):
         if not math.isclose(tamed.h, grid.h, rel_tol=1e-9):
@@ -277,10 +292,7 @@ class _SchemeRun:
         if scheme.kind == EXPLICIT_UNTAMED and tamed.taming.kind != NONE:
             tamed = replace(tamed, taming=TamingSpec(kind=NONE))
         if scheme.kind == IMPLICIT:
-            # the implicit solve needs h max(0, M_y) < 1 for a unique root
-            guard = grid.h * max(0.0, tamed.base.constants.m_y)
-            if guard >= 1.0:
-                raise ValueError(f"implicit step guard violated: h*max(0, M_y) = {guard:.4g} >= 1")
+            check_implicit_guard(grid.h, tamed.base.constants.m_y)
         self.scheme = scheme
         self.driver = tamed
         self.Y, self.Z = Y, Z
@@ -352,6 +364,9 @@ def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: 
     from it.  Each target is projected on its own, so a scheme's output
     does not depend on the rest of the group or its order.  An exploding
     scheme's columns from its first bad step down are NaN.
+
+    Y and Z are written a row (one level of every path) at a time into
+    level-major arrays, and returned as their transposed views.
     """
     grid = ensemble.grid
     n = grid.steps
@@ -360,19 +375,24 @@ def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: 
         raise ValueError(f"increment batch shape {batch.dW.shape} does not match ({paths}, {n}, 1)")
     if xi.shape != (paths,):
         raise ValueError(f"terminal values have shape {xi.shape}, expected ({paths},)")
-    # Z level j is column j of a (paths, N) array, written through its transpose
-    runs = [_SchemeRun(scheme, tamed, grid, _PathLevels(xi, n), np.full((paths, n), np.nan).T)
-            for scheme, tamed in members]
+    runs = []
+    for scheme, tamed in members:
+        Y = np.empty((n + 1, paths))
+        Y[n] = xi
+        runs.append(_SchemeRun(scheme, tamed, grid, Y, np.empty((n, paths))))
     _backward(runs, _path_operator(basis, ensemble, batch), grid)
 
     outputs = []
     for run in runs:
+        if run.first_bad is not None:
+            # the levels it never reached
+            run.Y[:run.first_bad + 1] = np.nan
+            run.Z[:run.first_bad + 1] = np.nan
         z_rank, z_sv = map(np.array, zip(*run.z_fits))
         y_rank, y_sv = map(np.array, zip(*run.y_fits))
-        diag = SchemeDiagnostics(max_abs_y=run.Y.max_abs, min_y=run.Y.min, z_fit_rank=z_rank,
-                                 z_fit_sv=z_sv, y_fit_rank=y_rank, y_fit_sv=y_sv,
-                                 implicit_iterations=run.iterations)
-        outputs.append(SchemeOutput(Y=run.Y.array, Z=run.Z.T[:, :, None], diagnostics=diag,
+        diag = SchemeDiagnostics(z_fit_rank=z_rank, z_fit_sv=z_sv, y_fit_rank=y_rank,
+                                 y_fit_sv=y_sv, implicit_iterations=run.iterations)
+        outputs.append(SchemeOutput(Y=run.Y.T, Z=run.Z.T[:, :, None], diagnostics=diag,
                                     exploded=run.first_bad is not None, first_bad_step=run.first_bad,
                                     wallclock_ms=run.seconds * 1e3))
     return outputs
@@ -443,6 +463,7 @@ def zeta_diagnostic(output, tamed: TamedDriver, *, ensemble: PathEnsemble | None
         weights = output.tree.level_weights
         norms = np.array([float(np.sum(weights(i) * d**2) * h) for i, d in enumerate(D)])
     else:
+        # (paths, N) in C order: the axis-0 mean adds the paths up in order
         zeta, D = np.stack(zeta, axis=1), np.stack(D, axis=1)
         norms = np.mean(D**2, axis=0) * h
     return ZetaDiagnostic(zeta=zeta, D=D, norms=norms)
@@ -565,6 +586,9 @@ def positivity_report(output) -> PositivityReport:
         mins = np.array([np.min(level) for level in output.Y])
         maxs = np.array([np.max(level) for level in output.Y])
     else:
-        mins = np.min(output.Y, axis=0)
-        maxs = np.max(output.Y, axis=0)
+        # over a path-major C-order copy, the axis-0 reductions visit the
+        # paths in order, which also fixes which of -0.0 and +0.0 a tie gives
+        Y = np.ascontiguousarray(output.Y)
+        mins = np.min(Y, axis=0)
+        maxs = np.max(Y, axis=0)
     return PositivityReport(per_step_min=mins, per_step_max=maxs)

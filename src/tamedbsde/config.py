@@ -29,8 +29,8 @@ from dataclasses import dataclass, field, replace
 
 from .drivers import DriverSpec, ProbePlan, TAMING_KINDS, TamingSpec, polynomial_driver
 from .forward import SdeSpec, TerminalSpec
-from .grids import GAUSSIAN, NoiseModel, TRUNCATED
-from .backward import SCHEME_KINDS, SchemeSpec
+from .grids import GAUSSIAN, NoiseModel, TRUNCATED, truncation_lambda
+from .backward import IMPLICIT, SCHEME_KINDS, SchemeSpec, check_implicit_guard
 
 
 class ConfigError(ValueError):
@@ -172,12 +172,16 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key/value format into an ExperimentConfig.
 
     Raises ConfigError on unknown keys, malformed values or inconsistent
-    sections (nested grids, scheme numbering, noise model fields).
+    sections (nested grids, scheme numbering, noise model fields), and when
+    an N of the ladder violates the implicit step guard or the truncated
+    noise's Lambda floor.
     """
     pairs = _parse_pairs(text)
     r = _Reader(pairs)
 
     horizon = r.float_("horizon")
+    if not horizon > 0.0:
+        raise ConfigError(f"horizon must be positive, got {horizon}")
     seed = r.int_("seed")
     try:
         sde = SdeSpec(
@@ -295,7 +299,23 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("basis.size must be >= 1")
     if not cfg.schemes:
         raise ConfigError("at least one scheme.<n>.* entry is required")
+    _check_ladder(cfg)
     return cfg
+
+
+def _check_ladder(cfg: ExperimentConfig) -> None:
+    """What must hold at every N of the ladder: the implicit step guard, when
+    an implicit scheme is configured, and the Lambda floor of truncated noise."""
+    implicit = any(run.scheme.kind == IMPLICIT for run in cfg.schemes)
+    for n in cfg.grids:
+        h = cfg.horizon / n
+        try:
+            if implicit:
+                check_implicit_guard(h, cfg.driver.constants.m_y)
+            if cfg.noise.kind == TRUNCATED:
+                truncation_lambda(cfg.noise, h)
+        except ValueError as exc:
+            raise ConfigError(f"N={n}: {exc}") from None
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -159,9 +159,13 @@ def horner(terms: tuple[np.float64, ...], x):
     is bitwise equal to polyval(x, terms), signed zeros and inf * 0 -> nan
     included; only polyval's per-call coercion and reshape are left out.
     """
-    acc = terms[-1] + x * 0.0
+    acc = x * 0.0
+    acc += terms[-1]
+    # in place on an array (a scalar rebinds): the same operations without
+    # a temporary per term
     for a in terms[-2::-1]:
-        acc = a + acc * x
+        acc *= x
+        acc += a
     return acc
 
 

@@ -37,6 +37,7 @@ from .grids import (
     RADEMACHER,
     build_grid,
     increments_from_dw,
+    path_blocks,
     sample_increments,
 )
 from .regression import BasisSpec
@@ -45,14 +46,26 @@ from .regression import BasisSpec
 def aggregate_to_grid(batch: IncrementBatch, fine: PartitionGrid, coarse: PartitionGrid,
                       model: NoiseModel) -> IncrementBatch:
     """Sum fine-grid Brownian increments over each coarse interval and
-    re-derive H at the coarse step size."""
+    re-derive H at the coarse step size; the result is level-major.
+
+    The sums are taken path-major, block by block of paths: numpy adds each
+    path's `stride` contiguous increments pairwise (from 8 on), which a sum
+    over level-major rows would not, so the bits do not depend on the
+    batch's layout.
+    """
     if fine.steps % coarse.steps:
         raise ValueError(f"grids are not nested: {coarse.steps} does not divide {fine.steps}")
     if model.kind == RADEMACHER:
         raise ValueError("rademacher increments do not aggregate across grids")
     stride = fine.steps // coarse.steps
     m, _, d = batch.dW.shape
-    return increments_from_dw(model, batch.dW.reshape(m, coarse.steps, stride, d).sum(axis=2), coarse.h)
+    summed = np.empty((coarse.steps, d, m))
+    for a, b in path_blocks(m, fine.steps * d):
+        block = np.empty((b - a, fine.steps, d))
+        block.transpose(1, 2, 0)[...] = batch.dW[a:b].transpose(1, 2, 0)  # copied row by row
+        sums = block.reshape(b - a, coarse.steps, stride, d).sum(axis=2)
+        summed[:, :, a:b] = sums.transpose(1, 2, 0)
+    return increments_from_dw(model, summed.transpose(2, 0, 1), coarse.h)
 
 
 @dataclass(frozen=True)
@@ -157,11 +170,20 @@ def _proxy_runs(cfg: ExperimentConfig) -> list[SchemeRun]:
 
 
 def _error_against(proxy: np.ndarray, output: SchemeOutput, stride: int) -> float:
+    """max_i E[|Y_i - proxy_{i stride}|^2]^(1/2), with proxy level-major.
+
+    Each level's squared errors are added up path by path, in order (a
+    cumulative sum is sequential): the order of the axis-0 mean over a
+    path-major array, so the bits do not depend on the layout.
+    """
     if output.exploded:
         return math.inf
-    diff = output.Y - proxy[:, ::stride]
-    rms = np.sqrt(np.mean(diff**2, axis=0))
-    err = float(np.max(rms))
+    levels = output.Y.T
+    mse = np.empty(len(levels))
+    for i, y in enumerate(levels):
+        d = y - proxy[i * stride]
+        mse[i] = np.cumsum(d * d)[-1] / d.size
+    err = float(np.max(np.sqrt(mse)))
     return err if math.isfinite(err) else math.inf
 
 
@@ -184,7 +206,12 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     for run in proxy_schemes:
         if by_label[run.label].exploded:
             raise RuntimeError(f"proxy scheme {run.label!r} exploded on the finest grid")
-    proxy = np.mean([by_label[run.label].Y for run in proxy_schemes], axis=0)
+    # level-major; summed in place from zero and divided, the arithmetic of
+    # np.mean over the stacked outputs without the stack
+    proxy = np.zeros(outputs[0].Y.T.shape)
+    for run in proxy_schemes:
+        proxy += by_label[run.label].Y.T
+    proxy /= len(proxy_schemes)
 
     def grid_rows(n: int, outputs: list[SchemeOutput]) -> list[ErrorRow]:
         h = per_grid[n][0].h

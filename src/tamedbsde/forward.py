@@ -82,7 +82,13 @@ class TerminalSpec:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Simulated forward states X (paths x (steps+1)) with their increments."""
+    """Simulated forward states X (paths x (steps+1)) with their increments.
+
+    X is stored level-major: euler_simulate returns it as the F-ordered
+    transposed view of a C-ordered (steps+1, paths) array, so the states of
+    one step, X[:, i], are a contiguous row.  np.ascontiguousarray gives a
+    path-major C-order copy where a caller needs one.
+    """
 
     X: np.ndarray
     increments: IncrementBatch
@@ -90,10 +96,12 @@ class PathEnsemble:
 
 
 def euler_simulate(sde: SdeSpec, grid: PartitionGrid, batch: IncrementBatch) -> PathEnsemble:
-    """Euler scheme X_{i+1} = X_i + b(X_i) h + sigma(X_i) dW_{i+1}.
+    """Euler scheme X_{i+1} = X_i + b(X_i) h + sigma(X_i) dW_{i+1}, one row
+    of the level-major X per step.
 
-    Raises ForwardBlowupError naming the first offending (path, step) if a
-    state becomes non-finite or exceeds the overflow limit.
+    Raises ForwardBlowupError naming the first offending step, and its
+    lowest offending path, if a state becomes non-finite or exceeds the
+    overflow limit.
     """
     paths, steps, d = batch.dW.shape
     if steps != grid.steps:
@@ -101,18 +109,19 @@ def euler_simulate(sde: SdeSpec, grid: PartitionGrid, batch: IncrementBatch) -> 
     if d != sde.brownian_dim:
         raise ValueError(f"increment batch has brownian_dim {d}, sde expects {sde.brownian_dim}")
 
-    X = np.empty((paths, steps + 1), dtype=float)
-    X[:, 0] = sde.x0
+    X = np.empty((steps + 1, paths), dtype=float)
+    X[0] = sde.x0
     h = grid.h
-    dW = batch.dW[:, :, 0]
+    dW = batch.dW[:, :, 0].T  # row i holds dW_{i+1}
     for i in range(steps):
-        x = X[:, i]
-        X[:, i + 1] = x + sde.drift(x) * h + sde.diffusion(x) * dW[:, i]
-        bad = ~(np.isfinite(X[:, i + 1]) & (np.abs(X[:, i + 1]) <= OVERFLOW_LIMIT))
+        x = X[i]
+        X[i + 1] = x + sde.drift(x) * h + sde.diffusion(x) * dW[i]
+        # NaN fails the comparison, so this also catches non-finite states
+        bad = ~(np.abs(X[i + 1]) <= OVERFLOW_LIMIT)
         if bad.any():
             p = int(np.argmax(bad))
-            raise ForwardBlowupError(p, i + 1, float(X[p, i + 1]))
-    return PathEnsemble(X=X, increments=batch, grid=grid)
+            raise ForwardBlowupError(p, i + 1, float(X[i + 1, p]))
+    return PathEnsemble(X=X.T, increments=batch, grid=grid)
 
 
 def terminal_values(terminal: TerminalSpec, ensemble: PathEnsemble) -> np.ndarray:

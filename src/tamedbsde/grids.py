@@ -89,6 +89,13 @@ class IncrementBatch:
 
     Shapes are (paths, steps, brownian_dim).  lam is the second-moment
     factor Lambda with E[(H h)(H h)^T] = Lambda * h * I.
+
+    Batches made by this package are stored level-major: dW and H are
+    F-ordered transposed views of C-ordered (steps, brownian_dim, paths)
+    arrays, so the increments of one step and coordinate, dW[:, i, c], are a
+    contiguous row.  np.ascontiguousarray gives a path-major C-order copy
+    where a caller needs one.  A batch built from path-major arrays works
+    everywhere too, with strided rows.
     """
 
     dW: np.ndarray
@@ -182,7 +189,8 @@ def sample_increments(
 
     The draw for (path p, step i, coordinate c) is word p*N*d + i*d + c of
     the Philox stream keyed by the seed, so a call restricted to
-    path_range=(a, b) returns exactly rows a..b-1 of the full batch.
+    path_range=(a, b) returns exactly rows a..b-1 of the full batch.  The
+    batch is stored level-major (see IncrementBatch).
 
     Raises ValueError when the model disagrees with brownian_dim or when a
     truncated model's Lambda falls below 1/2 at this step size (see
@@ -199,24 +207,33 @@ def sample_increments(
         raise ValueError(f"invalid path_range {path_range} for {paths} paths")
 
     n, d = grid.steps, brownian_dim
-    count = (hi - lo) * n * d
-    start = lo * n * d
     sqrt_h = math.sqrt(grid.h)
 
-    if model.kind == RADEMACHER:
-        raw = _raw_uint64(int(seed), start, count)
-        dW = np.where(raw >> np.uint64(63), 1.0, -1.0) * sqrt_h
-    else:
-        dW = ndtri(_uniforms(int(seed), start, count)) * sqrt_h
-    return increments_from_dw(model, dW.reshape(hi - lo, n, d), grid.h)
+    # the stream runs path-major; each block of paths is stored level-major
+    dW = np.empty((n, d, hi - lo))
+    for a, b in path_blocks(hi - lo, n * d):
+        count, start = (b - a) * n * d, (lo + a) * n * d
+        if model.kind == RADEMACHER:
+            raw = _raw_uint64(int(seed), start, count)
+            block = np.where(raw >> np.uint64(63), 1.0, -1.0) * sqrt_h
+        else:
+            block = ndtri(_uniforms(int(seed), start, count)) * sqrt_h
+        dW[:, :, a:b] = block.reshape(b - a, n, d).transpose(1, 2, 0)
+    return increments_from_dw(model, dW.transpose(2, 0, 1), grid.h)
 
 
-def increments_from_dw(model: NoiseModel, dW: np.ndarray, h: float) -> IncrementBatch:
-    """H and Lambda of Brownian increments dW at step size h: H = dW / h and
-    Lambda = 1, or for truncated noise dW clipped at R(h) over h and the
-    closed-form Lambda, which must not fall below LAMBDA_FLOOR."""
-    if model.kind != TRUNCATED:
-        return IncrementBatch(dW=dW, H=dW / h, lam=1.0)
+def path_blocks(paths: int, words_per_path: int) -> list[tuple[int, int]]:
+    """Path ranges (a, b) of about 2^16 words each: the blocks in which
+    path-major data moves to or from level-major storage within the cache."""
+    size = max(1, (1 << 16) // words_per_path)
+    return [(a, min(a + size, paths)) for a in range(0, paths, size)]
+
+
+def truncation_lambda(model: NoiseModel, h: float) -> tuple[float, float]:
+    """(R(h), Lambda) of a truncated noise model at step size h.
+
+    Raises ValueError when Lambda falls below LAMBDA_FLOOR.
+    """
     radius = truncation_radius(model, h)
     lam = lambda_of_truncation(radius, h)
     if lam < LAMBDA_FLOOR:
@@ -224,4 +241,15 @@ def increments_from_dw(model: NoiseModel, dW: np.ndarray, h: float) -> Increment
             f"truncation radius {radius:.6g} at h={h:.6g} gives Lambda={lam:.4f} < 1/2; "
             "increase radius0 or use the log schedule"
         )
+    return radius, lam
+
+
+def increments_from_dw(model: NoiseModel, dW: np.ndarray, h: float) -> IncrementBatch:
+    """H and Lambda of Brownian increments dW at step size h: H = dW / h and
+    Lambda = 1, or for truncated noise dW clipped at R(h) over h and the
+    closed-form Lambda (see truncation_lambda).  H is computed elementwise,
+    so it keeps the memory layout of dW."""
+    if model.kind != TRUNCATED:
+        return IncrementBatch(dW=dW, H=dW / h, lam=1.0)
+    radius, lam = truncation_lambda(model, h)
     return IncrementBatch(dW=dW, H=np.clip(dW, -radius, radius) / h, lam=lam)

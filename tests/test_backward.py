@@ -7,6 +7,7 @@ from tamedbsde import (
     BasisSpec,
     ExactTreeBasis,
     NoiseModel,
+    SchemeOutput,
     SchemeSpec,
     SdeSpec,
     TamedDriver,
@@ -200,8 +201,7 @@ def test_one_design_build_per_step(monkeypatch):
 def _assert_same_output(a, b):
     assert np.array_equal(a.Y, b.Y, equal_nan=True)
     assert np.array_equal(a.Z, b.Z, equal_nan=True)
-    for name in ("max_abs_y", "min_y", "z_fit_rank", "z_fit_sv", "y_fit_rank", "y_fit_sv",
-                 "implicit_iterations"):
+    for name in ("z_fit_rank", "z_fit_sv", "y_fit_rank", "y_fit_sv", "implicit_iterations"):
         assert np.array_equal(getattr(a.diagnostics, name), getattr(b.diagnostics, name),
                               equal_nan=True), name
     assert (a.exploded, a.first_bad_step) == (b.exploded, b.first_bad_step)
@@ -267,6 +267,22 @@ def test_explosion_is_flagged_not_raised():
     # partial data: columns above the bad step are still populated
     assert np.all(np.isfinite(out.Y[:, -1]))
     assert np.all(np.isnan(out.Y[:, 0]))
+
+
+def test_exploded_levels_are_nan_and_reached_levels_are_not():
+    grid = build_grid(1.0, 64)
+    batch = sample_increments(grid, 2000, 1, 20240, NoiseModel())
+    ens = euler_simulate(SdeSpec(x0=0.0, diff_const=1.0), grid, batch)
+    xi = terminal_values(TerminalSpec((0.0, 0.0, 0.0, 1.0)), ens)
+    good, bad = run_backward_group(
+        [(SchemeSpec(kind="explicit_tamed"), TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h)),
+         (SchemeSpec(kind="explicit_untamed"), untamed(CUBIC, grid.h))],
+        ens, xi, batch, BasisSpec(size=6))
+    assert not good.exploded and np.all(np.isfinite(good.Y)) and np.all(np.isfinite(good.Z))
+    j = bad.first_bad_step
+    assert bad.exploded and 0 < j < grid.steps - 1
+    assert np.all(np.isnan(bad.Y[:, :j + 1])) and np.all(np.isnan(bad.Z[:, :j + 1]))
+    assert np.all(np.isfinite(bad.Y[:, j + 1:])) and np.all(np.isfinite(bad.Z[:, j + 1:]))
 
 
 def test_implicit_guard():
@@ -604,6 +620,57 @@ def test_zeta_on_regression_backend():
     assert diag.norms.shape == (6,)
 
 
+def test_path_zeta_norms_are_path_major_means():
+    grid, batch, ens, xi = _wide_ensemble(6, paths=2500)
+    tamed = TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h)
+    basis = BasisSpec(size=6)
+    out = run_backward(SchemeSpec(kind="explicit_tamed", theta_prime=0.5), tamed, ens, xi, batch, basis)
+    diag = zeta_diagnostic(out, tamed, ensemble=ens, batch=batch, basis=basis)
+    assert diag.D.shape == (2500, 6)
+    D = np.ascontiguousarray(diag.D)
+    assert np.array_equal(diag.norms, np.mean(D**2, axis=0) * grid.h)
+
+
+# ---------------------------------------------------------------- storage layout
+
+def test_path_storage_is_level_major(monkeypatch):
+    from tamedbsde import backward
+    from tamedbsde.experiments import aggregate_to_grid
+
+    fine, coarse = build_grid(1.0, 16), build_grid(1.0, 4)
+    model = NoiseModel()
+    batch = sample_increments(fine, 300, 1, 5, model)
+    tree_paths = enumerate_tree_paths(build_tree(SdeSpec(x0=0.2, drift_slope=0.5), build_grid(1.0, 5)))
+    for b in (batch, aggregate_to_grid(batch, fine, coarse, model), tree_paths.increments):
+        assert b.dW.transpose(1, 2, 0).flags.c_contiguous
+        assert b.H.transpose(1, 2, 0).flags.c_contiguous
+    ens = euler_simulate(SdeSpec(x0=0.3, diff_const=1.25), fine, batch)
+    assert ens.X.T.flags.c_contiguous and tree_paths.X.T.flags.c_contiguous
+    assert ens.increments is batch
+
+    # the operator's levels are the ensemble's and the batch's, not copies
+    op = backward._path_operator(BasisSpec(size=4), ens, batch)
+    assert np.shares_memory(op.X, ens.X) and np.shares_memory(op.H, batch.H)
+    assert all(op.X[i].flags.c_contiguous for i in range(fine.steps + 1))
+    assert all(op.H[i].flags.c_contiguous for i in range(fine.steps))
+
+    # every row a step reads or writes is a contiguous 1-D array
+    rows = []
+    design, fit = backward.sample_design, regression.SampleDesign.fit
+    y_part = TamedDriver.tamed_y_part
+    monkeypatch.setattr(backward, "sample_design", lambda basis, x: rows.append(x) or design(basis, x))
+    monkeypatch.setattr(regression.SampleDesign, "fit", lambda self, t: rows.append(t) or fit(self, t))
+    monkeypatch.setattr(TamedDriver, "tamed_y_part", lambda self, y: rows.append(y) or y_part(self, y))
+    xi = terminal_values(TerminalSpec((0.0, 0.0, 1.0)), ens)
+    members = [(SchemeSpec(kind=kind), TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), fine.h))
+               for kind in ("explicit_tamed", "implicit")]
+    outs = run_backward_group(members, ens, xi, batch, BasisSpec(size=4))
+    assert len(rows) > 3 * fine.steps
+    assert all(row.ndim == 1 and row.flags.c_contiguous for row in rows)
+    for out in outs:
+        assert out.Y.T.flags.c_contiguous and out.Z[:, :, 0].T.flags.c_contiguous
+
+
 # ---------------------------------------------------------------- qualitative checks
 
 def test_comparison_identical_inputs():
@@ -678,6 +745,22 @@ def test_positivity_zero_solution():
     report = positivity_report(out)
     assert report.global_min == 0.0
     assert np.max(report.per_step_max) == 0.0
+
+
+def test_path_positivity_extrema_keep_path_major_signed_zeros():
+    # a -0.0/+0.0 tie goes to the zero a path-major axis-0 reduction meets
+    # last; a reduction over a contiguous level row can return the other one
+    rng = np.random.default_rng(9)
+    levels, paths = 40, 2000
+    zeros = np.where(rng.random((levels, paths)) < 0.5, -0.0, 0.0)
+    values = rng.random((levels, paths)) + 0.5
+    values[levels // 2:] *= -1.0  # the upper half of the levels has its maxima at zero
+    Y = np.where(rng.random((levels, paths)) < 0.3, zeros, values)
+    report = positivity_report(SchemeOutput(Y=Y.T, Z=np.zeros((paths, levels - 1, 1)), diagnostics=None))
+    path_major = np.ascontiguousarray(Y.T)
+    for got, want in ((report.per_step_min, np.min(path_major, axis=0)),
+                      (report.per_step_max, np.max(path_major, axis=0))):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_implicit_monotone_decay():

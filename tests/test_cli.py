@@ -118,6 +118,34 @@ def test_unknown_scheme_kind_is_config_error(tmp_path):
     assert main(["converge", str(cfg)]) == 2
 
 
+def test_nonpositive_horizon_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONV.format(out=tmp_path / "x.csv").replace("horizon = 1.0", "horizon = -1.0"))
+    assert main(["converge", str(cfg)]) == 2
+    assert "horizon must be positive" in capsys.readouterr().err
+
+
+def test_implicit_guard_violation_is_config_error(tmp_path, capsys):
+    # f(y) = 3y - y^3 with M_y = 3: h*M_y = 3 at N=1
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONV.format(out=tmp_path / "x.csv")
+                   .replace("driver.y_poly = 0,0,0,-1", "driver.y_poly = 0,3,0,-1\ndriver.m_y = 3")
+                   .replace("grids = 4,8", "grids = 1,2"))
+    assert main(["converge", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "N=1" in err and "implicit step guard" in err
+
+
+def test_truncated_lambda_below_floor_is_config_error(tmp_path, capsys):
+    # radius 0.9 sqrt(h) gives Lambda ~ 0.45 at N=1; the log schedule passes at N=2
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONV.format(out=tmp_path / "x.csv").replace("grids = 4,8", "grids = 1,2")
+                   + "noise.kind = truncated_gaussian\nnoise.r0 = 0.9\n")
+    assert main(["converge", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "N=1" in err and "Lambda" in err and "N=2" not in err
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats costs more to import than the rest of the package
     src = os.path.dirname(os.path.dirname(os.path.abspath(tamedbsde.__file__)))

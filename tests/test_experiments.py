@@ -3,8 +3,10 @@ import pytest
 
 from tamedbsde import (
     ConfigError,
+    IncrementBatch,
     NoiseModel,
     ProbePlan,
+    SchemeOutput,
     SchemeRun,
     SchemeSpec,
     SdeSpec,
@@ -83,6 +85,57 @@ def test_aggregation_rejects_lambda_below_floor():
     batch = sample_increments(fine, 10, 1, 3, model)
     with pytest.raises(ValueError, match="Lambda"):
         aggregate_to_grid(batch, fine, build_grid(1.0, 4), model)
+
+
+@pytest.mark.parametrize("stride", [2, 8, 16, 256])
+def test_aggregation_bitwise_equals_path_major_sum(stride):
+    # numpy sums a path's contiguous increments pairwise from 8 on; a sum
+    # over level-major rows would give other bits
+    fine = build_grid(1.0, 256)
+    coarse = build_grid(1.0, 256 // stride)
+    model = NoiseModel()
+    batch = sample_increments(fine, 700, 1, 11, model)
+    path_major = np.ascontiguousarray(batch.dW)
+    expected = path_major.reshape(700, coarse.steps, stride, 1).sum(axis=2)
+    for source in (batch, IncrementBatch(dW=path_major, H=path_major / fine.h, lam=1.0)):
+        agg = aggregate_to_grid(source, fine, coarse, model)
+        assert np.array_equal(agg.dW, expected)
+        assert np.array_equal(agg.H, expected / coarse.h)
+        assert agg.dW.transpose(1, 2, 0).flags.c_contiguous
+
+
+def test_error_reduction_bitwise_equals_path_major_mean():
+    from tamedbsde.experiments import _error_against
+
+    rng = np.random.default_rng(4)
+    paths, n, stride = 20000, 8, 4
+    for _ in range(5):
+        Y = rng.standard_normal((n + 1, paths))
+        proxy = rng.standard_normal((n * stride + 1, paths))
+        output = SchemeOutput(Y=Y.T, Z=np.zeros((paths, n, 1)), diagnostics=None)
+        diff = np.ascontiguousarray(Y.T) - np.ascontiguousarray(proxy.T)[:, ::stride]
+        expected = float(np.max(np.sqrt(np.mean(diff**2, axis=0))))
+        assert _error_against(proxy, output, stride) == expected
+
+
+def test_convergence_errors_bitwise_equal_path_major_formula():
+    # the proxy is np.mean over the stacked finest outputs and the error a
+    # path-major axis-0 mean, on path-major copies
+    from tamedbsde.experiments import _build_ensembles, _run_grid
+    from tamedbsde.regression import BasisSpec
+
+    cfg = small_config()
+    basis = BasisSpec(size=cfg.basis_size, standardize=cfg.basis_standardize)
+    outputs = {n: _run_grid(cfg, cfg.schemes, *ens, basis) for n, ens in _build_ensembles(cfg).items()}
+    finest = cfg.grids[-1]
+    proxy = np.mean([np.ascontiguousarray(out.Y) for out in outputs[finest]], axis=0)
+    expected = {}
+    for n, group in outputs.items():
+        for run, out in zip(cfg.schemes, group):
+            diff = np.ascontiguousarray(out.Y) - proxy[:, ::finest // n]
+            expected[(run.label, n)] = float(np.max(np.sqrt(np.mean(diff**2, axis=0))))
+    report = convergence_study(cfg)
+    assert {(row.scheme, row.steps): row.error for row in report.rows} == expected
 
 
 def test_aggregation_retruncates_at_coarse_radius():

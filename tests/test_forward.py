@@ -63,14 +63,25 @@ def test_dimension_mismatch():
 
 def test_overflow_names_path_and_step():
     grid = build_grid(1.0, 3)
-    dW = np.zeros((4, 3, 1))
-    dW[2, 1, 0] = 5.0  # drift_slope blows this path past the limit
-    batch = IncrementBatch(dW=dW, H=dW / grid.h, lam=1.0)
     sde = SdeSpec(x0=1.0, drift_slope=90.0, diff_const=1e12)
-    with pytest.raises(ForwardBlowupError) as err:
-        euler_simulate(sde, grid, batch)
-    assert err.value.path == 2
-    assert err.value.step == 2
+
+    def first_blowup(cells, level_major):
+        dW = np.zeros((6, 3, 1))
+        for path, step in cells:
+            dW[path, step - 1, 0] = 5.0  # drift_slope carries this path past the limit at `step`
+        if level_major:
+            dW = np.ascontiguousarray(dW.transpose(1, 2, 0)).transpose(2, 0, 1)
+        batch = IncrementBatch(dW=dW, H=dW / grid.h, lam=1.0)
+        with pytest.raises(ForwardBlowupError) as err:
+            euler_simulate(sde, grid, batch)
+        return err.value.path, err.value.step
+
+    for level_major in (False, True):
+        assert first_blowup([(2, 2)], level_major) == (2, 2)
+        # two paths blow up at step 3, a third at step 2: the earliest step is named
+        assert first_blowup([(4, 3), (1, 3), (5, 2)], level_major) == (5, 2)
+        # two paths at the same step: the lowest of them is named
+        assert first_blowup([(4, 3), (1, 3)], level_major) == (1, 3)
 
 
 def test_terminal_identity_and_square():
