@@ -13,7 +13,8 @@ aligns a level-(i+1) array with level i, and `mean(kids)` and
 with the (rank, smallest singular value) of its projection.  The operator
 is Hermite least squares on Monte-Carlo paths, per-prefix averaging on
 enumerated tree paths or the child average on tree levels; the schemes on
-one path ensemble run in lockstep and share each step's operator.
+one path ensemble run in lockstep and share each step's operator, and the
+groups of nested grids can run in one sweep over fine time.
 """
 
 from __future__ import annotations
@@ -120,14 +121,19 @@ def check_implicit_guard(h: float, m_y: float) -> None:
 
 
 class ImplicitSolverError(RuntimeError):
-    def __init__(self, path: int, step: int):
-        self.path = path
-        self.step = step
-        super().__init__(f"implicit solve did not converge at path {path}, step {step}")
+    def __init__(self, path: int, step: int, scheme: str | None = None):
+        self.path, self.step, self.scheme = path, step, scheme
+        where = f"{scheme}: " if scheme else ""
+        super().__init__(f"{where}implicit solve did not converge at path {path}, step {step}")
+
+
+class SchemeExplodedError(RuntimeError):
+    """A scheme whose output is required (the convergence proxy) exploded."""
 
 
 def _solve_implicit(driver: TamedDriver, t: float, c, z, h: float,
-                    tol: float, max_iter: int, step: int) -> tuple[np.ndarray, int]:
+                    tol: float, max_iter: int, step: int,
+                    scheme: str | None = None) -> tuple[np.ndarray, int]:
     """Solve y = c + f^h(t, y, z) h elementwise.
 
     Damped fixed-point iteration while the local contraction factor
@@ -189,7 +195,7 @@ def _solve_implicit(driver: TamedDriver, t: float, c, z, h: float,
         np.copyto(frozen, ya, where=~done)
         bad = ~done & (abs_res > tol * (1.0 + np.abs(ya)))
         if bad.any():
-            raise ImplicitSolverError(int(active[np.argmax(bad)]), step)
+            raise ImplicitSolverError(int(active[np.argmax(bad)]), step, scheme)
     y[active] = frozen
     return y, iterations
 
@@ -212,8 +218,10 @@ class _LsmcOperator:
 
     def begin_step(self, step: int) -> None:
         self.step = step
-        self.design = None  # release the previous step's design before building the next
         self.design = sample_design(self.basis, self.X[step])
+
+    def end_step(self) -> None:
+        self.design = None
 
     @staticmethod
     def children(v):
@@ -255,6 +263,9 @@ class _TreeOperator:
     def begin_step(self, step: int) -> None:
         pass
 
+    def end_step(self) -> None:
+        pass
+
     def children(self, v):
         if self.recombining:
             # node j's children are j and j+1: overlapping windows of the
@@ -284,9 +295,12 @@ def _path_operator(basis: BasisSpec | ExactTreeBasis, ensemble: PathEnsemble,
 class _SchemeRun:
     """One scheme in the backward recursion.  `Y[j]` and `Z[j]` are level j
     of its storage (the terminal level stored on entry); a level it never
-    reaches, because it exploded first, is left as it was."""
+    reaches, because it exploded first, is left as it was.  `label` names the
+    scheme in error messages; a `required` run raises SchemeExplodedError
+    where it explodes."""
 
-    def __init__(self, scheme: SchemeSpec, tamed: TamedDriver, grid, Y, Z):
+    def __init__(self, scheme: SchemeSpec, tamed: TamedDriver, grid, Y, Z,
+                 label: str | None = None, required: bool = False):
         if not math.isclose(tamed.h, grid.h, rel_tol=1e-9):
             raise ValueError(f"driver was tamed at h={tamed.h}, grid has h={grid.h}")
         if scheme.kind == EXPLICIT_UNTAMED and tamed.taming.kind != NONE:
@@ -296,6 +310,7 @@ class _SchemeRun:
         self.scheme = scheme
         self.driver = tamed
         self.Y, self.Z = Y, Z
+        self.label, self.required = label, required
         n = grid.steps
         self.z_fits = [_NO_FIT] * n
         self.y_fits = [_NO_FIT] * n
@@ -318,44 +333,71 @@ class _SchemeRun:
             if scheme.kind == IMPLICIT:
                 c, self.y_fits[i] = op.mean(op.children(y_next))
                 y, self.iterations[i] = _solve_implicit(
-                    driver, t, c, z, h, scheme.implicit_tol, scheme.implicit_max_iter, i)
+                    driver, t, c, z, h, scheme.implicit_tol, scheme.implicit_max_iter, i,
+                    self.label)
             else:
                 y, self.y_fits[i] = op.mean(op.children(y_next) + (op.children(p) + z_coeff * z) * h)
             if np.isfinite(y).all():
                 self.Z[i], self.Y[i] = z, y
                 return
         self.first_bad = i
+        if self.required:
+            bad = ~np.isfinite(y_next + p * h)  # where the driver term overflowed, if anywhere
+            where = f", path {int(np.argmax(bad))}" if bad.any() else ""
+            raise SchemeExplodedError(f"{self.label} exploded at step {i}{where}")
 
 
-def _backward(runs: list[_SchemeRun], op, grid) -> None:
-    """The backward recursion of every run over one operator, in lockstep.
+def _backward(groups: list[tuple[object, list[_SchemeRun], object]], reached=None) -> None:
+    """The backward recursion of lockstep groups on nested grids, in one
+    sweep over fine time.
 
-    Each step's `begin_step` (on paths, the design and its factorization)
-    comes before the runs' turns, so a run's targets live only during its
-    own turn; a run's `seconds` is its own time plus an equal share of each
-    `begin_step` among the runs still going.  An exploded run leaves the
-    lockstep with its partial data: explosion of the untamed explicit
-    scheme is an experimental observable, not an error.
+    `groups` holds (operator, runs, grid) per grid, finest first.  At fine
+    index j every group whose stride (fine steps over its steps) divides j
+    takes its step i = j / stride, finest first, then calls `reached(g, i)`
+    if given.  A step's `begin_step` (on paths, the design and its
+    factorization) comes before the runs' turns and `end_step` releases it
+    after, so a run's targets live only during its own turn; a run's
+    `seconds` is its own time plus an equal share of each `begin_step`
+    among the runs still going.  An exploded run leaves the lockstep with
+    its partial data: explosion of the untamed explicit scheme is an
+    experimental observable, not an error.
     """
-    running = runs
+    steps = groups[0][2].steps
+    strides = [steps // grid.steps for _, _, grid in groups]
+    running = [runs for _, runs, _ in groups]
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(grid.steps - 1, -1, -1):
-            if not running:
-                break
-            t = grid.times[i]
-            start = time.perf_counter()
-            op.begin_step(i)
-            shared = (time.perf_counter() - start) / len(running)
-            for run in running:
+        for j in range(steps - 1, -1, -1):
+            for g, (op, _, grid) in enumerate(groups):
+                if j % strides[g] or not running[g]:
+                    continue
+                i = j // strides[g]
+                t = grid.times[i]
                 start = time.perf_counter()
-                run.advance(i, t, grid.h, op)
-                run.seconds += time.perf_counter() - start + shared
-            running = [run for run in running if run.first_bad is None]
+                op.begin_step(i)
+                shared = (time.perf_counter() - start) / len(running[g])
+                for run in running[g]:
+                    start = time.perf_counter()
+                    run.advance(i, t, grid.h, op)
+                    run.seconds += time.perf_counter() - start + shared
+                op.end_step()
+                running[g] = [run for run in running[g] if run.first_bad is None]
+                if reached is not None:
+                    reached(g, i)
+
+
+def _output(run: _SchemeRun, Y, Z) -> SchemeOutput:
+    z_rank, z_sv = map(np.array, zip(*run.z_fits))
+    y_rank, y_sv = map(np.array, zip(*run.y_fits))
+    diag = SchemeDiagnostics(z_fit_rank=z_rank, z_fit_sv=z_sv, y_fit_rank=y_rank,
+                             y_fit_sv=y_sv, implicit_iterations=run.iterations)
+    return SchemeOutput(Y=Y, Z=Z, diagnostics=diag, exploded=run.first_bad is not None,
+                        first_bad_step=run.first_bad, wallclock_ms=run.seconds * 1e3)
 
 
 def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: PathEnsemble,
                        xi: np.ndarray, batch: IncrementBatch,
-                       basis: BasisSpec | ExactTreeBasis) -> list[SchemeOutput]:
+                       basis: BasisSpec | ExactTreeBasis,
+                       labels: list[str] | None = None) -> list[SchemeOutput]:
     """Backward recursion of several (scheme, driver) pairs over one path
     ensemble, in lockstep.
 
@@ -366,7 +408,8 @@ def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: 
     scheme's columns from its first bad step down are NaN.
 
     Y and Z are written a row (one level of every path) at a time into
-    level-major arrays, and returned as their transposed views.
+    level-major arrays, and returned as their transposed views.  `labels`
+    name the members in error messages.
     """
     grid = ensemble.grid
     n = grid.steps
@@ -376,26 +419,50 @@ def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: 
     if xi.shape != (paths,):
         raise ValueError(f"terminal values have shape {xi.shape}, expected ({paths},)")
     runs = []
-    for scheme, tamed in members:
+    for k, (scheme, tamed) in enumerate(members):
         Y = np.empty((n + 1, paths))
         Y[n] = xi
-        runs.append(_SchemeRun(scheme, tamed, grid, Y, np.empty((n, paths))))
-    _backward(runs, _path_operator(basis, ensemble, batch), grid)
+        runs.append(_SchemeRun(scheme, tamed, grid, Y, np.empty((n, paths)),
+                               labels[k] if labels else None))
+    _backward([(_path_operator(basis, ensemble, batch), runs, grid)])
 
-    outputs = []
     for run in runs:
         if run.first_bad is not None:
             # the levels it never reached
             run.Y[:run.first_bad + 1] = np.nan
             run.Z[:run.first_bad + 1] = np.nan
-        z_rank, z_sv = map(np.array, zip(*run.z_fits))
-        y_rank, y_sv = map(np.array, zip(*run.y_fits))
-        diag = SchemeDiagnostics(z_fit_rank=z_rank, z_fit_sv=z_sv, y_fit_rank=y_rank,
-                                 y_fit_sv=y_sv, implicit_iterations=run.iterations)
-        outputs.append(SchemeOutput(Y=run.Y.T, Z=run.Z.T[:, :, None], diagnostics=diag,
-                                    exploded=run.first_bad is not None, first_bad_step=run.first_bad,
-                                    wallclock_ms=run.seconds * 1e3))
-    return outputs
+    return [_output(run, run.Y.T, run.Z.T[:, :, None]) for run in runs]
+
+
+def stream_backward(groups: list[tuple], basis: BasisSpec, reached) -> list[list[SchemeOutput]]:
+    """Backward recursion of one lockstep group per grid, all grids in one
+    sweep over fine time (see `_backward`), keeping no level a later step
+    does not read: one level of Y per scheme between its steps, no Z.
+
+    `groups` holds (grid, X, H, xi, members) per grid, the grids nested and
+    finest first: X and H level-major, (N+1, paths) and (N, paths) (the
+    transposes of PathEnsemble.X and IncrementBatch.H[:, :, 0]), xi the
+    terminal values and members (scheme, driver, label, required) tuples; a
+    required member raises SchemeExplodedError where it explodes.  Each time
+    grid g reaches level i, `reached(g, i, levels)` gets Y_i of every member,
+    None for a member that has exploded.  The outputs carry each member's
+    diagnostics, explosion step and wallclock, with Y and Z None.
+    """
+    sweep = []
+    for grid, X, H, xi, members in groups:
+        n = grid.steps
+        runs = [_SchemeRun(scheme, tamed, grid, [None] * n + [xi], [None] * n, label, required)
+                for scheme, tamed, label, required in members]
+        sweep.append((_LsmcOperator(basis, X, H), runs, grid))
+
+    def levels(g, i):
+        runs = sweep[g][1]
+        reached(g, i, [run.Y[i] if run.first_bad is None else None for run in runs])
+        for run in runs:
+            run.Y[i + 1] = run.Z[i] = None
+
+    _backward(sweep, levels)
+    return [[_output(run, None, None) for run in runs] for _, runs, _ in sweep]
 
 
 def run_backward(scheme: SchemeSpec, tamed: TamedDriver, ensemble: PathEnsemble,
@@ -407,12 +474,14 @@ def run_backward(scheme: SchemeSpec, tamed: TamedDriver, ensemble: PathEnsemble,
 
 
 def tree_exact_run(scheme: SchemeSpec, tamed: TamedDriver, tree: TreeModel,
-                   terminal: TerminalSpec) -> TreeSchemeOutput:
-    """Same recursion with E_i computed as the exact half/half child average."""
+                   terminal: TerminalSpec, label: str | None = None) -> TreeSchemeOutput:
+    """Same recursion with E_i computed as the exact half/half child average;
+    `label` names the scheme in error messages."""
     n = tree.steps
     run = _SchemeRun(scheme, tamed, tree.grid,
-                     [None] * n + [np.asarray(terminal(tree.levels[n]), dtype=float)], [None] * n)
-    _backward([run], _TreeOperator(tree), tree.grid)
+                     [None] * n + [np.asarray(terminal(tree.levels[n]), dtype=float)], [None] * n,
+                     label)
+    _backward([(_TreeOperator(tree), [run], tree.grid)])
 
     def filled(levels):
         return [np.full(tree.node_count(j), np.nan) if v is None else v for j, v in enumerate(levels)]
@@ -458,6 +527,7 @@ def zeta_diagnostic(output, tamed: TamedDriver, *, ensemble: PathEnsemble | None
         # one tamed y-part per level; the z-part is added as TamedDriver.__call__ adds it
         kids_p = op.children(tamed.tamed_y_part(Y[i + 1]))
         zeta.append(op.mean_h(op.children(Y[i + 1]) + (kids_p + z_coeff * Z[i]) * h)[0])
+        op.end_step()
         D.append(Z[i] - zeta[i])
     if on_tree:
         weights = output.tree.level_weights

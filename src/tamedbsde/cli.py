@@ -3,15 +3,22 @@
 Subcommands: `converge`, `positivity`, `verify-taming`, `tree-oracle`, each
 taking a flat key/value config file.  `--seed`, `--threads` and `--out`
 override the corresponding config entries; the thread count never changes
-results.  Exit codes: 0 success, 2 invalid config, 3 I/O error.  Scheme
-explosions are recorded in the report, not process failures.
+results.  OpenBLAS is held to one thread, so the output does not depend
+on the core count either.  Exit codes: 0 success, 2 invalid config, 3 I/O
+error, 4 numerical failure (ForwardBlowupError, ImplicitSolverError, or
+SchemeExplodedError when a convergence proxy scheme explodes; the message
+names the scheme, path and step where they apply).  Explosions of the
+schemes under study are recorded in the report, not process failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import sys
 
+from .backward import ImplicitSolverError, SchemeExplodedError
 from .config import ConfigError, load_config
 from .experiments import (
     convergence_study,
@@ -20,6 +27,37 @@ from .experiments import (
     tree_oracle_study,
     verify_taming_study,
 )
+from .forward import ForwardBlowupError
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold every OpenBLAS loaded in the process (found in /proc/self/maps;
+    elsewhere nothing changes) to one thread, and restore its count on
+    exit: with more threads its kernels may add up in another order."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower() and line.split()[-1].startswith("/")})
+    except OSError:
+        libs = []
+    restore = []
+    for lib in map(ctypes.CDLL, libs):
+        for prefix in ("scipy_openblas", "openblas"):
+            suffix = "64_" if hasattr(lib, f"{prefix}_get_num_threads64_") else ""
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                restore.append((set_, get()))
+                set_(1)
+                break
+    try:
+        yield
+    finally:
+        for set_, threads in restore:
+            set_(threads)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -45,6 +83,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    with _one_blas_thread():
+        return _run(args)
+
+
+def _run(args) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
@@ -89,6 +132,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except (ForwardBlowupError, ImplicitSolverError, SchemeExplodedError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -9,10 +9,8 @@ the proxy can be evaluated at coarse grid points without interpolation.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +18,11 @@ import numpy as np
 from .backward import (
     IMPLICIT,
     EXPLICIT_TAMED,
-    SchemeOutput,
     positivity_report,
     run_backward,  # noqa: F401  (unused; the benchmark's trace probes look it up here)
     run_backward_group,
     step_size_condition,
+    stream_backward,
     tree_exact_run,
 )
 from .config import ConfigError, ExperimentConfig, SchemeRun
@@ -43,28 +41,39 @@ from .grids import (
 from .regression import BasisSpec
 
 
-def aggregate_to_grid(batch: IncrementBatch, fine: PartitionGrid, coarse: PartitionGrid,
-                      model: NoiseModel) -> IncrementBatch:
-    """Sum fine-grid Brownian increments over each coarse interval and
-    re-derive H at the coarse step size; the result is level-major.
+def _sum_to_grids(batch: IncrementBatch, fine: PartitionGrid, coarse: list[PartitionGrid],
+                  model: NoiseModel) -> list[np.ndarray]:
+    """Fine-grid Brownian increments summed over the intervals of each coarse
+    grid, as level-major (steps, d, paths) arrays, in one pass over the batch.
 
     The sums are taken path-major, block by block of paths: numpy adds each
     path's `stride` contiguous increments pairwise (from 8 on), which a sum
     over level-major rows would not, so the bits do not depend on the
-    batch's layout.
+    batch's layout.  Each block is moved to path-major order once, for
+    every coarse grid.
     """
-    if fine.steps % coarse.steps:
-        raise ValueError(f"grids are not nested: {coarse.steps} does not divide {fine.steps}")
-    if model.kind == RADEMACHER:
-        raise ValueError("rademacher increments do not aggregate across grids")
-    stride = fine.steps // coarse.steps
+    for grid in coarse:
+        if fine.steps % grid.steps:
+            raise ValueError(f"grids are not nested: {grid.steps} does not divide {fine.steps}")
+        if model.kind == RADEMACHER:
+            raise ValueError("rademacher increments do not aggregate across grids")
     m, _, d = batch.dW.shape
-    summed = np.empty((coarse.steps, d, m))
+    summed = [np.empty((grid.steps, d, m)) for grid in coarse]
     for a, b in path_blocks(m, fine.steps * d):
         block = np.empty((b - a, fine.steps, d))
         block.transpose(1, 2, 0)[...] = batch.dW[a:b].transpose(1, 2, 0)  # copied row by row
-        sums = block.reshape(b - a, coarse.steps, stride, d).sum(axis=2)
-        summed[:, :, a:b] = sums.transpose(1, 2, 0)
+        for grid, out in zip(coarse, summed):
+            sums = block.reshape(b - a, grid.steps, fine.steps // grid.steps, d).sum(axis=2)
+            out[:, :, a:b] = sums.transpose(1, 2, 0)
+    return summed
+
+
+def aggregate_to_grid(batch: IncrementBatch, fine: PartitionGrid, coarse: PartitionGrid,
+                      model: NoiseModel) -> IncrementBatch:
+    """Sum fine-grid Brownian increments over each coarse interval and
+    re-derive H at the coarse step size; the result is level-major (see
+    `_sum_to_grids` for the summation order)."""
+    (summed,) = _sum_to_grids(batch, fine, [coarse], model)
     return increments_from_dw(model, summed.transpose(2, 0, 1), coarse.h)
 
 
@@ -137,25 +146,24 @@ def _tamed(cfg: ExperimentConfig, run: SchemeRun, h: float) -> TamedDriver:
     return TamedDriver(base=cfg.driver, taming=run.taming, h=h)
 
 
-def _build_ensembles(cfg: ExperimentConfig):
-    """(grid, batch, ensemble, xi) per configured N, from one fine-grid simulation."""
-    fine = build_grid(cfg.horizon, cfg.grids[-1])
-    fine_batch = sample_increments(fine, cfg.paths, 1, cfg.seed, cfg.noise)
-    out = {}
-    for n in cfg.grids:
-        grid = build_grid(cfg.horizon, n)
-        batch = fine_batch if n == cfg.grids[-1] else aggregate_to_grid(fine_batch, fine, grid, cfg.noise)
-        ensemble = euler_simulate(cfg.sde, grid, batch)
-        xi = terminal_values(cfg.terminal, ensemble)
-        out[n] = (grid, batch, ensemble, xi)
+def _grid_paths(cfg: ExperimentConfig, grids: list[PartitionGrid]):
+    """(X, H, xi) per grid, finest first, from one fine-grid simulation: X
+    and H level-major, xi the terminal values.  A grid's Brownian
+    increments are dropped after its Euler run, and its H is derived from
+    them only then, so at most one grid's increments are held next to the
+    finest grid's."""
+    fine = grids[0]
+    batch = sample_increments(fine, cfg.paths, 1, cfg.seed, cfg.noise)
+    ensemble = euler_simulate(cfg.sde, fine, batch)
+    out = [(ensemble.X.T, batch.H[:, :, 0].T, terminal_values(cfg.terminal, ensemble))]
+    summed = _sum_to_grids(batch, fine, grids[1:], cfg.noise)
+    del batch, ensemble
+    for grid in grids[1:]:
+        coarse = increments_from_dw(cfg.noise, summed.pop(0).transpose(2, 0, 1), grid.h)
+        ensemble = euler_simulate(cfg.sde, grid, coarse)
+        out.append((ensemble.X.T, coarse.H[:, :, 0].T, terminal_values(cfg.terminal, ensemble)))
+        del coarse, ensemble
     return out
-
-
-def _run_grid(cfg: ExperimentConfig, runs: list[SchemeRun], grid, batch, ensemble, xi,
-              basis) -> list[SchemeOutput]:
-    """All `runs` on one grid, in lockstep on one design per step."""
-    members = [(run.scheme, _tamed(cfg, run, grid.h)) for run in runs]
-    return run_backward_group(members, ensemble, xi, batch, basis)
 
 
 def _proxy_runs(cfg: ExperimentConfig) -> list[SchemeRun]:
@@ -169,22 +177,11 @@ def _proxy_runs(cfg: ExperimentConfig) -> list[SchemeRun]:
     return chosen
 
 
-def _error_against(proxy: np.ndarray, output: SchemeOutput, stride: int) -> float:
-    """max_i E[|Y_i - proxy_{i stride}|^2]^(1/2), with proxy level-major.
-
-    Each level's squared errors are added up path by path, in order (a
-    cumulative sum is sequential): the order of the axis-0 mean over a
-    path-major array, so the bits do not depend on the layout.
-    """
-    if output.exploded:
-        return math.inf
-    levels = output.Y.T
-    mse = np.empty(len(levels))
-    for i, y in enumerate(levels):
-        d = y - proxy[i * stride]
-        mse[i] = np.cumsum(d * d)[-1] / d.size
-    err = float(np.max(np.sqrt(mse)))
-    return err if math.isfinite(err) else math.inf
+def _mean_square(d: np.ndarray) -> float:
+    """E|d|^2 over paths, added up path by path, in order (a cumulative sum
+    is sequential): the order of the axis-0 mean over a path-major array,
+    so the bits do not depend on the layout."""
+    return np.cumsum(d * d)[-1] / d.size
 
 
 def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
@@ -192,53 +189,57 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     max_i E[|Y_i - Y^proxy_i|^2]^(1/2) against the fine-grid proxy (the
     average of the implicit and inner-tamed outputs at the largest N).
 
-    The schemes of one grid run as one lockstep group.  The finest grid runs
-    first, and only the proxy is kept from it; with threads > 1 the pool
-    runs the coarser grids' groups.  The groups do not depend on the thread
-    count, so neither do the results."""
+    The schemes of one grid run as one lockstep group, and all groups run
+    in one backward sweep over fine time (`stream_backward`), finest first
+    at each fine step.  The proxy level and every grid's squared errors at
+    that level are reduced as soon as the level is reached, so no scheme
+    keeps more than one level of Y between its steps.  A proxy scheme that
+    explodes raises SchemeExplodedError at its step.  `cfg.threads` is not
+    used: the sweep runs on one thread.
+    """
     basis = BasisSpec(size=cfg.basis_size, standardize=cfg.basis_standardize)
-    per_grid = _build_ensembles(cfg)
-    finest = cfg.grids[-1]
-    proxy_schemes = _proxy_runs(cfg)
+    proxy_runs = _proxy_runs(cfg)
+    proxy_index = [cfg.schemes.index(run) for run in proxy_runs]
+    grids = [build_grid(cfg.horizon, n) for n in reversed(cfg.grids)]
+    groups = []
+    for g, (grid, (X, H, xi)) in enumerate(zip(grids, _grid_paths(cfg, grids))):
+        members = []
+        for run in cfg.schemes:
+            required = g == 0 and run in proxy_runs
+            label = f"{'proxy scheme' if required else 'scheme'} {run.label!r} (N={grid.steps})"
+            members.append((run.scheme, _tamed(cfg, run, grid.h), label, required))
+        groups.append((grid, X, H, xi, members))
+    mse = [np.empty((len(cfg.schemes), grid.steps + 1)) for grid in grids]
+    proxy = None
 
-    outputs = _run_grid(cfg, cfg.schemes, *per_grid[finest], basis)
-    by_label = dict(zip((run.label for run in cfg.schemes), outputs))
-    for run in proxy_schemes:
-        if by_label[run.label].exploded:
-            raise RuntimeError(f"proxy scheme {run.label!r} exploded on the finest grid")
-    # level-major; summed in place from zero and divided, the arithmetic of
-    # np.mean over the stacked outputs without the stack
-    proxy = np.zeros(outputs[0].Y.T.shape)
-    for run in proxy_schemes:
-        proxy += by_label[run.label].Y.T
-    proxy /= len(proxy_schemes)
+    def reduce_level(g: int, i: int, levels: list) -> None:
+        """Mean squared errors of grid g's level i against proxy level
+        i * stride.  The finest grid comes first at each fine step and makes
+        the proxy level, summed in place from zero and divided: the
+        arithmetic of np.mean over the stacked proxy outputs, without the
+        stack."""
+        nonlocal proxy
+        if g == 0:
+            proxy = np.zeros(cfg.paths)
+            for k in proxy_index:
+                proxy += levels[k]
+            proxy /= len(proxy_index)
+        for k, y in enumerate(levels):
+            if y is not None:
+                mse[g][k, i] = _mean_square(y - proxy)
 
-    def grid_rows(n: int, outputs: list[SchemeOutput]) -> list[ErrorRow]:
-        h = per_grid[n][0].h
-        return [ErrorRow(run.label, n, h, _error_against(proxy, output, finest // n),
-                         output.wallclock_ms, output.exploded, cfg.seed)
-                for run, output in zip(cfg.schemes, outputs)]
+    for g, (grid, _, _, xi, members) in enumerate(groups):
+        reduce_level(g, grid.steps, [xi] * len(members))
+    outputs = stream_backward(groups, basis, reduce_level)
 
-    rows = grid_rows(finest, outputs)
-    del outputs, by_label
-
-    def job(n: int) -> list[ErrorRow]:
-        return grid_rows(n, _run_grid(cfg, cfg.schemes, *per_grid[n], basis))
-
-    coarse = cfg.grids[:-1]
-    if cfg.threads > 1:
-        # give back the pages the finest group freed: glibc keeps 20-30 MB of them
-        # in some heap layouts, and the pool's threads allocate in other arenas
-        libc = ctypes.CDLL(None) if os.name == "posix" else None
-        getattr(libc, "malloc_trim", lambda pad: 0)(0)
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            groups = list(pool.map(job, coarse))
-    else:
-        groups = [job(n) for n in coarse]
-    rows += [row for group in groups for row in group]
-
+    rows = []
+    for grid, group, errors in zip(grids, outputs, mse):
+        for run, output, level_mse in zip(cfg.schemes, group, errors):
+            err = math.inf if output.exploded else float(np.max(np.sqrt(level_mse)))
+            rows.append(ErrorRow(run.label, grid.steps, grid.h, err if math.isfinite(err) else math.inf,
+                                 output.wallclock_ms, output.exploded, cfg.seed))
     rows.sort(key=lambda row: (row.scheme, row.steps))
-    return ErrorReport(rows=rows, proxy_labels=[s.label for s in proxy_schemes], seed=cfg.seed)
+    return ErrorReport(rows=rows, proxy_labels=[s.label for s in proxy_runs], seed=cfg.seed)
 
 
 def _extrema_rows(label: str, report, times) -> list[ExtremaRow]:
@@ -261,7 +262,9 @@ def positivity_study(cfg: ExperimentConfig) -> PositivityStudyReport:
     basis = BasisSpec(size=cfg.basis_size, standardize=cfg.basis_standardize)
 
     runs = sorted(cfg.schemes, key=lambda s: s.label)
-    outputs = _run_grid(cfg, runs, grid, batch, ensemble, xi, basis)
+    members = [(run.scheme, _tamed(cfg, run, grid.h)) for run in runs]
+    outputs = run_backward_group(members, ensemble, xi, batch, basis,
+                                 labels=[f"scheme {run.label!r}" for run in runs])
     rows: list[ExtremaRow] = []
     conditions = []
     for run, output in zip(runs, outputs):
@@ -284,7 +287,7 @@ def tree_oracle_study(cfg: ExperimentConfig) -> PositivityStudyReport:
     conditions = []
     for run in sorted(cfg.schemes, key=lambda s: s.label):
         tamed = _tamed(cfg, run, grid.h)
-        output = tree_exact_run(run.scheme, tamed, tree, cfg.terminal)
+        output = tree_exact_run(run.scheme, tamed, tree, cfg.terminal, f"scheme {run.label!r}")
         rows += _extrema_rows(run.label, positivity_report(output), grid.times)
         cond = step_size_condition(run.scheme, tamed, 1.0 / math.sqrt(grid.h))
         conditions.append((run.label, cond, cond < 1.0))

@@ -18,12 +18,13 @@ OVERFLOW_LIMIT = 1e12
 class ForwardBlowupError(RuntimeError):
     """Forward state left the finite range; records the offending path/step."""
 
-    def __init__(self, path: int, step: int, value: float):
+    def __init__(self, path: int, step: int, value: float, steps: int | None = None):
         self.path = path
         self.step = step
+        of = "" if steps is None else f" of N={steps}"
         super().__init__(
             f"forward state non-finite or beyond {OVERFLOW_LIMIT:.0e} "
-            f"at path {path}, step {step} (value {value!r})"
+            f"at path {path}, step {step}{of} (value {value!r})"
         )
 
 
@@ -120,7 +121,7 @@ def euler_simulate(sde: SdeSpec, grid: PartitionGrid, batch: IncrementBatch) -> 
         bad = ~(np.abs(X[i + 1]) <= OVERFLOW_LIMIT)
         if bad.any():
             p = int(np.argmax(bad))
-            raise ForwardBlowupError(p, i + 1, float(X[i + 1, p]))
+            raise ForwardBlowupError(p, i + 1, float(X[i + 1, p]), steps)
     return PathEnsemble(X=X.T, increments=batch, grid=grid)
 
 

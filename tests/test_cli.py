@@ -154,3 +154,52 @@ def test_cli_import_leaves_out_scipy_stats():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=120, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_forward_blowup_is_numerical_failure(tmp_path, capsys):
+    # x0 = 1 and drift slope 1e8: every path passes 1e12 at step 2 of N=8
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONV.format(out=tmp_path / "x.csv") + "sde.x0 = 1.0\nsde.b1 = 1e8\n")
+    assert main(["converge", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "path 0, step 2 of N=8" in err
+
+
+def test_implicit_non_convergence_is_numerical_failure(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONV.format(out=tmp_path / "x.csv") + "scheme.1.implicit_max_iter = 1\n")
+    assert main(["converge", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    # the finest grid's last step comes first
+    assert "scheme 'implicit' (N=8): implicit solve did not converge at path" in err
+    assert err.rstrip().endswith("step 7")
+
+
+def test_proxy_explosion_is_numerical_failure(tmp_path, capsys):
+    # the only proxy scheme is tamed at a radius past overflow, i.e. untamed
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONV.format(out=tmp_path / "x.csv")
+                   .replace("horizon = 1.0", "horizon = 2.0")
+                   .replace("terminal.coeffs = 0,1", "terminal.coeffs = 0,0,0,10")
+                   .replace("scheme.1.kind = implicit", "scheme.1.kind = explicit_untamed")
+                   .replace("scheme.2.exponent = 0.25", "scheme.2.exponent = 0\nscheme.2.r0 = 1e200"))
+    assert main(["converge", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert "proxy scheme 'inner' (N=8) exploded at step" in err and "path" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_output_does_not_depend_on_blas_threads(tmp_path):
+    # one K = 12, 40k-path design per step: OpenBLAS adds up in another
+    # order with two threads unless the CLI holds it to one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tamedbsde.__file__)))
+    config = os.path.join(os.path.dirname(src), "perfbench", "configs", "lsmc_wide.cfg")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"wide_{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        subprocess.run([sys.executable, "-m", "tamedbsde", "positivity", config, "--out", str(out)],
+                       env=env, capture_output=True, timeout=300, check=True)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -6,25 +6,29 @@ from tamedbsde import (
     IncrementBatch,
     NoiseModel,
     ProbePlan,
-    SchemeOutput,
     SchemeRun,
     SchemeSpec,
     SdeSpec,
+    TamedDriver,
     TamingSpec,
     TerminalSpec,
     aggregate_to_grid,
     build_grid,
     convergence_study,
     emit_csv,
+    euler_simulate,
     parse_config,
     polynomial_driver,
     positivity_study,
+    run_backward_group,
     sample_increments,
+    terminal_values,
     tree_oracle_study,
     verify_taming_study,
 )
 from tamedbsde.config import ExperimentConfig
 from tamedbsde.experiments import ErrorReport, ErrorRow
+from tamedbsde.regression import BasisSpec
 
 
 def small_config(**overrides):
@@ -105,28 +109,43 @@ def test_aggregation_bitwise_equals_path_major_sum(stride):
 
 
 def test_error_reduction_bitwise_equals_path_major_mean():
-    from tamedbsde.experiments import _error_against
+    # each level's mean square, reduced from level-major rows as the study
+    # streams them, equals the axis-0 mean over the path-major array
+    from tamedbsde.experiments import _mean_square
 
     rng = np.random.default_rng(4)
     paths, n, stride = 20000, 8, 4
     for _ in range(5):
         Y = rng.standard_normal((n + 1, paths))
         proxy = rng.standard_normal((n * stride + 1, paths))
-        output = SchemeOutput(Y=Y.T, Z=np.zeros((paths, n, 1)), diagnostics=None)
         diff = np.ascontiguousarray(Y.T) - np.ascontiguousarray(proxy.T)[:, ::stride]
-        expected = float(np.max(np.sqrt(np.mean(diff**2, axis=0))))
-        assert _error_against(proxy, output, stride) == expected
+        expected = np.mean(diff**2, axis=0)
+        for i in range(n + 1):
+            assert _mean_square(Y[i] - proxy[i * stride]) == expected[i]
+
+
+def _grid_outputs(cfg):
+    """The study's groups rebuilt from public calls: every configured
+    scheme on every grid, from one fine-grid sample, full Y kept."""
+    basis = BasisSpec(size=cfg.basis_size, standardize=cfg.basis_standardize)
+    fine = build_grid(cfg.horizon, cfg.grids[-1])
+    fine_batch = sample_increments(fine, cfg.paths, 1, cfg.seed, cfg.noise)
+    outputs = {}
+    for n in cfg.grids:
+        grid = build_grid(cfg.horizon, n)
+        batch = fine_batch if n == fine.steps else aggregate_to_grid(fine_batch, fine, grid, cfg.noise)
+        ens = euler_simulate(cfg.sde, grid, batch)
+        xi = terminal_values(cfg.terminal, ens)
+        members = [(run.scheme, TamedDriver(cfg.driver, run.taming, grid.h)) for run in cfg.schemes]
+        outputs[n] = run_backward_group(members, ens, xi, batch, basis)
+    return outputs
 
 
 def test_convergence_errors_bitwise_equal_path_major_formula():
     # the proxy is np.mean over the stacked finest outputs and the error a
     # path-major axis-0 mean, on path-major copies
-    from tamedbsde.experiments import _build_ensembles, _run_grid
-    from tamedbsde.regression import BasisSpec
-
     cfg = small_config()
-    basis = BasisSpec(size=cfg.basis_size, standardize=cfg.basis_standardize)
-    outputs = {n: _run_grid(cfg, cfg.schemes, *ens, basis) for n, ens in _build_ensembles(cfg).items()}
+    outputs = _grid_outputs(cfg)
     finest = cfg.grids[-1]
     proxy = np.mean([np.ascontiguousarray(out.Y) for out in outputs[finest]], axis=0)
     expected = {}
@@ -167,6 +186,31 @@ def test_zero_driver_noise_floor():
     for label in ("implicit", "inner"):
         assert errors[label][64] <= errors[label][4] + 1e-12
         assert errors[label][4] < 0.05
+
+
+def test_study_peak_memory_is_paths_plus_one_finest_y():
+    # the study holds X and H of every grid; next to them, all it needs is
+    # less than one scheme's full Y on the finest grid (two live levels of Y
+    # per scheme, no Z, one proxy level, one design)
+    import tracemalloc
+
+    cfg = small_config(
+        schemes=small_config().schemes + [
+            SchemeRun("outer", SchemeSpec(kind="explicit_tamed"),
+                      TamingSpec(kind="outer_proj", r0=1.5, exponent=0.5)),
+            SchemeRun("mult_d", SchemeSpec(kind="explicit_tamed"),
+                      TamingSpec(kind="mult_d", r0=1.0, exponent=0.5))],
+        grids=[8, 16, 32, 64, 128], paths=20000, basis_size=6)
+    row = cfg.paths * 8  # bytes of one level of one array
+    x_and_h = sum((n + 1) + n for n in cfg.grids) * row
+    finest_y = (cfg.grids[-1] + 1) * row
+    tracemalloc.start()
+    try:
+        convergence_study(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x_and_h + finest_y
 
 
 def test_study_is_deterministic_across_threads():
