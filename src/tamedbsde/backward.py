@@ -98,11 +98,12 @@ class SchemeOutput:
 
 @dataclass
 class TreeSchemeOutput:
-    """Per-node output on the tree: ragged level arrays."""
+    """Per-node output on the tree: ragged level arrays (None for a run
+    that streamed its levels, see tree_exact_run)."""
 
     tree: TreeModel
-    Y: list
-    Z: list
+    Y: list | None
+    Z: list | None
     implicit_iterations: np.ndarray
     exploded: bool = False
     first_bad_step: int | None = None
@@ -147,13 +148,15 @@ def _solve_implicit(driver: TamedDriver, t: float, c, z, h: float,
     elementwise passes), so later iterations work mostly on unconverged
     paths.  f^h and the residual at the candidate carry into the next
     iteration; they are evaluated again only where the step was halved.
+    The Newton candidate is built only when some path needs it, and the
+    halved-step blend only when some step got worse.
     """
     ctil = c + h * driver.base.z_coeff * np.asarray(z, dtype=float)
     y = ctil.copy()
-    # the iteration runs on y[active]; `done` marks its converged entries,
-    # whose values wait in `frozen` until they are dropped and written to y
-    # (until the first drop, `frozen` is y itself)
-    active, done = np.arange(y.size), np.zeros(y.size, dtype=bool)
+    # the iteration runs on y[active]; `live` marks its unconverged entries,
+    # the others' values wait in `frozen` until they are dropped and written
+    # to y (until the first drop, `frozen` is y itself)
+    active, live = np.arange(y.size), np.ones(y.size, dtype=bool)
     ya, ca, frozen = y, ctil, y
     fy = driver.tamed_y_part(ya)
     res = ya - ca - h * fy
@@ -161,39 +164,53 @@ def _solve_implicit(driver: TamedDriver, t: float, c, z, h: float,
     iterations = 0
     for it in range(max_iter):
         iterations = it + 1
-        newly = (abs_res <= tol * (1.0 + np.abs(ya))) & ~done
+        threshold = np.abs(ya)
+        threshold += 1.0
+        threshold *= tol
+        newly = abs_res <= threshold
+        newly &= live
         if newly.any():
             np.copyto(frozen, ya, where=newly)
-            done |= newly
-            left = done.size - np.count_nonzero(done)
+            live ^= newly
+            left = np.count_nonzero(live)
             if left == 0:
                 break
-            if left <= 0.25 * done.size:
+            if left <= 0.25 * live.size:
                 y[active] = frozen
-                keep = ~done
-                active, ya, ca, fy = active[keep], ya[keep], ca[keep], fy[keep]
-                res, abs_res, frozen = res[keep], abs_res[keep], frozen[keep]
-                done = np.zeros(ya.size, dtype=bool)
+                active, ya, ca, fy = active[live], ya[live], ca[live], fy[live]
+                res, abs_res, frozen = res[live], abs_res[live], frozen[live]
+                live = np.ones(ya.size, dtype=bool)
         h_slope = h * driver.y_slope(ya)
-        fp_next = ca + h * fy
-        newton_next = ya - res / np.maximum(1.0 - h_slope, 0.1)
-        y_next = np.where(np.abs(h_slope) <= 0.5, fp_next, newton_next)
+        y_next = h * fy
+        y_next += ca
+        # a NaN slope fails the test and takes the Newton step
+        fixed_point = np.abs(h_slope) <= 0.5
+        if not fixed_point.all():
+            newton = np.subtract(1.0, h_slope, out=h_slope)
+            np.maximum(newton, 0.1, out=newton)
+            np.divide(res, newton, out=newton)
+            np.subtract(ya, newton, out=newton)
+            np.copyto(y_next, newton, where=~fixed_point)
         fy = driver.tamed_y_part(y_next)
         # halve steps that made the residual worse; the residual carries into
         # the next iteration and is recomputed only where the step was halved
-        res = y_next - ca - h * fy
+        res = y_next - ca
+        res -= h * fy
         abs_next = np.abs(res)
-        worse = (abs_next > abs_res) & ~done
+        worse = abs_next > abs_res
+        worse &= live
         abs_res = abs_next
-        ya = np.where(worse, 0.5 * (ya + y_next), y_next)
         if worse.any():
+            ya = np.where(worse, 0.5 * (ya + y_next), y_next)
             fy[worse] = driver.tamed_y_part(ya[worse])
             res[worse] = ya[worse] - ca[worse] - h * fy[worse]
             abs_res[worse] = np.abs(res[worse])
+        else:
+            ya = y_next
     else:
         # out of iterations: the unconverged entries keep their last iterate
-        np.copyto(frozen, ya, where=~done)
-        bad = ~done & (abs_res > tol * (1.0 + np.abs(ya)))
+        np.copyto(frozen, ya, where=live)
+        bad = live & (abs_res > tol * (1.0 + np.abs(ya)))
         if bad.any():
             raise ImplicitSolverError(int(active[np.argmax(bad)]), step, scheme)
     y[active] = frozen
@@ -445,15 +462,17 @@ def stream_backward(groups: list[tuple], basis: BasisSpec, reached) -> list[list
     terminal values and members (scheme, driver, label, required) tuples; a
     required member raises SchemeExplodedError where it explodes.  Each time
     grid g reaches level i, `reached(g, i, levels)` gets Y_i of every member,
-    None for a member that has exploded.  The outputs carry each member's
-    diagnostics, explosion step and wallclock, with Y and Z None.
+    None for a member that has exploded; the terminal levels come first,
+    finest grid first.  The outputs carry each member's diagnostics,
+    explosion step and wallclock, with Y and Z None.
     """
     sweep = []
-    for grid, X, H, xi, members in groups:
+    for g, (grid, X, H, xi, members) in enumerate(groups):
         n = grid.steps
         runs = [_SchemeRun(scheme, tamed, grid, [None] * n + [xi], [None] * n, label, required)
                 for scheme, tamed, label, required in members]
         sweep.append((_LsmcOperator(basis, X, H), runs, grid))
+        reached(g, n, [xi] * len(runs))
 
     def levels(g, i):
         runs = sweep[g][1]
@@ -474,19 +493,34 @@ def run_backward(scheme: SchemeSpec, tamed: TamedDriver, ensemble: PathEnsemble,
 
 
 def tree_exact_run(scheme: SchemeSpec, tamed: TamedDriver, tree: TreeModel,
-                   terminal: TerminalSpec, label: str | None = None) -> TreeSchemeOutput:
+                   terminal: TerminalSpec, label: str | None = None,
+                   reached=None) -> TreeSchemeOutput:
     """Same recursion with E_i computed as the exact half/half child average;
-    `label` names the scheme in error messages."""
+    `label` names the scheme in error messages.
+
+    With `reached`, the run streams its levels instead of keeping them:
+    `reached(i, y)` gets Y_i as soon as it is computed, the terminal level
+    first and no level past an explosion, and the output's Y and Z are None.
+    """
     n = tree.steps
-    run = _SchemeRun(scheme, tamed, tree.grid,
-                     [None] * n + [np.asarray(terminal(tree.levels[n]), dtype=float)], [None] * n,
-                     label)
-    _backward([(_TreeOperator(tree), [run], tree.grid)])
+    xi = np.asarray(terminal(tree.levels[n]), dtype=float)
+    run = _SchemeRun(scheme, tamed, tree.grid, [None] * n + [xi], [None] * n, label)
+    level = None
+    if reached is not None:
+        reached(n, xi)
+
+        def level(_, i):
+            if run.first_bad is None:
+                reached(i, run.Y[i])
+            run.Y[i + 1] = run.Z[i] = None
+
+    _backward([(_TreeOperator(tree), [run], tree.grid)], level)
 
     def filled(levels):
         return [np.full(tree.node_count(j), np.nan) if v is None else v for j, v in enumerate(levels)]
 
-    return TreeSchemeOutput(tree=tree, Y=filled(run.Y), Z=filled(run.Z),
+    Y, Z = (None, None) if reached is not None else (filled(run.Y), filled(run.Z))
+    return TreeSchemeOutput(tree=tree, Y=Y, Z=Z,
                             implicit_iterations=run.iterations,
                             exploded=run.first_bad is not None, first_bad_step=run.first_bad)
 
@@ -650,15 +684,19 @@ class PositivityReport:
         return float(np.min(self.per_step_min))
 
 
+def path_extrema(level: np.ndarray) -> tuple[float, float]:
+    """(min, max) of one level of Y over paths, folded path by path in
+    order: the bits of the axis-0 reductions over a path-major array, which
+    also fixes which of -0.0 and +0.0 a tie gives (a reduction over the
+    contiguous row can give the other one)."""
+    return np.minimum.accumulate(level)[-1], np.maximum.accumulate(level)[-1]
+
+
 def positivity_report(output) -> PositivityReport:
     """Exact per-step extrema of Y, over paths or over tree nodes."""
     if isinstance(output, TreeSchemeOutput):
         mins = np.array([np.min(level) for level in output.Y])
         maxs = np.array([np.max(level) for level in output.Y])
     else:
-        # over a path-major C-order copy, the axis-0 reductions visit the
-        # paths in order, which also fixes which of -0.0 and +0.0 a tie gives
-        Y = np.ascontiguousarray(output.Y)
-        mins = np.min(Y, axis=0)
-        maxs = np.max(Y, axis=0)
+        mins, maxs = map(np.array, zip(*map(path_extrema, output.Y.T)))
     return PositivityReport(per_step_min=mins, per_step_max=maxs)

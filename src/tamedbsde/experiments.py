@@ -18,9 +18,8 @@ import numpy as np
 from .backward import (
     IMPLICIT,
     EXPLICIT_TAMED,
-    positivity_report,
+    path_extrema,
     run_backward,  # noqa: F401  (unused; the benchmark's trace probes look it up here)
-    run_backward_group,
     step_size_condition,
     stream_backward,
     tree_exact_run,
@@ -228,8 +227,6 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
             if y is not None:
                 mse[g][k, i] = _mean_square(y - proxy)
 
-    for g, (grid, _, _, xi, members) in enumerate(groups):
-        reduce_level(g, grid.steps, [xi] * len(members))
     outputs = stream_backward(groups, basis, reduce_level)
 
     rows = []
@@ -242,33 +239,46 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     return ErrorReport(rows=rows, proxy_labels=[s.label for s in proxy_runs], seed=cfg.seed)
 
 
-def _extrema_rows(label: str, report, times) -> list[ExtremaRow]:
-    n = len(report.per_step_min) - 1
-    return [ExtremaRow(label, i, float(times[i]),
-                       float(report.per_step_min[i]), float(report.per_step_max[i]))
-            for i in range(n, -1, -1)]
+def _extrema_rows(label: str, mins: np.ndarray, maxs: np.ndarray, times) -> list[ExtremaRow]:
+    return [ExtremaRow(label, i, float(times[i]), float(mins[i]), float(maxs[i]))
+            for i in range(len(mins) - 1, -1, -1)]
 
 
 def positivity_study(cfg: ExperimentConfig) -> PositivityStudyReport:
     """Per-step empirical extrema of Y for each scheme at the single
-    configured N (regression backend), plus the step condition h * L^h_y."""
+    configured N (regression backend), plus the step condition h * L^h_y.
+
+    The schemes run as one lockstep group through `stream_backward`, and
+    each level of Y is reduced to its extrema (`path_extrema`) when it is
+    reached, so the study holds X, H and a level or two of Y per scheme,
+    no Z.
+    The levels of a scheme that exploded are NaN from its first bad step
+    down."""
     if len(cfg.grids) != 1:
         raise ConfigError("positivity study expects exactly one grid size")
     n = cfg.grids[0]
     grid = build_grid(cfg.horizon, n)
     batch = sample_increments(grid, cfg.paths, 1, cfg.seed, cfg.noise)
     ensemble = euler_simulate(cfg.sde, grid, batch)
-    xi = terminal_values(cfg.terminal, ensemble)
+    group = (grid, ensemble.X.T, batch.H[:, :, 0].T, terminal_values(cfg.terminal, ensemble))
+    del batch, ensemble  # dW is not needed after Euler
     basis = BasisSpec(size=cfg.basis_size, standardize=cfg.basis_standardize)
 
     runs = sorted(cfg.schemes, key=lambda s: s.label)
-    members = [(run.scheme, _tamed(cfg, run, grid.h)) for run in runs]
-    outputs = run_backward_group(members, ensemble, xi, batch, basis,
-                                 labels=[f"scheme {run.label!r}" for run in runs])
+    members = [(run.scheme, _tamed(cfg, run, grid.h), f"scheme {run.label!r}", False)
+               for run in runs]
+    mins, maxs = np.full((2, len(runs), n + 1), np.nan)
+
+    def reduce_level(_, i: int, levels: list) -> None:
+        for k, y in enumerate(levels):
+            if y is not None:
+                mins[k, i], maxs[k, i] = path_extrema(y)
+
+    stream_backward([group + (members,)], basis, reduce_level)
     rows: list[ExtremaRow] = []
     conditions = []
-    for run, output in zip(runs, outputs):
-        rows += _extrema_rows(run.label, positivity_report(output), grid.times)
+    for k, run in enumerate(runs):
+        rows += _extrema_rows(run.label, mins[k], maxs[k], grid.times)
         cond = grid.h * derive_constants(_tamed(cfg, run, grid.h)).l_y
         conditions.append((run.label, cond, cond < 1.0))
     return PositivityStudyReport(rows=rows, conditions=conditions, backend="regression")
@@ -276,19 +286,27 @@ def positivity_study(cfg: ExperimentConfig) -> PositivityStudyReport:
 
 def tree_oracle_study(cfg: ExperimentConfig) -> PositivityStudyReport:
     """Exact-tree counterpart of the positivity study (Rademacher noise,
-    half/half conditional expectations, no regression error)."""
+    half/half conditional expectations, no regression error).  Each run
+    streams its levels (`tree_exact_run` with a callback), each reduced to
+    its extrema when it is reached, so no run keeps its Y or Z."""
     from .trees import build_tree
 
     if len(cfg.grids) != 1:
         raise ConfigError("tree oracle expects exactly one grid size")
-    grid = build_grid(cfg.horizon, cfg.grids[0])
+    n = cfg.grids[0]
+    grid = build_grid(cfg.horizon, n)
     tree = build_tree(cfg.sde, grid)
     rows: list[ExtremaRow] = []
     conditions = []
     for run in sorted(cfg.schemes, key=lambda s: s.label):
         tamed = _tamed(cfg, run, grid.h)
-        output = tree_exact_run(run.scheme, tamed, tree, cfg.terminal, f"scheme {run.label!r}")
-        rows += _extrema_rows(run.label, positivity_report(output), grid.times)
+        mins, maxs = np.full((2, n + 1), np.nan)
+
+        def reduce_level(i: int, y: np.ndarray) -> None:
+            mins[i], maxs[i] = np.min(y), np.max(y)
+
+        tree_exact_run(run.scheme, tamed, tree, cfg.terminal, f"scheme {run.label!r}", reduce_level)
+        rows += _extrema_rows(run.label, mins, maxs, grid.times)
         cond = step_size_condition(run.scheme, tamed, 1.0 / math.sqrt(grid.h))
         conditions.append((run.label, cond, cond < 1.0))
     return PositivityStudyReport(rows=rows, conditions=conditions, backend="tree")

@@ -522,6 +522,28 @@ def test_exploding_tree_run_bitwise_equals_reference_loop(layout):
     assert out.exploded and 0 < out.first_bad_step < grid.steps - 1
 
 
+@pytest.mark.parametrize("layout", sorted(TREE_SDES))
+def test_streamed_tree_run_reports_the_stored_levels(layout):
+    # with a callback the run keeps no level, reports each one it reaches
+    # (none past an explosion) and still returns its iteration counts
+    grid = build_grid(1.0, 9)
+    tree = build_tree(TREE_SDES[layout], grid)
+    tamed = TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h)
+    for scheme, terminal in ((SchemeSpec(kind="implicit"), TerminalSpec((0.0, 1.0))),
+                             (SchemeSpec(kind="explicit_untamed", theta_prime=0.5),
+                              TerminalSpec((0.0, 0.0, 0.0, 30.0)))):
+        stored = tree_exact_run(scheme, tamed, tree, terminal)
+        seen = {}
+        out = tree_exact_run(scheme, tamed, tree, terminal, reached=seen.__setitem__)
+        assert out.Y is None and out.Z is None
+        last = stored.first_bad_step if stored.exploded else -1
+        assert list(seen) == list(range(grid.steps, last, -1))
+        assert all(seen[i].tobytes() == stored.Y[i].tobytes() for i in seen)
+        assert out.implicit_iterations.tobytes() == stored.implicit_iterations.tobytes()
+        assert (out.exploded, out.first_bad_step) == (stored.exploded, stored.first_bad_step)
+    assert stored.exploded and stored.first_bad_step > 0
+
+
 def _count_driver_calls(monkeypatch):
     calls = {"__call__": 0, "tamed_y_part": 0}
     for name in calls:

@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import tamedbsde
 from tamedbsde.cli import main
 
@@ -173,6 +175,18 @@ def test_implicit_non_convergence_is_numerical_failure(tmp_path, capsys):
     # the finest grid's last step comes first
     assert "scheme 'implicit' (N=8): implicit solve did not converge at path" in err
     assert err.rstrip().endswith("step 7")
+
+
+@pytest.mark.parametrize("command", ["positivity", "tree-oracle"])
+def test_streamed_study_implicit_non_convergence_is_numerical_failure(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONV.format(out=tmp_path / "x.csv").replace("grids = 4,8", "grids = 8")
+                   + "scheme.1.implicit_max_iter = 1\n")
+    assert main([command, str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: scheme 'implicit': implicit solve did not converge at path ")
+    assert err.rstrip().endswith("step 7")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_proxy_explosion_is_numerical_failure(tmp_path, capsys):

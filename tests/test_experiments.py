@@ -14,20 +14,23 @@ from tamedbsde import (
     TerminalSpec,
     aggregate_to_grid,
     build_grid,
+    build_tree,
     convergence_study,
     emit_csv,
     euler_simulate,
     parse_config,
     polynomial_driver,
+    positivity_report,
     positivity_study,
     run_backward_group,
     sample_increments,
     terminal_values,
+    tree_exact_run,
     tree_oracle_study,
     verify_taming_study,
 )
 from tamedbsde.config import ExperimentConfig
-from tamedbsde.experiments import ErrorReport, ErrorRow
+from tamedbsde.experiments import ErrorReport, ErrorRow, ExtremaRow
 from tamedbsde.regression import BasisSpec
 
 
@@ -288,6 +291,122 @@ def test_tree_oracle_study_runs():
     assert min(row.min_y for row in report.rows) >= 0.0
     label, cond, ok = report.conditions[0]
     assert label == "outer" and ok and cond < 1.0
+
+
+UNTAMED = SchemeRun("untamed", SchemeSpec(kind="explicit_untamed"), TamingSpec(kind="none"))
+
+
+def _row_bits(rows):
+    return [(row.scheme, row.index, np.array([row.t, row.min_y, row.max_y]).tobytes())
+            for row in rows]
+
+
+def _stored_rows(runs, outputs, times):
+    """Extrema rows of stored outputs, each level reduced by the axis-0
+    min and max over a path-major copy of Y (over nodes on a tree), which
+    positivity_report must agree with."""
+    rows = []
+    for run, out in zip(runs, outputs):
+        if isinstance(out.Y, list):
+            mins, maxs = [np.min(v) for v in out.Y], [np.max(v) for v in out.Y]
+        else:
+            Y = np.ascontiguousarray(out.Y)
+            mins, maxs = np.min(Y, axis=0), np.max(Y, axis=0)
+        report = positivity_report(out)
+        assert report.per_step_min.tobytes() == np.asarray(mins).tobytes()
+        assert report.per_step_max.tobytes() == np.asarray(maxs).tobytes()
+        rows += [ExtremaRow(run.label, i, float(times[i]), float(mins[i]), float(maxs[i]))
+                 for i in range(len(mins) - 1, -1, -1)]
+    return rows
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(kind="truncated_gaussian", radius0=2.0)],
+                         ids=["gaussian", "truncated"])
+def test_streamed_positivity_study_bitwise_equals_stored_outputs(noise):
+    # the untamed scheme explodes mid-run: its levels from step 6 down are NaN
+    cfg = small_config(terminal=TerminalSpec((0.0, 0.0, 0.0, 1.0)), grids=[12], noise=noise,
+                       schemes=small_config().schemes + [UNTAMED])
+    grid = build_grid(cfg.horizon, 12)
+    batch = sample_increments(grid, cfg.paths, 1, cfg.seed, cfg.noise)
+    ens = euler_simulate(cfg.sde, grid, batch)
+    runs = sorted(cfg.schemes, key=lambda run: run.label)
+    members = [(run.scheme, TamedDriver(cfg.driver, run.taming, grid.h)) for run in runs]
+    outputs = run_backward_group(members, ens, terminal_values(cfg.terminal, ens), batch,
+                                 BasisSpec(size=cfg.basis_size, standardize=cfg.basis_standardize))
+    assert [out.first_bad_step for out in outputs] == [None, None, 6]
+    report = positivity_study(cfg)
+    assert _row_bits(report.rows) == _row_bits(_stored_rows(runs, outputs, grid.times))
+    assert sum(np.isnan(row.min_y) for row in report.rows) == 7
+
+
+@pytest.mark.parametrize("sde", [SdeSpec(x0=0.5, diff_const=1.0),
+                                 SdeSpec(x0=0.2, drift_slope=0.5, diff_const=0.8)],
+                         ids=["recombining", "branching"])
+def test_streamed_tree_oracle_study_bitwise_equals_stored_runs(sde):
+    cfg = small_config(sde=sde, grids=[9], terminal=TerminalSpec((0.0, 0.0, 0.0, 30.0)),
+                       schemes=small_config().schemes + [UNTAMED])
+    grid = build_grid(cfg.horizon, 9)
+    tree = build_tree(sde, grid)
+    assert tree.recombining == (sde.drift_slope == 0.0)
+    runs = sorted(cfg.schemes, key=lambda run: run.label)
+    outputs = [tree_exact_run(run.scheme, TamedDriver(cfg.driver, run.taming, grid.h), tree, cfg.terminal)
+               for run in runs]
+    assert [out.exploded for out in outputs] == [False, False, True]
+    assert 0 < outputs[-1].first_bad_step < grid.steps - 1
+    report = tree_oracle_study(cfg)
+    assert _row_bits(report.rows) == _row_bits(_stored_rows(runs, outputs, grid.times))
+
+
+WIDE = """
+horizon = 1.0
+seed = 5
+sde.sigma = 1.25
+terminal.coeffs = 0,0,1
+driver.y_poly = 0,0,-1
+driver.m_y = 0
+driver.l_y = 1
+grids = 10
+paths = 20000
+basis.size = 12
+scheme.1.label = implicit
+scheme.1.kind = implicit
+scheme.1.taming = none
+scheme.2.label = inner
+scheme.2.kind = explicit_tamed
+scheme.2.taming = inner_proj
+scheme.2.r0 = 0.6
+scheme.3.label = outer
+scheme.3.kind = explicit_tamed
+scheme.3.taming = outer_proj
+scheme.3.r0 = 1.5
+scheme.4.label = mult_c
+scheme.4.kind = explicit_tamed
+scheme.4.taming = mult_c
+scheme.4.r0 = 1.2
+scheme.5.label = mult_d
+scheme.5.kind = explicit_tamed
+scheme.5.taming = mult_d
+scheme.5.r0 = 1.0
+"""
+
+
+def test_positivity_peak_memory_is_paths_designs_and_two_levels():
+    # X, dW and H (dW only until Euler has run); next to them, one step's
+    # design, its SVD factor, LAPACK's copy and the fitted values, and two
+    # live levels of Y per scheme, no Z
+    import tracemalloc
+
+    cfg = parse_config(WIDE)
+    n, schemes = cfg.grids[0], len(cfg.schemes)
+    row = cfg.paths * 8  # bytes of one level of one array
+    bound = ((n + 1) + 2 * n + 4 * cfg.basis_size + 2 * schemes) * row
+    tracemalloc.start()
+    try:
+        positivity_study(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_verify_taming_witness_behavior():
