@@ -137,19 +137,25 @@ def _solve_implicit(driver: TamedDriver, t: float, c, z, h: float,
                     scheme: str | None = None) -> tuple[np.ndarray, int]:
     """Solve y = c + f^h(t, y, z) h elementwise.
 
-    Damped fixed-point iteration while the local contraction factor
-    h |d f^h/dy| stays below 1/2, Newton otherwise; Newton steps that grow
-    the residual are halved.  Under the step guard h max(0, M_y) < 1 the map
-    y -> y - h f^h(y) is strictly increasing, so the root is unique.
+    Every iteration takes the safeguarded Newton step
+    y - r / max(1 - h f^h'(y), 0.1) from the current iterate, r being the
+    residual y - c - h f^h(y); a step that grows the residual is halved.
+    Under the step guard h max(0, M_y) < 1 the map y -> y - h f^h(y) is
+    strictly increasing, so the root is unique.
 
-    A path's y is frozen once its residual meets the tolerance (the same y
-    gives the same residual).  Converged paths leave the iteration once
-    they make up three quarters of it (dropping entries costs several
-    elementwise passes), so later iterations work mostly on unconverged
-    paths.  f^h and the residual at the candidate carry into the next
-    iteration; they are evaluated again only where the step was halved.
-    The Newton candidate is built only when some path needs it, and the
-    halved-step blend only when some step got worse.
+    Polished acceptance: a path whose residual meets the tolerance is
+    frozen at the Newton update of that iterate, which the iteration
+    computes anyway (at the iterate itself where the update is not finite).
+    The residual is convex for the usual drivers, so Newton approaches the
+    root from one side; freezing the iterate would leave its stopping error
+    in y, and that error adds up over the levels of a long run.
+
+    Converged paths leave the iteration once they make up three quarters
+    of it (dropping entries costs several elementwise passes), so later
+    iterations work mostly on unconverged paths.  The residual at the
+    candidate carries into the next iteration; f^h is evaluated again only
+    where the step was halved, and the halved-step blend is built only when
+    some step got worse.
     """
     ctil = c + h * driver.base.z_coeff * np.asarray(z, dtype=float)
     y = ctil.copy()
@@ -158,57 +164,50 @@ def _solve_implicit(driver: TamedDriver, t: float, c, z, h: float,
     # to y (until the first drop, `frozen` is y itself)
     active, live = np.arange(y.size), np.ones(y.size, dtype=bool)
     ya, ca, frozen = y, ctil, y
-    fy = driver.tamed_y_part(ya)
-    res = ya - ca - h * fy
+    res = ya - ca - h * driver.tamed_y_part(ya)
     abs_res = np.abs(res)
     iterations = 0
     for it in range(max_iter):
         iterations = it + 1
+        # the Newton update of every iterate, built in place
+        y_next = np.multiply(h, driver.y_slope(ya))
+        np.subtract(1.0, y_next, out=y_next)
+        np.maximum(y_next, 0.1, out=y_next)
+        np.divide(res, y_next, out=y_next)
+        np.subtract(ya, y_next, out=y_next)
         threshold = np.abs(ya)
         threshold += 1.0
         threshold *= tol
         newly = abs_res <= threshold
         newly &= live
         if newly.any():
-            np.copyto(frozen, ya, where=newly)
+            np.copyto(frozen, np.where(np.isfinite(y_next), y_next, ya), where=newly)
             live ^= newly
             left = np.count_nonzero(live)
             if left == 0:
                 break
             if left <= 0.25 * live.size:
                 y[active] = frozen
-                active, ya, ca, fy = active[live], ya[live], ca[live], fy[live]
+                active, ya, ca, y_next = active[live], ya[live], ca[live], y_next[live]
                 res, abs_res, frozen = res[live], abs_res[live], frozen[live]
                 live = np.ones(ya.size, dtype=bool)
-        h_slope = h * driver.y_slope(ya)
-        y_next = h * fy
-        y_next += ca
-        # a NaN slope fails the test and takes the Newton step
-        fixed_point = np.abs(h_slope) <= 0.5
-        if not fixed_point.all():
-            newton = np.subtract(1.0, h_slope, out=h_slope)
-            np.maximum(newton, 0.1, out=newton)
-            np.divide(res, newton, out=newton)
-            np.subtract(ya, newton, out=newton)
-            np.copyto(y_next, newton, where=~fixed_point)
-        fy = driver.tamed_y_part(y_next)
         # halve steps that made the residual worse; the residual carries into
         # the next iteration and is recomputed only where the step was halved
         res = y_next - ca
-        res -= h * fy
+        res -= h * driver.tamed_y_part(y_next)
         abs_next = np.abs(res)
         worse = abs_next > abs_res
         worse &= live
         abs_res = abs_next
         if worse.any():
             ya = np.where(worse, 0.5 * (ya + y_next), y_next)
-            fy[worse] = driver.tamed_y_part(ya[worse])
-            res[worse] = ya[worse] - ca[worse] - h * fy[worse]
+            res[worse] = ya[worse] - ca[worse] - h * driver.tamed_y_part(ya[worse])
             abs_res[worse] = np.abs(res[worse])
         else:
             ya = y_next
     else:
-        # out of iterations: the unconverged entries keep their last iterate
+        # out of iterations: the live entries keep their last iterate, as it
+        # is; those outside the tolerance fail
         np.copyto(frozen, ya, where=live)
         bad = live & (abs_res > tol * (1.0 + np.abs(ya)))
         if bad.any():

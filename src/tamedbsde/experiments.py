@@ -9,6 +9,7 @@ the proxy can be evaluated at coarse grid points without interpolation.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -303,7 +304,7 @@ def tree_oracle_study(cfg: ExperimentConfig) -> PositivityStudyReport:
         mins, maxs = np.full((2, n + 1), np.nan)
 
         def reduce_level(i: int, y: np.ndarray) -> None:
-            mins[i], maxs[i] = np.min(y), np.max(y)
+            mins[i], maxs[i] = y.min(), y.max()
 
         tree_exact_run(run.scheme, tamed, tree, cfg.terminal, f"scheme {run.label!r}", reduce_level)
         rows += _extrema_rows(run.label, mins, maxs, grid.times)
@@ -350,10 +351,7 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return f"{v:.12g}"
+        return f"{float(value):.12g}"  # also "inf", "-inf" and "nan"
     return str(value)
 
 
@@ -394,9 +392,9 @@ def emit_csv(report, path: str, inline_timing: bool = False) -> None:
         _write_lines(_timings_path(path), timing_lines)
     elif isinstance(report, PositivityStudyReport):
         lines.append(EXTREMA_HEADER)
-        for row in report.rows:
-            lines.append(",".join([
-                row.scheme, _fmt(row.index), _fmt(row.t), _fmt(row.min_y), _fmt(row.max_y)]))
+        # the fields are str, int and float: _fmt's formats, without its dispatch
+        lines += [f"{row.scheme},{row.index},{row.t:.12g},{row.min_y:.12g},{row.max_y:.12g}"
+                  for row in report.rows]
         _write_lines(path, lines)
     elif isinstance(report, TamingReport):
         lines.append(TAMING_HEADER)
@@ -413,5 +411,15 @@ def emit_csv(report, path: str, inline_timing: bool = False) -> None:
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write the lines to a temporary file in the target directory, then
+    rename it over `path`: a write that fails leaves the old file as it
+    was and removes the temporary one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

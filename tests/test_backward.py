@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -306,31 +308,31 @@ def test_implicit_non_convergence_names_path_and_step():
 
 
 def _dense_solve_implicit(driver, c, z, h, tol, max_iter, step):
-    """The implicit solve iterating on every path until all have converged:
-    the reference the active-set solve must reproduce bit for bit."""
+    """The implicit solve iterating on every path until all have converged,
+    each path frozen at the Newton update of the iterate that met the
+    tolerance (at the iterate where that update is not finite): the
+    reference the active-set solve must reproduce bit for bit."""
     from tamedbsde.backward import ImplicitSolverError
 
     ctil = c + h * driver.base.z_coeff * np.asarray(z, dtype=float)
     y = ctil.copy()
+    live = np.ones(y.size, dtype=bool)
     iterations = 0
     for it in range(max_iter):
         iterations = it + 1
-        fy = driver.tamed_y_part(y)
-        res = y - ctil - h * fy
-        done = np.abs(res) <= tol * (1.0 + np.abs(y))
-        if done.all():
+        res = y - ctil - h * driver.tamed_y_part(y)
+        newton = y - res / np.maximum(1.0 - h * driver.y_slope(y), 0.1)
+        done = live & (np.abs(res) <= tol * (1.0 + np.abs(y)))
+        y = np.where(done & np.isfinite(newton), newton, y)
+        live &= ~done
+        if not live.any():
             break
-        slope = driver.y_slope(y)
-        fp_next = ctil + h * fy
-        newton_next = y - res / np.maximum(1.0 - h * slope, 0.1)
-        y_next = np.where(h * np.abs(slope) <= 0.5, fp_next, newton_next)
-        res_next = y_next - ctil - h * driver.tamed_y_part(y_next)
+        res_next = newton - ctil - h * driver.tamed_y_part(newton)
         worse = np.abs(res_next) > np.abs(res)
-        y_next = np.where(worse, 0.5 * (y + y_next), y_next)
-        y = np.where(done, y, y_next)
+        y = np.where(live, np.where(worse, 0.5 * (y + newton), newton), y)
     else:
         res = y - ctil - h * driver.tamed_y_part(y)
-        bad = np.abs(res) > tol * (1.0 + np.abs(y))
+        bad = live & (np.abs(res) > tol * (1.0 + np.abs(y)))
         if bad.any():
             raise ImplicitSolverError(int(np.argmax(bad)), step)
     return y, iterations
@@ -392,14 +394,70 @@ def test_implicit_solve_evaluates_the_driver_once_per_iteration(monkeypatch):
 
     monkeypatch.setattr(TamedDriver, "tamed_y_part", counting)
     h = 0.25
-    # f = -y contracts (h |f'| <= 1/2): fixed-point steps, none of them halved
-    driver = untamed(LINEAR, h)
-    c = np.linspace(-3.0, 3.0, 101)
+    # f = -y^3: the residual y + h y^3 - c is convex where it is positive,
+    # so Newton from y = c falls monotonically and no step is halved
+    driver = untamed(CUBIC, h)
+    c = np.linspace(-6.0, 6.0, 101)
     y, it = _solve_implicit(driver, 0.0, c, np.zeros_like(c), h, 1e-12, 50, 0)
-    np.testing.assert_allclose(y, c / (1.0 + h), rtol=1e-11, atol=1e-11)
+    np.testing.assert_allclose(y + h * y**3, c, rtol=1e-11, atol=1e-11)
     # f^h at the start, then once per further iteration at the candidate
     assert it > 5
     assert len(calls) == it
+
+
+def test_polished_acceptance_keeps_an_iterate_whose_newton_update_is_not_finite():
+    from tamedbsde.backward import _solve_implicit
+
+    # mult_a damps f^h to about -r at y = +-1e80, so y = c meets the
+    # tolerance at once, but its slope overflows to NaN there: the solve
+    # keeps the iterate instead of turning a finite value into NaN
+    h = 0.25
+    driver = TamedDriver(CUBIC, TamingSpec(kind="mult_a"), h)
+    c = np.array([1e80, -1e80, 0.5])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(driver.y_slope(c[:2])).all()
+        y, it = _solve_implicit(driver, 0.0, c, np.zeros_like(c), h, 1e-12, 50, 0)
+    assert np.array_equal(y[:2], c[:2])
+    assert np.isfinite(y).all() and it > 1
+
+
+needs_long_double = pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                                       reason="long double is no wider than float64 here")
+
+
+def _long_double_root(poly, h, c):
+    """Root of y - c - h f(y), f = sum_k poly[k] y^k, by Newton in long
+    double, from y = c."""
+    coeffs = [np.longdouble(a) for a in poly]
+    y = np.asarray(c, dtype=np.longdouble)
+    for _ in range(200):
+        f = sum(a * y**k for k, a in enumerate(coeffs))
+        df = sum(k * a * y**(k - 1) for k, a in enumerate(coeffs) if k)
+        step = (y - c - h * f) / (1.0 - h * df)
+        y = y - step
+        if np.all(np.abs(step) <= np.finfo(np.longdouble).eps * np.abs(y)):
+            break
+    return y
+
+
+@pytest.mark.parametrize("poly, h, c", [
+    ((0.0, 0.0, -1.0), 0.1, np.linspace(0.0, 3.0, 301)),
+    ((0.0, 0.0, 0.0, -1.0), 0.125, np.linspace(-3.0, 3.0, 301)),
+    ((0.0, 0.0, 0.0, -1.0), 0.001, np.linspace(-30.0, 30.0, 301)),
+])
+@needs_long_double
+def test_implicit_solve_lands_on_the_long_double_root(poly, h, c):
+    from tamedbsde.backward import _solve_implicit
+
+    driver = untamed(polynomial_driver(list(poly)), h)
+    y, it = _solve_implicit(driver, 0.0, c, np.zeros_like(c), h, 1e-12, 50, 0)
+    root = _long_double_root(poly, h, c)
+    # the root rounded to float64 is within eps/2 of it; allow one more ulp
+    # for the solve's own rounding (the iterate the tolerance accepts is up
+    # to ~tol away, thousands of ulps)
+    bound = 2.0 * np.finfo(float).eps * np.abs(root)
+    assert np.all(np.abs(y.astype(np.longdouble) - root) <= bound)
+    assert it <= 6
 
 
 def test_one_tamed_y_part_per_explicit_step(monkeypatch):
@@ -542,6 +600,112 @@ def test_streamed_tree_run_reports_the_stored_levels(layout):
         assert out.implicit_iterations.tobytes() == stored.implicit_iterations.tobytes()
         assert (out.exploded, out.first_bad_step) == (stored.exploded, stored.first_bad_step)
     assert stored.exploded and stored.first_bad_step > 0
+
+
+# ---------------------------------------------------------------- closed-form ODE reference
+
+# A constant terminal value c and the x-free driver f = -y^3 make Z = 0 and
+# every conditional expectation exact, so the BSDE is the ODE y' = y^3
+# backward from y(T) = c: Y_0 = c / sqrt(1 + 2 c^2 T).  A scheme's root
+# error is its pure time-discretization error.
+ODE_LADDER = (8, 16, 32, 64, 128, 256)
+ODE_SCHEMES = {
+    "implicit": (SchemeSpec(kind="implicit"), "none"),
+    "untamed": (SchemeSpec(kind="explicit_untamed"), "none"),
+    "inner_proj": (SchemeSpec(kind="explicit_tamed"), "inner_proj"),
+    "outer_proj": (SchemeSpec(kind="explicit_tamed"), "outer_proj"),
+}
+MULT_KINDS = ("mult_a", "mult_b", "mult_c", "mult_d")
+
+
+def _ode_run(scheme, kind, c, steps):
+    grid = build_grid(1.0, steps)
+    tree = build_tree(SdeSpec(x0=0.0, diff_const=1.0), grid)
+    return tree_exact_run(scheme, TamedDriver(CUBIC, TamingSpec(kind=kind), grid.h),
+                          tree, TerminalSpec((c,)))
+
+
+def _ode_errors(scheme, kind, c=1.0):
+    exact = c / math.sqrt(1.0 + 2.0 * c * c)
+    return np.array([_ode_run(scheme, kind, c, n).root_value - exact for n in ODE_LADDER])
+
+
+def _slope(errors):
+    return np.polyfit(np.log([1.0 / n for n in ODE_LADDER]), np.log(np.abs(errors)), 1)[0]
+
+
+@pytest.mark.parametrize("name", sorted(ODE_SCHEMES))
+def test_ode_reference_first_order(name):
+    errors = _ode_errors(*ODE_SCHEMES[name])
+    # first order in h: measured 0.98 (implicit) and 1.02 (the explicit ones)
+    assert 0.9 <= _slope(errors) <= 1.1
+    assert np.all(np.abs(errors[1:]) < np.abs(errors[:-1]))
+
+
+def test_ode_reference_multiplicative_taming_bias():
+    untamed_errors = _ode_errors(SchemeSpec(kind="explicit_untamed"), "none")
+    # the explicit Euler step decays too much (Y_0 too low), the damping
+    # of f too little (Y_0 too high), so at coarse h the two biases cancel
+    # in part: mult_a and mult_c fall only from N = 16 on (+0.9 % from
+    # N = 8 to 16).  At exponent 1/2 the slopes over the ladder are 0.28
+    # (mult_a, mult_c) and 0.34 (mult_b, mult_d), well below 1.
+    assert np.all(untamed_errors < 0.0)
+    for kind in MULT_KINDS:
+        errors = _ode_errors(SchemeSpec(kind="explicit_tamed"), kind)
+        assert np.all(errors > 0.0), kind
+        assert np.all(errors[2:] < errors[1:-1]), kind
+        bias = errors - untamed_errors  # the taming's own share
+        assert np.all(bias[1:] < bias[:-1]), kind
+        assert 0.2 <= _slope(errors) <= 0.4, kind
+
+
+@pytest.mark.parametrize("c, steps, explodes", [(6.0, 8, True), (6.0, 16, True), (5.0, 16, False)])
+def test_ode_reference_explosion_threshold(c, steps, explodes):
+    # y - h y^3 overshoots and grows without bound once h c^2 > 2
+    assert (c * c / steps > 2.0) == explodes
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _ode_run(SchemeSpec(kind="explicit_untamed"), "none", c, steps).exploded == explodes
+    assert not _ode_run(SchemeSpec(kind="implicit"), "none", c, steps).exploded
+    for kind in ("inner_proj", "outer_proj") + MULT_KINDS:
+        assert not _ode_run(SchemeSpec(kind="explicit_tamed"), kind, c, steps).exploded, kind
+
+
+def _tree_ladder_implicit(steps):
+    """The implicit run of the tree_ladder benchmark workload
+    (perfbench/configs/tree_ladder.cfg: x0 = 0.5, sigma = 1, g(x) = x,
+    f = -y^3), with its tree."""
+    grid = build_grid(1.0, steps)
+    tree = build_tree(SdeSpec(x0=0.5, diff_const=1.0), grid)
+    return tree, tree_exact_run(SchemeSpec(kind="implicit"), untamed(CUBIC, grid.h), tree,
+                                TerminalSpec((0.0, 1.0)))
+
+
+@needs_long_double
+def test_implicit_tree_run_matches_a_long_double_recursion():
+    # the run at N = 250 against the same recursion in long double, each
+    # level solved by Newton to long-double precision
+    steps = 250
+    tree, out = _tree_ladder_implicit(steps)
+    h = np.longdouble(tree.grid.h)
+    y = tree.levels[steps].astype(np.longdouble)  # g(x) = x
+    for i in range(steps - 1, -1, -1):
+        y = _long_double_root((0.0, 0.0, 0.0, -1.0), h, 0.5 * (y[:-1] + y[1:]))
+        # a few ulps of rounding per level (child average and solve), damped
+        # by the decaying driver; the tolerance-stopped solve left ~1e-10
+        bound = 64 * np.finfo(float).eps * np.max(np.abs(y))
+        assert np.max(np.abs(out.Y[i].astype(np.longdouble) - y)) <= bound, i
+
+
+def test_implicit_tree_roots_match_the_benchmark_reference():
+    # the roots the benchmark's tree check compares, to its 1e-10
+    reference_path = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                                  "tree_reference.json")
+    with open(reference_path, encoding="utf-8") as fh:
+        reference = json.load(fh)["implicit"]
+    for steps in (250, 500, 1000):
+        out = _tree_ladder_implicit(steps)[1]
+        want = reference[str(steps)]
+        assert abs(out.root_value - want) <= 1e-10 * abs(want), steps
 
 
 def _count_driver_calls(monkeypatch):

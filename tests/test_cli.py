@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -111,6 +112,22 @@ def test_unwritable_output_exit_code(tmp_path, capsys):
     cfg = write(tmp_path, "c.cfg", CONV, str(tmp_path / "no" / "dir" / "x.csv"))
     assert main(["converge", cfg]) == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_failed_write_keeps_the_old_output(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "tree.csv"
+    cfg = write(tmp_path, "t.cfg", POSITIVITY, out)
+    out.write_text("old\n")
+
+    def failing_replace(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main(["tree-oracle", cfg]) == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert out.read_text() == "old\n"
+    # the temporary file written next to it is gone
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.cfg", "tree.csv"]
 
 
 def test_unknown_scheme_kind_is_config_error(tmp_path):
