@@ -78,15 +78,10 @@ class SchemeDiagnostics:
 
 @dataclass
 class SchemeOutput:
-    """Per-path output: Y is (paths, N+1), Z is (paths, N, 1); wallclock_ms
-    is the scheme's share of its backward pass (see run_backward_group).
-
-    Y and Z are stored level-major: they are F-ordered transposed views of
-    the C-ordered (N+1, paths) and (N, paths) arrays the recursion writes a
-    row at a time, so Y[:, i] and Z[:, i, 0] are contiguous rows.
-    np.ascontiguousarray gives a path-major C-order copy where a caller
-    needs one.
-    """
+    """Per-path output: Y is (N+1, paths) and Z is (N, paths), row i
+    holding Y_i and Z_i of every path, C-ordered as the recursion writes
+    them; wallclock_ms is the scheme's share of its backward pass (see
+    run_backward_group)."""
 
     Y: np.ndarray
     Z: np.ndarray
@@ -223,7 +218,7 @@ class _LsmcOperator:
     """Hermite least squares on paths, each its own child: one design and
     factorization of X_i per step serve every scheme of a lockstep group.
     A non-finite target (the scheme exploded) projects to NaN, with no fit.
-    X and H are level-major: row i of X holds X_i, row i of H holds H_{i+1}."""
+    Row i of X holds X_i, row i of H holds H_{i+1}."""
 
     def __init__(self, basis: BasisSpec | None, X: np.ndarray, H: np.ndarray):
         self.basis = basis
@@ -299,8 +294,7 @@ class _TreeOperator:
 
 def _path_operator(basis: BasisSpec | ExactTreeBasis, ensemble: PathEnsemble,
                    batch: IncrementBatch) -> _LsmcOperator:
-    # the transposes of the public views: level-major, rows contiguous
-    X, H = ensemble.X.T, batch.H[:, :, 0].T
+    X, H = ensemble.X, batch.H
     if not isinstance(basis, ExactTreeBasis):
         return _LsmcOperator(basis, X, H)
     if X.shape[1] != 2**basis.steps:
@@ -421,17 +415,14 @@ def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: 
     scheme still running takes its Z projection, then its Y projection,
     from it.  Each target is projected on its own, so a scheme's output
     does not depend on the rest of the group or its order.  An exploding
-    scheme's columns from its first bad step down are NaN.
-
-    Y and Z are written a row (one level of every path) at a time into
-    level-major arrays, and returned as their transposed views.  `labels`
-    name the members in error messages.
+    scheme's rows from its first bad step down are NaN.  `labels` name the
+    members in error messages.
     """
     grid = ensemble.grid
     n = grid.steps
-    paths = ensemble.X.shape[0]
-    if batch.dW.shape != (paths, n, 1):
-        raise ValueError(f"increment batch shape {batch.dW.shape} does not match ({paths}, {n}, 1)")
+    paths = ensemble.X.shape[1]
+    if batch.dW.shape != (n, paths):
+        raise ValueError(f"increment batch shape {batch.dW.shape} does not match ({n}, {paths})")
     if xi.shape != (paths,):
         raise ValueError(f"terminal values have shape {xi.shape}, expected ({paths},)")
     runs = []
@@ -447,7 +438,7 @@ def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: 
             # the levels it never reached
             run.Y[:run.first_bad + 1] = np.nan
             run.Z[:run.first_bad + 1] = np.nan
-    return [_output(run, run.Y.T, run.Z.T[:, :, None]) for run in runs]
+    return [_output(run, run.Y, run.Z) for run in runs]
 
 
 def stream_backward(groups: list[tuple], basis: BasisSpec, reached) -> list[list[SchemeOutput]]:
@@ -456,8 +447,7 @@ def stream_backward(groups: list[tuple], basis: BasisSpec, reached) -> list[list
     does not read: one level of Y per scheme between its steps, no Z.
 
     `groups` holds (grid, X, H, xi, members) per grid, the grids nested and
-    finest first: X and H level-major, (N+1, paths) and (N, paths) (the
-    transposes of PathEnsemble.X and IncrementBatch.H[:, :, 0]), xi the
+    finest first: X and H as in PathEnsemble.X and IncrementBatch.H, xi the
     terminal values and members (scheme, driver, label, required) tuples; a
     required member raises SchemeExplodedError where it explodes.  Each time
     grid g reaches level i, `reached(g, i, levels)` gets Y_i of every member,
@@ -526,7 +516,8 @@ def tree_exact_run(scheme: SchemeSpec, tamed: TamedDriver, tree: TreeModel,
 
 @dataclass
 class ZetaDiagnostic:
-    """zeta_i, the gap D_i = Z_i - zeta_i, and its L2 norms E|D_i|^2 h."""
+    """zeta_i, the gap D_i = Z_i - zeta_i, and its L2 norms E|D_i|^2 h;
+    zeta and D are (N, paths) on paths and lists of levels on a tree."""
 
     zeta: np.ndarray | list
     D: np.ndarray | list
@@ -546,12 +537,12 @@ def zeta_diagnostic(output, tamed: TamedDriver, *, ensemble: PathEnsemble | None
         raise ValueError("zeta diagnostic needs a run that completed without explosion")
     on_tree = isinstance(output, TreeSchemeOutput)
     if on_tree:
-        grid, op, Y, Z = output.tree.grid, _TreeOperator(output.tree), output.Y, output.Z
+        grid, op = output.tree.grid, _TreeOperator(output.tree)
     else:
         if ensemble is None or batch is None or basis is None:
             raise ValueError("path-ensemble zeta diagnostic needs ensemble, batch and basis")
         grid, op = ensemble.grid, _path_operator(basis, ensemble, batch)
-        Y, Z = output.Y.T, output.Z[:, :, 0].T
+    Y, Z = output.Y, output.Z
 
     h, z_coeff = grid.h, tamed.base.z_coeff
     zeta, D = [], []
@@ -566,9 +557,10 @@ def zeta_diagnostic(output, tamed: TamedDriver, *, ensemble: PathEnsemble | None
         weights = output.tree.level_weights
         norms = np.array([float(np.sum(weights(i) * d**2) * h) for i, d in enumerate(D)])
     else:
-        # (paths, N) in C order: the axis-0 mean adds the paths up in order
-        zeta, D = np.stack(zeta, axis=1), np.stack(D, axis=1)
-        norms = np.mean(D**2, axis=0) * h
+        # the axis-0 mean of a path-major copy adds the paths up in order for
+        # N >= 2 and pairwise for N = 1: no single row-wise sum gives both
+        norms = np.mean(np.stack(D, axis=1) ** 2, axis=0) * h
+        zeta, D = np.stack(zeta), np.stack(D)
     return ZetaDiagnostic(zeta=zeta, D=D, norms=norms)
 
 
@@ -697,5 +689,5 @@ def positivity_report(output) -> PositivityReport:
         mins = np.array([np.min(level) for level in output.Y])
         maxs = np.array([np.max(level) for level in output.Y])
     else:
-        mins, maxs = map(np.array, zip(*map(path_extrema, output.Y.T)))
+        mins, maxs = map(np.array, zip(*map(path_extrema, output.Y)))
     return PositivityReport(per_step_min=mins, per_step_max=maxs)

@@ -83,6 +83,23 @@ def _parse_pairs(text: str) -> dict[str, str]:
 
 
 _REQUIRED = object()
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _getter(convert, expected: str):
+    """A _Reader method: the value of a key through `convert`, or the
+    default as given; a value `convert` rejects is a ConfigError."""
+
+    def get(self, key, default=_REQUIRED):
+        v = self.str_(key, default)
+        if not isinstance(v, str):
+            return v
+        try:
+            return convert(v)
+        except (KeyError, ValueError):
+            raise ConfigError(f"key {key!r}: expected {expected}, got {v!r}") from None
+
+    return get
 
 
 class _Reader:
@@ -90,7 +107,7 @@ class _Reader:
         self.pairs = pairs
         self.seen: set[str] = set()
 
-    def _take(self, key, default):
+    def str_(self, key, default=_REQUIRED):
         self.seen.add(key)
         if key in self.pairs:
             return self.pairs[key]
@@ -98,56 +115,11 @@ class _Reader:
             raise ConfigError(f"missing required key {key!r}")
         return default
 
-    def str_(self, key, default=_REQUIRED):
-        v = self._take(key, default)
-        return v
-
-    def float_(self, key, default=_REQUIRED):
-        v = self._take(key, default)
-        if not isinstance(v, str):
-            return v
-        try:
-            return float(v)
-        except ValueError:
-            raise ConfigError(f"key {key!r}: expected a number, got {v!r}") from None
-
-    def int_(self, key, default=_REQUIRED):
-        v = self._take(key, default)
-        if not isinstance(v, str):
-            return v
-        try:
-            return int(v)
-        except ValueError:
-            raise ConfigError(f"key {key!r}: expected an integer, got {v!r}") from None
-
-    def bool_(self, key, default=_REQUIRED):
-        v = self._take(key, default)
-        if not isinstance(v, str):
-            return v
-        low = v.lower()
-        if low in ("true", "yes", "1"):
-            return True
-        if low in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"key {key!r}: expected true/false, got {v!r}")
-
-    def float_list(self, key, default=_REQUIRED):
-        v = self._take(key, default)
-        if not isinstance(v, str):
-            return v
-        try:
-            return [float(part) for part in v.split(",")]
-        except ValueError:
-            raise ConfigError(f"key {key!r}: expected comma-separated numbers, got {v!r}") from None
-
-    def int_list(self, key, default=_REQUIRED):
-        v = self._take(key, default)
-        if not isinstance(v, str):
-            return v
-        try:
-            return [int(part) for part in v.split(",")]
-        except ValueError:
-            raise ConfigError(f"key {key!r}: expected comma-separated integers, got {v!r}") from None
+    float_ = _getter(float, "a number")
+    int_ = _getter(int, "an integer")
+    bool_ = _getter(lambda v: _BOOLS[v.lower()], "true/false")
+    float_list = _getter(lambda v: [float(part) for part in v.split(",")], "comma-separated numbers")
+    int_list = _getter(lambda v: [int(part) for part in v.split(",")], "comma-separated integers")
 
     def unknown_keys(self):
         return sorted(set(self.pairs) - self.seen)
@@ -227,7 +199,6 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         noise = NoiseModel(
             kind=kind,
-            brownian_dim=1,
             radius0=r.float_("noise.r0", default=2.0) if kind == TRUNCATED else None,
             use_log_schedule=r.bool_("noise.log_schedule", default=True) if kind == TRUNCATED else False,
         )

@@ -44,7 +44,7 @@ from .regression import BasisSpec
 def _sum_to_grids(batch: IncrementBatch, fine: PartitionGrid, coarse: list[PartitionGrid],
                   model: NoiseModel) -> list[np.ndarray]:
     """Fine-grid Brownian increments summed over the intervals of each coarse
-    grid, as level-major (steps, d, paths) arrays, in one pass over the batch.
+    grid, as (steps, paths) arrays, in one pass over the batch.
 
     The sums are taken path-major, block by block of paths: numpy adds each
     path's `stride` contiguous increments pairwise (from 8 on), which a sum
@@ -57,24 +57,24 @@ def _sum_to_grids(batch: IncrementBatch, fine: PartitionGrid, coarse: list[Parti
             raise ValueError(f"grids are not nested: {grid.steps} does not divide {fine.steps}")
         if model.kind == RADEMACHER:
             raise ValueError("rademacher increments do not aggregate across grids")
-    m, _, d = batch.dW.shape
-    summed = [np.empty((grid.steps, d, m)) for grid in coarse]
-    for a, b in path_blocks(m, fine.steps * d):
-        block = np.empty((b - a, fine.steps, d))
-        block.transpose(1, 2, 0)[...] = batch.dW[a:b].transpose(1, 2, 0)  # copied row by row
+    m = batch.dW.shape[1]
+    summed = [np.empty((grid.steps, m)) for grid in coarse]
+    for a, b in path_blocks(m, fine.steps):
+        block = np.empty((b - a, fine.steps))
+        block.T[...] = batch.dW[:, a:b]  # copied row by row
         for grid, out in zip(coarse, summed):
-            sums = block.reshape(b - a, grid.steps, fine.steps // grid.steps, d).sum(axis=2)
-            out[:, :, a:b] = sums.transpose(1, 2, 0)
+            sums = block.reshape(b - a, grid.steps, fine.steps // grid.steps).sum(axis=2)
+            out[:, a:b] = sums.T
     return summed
 
 
 def aggregate_to_grid(batch: IncrementBatch, fine: PartitionGrid, coarse: PartitionGrid,
                       model: NoiseModel) -> IncrementBatch:
     """Sum fine-grid Brownian increments over each coarse interval and
-    re-derive H at the coarse step size; the result is level-major (see
-    `_sum_to_grids` for the summation order)."""
+    re-derive H at the coarse step size (see `_sum_to_grids` for the
+    summation order)."""
     (summed,) = _sum_to_grids(batch, fine, [coarse], model)
-    return increments_from_dw(model, summed.transpose(2, 0, 1), coarse.h)
+    return increments_from_dw(model, summed, coarse.h)
 
 
 @dataclass(frozen=True)
@@ -148,20 +148,20 @@ def _tamed(cfg: ExperimentConfig, run: SchemeRun, h: float) -> TamedDriver:
 
 def _grid_paths(cfg: ExperimentConfig, grids: list[PartitionGrid]):
     """(X, H, xi) per grid, finest first, from one fine-grid simulation: X
-    and H level-major, xi the terminal values.  A grid's Brownian
-    increments are dropped after its Euler run, and its H is derived from
-    them only then, so at most one grid's increments are held next to the
-    finest grid's."""
+    and H of the grid's ensemble and batch, xi the terminal values.  A
+    grid's Brownian increments are dropped after its Euler run, and its H
+    is derived from them only then, so at most one grid's increments are
+    held next to the finest grid's."""
     fine = grids[0]
-    batch = sample_increments(fine, cfg.paths, 1, cfg.seed, cfg.noise)
+    batch = sample_increments(fine, cfg.paths, cfg.seed, cfg.noise)
     ensemble = euler_simulate(cfg.sde, fine, batch)
-    out = [(ensemble.X.T, batch.H[:, :, 0].T, terminal_values(cfg.terminal, ensemble))]
+    out = [(ensemble.X, batch.H, terminal_values(cfg.terminal, ensemble))]
     summed = _sum_to_grids(batch, fine, grids[1:], cfg.noise)
     del batch, ensemble
     for grid in grids[1:]:
-        coarse = increments_from_dw(cfg.noise, summed.pop(0).transpose(2, 0, 1), grid.h)
+        coarse = increments_from_dw(cfg.noise, summed.pop(0), grid.h)
         ensemble = euler_simulate(cfg.sde, grid, coarse)
-        out.append((ensemble.X.T, coarse.H[:, :, 0].T, terminal_values(cfg.terminal, ensemble)))
+        out.append((ensemble.X, coarse.H, terminal_values(cfg.terminal, ensemble)))
         del coarse, ensemble
     return out
 
@@ -179,8 +179,8 @@ def _proxy_runs(cfg: ExperimentConfig) -> list[SchemeRun]:
 
 def _mean_square(d: np.ndarray) -> float:
     """E|d|^2 over paths, added up path by path, in order (a cumulative sum
-    is sequential): the order of the axis-0 mean over a path-major array,
-    so the bits do not depend on the layout."""
+    is sequential): the order of the axis-0 mean over a path-major array
+    with two or more columns, so the bits do not depend on the layout."""
     return np.cumsum(d * d)[-1] / d.size
 
 
@@ -197,6 +197,9 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     explodes raises SchemeExplodedError at its step.  `cfg.threads` is not
     used: the sweep runs on one thread.
     """
+    if cfg.noise.kind == RADEMACHER and len(cfg.grids) > 1:
+        raise ConfigError(f"noise kind {RADEMACHER!r} does not aggregate across grids; "
+                          "the convergence study needs exactly one grid size with it")
     basis = BasisSpec(size=cfg.basis_size, standardize=cfg.basis_standardize)
     proxy_runs = _proxy_runs(cfg)
     proxy_index = [cfg.schemes.index(run) for run in proxy_runs]
@@ -259,9 +262,9 @@ def positivity_study(cfg: ExperimentConfig) -> PositivityStudyReport:
         raise ConfigError("positivity study expects exactly one grid size")
     n = cfg.grids[0]
     grid = build_grid(cfg.horizon, n)
-    batch = sample_increments(grid, cfg.paths, 1, cfg.seed, cfg.noise)
+    batch = sample_increments(grid, cfg.paths, cfg.seed, cfg.noise)
     ensemble = euler_simulate(cfg.sde, grid, batch)
-    group = (grid, ensemble.X.T, batch.H[:, :, 0].T, terminal_values(cfg.terminal, ensemble))
+    group = (grid, ensemble.X, batch.H, terminal_values(cfg.terminal, ensemble))
     del batch, ensemble  # dW is not needed after Euler
     basis = BasisSpec(size=cfg.basis_size, standardize=cfg.basis_standardize)
 
@@ -296,7 +299,10 @@ def tree_oracle_study(cfg: ExperimentConfig) -> PositivityStudyReport:
         raise ConfigError("tree oracle expects exactly one grid size")
     n = cfg.grids[0]
     grid = build_grid(cfg.horizon, n)
-    tree = build_tree(cfg.sde, grid)
+    try:
+        tree = build_tree(cfg.sde, grid)
+    except ValueError as exc:
+        raise ConfigError(f"N={n}: {exc}") from None
     rows: list[ExtremaRow] = []
     conditions = []
     for run in sorted(cfg.schemes, key=lambda s: s.label):
@@ -377,19 +383,12 @@ def emit_csv(report, path: str, inline_timing: bool = False) -> None:
     """
     lines = []
     if isinstance(report, ErrorReport):
-        lines.append(CONVERGENCE_HEADER)
-        for row in report.rows:
-            wall = row.wallclock_ms if inline_timing else 0.0
-            lines.append(",".join([
-                row.scheme, _fmt(row.steps), _fmt(row.h), _fmt(row.error),
-                _fmt(wall), _fmt(row.exploded), _fmt(row.seed)]))
-        _write_lines(path, lines)
-        timing_lines = [CONVERGENCE_HEADER]
-        for row in report.rows:
-            timing_lines.append(",".join([
-                row.scheme, _fmt(row.steps), _fmt(row.h), _fmt(row.error),
-                _fmt(row.wallclock_ms), _fmt(row.exploded), _fmt(row.seed)]))
-        _write_lines(_timings_path(path), timing_lines)
+        for target, timed in ((path, inline_timing), (_timings_path(path), True)):
+            _write_lines(target, [CONVERGENCE_HEADER] + [
+                ",".join([row.scheme, _fmt(row.steps), _fmt(row.h), _fmt(row.error),
+                          _fmt(row.wallclock_ms if timed else 0.0), _fmt(row.exploded),
+                          _fmt(row.seed)])
+                for row in report.rows])
     elif isinstance(report, PositivityStudyReport):
         lines.append(EXTREMA_HEADER)
         # the fields are str, int and float: _fmt's formats, without its dispatch

@@ -37,14 +37,11 @@ class SdeSpec:
     drift_slope: float = 0.0
     diff_const: float = 1.0
     diff_slope: float = 0.0
-    brownian_dim: int = 1
 
     def __post_init__(self):
         for name in ("x0", "drift_const", "drift_slope", "diff_const", "diff_slope"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"SdeSpec.{name} must be finite")
-        if self.brownian_dim != 1:
-            raise ValueError("the scalar forward model supports brownian_dim = 1 only")
 
     def drift(self, x):
         return self.drift_const + self.drift_slope * x
@@ -83,13 +80,9 @@ class TerminalSpec:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Simulated forward states X (paths x (steps+1)) with their increments.
-
-    X is stored level-major: euler_simulate returns it as the F-ordered
-    transposed view of a C-ordered (steps+1, paths) array, so the states of
-    one step, X[:, i], are a contiguous row.  np.ascontiguousarray gives a
-    path-major C-order copy where a caller needs one.
-    """
+    """Simulated forward states X, (steps+1, paths), with their increments:
+    row i holds X_i of every path, a contiguous row of the C-ordered array
+    euler_simulate writes."""
 
     X: np.ndarray
     increments: IncrementBatch
@@ -98,22 +91,19 @@ class PathEnsemble:
 
 def euler_simulate(sde: SdeSpec, grid: PartitionGrid, batch: IncrementBatch) -> PathEnsemble:
     """Euler scheme X_{i+1} = X_i + b(X_i) h + sigma(X_i) dW_{i+1}, one row
-    of the level-major X per step.
+    of X per step.
 
     Raises ForwardBlowupError naming the first offending step, and its
     lowest offending path, if a state becomes non-finite or exceeds the
     overflow limit.
     """
-    paths, steps, d = batch.dW.shape
+    steps, paths = batch.dW.shape
     if steps != grid.steps:
         raise ValueError(f"increment batch has {steps} steps, grid has {grid.steps}")
-    if d != sde.brownian_dim:
-        raise ValueError(f"increment batch has brownian_dim {d}, sde expects {sde.brownian_dim}")
 
     X = np.empty((steps + 1, paths), dtype=float)
     X[0] = sde.x0
-    h = grid.h
-    dW = batch.dW[:, :, 0].T  # row i holds dW_{i+1}
+    h, dW = grid.h, batch.dW
     for i in range(steps):
         x = X[i]
         X[i + 1] = x + sde.drift(x) * h + sde.diffusion(x) * dW[i]
@@ -122,9 +112,9 @@ def euler_simulate(sde: SdeSpec, grid: PartitionGrid, batch: IncrementBatch) -> 
         if bad.any():
             p = int(np.argmax(bad))
             raise ForwardBlowupError(p, i + 1, float(X[i + 1, p]), steps)
-    return PathEnsemble(X=X.T, increments=batch, grid=grid)
+    return PathEnsemble(X=X, increments=batch, grid=grid)
 
 
 def terminal_values(terminal: TerminalSpec, ensemble: PathEnsemble) -> np.ndarray:
     """xi_m = g(X_{m,N}) for every path m."""
-    return np.asarray(terminal(ensemble.X[:, -1]), dtype=float)
+    return np.asarray(terminal(ensemble.X[-1]), dtype=float)

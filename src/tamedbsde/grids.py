@@ -1,10 +1,10 @@
 """Uniform time grids and seeded martingale-increment generation.
 
 Brownian increments are produced by a counter-based scheme (Philox keyed by
-the seed) so that the draw for (path, step, coordinate) is a pure function
-of (seed, path, step, coordinate).  Disjoint path blocks can therefore be
-generated independently on concurrent workers and always assemble into the
-same batch.  Gaussian variates use the inverse-CDF transform (fixed choice;
+the seed) so that the draw for (path, step) is a pure function of
+(seed, path, step).  Disjoint path blocks can therefore be generated
+independently on concurrent workers and always assemble into the same
+batch.  Gaussian variates use the inverse-CDF transform (fixed choice;
 bit-exact reproducibility is promised within one build only).
 """
 
@@ -59,25 +59,20 @@ class NoiseModel:
 
     kind:
         "gaussian"            H = dW / h (no truncation, Lambda = 1)
-        "truncated_gaussian"  dW clipped coordinate-wise at +-R(h), H = clip/h
-        "rademacher"          dW = +-sqrt(h) signs (d = 1 only), H = dW / h
+        "truncated_gaussian"  dW clipped at +-R(h), H = clip/h
+        "rademacher"          dW = +-sqrt(h) signs, H = dW / h
     radius0:
         base radius R0 for the truncated kind; with the log schedule the
         effective radius is R0 * sqrt(h * (1 + ln(1/h))) for h < 1.
     """
 
     kind: str = GAUSSIAN
-    brownian_dim: int = 1
     radius0: float | None = None
     use_log_schedule: bool = False
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {_KINDS}")
-        if self.brownian_dim < 1:
-            raise ValueError("brownian_dim must be >= 1")
-        if self.kind == RADEMACHER and self.brownian_dim != 1:
-            raise ValueError("rademacher noise requires brownian_dim = 1")
         if self.kind == TRUNCATED:
             if self.radius0 is None or not self.radius0 > 0.0:
                 raise ValueError("truncated_gaussian noise needs radius0 > 0")
@@ -87,15 +82,10 @@ class NoiseModel:
 class IncrementBatch:
     """Brownian increments dW and martingale increments H on one grid.
 
-    Shapes are (paths, steps, brownian_dim).  lam is the second-moment
-    factor Lambda with E[(H h)(H h)^T] = Lambda * h * I.
-
-    Batches made by this package are stored level-major: dW and H are
-    F-ordered transposed views of C-ordered (steps, brownian_dim, paths)
-    arrays, so the increments of one step and coordinate, dW[:, i, c], are a
-    contiguous row.  np.ascontiguousarray gives a path-major C-order copy
-    where a caller needs one.  A batch built from path-major arrays works
-    everywhere too, with strided rows.
+    dW and H are (steps, paths): row i holds the increments dW_{i+1} and
+    H_{i+1} of every path, a contiguous row in the C-ordered arrays this
+    package makes.  lam is the second-moment factor Lambda with
+    E[(H h)^2] = Lambda * h.
     """
 
     dW: np.ndarray
@@ -144,7 +134,7 @@ def lambda_of_truncation(radius: float, h: float) -> float:
 
 
 def truncation_l2_gap(radius: float, h: float) -> float:
-    """Per-coordinate E[|dW/h - H|^2] for the clipped-increment model.
+    """E[|dW/h - H|^2] for the clipped-increment model.
 
     This is the quantity whose uniform-in-h boundedness the log radius
     schedule is designed to guarantee; no specific bound is asserted here,
@@ -180,46 +170,39 @@ def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
 def sample_increments(
     grid: PartitionGrid,
     paths: int,
-    brownian_dim: int,
     seed: int,
     model: NoiseModel,
     path_range: tuple[int, int] | None = None,
 ) -> IncrementBatch:
     """Seeded increments for `paths` forward paths on `grid`.
 
-    The draw for (path p, step i, coordinate c) is word p*N*d + i*d + c of
-    the Philox stream keyed by the seed, so a call restricted to
-    path_range=(a, b) returns exactly rows a..b-1 of the full batch.  The
-    batch is stored level-major (see IncrementBatch).
+    The draw for (path p, step i) is word p*N + i of the Philox stream
+    keyed by the seed, so a call restricted to path_range=(a, b) returns
+    exactly columns a..b-1 of the full batch.
 
-    Raises ValueError when the model disagrees with brownian_dim or when a
-    truncated model's Lambda falls below 1/2 at this step size (see
-    increments_from_dw).
+    Raises ValueError when a truncated model's Lambda falls below 1/2 at
+    this step size (see increments_from_dw).
     """
     if paths < 1:
         raise ValueError("paths must be >= 1")
-    if brownian_dim != model.brownian_dim:
-        raise ValueError(
-            f"brownian_dim {brownian_dim} does not match noise model ({model.brownian_dim})"
-        )
     lo, hi = (0, paths) if path_range is None else path_range
     if not (0 <= lo <= hi <= paths):
         raise ValueError(f"invalid path_range {path_range} for {paths} paths")
 
-    n, d = grid.steps, brownian_dim
+    n = grid.steps
     sqrt_h = math.sqrt(grid.h)
 
     # the stream runs path-major; each block of paths is stored level-major
-    dW = np.empty((n, d, hi - lo))
-    for a, b in path_blocks(hi - lo, n * d):
-        count, start = (b - a) * n * d, (lo + a) * n * d
+    dW = np.empty((n, hi - lo))
+    for a, b in path_blocks(hi - lo, n):
+        count, start = (b - a) * n, (lo + a) * n
         if model.kind == RADEMACHER:
             raw = _raw_uint64(int(seed), start, count)
             block = np.where(raw >> np.uint64(63), 1.0, -1.0) * sqrt_h
         else:
             block = ndtri(_uniforms(int(seed), start, count)) * sqrt_h
-        dW[:, :, a:b] = block.reshape(b - a, n, d).transpose(1, 2, 0)
-    return increments_from_dw(model, dW.transpose(2, 0, 1), grid.h)
+        dW[:, a:b] = block.reshape(b - a, n).T
+    return increments_from_dw(model, dW, grid.h)
 
 
 def path_blocks(paths: int, words_per_path: int) -> list[tuple[int, int]]:

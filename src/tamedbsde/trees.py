@@ -91,12 +91,10 @@ def enumerate_tree_paths(tree: TreeModel) -> PathEnsemble:
     paths = 2**n
     sqrt_h = math.sqrt(tree.grid.h)
     p = np.arange(paths, dtype=np.int64)
-    # level-major, as sample_increments stores its batches
-    signs = np.empty((n, 1, paths))
+    signs = np.empty((n, paths))
     for i in range(n):
-        signs[i, 0] = np.where((p >> (n - 1 - i)) & 1, 1.0, -1.0)
-    dW = (signs * sqrt_h).transpose(2, 0, 1)
-    batch = increments_from_dw(NoiseModel(kind=RADEMACHER), dW, tree.grid.h)
+        signs[i] = np.where((p >> (n - 1 - i)) & 1, 1.0, -1.0)
+    batch = increments_from_dw(NoiseModel(kind=RADEMACHER), signs * sqrt_h, tree.grid.h)
     return euler_simulate(tree.sde, tree.grid, batch)
 
 

@@ -73,7 +73,7 @@ def test_enumerated_paths_visit_tree_nodes():
     ens = enumerate_tree_paths(tree)
     for level in range(7):
         idx = path_node_index(tree, level)
-        np.testing.assert_array_equal(ens.X[:, level], tree.levels[level][idx])
+        np.testing.assert_array_equal(ens.X[level], tree.levels[level][idx])
 
 
 # ---------------------------------------------------------------- backward recursion
@@ -137,23 +137,23 @@ def test_exact_basis_matches_tree_run():
     tr = tree_exact_run(scheme, tamed, tree, term)
     for level in range(9):
         idx = path_node_index(tree, level)
-        np.testing.assert_allclose(mc.Y[:, level], tr.Y[level][idx], atol=1e-8)
+        np.testing.assert_allclose(mc.Y[level], tr.Y[level][idx], atol=1e-8)
 
 
 def test_regression_backend_closed_form():
     # constant terminal makes Y deterministic, so any basis is sufficient
     grid = build_grid(1.0, 10)
-    batch = sample_increments(grid, 500, 1, 4, NoiseModel())
+    batch = sample_increments(grid, 500, 4, NoiseModel())
     ens = euler_simulate(SdeSpec(x0=0.0, diff_const=0.8), grid, batch)
     xi = np.full(500, 1.0)
     out = run_backward(SchemeSpec(kind="explicit_tamed"), untamed(LINEAR, grid.h),
                        ens, xi, batch, BasisSpec(size=3))
-    np.testing.assert_allclose(out.Y[:, 0], (1.0 - grid.h) ** 10, atol=1e-9)
+    np.testing.assert_allclose(out.Y[0], (1.0 - grid.h) ** 10, atol=1e-9)
 
 
 def _wide_ensemble(steps, paths=3000):
     grid = build_grid(1.0, steps)
-    batch = sample_increments(grid, paths, 1, 31, NoiseModel())
+    batch = sample_increments(grid, paths, 31, NoiseModel())
     ens = euler_simulate(SdeSpec(x0=0.3, diff_const=1.25), grid, batch)
     xi = terminal_values(TerminalSpec((0.0, 0.0, 1.0)), ens)
     return grid, batch, ens, xi
@@ -169,12 +169,12 @@ def test_step_projection_bitwise_equals_fit_then_predict(theta_prime):
     assert not out.exploded
     h = grid.h
     for i in range(grid.steps):
-        t, x, y_next = grid.times[i], ens.X[:, i], out.Y[:, i + 1]
-        z_target = (y_next + (1.0 - theta_prime) * tamed(t, y_next, 0.0) * h) * batch.H[:, i, 0]
+        t, x, y_next = grid.times[i], ens.X[i], out.Y[i + 1]
+        z_target = (y_next + (1.0 - theta_prime) * tamed(t, y_next, 0.0) * h) * batch.H[i]
         z_i = predict(fit_basis(basis, x, z_target), basis, x)
-        assert np.array_equal(out.Z[:, i, 0], z_i), i
+        assert np.array_equal(out.Z[i], z_i), i
         y_target = y_next + tamed(t, y_next, z_i) * h
-        assert np.array_equal(out.Y[:, i], predict(fit_basis(basis, x, y_target), basis, x)), i
+        assert np.array_equal(out.Y[i], predict(fit_basis(basis, x, y_target), basis, x)), i
 
 
 def test_one_design_build_per_step(monkeypatch):
@@ -249,31 +249,31 @@ def test_group_membership_does_not_change_outputs(monkeypatch):
 
 def test_terminal_column_is_exact():
     grid = build_grid(1.0, 4)
-    batch = sample_increments(grid, 50, 1, 6, NoiseModel())
+    batch = sample_increments(grid, 50, 6, NoiseModel())
     ens = euler_simulate(SdeSpec(x0=0.0), grid, batch)
     xi = terminal_values(TerminalSpec((0.0, 1.0)), ens)
     out = run_backward(SchemeSpec(kind="explicit_tamed"), untamed(ZERO, grid.h),
                        ens, xi, batch, BasisSpec(size=3))
-    np.testing.assert_array_equal(out.Y[:, -1], xi)
+    np.testing.assert_array_equal(out.Y[-1], xi)
 
 
 def test_explosion_is_flagged_not_raised():
     grid = build_grid(1.0, 64)
-    batch = sample_increments(grid, 2000, 1, 20240, NoiseModel())
+    batch = sample_increments(grid, 2000, 20240, NoiseModel())
     ens = euler_simulate(SdeSpec(x0=0.0, diff_const=1.0), grid, batch)
     xi = terminal_values(TerminalSpec((0.0, 0.0, 0.0, 1.0)), ens)
     out = run_backward(SchemeSpec(kind="explicit_untamed"), untamed(CUBIC, grid.h),
                        ens, xi, batch, BasisSpec(size=6))
     assert out.exploded
     assert out.first_bad_step is not None
-    # partial data: columns above the bad step are still populated
-    assert np.all(np.isfinite(out.Y[:, -1]))
-    assert np.all(np.isnan(out.Y[:, 0]))
+    # partial data: levels above the bad step are still populated
+    assert np.all(np.isfinite(out.Y[-1]))
+    assert np.all(np.isnan(out.Y[0]))
 
 
 def test_exploded_levels_are_nan_and_reached_levels_are_not():
     grid = build_grid(1.0, 64)
-    batch = sample_increments(grid, 2000, 1, 20240, NoiseModel())
+    batch = sample_increments(grid, 2000, 20240, NoiseModel())
     ens = euler_simulate(SdeSpec(x0=0.0, diff_const=1.0), grid, batch)
     xi = terminal_values(TerminalSpec((0.0, 0.0, 0.0, 1.0)), ens)
     good, bad = run_backward_group(
@@ -283,8 +283,8 @@ def test_exploded_levels_are_nan_and_reached_levels_are_not():
     assert not good.exploded and np.all(np.isfinite(good.Y)) and np.all(np.isfinite(good.Z))
     j = bad.first_bad_step
     assert bad.exploded and 0 < j < grid.steps - 1
-    assert np.all(np.isnan(bad.Y[:, :j + 1])) and np.all(np.isnan(bad.Z[:, :j + 1]))
-    assert np.all(np.isfinite(bad.Y[:, j + 1:])) and np.all(np.isfinite(bad.Z[:, j + 1:]))
+    assert np.all(np.isnan(bad.Y[:j + 1])) and np.all(np.isnan(bad.Z[:j + 1]))
+    assert np.all(np.isfinite(bad.Y[j + 1:])) and np.all(np.isfinite(bad.Z[j + 1:]))
 
 
 def test_implicit_guard():
@@ -795,7 +795,7 @@ def test_d_for_theta_one_matches_direct_tree_value():
 
 def test_zeta_on_regression_backend():
     grid = build_grid(1.0, 6)
-    batch = sample_increments(grid, 4000, 1, 12, NoiseModel())
+    batch = sample_increments(grid, 4000, 12, NoiseModel())
     ens = euler_simulate(SdeSpec(x0=0.0, diff_const=1.0), grid, batch)
     xi = terminal_values(TerminalSpec((0.0, 1.0)), ens)
     tamed = untamed(ZERO, grid.h)
@@ -806,14 +806,17 @@ def test_zeta_on_regression_backend():
     assert diag.norms.shape == (6,)
 
 
-def test_path_zeta_norms_are_path_major_means():
-    grid, batch, ens, xi = _wide_ensemble(6, paths=2500)
+@pytest.mark.parametrize("steps", [1, 6])
+def test_path_zeta_norms_are_path_major_means(steps):
+    # an axis-0 mean adds the paths of one column pairwise and of several
+    # columns in order: the norms must follow it for every N
+    grid, batch, ens, xi = _wide_ensemble(steps, paths=2500)
     tamed = TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h)
     basis = BasisSpec(size=6)
     out = run_backward(SchemeSpec(kind="explicit_tamed", theta_prime=0.5), tamed, ens, xi, batch, basis)
     diag = zeta_diagnostic(out, tamed, ensemble=ens, batch=batch, basis=basis)
-    assert diag.D.shape == (2500, 6)
-    D = np.ascontiguousarray(diag.D)
+    assert diag.D.shape == (steps, 2500)
+    D = np.ascontiguousarray(diag.D.T)
     assert np.array_equal(diag.norms, np.mean(D**2, axis=0) * grid.h)
 
 
@@ -825,13 +828,12 @@ def test_path_storage_is_level_major(monkeypatch):
 
     fine, coarse = build_grid(1.0, 16), build_grid(1.0, 4)
     model = NoiseModel()
-    batch = sample_increments(fine, 300, 1, 5, model)
+    batch = sample_increments(fine, 300, 5, model)
     tree_paths = enumerate_tree_paths(build_tree(SdeSpec(x0=0.2, drift_slope=0.5), build_grid(1.0, 5)))
     for b in (batch, aggregate_to_grid(batch, fine, coarse, model), tree_paths.increments):
-        assert b.dW.transpose(1, 2, 0).flags.c_contiguous
-        assert b.H.transpose(1, 2, 0).flags.c_contiguous
+        assert b.dW.flags.c_contiguous and b.H.flags.c_contiguous
     ens = euler_simulate(SdeSpec(x0=0.3, diff_const=1.25), fine, batch)
-    assert ens.X.T.flags.c_contiguous and tree_paths.X.T.flags.c_contiguous
+    assert ens.X.flags.c_contiguous and tree_paths.X.flags.c_contiguous
     assert ens.increments is batch
 
     # the operator's levels are the ensemble's and the batch's, not copies
@@ -854,7 +856,7 @@ def test_path_storage_is_level_major(monkeypatch):
     assert len(rows) > 3 * fine.steps
     assert all(row.ndim == 1 and row.flags.c_contiguous for row in rows)
     for out in outs:
-        assert out.Y.T.flags.c_contiguous and out.Z[:, :, 0].T.flags.c_contiguous
+        assert out.Y.flags.c_contiguous and out.Z.flags.c_contiguous
 
 
 # ---------------------------------------------------------------- qualitative checks
@@ -942,7 +944,7 @@ def test_path_positivity_extrema_keep_path_major_signed_zeros():
     values = rng.random((levels, paths)) + 0.5
     values[levels // 2:] *= -1.0  # the upper half of the levels has its maxima at zero
     Y = np.where(rng.random((levels, paths)) < 0.3, zeros, values)
-    report = positivity_report(SchemeOutput(Y=Y.T, Z=np.zeros((paths, levels - 1, 1)), diagnostics=None))
+    report = positivity_report(SchemeOutput(Y=Y, Z=np.zeros((levels - 1, paths)), diagnostics=None))
     path_major = np.ascontiguousarray(Y.T)
     for got, want in ((report.per_step_min, np.min(path_major, axis=0)),
                       (report.per_step_max, np.max(path_major, axis=0))):

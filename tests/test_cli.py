@@ -165,6 +165,26 @@ def test_truncated_lambda_below_floor_is_config_error(tmp_path, capsys):
     assert "N=1" in err and "Lambda" in err and "N=2" not in err
 
 
+def test_rademacher_noise_across_grids_is_config_error(tmp_path, capsys):
+    # sign increments summed over coarse intervals are no longer signs
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONV.format(out=tmp_path / "x.csv") + "noise.kind = rademacher\n")
+    assert main(["converge", str(cfg)]) == 2
+    assert "'rademacher'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("steps, sde", [(2048, ""), (20, "sde.b1 = 0.1\n")],
+                         ids=["recombining", "branching"])
+def test_tree_beyond_its_cap_is_config_error(tmp_path, capsys, steps, sde):
+    # the recombining tree is capped at N=2000, the branching one at N=14
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(POSITIVITY.format(out=tmp_path / "x.csv").replace("grids = 10", f"grids = {steps}")
+                   + sde)
+    assert main(["tree-oracle", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"N={steps}" in err and "cap" in err
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats costs more to import than the rest of the package
     src = os.path.dirname(os.path.dirname(os.path.abspath(tamedbsde.__file__)))

@@ -63,16 +63,16 @@ def test_aggregation_sums_exactly():
     fine = build_grid(1.0, 64)
     coarse = build_grid(1.0, 8)
     model = NoiseModel()
-    batch = sample_increments(fine, 500, 1, 3, model)
+    batch = sample_increments(fine, 500, 3, model)
     agg = aggregate_to_grid(batch, fine, coarse, model)
-    sums = batch.dW.reshape(500, 8, 8, 1).sum(axis=2)
+    sums = batch.dW.reshape(8, 8, 500).sum(axis=1)
     assert np.max(np.abs(agg.dW - sums)) <= 1e-12
 
 
 def test_aggregation_rejects_non_nested():
     fine = build_grid(1.0, 64)
     model = NoiseModel()
-    batch = sample_increments(fine, 10, 1, 3, model)
+    batch = sample_increments(fine, 10, 3, model)
     with pytest.raises(ValueError, match="nested"):
         aggregate_to_grid(batch, fine, build_grid(1.0, 7), model)
 
@@ -80,7 +80,7 @@ def test_aggregation_rejects_non_nested():
 def test_aggregation_rejects_rademacher():
     fine = build_grid(1.0, 8)
     model = NoiseModel(kind="rademacher")
-    batch = sample_increments(fine, 10, 1, 3, model)
+    batch = sample_increments(fine, 10, 3, model)
     with pytest.raises(ValueError, match="rademacher"):
         aggregate_to_grid(batch, fine, build_grid(1.0, 4), model)
 
@@ -89,7 +89,7 @@ def test_aggregation_rejects_lambda_below_floor():
     # a fixed radius that passes at h = 1/64 gives Lambda ~ 0.13 at h = 1/4
     fine = build_grid(1.0, 64)
     model = NoiseModel(kind="truncated_gaussian", radius0=0.2)
-    batch = sample_increments(fine, 10, 1, 3, model)
+    batch = sample_increments(fine, 10, 3, model)
     with pytest.raises(ValueError, match="Lambda"):
         aggregate_to_grid(batch, fine, build_grid(1.0, 4), model)
 
@@ -101,14 +101,14 @@ def test_aggregation_bitwise_equals_path_major_sum(stride):
     fine = build_grid(1.0, 256)
     coarse = build_grid(1.0, 256 // stride)
     model = NoiseModel()
-    batch = sample_increments(fine, 700, 1, 11, model)
-    path_major = np.ascontiguousarray(batch.dW)
-    expected = path_major.reshape(700, coarse.steps, stride, 1).sum(axis=2)
-    for source in (batch, IncrementBatch(dW=path_major, H=path_major / fine.h, lam=1.0)):
+    batch = sample_increments(fine, 700, 11, model)
+    path_major = np.ascontiguousarray(batch.dW.T)
+    expected = path_major.reshape(700, coarse.steps, stride).sum(axis=2).T
+    for source in (batch, IncrementBatch(dW=path_major.T, H=path_major.T / fine.h, lam=1.0)):
         agg = aggregate_to_grid(source, fine, coarse, model)
         assert np.array_equal(agg.dW, expected)
         assert np.array_equal(agg.H, expected / coarse.h)
-        assert agg.dW.transpose(1, 2, 0).flags.c_contiguous
+        assert agg.dW.flags.c_contiguous
 
 
 def test_error_reduction_bitwise_equals_path_major_mean():
@@ -132,7 +132,7 @@ def _grid_outputs(cfg):
     scheme on every grid, from one fine-grid sample, full Y kept."""
     basis = BasisSpec(size=cfg.basis_size, standardize=cfg.basis_standardize)
     fine = build_grid(cfg.horizon, cfg.grids[-1])
-    fine_batch = sample_increments(fine, cfg.paths, 1, cfg.seed, cfg.noise)
+    fine_batch = sample_increments(fine, cfg.paths, cfg.seed, cfg.noise)
     outputs = {}
     for n in cfg.grids:
         grid = build_grid(cfg.horizon, n)
@@ -150,11 +150,11 @@ def test_convergence_errors_bitwise_equal_path_major_formula():
     cfg = small_config()
     outputs = _grid_outputs(cfg)
     finest = cfg.grids[-1]
-    proxy = np.mean([np.ascontiguousarray(out.Y) for out in outputs[finest]], axis=0)
+    proxy = np.mean([np.ascontiguousarray(out.Y.T) for out in outputs[finest]], axis=0)
     expected = {}
     for n, group in outputs.items():
         for run, out in zip(cfg.schemes, group):
-            diff = np.ascontiguousarray(out.Y) - proxy[:, ::finest // n]
+            diff = np.ascontiguousarray(out.Y.T) - proxy[:, ::finest // n]
             expected[(run.label, n)] = float(np.max(np.sqrt(np.mean(diff**2, axis=0))))
     report = convergence_study(cfg)
     assert {(row.scheme, row.steps): row.error for row in report.rows} == expected
@@ -166,13 +166,13 @@ def test_aggregation_retruncates_at_coarse_radius():
     fine = build_grid(1.0, 64)
     coarse = build_grid(1.0, 4)
     model = NoiseModel(kind="truncated_gaussian", radius0=2.0, use_log_schedule=True)
-    batch = sample_increments(fine, 2000, 1, 9, model)
+    batch = sample_increments(fine, 2000, 9, model)
     agg = aggregate_to_grid(batch, fine, coarse, model)
     radius = truncation_radius(model, coarse.h)
     np.testing.assert_allclose(agg.H * coarse.h, np.clip(agg.dW, -radius, radius), atol=0)
     assert 0.5 <= agg.lam <= 1.0
     # the summed Brownian increments themselves are not clipped
-    assert np.max(np.abs(agg.dW)) > radius or agg.dW.shape[0] < 100
+    assert np.max(np.abs(agg.dW)) > radius or agg.dW.shape[1] < 100
 
 
 # ---------------------------------------------------------------- convergence study
@@ -310,7 +310,7 @@ def _stored_rows(runs, outputs, times):
         if isinstance(out.Y, list):
             mins, maxs = [np.min(v) for v in out.Y], [np.max(v) for v in out.Y]
         else:
-            Y = np.ascontiguousarray(out.Y)
+            Y = np.ascontiguousarray(out.Y.T)
             mins, maxs = np.min(Y, axis=0), np.max(Y, axis=0)
         report = positivity_report(out)
         assert report.per_step_min.tobytes() == np.asarray(mins).tobytes()
@@ -327,7 +327,7 @@ def test_streamed_positivity_study_bitwise_equals_stored_outputs(noise):
     cfg = small_config(terminal=TerminalSpec((0.0, 0.0, 0.0, 1.0)), grids=[12], noise=noise,
                        schemes=small_config().schemes + [UNTAMED])
     grid = build_grid(cfg.horizon, 12)
-    batch = sample_increments(grid, cfg.paths, 1, cfg.seed, cfg.noise)
+    batch = sample_increments(grid, cfg.paths, cfg.seed, cfg.noise)
     ens = euler_simulate(cfg.sde, grid, batch)
     runs = sorted(cfg.schemes, key=lambda run: run.label)
     members = [(run.scheme, TamedDriver(cfg.driver, run.taming, grid.h)) for run in runs]

@@ -108,7 +108,7 @@ def test_tiny_radius_falls_below_floor():
     grid = build_grid(1.0, 1)
     model = NoiseModel(kind="truncated_gaussian", radius0=0.01, use_log_schedule=False)
     with pytest.raises(ValueError, match="Lambda"):
-        sample_increments(grid, 10, 1, 0, model)
+        sample_increments(grid, 10, 0, model)
 
 
 @given(st.floats(min_value=0.05, max_value=2.0), st.floats(min_value=0.05, max_value=1.0),
@@ -150,7 +150,7 @@ def test_gap_bounded_for_log_schedule():
 
 def test_gaussian_h_is_scaled_increment():
     grid = build_grid(1.0, 8)
-    batch = sample_increments(grid, 100, 1, 3, NoiseModel())
+    batch = sample_increments(grid, 100, 3, NoiseModel())
     np.testing.assert_allclose(batch.H, batch.dW / grid.h, rtol=0, atol=0)
     assert batch.lam == 1.0
 
@@ -158,7 +158,7 @@ def test_gaussian_h_is_scaled_increment():
 def test_truncated_h_clamps():
     grid = build_grid(1.0, 1)
     model = NoiseModel(kind="truncated_gaussian", radius0=1.5, use_log_schedule=False)
-    batch = sample_increments(grid, 50_000, 1, 5, model)
+    batch = sample_increments(grid, 50_000, 5, model)
     outside = np.abs(batch.dW) > 1.5
     assert outside.any()
     np.testing.assert_allclose(np.abs(batch.H[outside]) * grid.h, 1.5, rtol=0, atol=1e-15)
@@ -168,30 +168,19 @@ def test_truncated_h_clamps():
 
 def test_rademacher_signs():
     grid = build_grid(1.0, 16)
-    batch = sample_increments(grid, 200, 1, 9, NoiseModel(kind="rademacher"))
+    batch = sample_increments(grid, 200, 9, NoiseModel(kind="rademacher"))
     sqrt_h = math.sqrt(grid.h)
     assert set(np.unique(batch.dW)) == {-sqrt_h, sqrt_h}
     np.testing.assert_allclose(batch.H, batch.dW / grid.h, atol=0)
 
 
-def test_rademacher_needs_one_dimension():
-    with pytest.raises(ValueError):
-        NoiseModel(kind="rademacher", brownian_dim=2)
-
-
-def test_dimension_must_match_model():
-    grid = build_grid(1.0, 4)
-    with pytest.raises(ValueError, match="brownian_dim"):
-        sample_increments(grid, 10, 2, 0, NoiseModel(kind="rademacher"))
-
-
 def test_seeded_determinism():
     grid = build_grid(1.0, 32)
     model = NoiseModel()
-    a = sample_increments(grid, 64, 1, 1234, model)
-    b = sample_increments(grid, 64, 1, 1234, model)
+    a = sample_increments(grid, 64, 1234, model)
+    b = sample_increments(grid, 64, 1234, model)
     assert np.array_equal(a.dW, b.dW)
-    c = sample_increments(grid, 64, 1, 1235, model)
+    c = sample_increments(grid, 64, 1235, model)
     assert not np.array_equal(a.dW, c.dW)
 
 
@@ -200,17 +189,17 @@ def test_path_block_slicing_matches_full_batch():
     # blocks produced separately assemble into the full batch
     grid = build_grid(1.0, 10)
     model = NoiseModel()
-    full = sample_increments(grid, 40, 1, 77, model)
-    parts = [sample_increments(grid, 40, 1, 77, model, path_range=(a, b))
+    full = sample_increments(grid, 40, 77, model)
+    parts = [sample_increments(grid, 40, 77, model, path_range=(a, b))
              for a, b in ((0, 13), (13, 30), (30, 40))]
-    np.testing.assert_array_equal(np.concatenate([p.dW for p in parts], axis=0), full.dW)
+    np.testing.assert_array_equal(np.concatenate([p.dW for p in parts], axis=1), full.dW)
 
 
 def test_empirical_moments_of_h():
     grid = build_grid(1.0, 2)
     model = NoiseModel(kind="truncated_gaussian", radius0=2.0, use_log_schedule=True)
     m = 100_000
-    batch = sample_increments(grid, m, 1, 2024, model)
+    batch = sample_increments(grid, m, 2024, model)
     hh = batch.H * grid.h
     assert abs(hh.mean()) < 5.0 * math.sqrt(grid.h / m)
     assert hh.var() == pytest.approx(batch.lam * grid.h, rel=0.05)

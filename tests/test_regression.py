@@ -135,10 +135,10 @@ def test_reproduces_tree_conditional_expectation():
     tree = build_tree(SdeSpec(x0=0.2, diff_const=1.0), grid)
     ens = enumerate_tree_paths(tree)
     i = 6
-    target = ens.X[:, i + 1] ** 2
-    exact = ens.X[:, i] ** 2 + grid.h
-    fit = fit_basis(BasisSpec(size=4), ens.X[:, i], target)
-    np.testing.assert_allclose(predict(fit, fit.basis, ens.X[:, i]), exact, atol=1e-8)
+    target = ens.X[i + 1] ** 2
+    exact = ens.X[i] ** 2 + grid.h
+    fit = fit_basis(BasisSpec(size=4), ens.X[i], target)
+    np.testing.assert_allclose(predict(fit, fit.basis, ens.X[i]), exact, atol=1e-8)
 
 
 def test_factorized_fit_agrees_with_lstsq():
