@@ -1,14 +1,15 @@
 """Command-line entry point.
 
 Subcommands: `converge`, `positivity`, `verify-taming`, `tree-oracle`, each
-taking a flat key/value config file.  `--seed`, `--threads` and `--out`
-override the corresponding config entries; the thread count never changes
-results.  OpenBLAS is held to one thread, so the output does not depend
-on the core count either.  Exit codes: 0 success, 2 invalid config, 3 I/O
-error, 4 numerical failure (ForwardBlowupError, ImplicitSolverError, or
-SchemeExplodedError when a convergence proxy scheme explodes; the message
-names the scheme, path and step where they apply).  Explosions of the
-schemes under study are recorded in the report, not process failures.
+taking a flat key/value config file.  `--seed` and `--out` override the
+corresponding config entries; `--threads`, like the `threads` key, is
+accepted and ignored, as every study runs on one thread.  OpenBLAS is held
+to one thread, so the output does not depend on the core count.  Exit
+codes: 0 success, 2 invalid config, 3 I/O error, 4 numerical failure
+(ForwardBlowupError, ImplicitSolverError, or SchemeExplodedError when a
+convergence proxy scheme explodes; the message names the scheme, path and
+step where they apply).  Explosions of the schemes under study are
+recorded in the report, not process failures.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="path to the flat key/value config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (results are identical for any count)")
+                       help="accepted and ignored (every study runs on one thread)")
         p.add_argument("--out", default=None, help="override the config output path")
     return parser
 
@@ -92,16 +93,14 @@ def _run(args) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("threads must be >= 1")
-            cfg.threads = args.threads
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError("threads must be >= 1")
         if args.out is not None:
             cfg.output_path = args.out
 
         if args.command == "converge":
             report = convergence_study(cfg)
-            emit_csv(report, cfg.output_path, inline_timing=cfg.inline_timing)
+            emit_csv(report, cfg.output_path)
             exploded = sum(row.exploded for row in report.rows)
             print(f"wrote {len(report.rows)} rows to {cfg.output_path} "
                   f"(proxy: {'+'.join(report.proxy_labels)}, exploded runs: {exploded})")

@@ -75,6 +75,8 @@ def derive_base_constants(y_coeffs, z_coeff: float = 0.0, domain_bound: float = 
     which is global whenever P' is bounded above, e.g. for odd degree with
     negative leading coefficient.
     """
+    if not 0.0 < domain_bound < math.inf:
+        raise ValueError(f"driver domain_bound must be positive and finite, got {domain_bound}")
     c = np.asarray(y_coeffs, dtype=float)
     nz = np.nonzero(c)[0]
     m = int(nz[-1]) if nz.size else 0
@@ -454,6 +456,10 @@ class ProbePlan:
     z_max: float = 10.0
     samples: int = 10_000
     rel_slack: float = 1e-9
+
+    def __post_init__(self):
+        if self.samples < 0:
+            raise ValueError(f"probe samples must be >= 0, got {self.samples}")
 
 
 @dataclass

@@ -57,6 +57,8 @@ def _sum_to_grids(batch: IncrementBatch, fine: PartitionGrid, coarse: list[Parti
             raise ValueError(f"grids are not nested: {grid.steps} does not divide {fine.steps}")
         if model.kind == RADEMACHER:
             raise ValueError("rademacher increments do not aggregate across grids")
+    if not coarse:
+        return []
     m = batch.dW.shape[1]
     summed = [np.empty((grid.steps, m)) for grid in coarse]
     for a, b in path_blocks(m, fine.steps):
@@ -194,13 +196,12 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     at each fine step.  The proxy level and every grid's squared errors at
     that level are reduced as soon as the level is reached, so no scheme
     keeps more than one level of Y between its steps.  A proxy scheme that
-    explodes raises SchemeExplodedError at its step.  `cfg.threads` is not
-    used: the sweep runs on one thread.
+    explodes raises SchemeExplodedError at its step.
     """
     if cfg.noise.kind == RADEMACHER and len(cfg.grids) > 1:
         raise ConfigError(f"noise kind {RADEMACHER!r} does not aggregate across grids; "
                           "the convergence study needs exactly one grid size with it")
-    basis = BasisSpec(size=cfg.basis_size, standardize=cfg.basis_standardize)
+    basis = BasisSpec(size=cfg.basis_size)
     proxy_runs = _proxy_runs(cfg)
     proxy_index = [cfg.schemes.index(run) for run in proxy_runs]
     grids = [build_grid(cfg.horizon, n) for n in reversed(cfg.grids)]
@@ -262,11 +263,8 @@ def positivity_study(cfg: ExperimentConfig) -> PositivityStudyReport:
         raise ConfigError("positivity study expects exactly one grid size")
     n = cfg.grids[0]
     grid = build_grid(cfg.horizon, n)
-    batch = sample_increments(grid, cfg.paths, cfg.seed, cfg.noise)
-    ensemble = euler_simulate(cfg.sde, grid, batch)
-    group = (grid, ensemble.X, batch.H, terminal_values(cfg.terminal, ensemble))
-    del batch, ensemble  # dW is not needed after Euler
-    basis = BasisSpec(size=cfg.basis_size, standardize=cfg.basis_standardize)
+    ((X, H, xi),) = _grid_paths(cfg, [grid])
+    basis = BasisSpec(size=cfg.basis_size)
 
     runs = sorted(cfg.schemes, key=lambda s: s.label)
     members = [(run.scheme, _tamed(cfg, run, grid.h), f"scheme {run.label!r}", False)
@@ -278,7 +276,7 @@ def positivity_study(cfg: ExperimentConfig) -> PositivityStudyReport:
             if y is not None:
                 mins[k, i], maxs[k, i] = path_extrema(y)
 
-    stream_backward([group + (members,)], basis, reduce_level)
+    stream_backward([(grid, X, H, xi, members)], basis, reduce_level)
     rows: list[ExtremaRow] = []
     conditions = []
     for k, run in enumerate(runs):
@@ -373,17 +371,16 @@ def _timings_path(path: str) -> str:
     return f"{root}.timings{ext or '.csv'}"
 
 
-def emit_csv(report, path: str, inline_timing: bool = False) -> None:
+def emit_csv(report, path: str) -> None:
     """Write a report as CSV with 12-significant-digit values.
 
-    Convergence reports keep the byte-reproducibility contract by default:
-    measured wallclock goes to a `<name>.timings.csv` sidecar and the inline
-    wallclock_ms column reads 0 unless inline timing was requested (live
-    timings in the primary file forfeit byte-identity across reruns).
+    Convergence reports keep the byte-reproducibility contract: measured
+    wallclock goes to a `<name>.timings.csv` sidecar and the primary file's
+    wallclock_ms column reads 0.
     """
     lines = []
     if isinstance(report, ErrorReport):
-        for target, timed in ((path, inline_timing), (_timings_path(path), True)):
+        for target, timed in ((path, False), (_timings_path(path), True)):
             _write_lines(target, [CONVERGENCE_HEADER] + [
                 ",".join([row.scheme, _fmt(row.steps), _fmt(row.h), _fmt(row.error),
                           _fmt(row.wallclock_ms if timed else 0.0), _fmt(row.exploded),

@@ -131,12 +131,8 @@ def _section61_config(**overrides):
         grids=[8, 16, 32, 64, 128, 256],
         paths=50_000,
         basis_size=6,
-        basis_standardize=True,
         noise=NoiseModel(),
         output_path="unused.csv",
-        # single-threaded so the per-run wallclock comparison below is not
-        # polluted by contention between concurrent scheme runs
-        threads=1,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -263,7 +259,7 @@ def test_criterion_6_positivity(tmp_path):
         schemes=[SchemeRun(name, SchemeSpec(kind="explicit_tamed"), taming)
                  for name, taming in POSITIVITY_TAMINGS.items()]
         + [SchemeRun("implicit", SchemeSpec(kind="implicit"), TamingSpec(kind="none"))],
-        grids=[10], paths=20_000, basis_size=12, basis_standardize=True,
+        grids=[10], paths=20_000, basis_size=12,
         noise=NoiseModel(), output_path=str(tmp_path / "positivity.csv"))
     study = positivity_study(cfg)
     emit_csv(study, cfg.output_path)

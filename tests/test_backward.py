@@ -1,9 +1,11 @@
+import functools
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tamedbsde import (
     BasisSpec,
@@ -245,6 +247,35 @@ def test_group_membership_does_not_change_outputs(monkeypatch):
     for alone, together, backwards in zip(solo, group, reversed_group):
         _assert_same_output(alone, together)
         _assert_same_output(alone, backwards)
+
+
+@functools.cache
+def _permutation_case():
+    """A small lockstep group with an exploding member, and its outputs in
+    the listed order."""
+    steps = 8
+    grid, batch, ens, xi = _wide_ensemble(steps, paths=300)
+    basis = BasisSpec(size=6)
+    h = grid.h
+    members = [
+        (SchemeSpec(kind="implicit"), untamed(CUBIC, h)),
+        (SchemeSpec(kind="explicit_tamed"), TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), h)),
+        (SchemeSpec(kind="explicit_tamed", theta_prime=0.5),
+         TamedDriver(CUBIC, TamingSpec(kind="mult_c"), h)),
+        (SchemeSpec(kind="explicit_untamed"), untamed(CUBIC, h)),
+    ]
+    reference = run_backward_group(members, ens, xi, batch, basis)
+    return members, (ens, xi, batch, basis), reference
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.permutations(range(4)))
+def test_group_outputs_do_not_depend_on_member_order(order):
+    members, inputs, reference = _permutation_case()
+    assert [out.exploded for out in reference] == [False, False, False, True]
+    outputs = run_backward_group([members[k] for k in order], *inputs)
+    for k, out in zip(order, outputs):
+        _assert_same_output(reference[k], out)
 
 
 def test_terminal_column_is_exact():

@@ -137,6 +137,34 @@ def test_unknown_scheme_kind_is_config_error(tmp_path):
     assert main(["converge", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("command, extra, args, message", [
+    ("converge", "report.inline_timing = true\n", [], "report.inline_timing"),
+    ("converge", "basis.standardize = false\n", [], "basis.standardize"),
+    ("converge", "threads = 0\n", [], "threads must be >= 1"),
+    ("converge", "", ["--threads", "0"], "threads must be >= 1"),
+    ("verify-taming", "tolerances.probe_samples = -5\n", [], "probe samples must be >= 0"),
+    ("verify-taming", "driver.domain_bound = -1\n", [], "domain_bound must be positive"),
+    ("verify-taming", "driver.domain_bound = nan\n", [], "domain_bound must be positive"),
+    ("verify-taming", "driver.domain_bound = inf\n", [], "domain_bound must be positive"),
+], ids=["inline-timing", "standardize", "threads-key", "threads-option", "probe-samples",
+        "domain-bound", "domain-bound-nan", "domain-bound-inf"])
+def test_rejected_value_is_config_error(tmp_path, capsys, command, extra, args, message):
+    out = tmp_path / "x.csv"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONV.format(out=out) + extra)
+    assert main([command, str(cfg), *args]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_threads_key_and_option_are_accepted_and_ignored(tmp_path):
+    plain, threaded = tmp_path / "plain.csv", tmp_path / "threaded.csv"
+    assert main(["converge", write(tmp_path, "a.cfg", CONV, plain)]) == 0
+    cfg = write(tmp_path, "b.cfg", CONV + "threads = 4\n", threaded)
+    assert main(["converge", cfg, "--threads", "8"]) == 0
+    assert plain.read_bytes() == threaded.read_bytes()
+
+
 def test_nonpositive_horizon_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(CONV.format(out=tmp_path / "x.csv").replace("horizon = 1.0", "horizon = -1.0"))
