@@ -38,15 +38,18 @@ EXPLICIT_UNTAMED = "explicit_untamed"
 IMPLICIT = "implicit"
 SCHEME_KINDS = (EXPLICIT_TAMED, EXPLICIT_UNTAMED, IMPLICIT)
 
+# the implicit solve's residual tolerance, relative to 1 + |y|, and its
+# iteration cap
+IMPLICIT_TOL = 1e-12
+IMPLICIT_MAX_ITER = 50
+
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """Scheme kind, the theta' weight in the Z target, and implicit-solver knobs."""
+    """Scheme kind and the theta' weight in the Z target."""
 
     kind: str
     theta_prime: float = 1.0
-    implicit_tol: float = 1e-12
-    implicit_max_iter: int = 50
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
@@ -127,10 +130,9 @@ class SchemeExplodedError(RuntimeError):
     """A scheme whose output is required (the convergence proxy) exploded."""
 
 
-def _solve_implicit(driver: TamedDriver, t: float, c, z, h: float,
-                    tol: float, max_iter: int, step: int,
+def _solve_implicit(driver: TamedDriver, c, z, h: float, step: int,
                     scheme: str | None = None) -> tuple[np.ndarray, int]:
-    """Solve y = c + f^h(t, y, z) h elementwise.
+    """Solve y = c + f^h(y, z) h elementwise.
 
     Every iteration takes the safeguarded Newton step
     y - r / max(1 - h f^h'(y), 0.1) from the current iterate, r being the
@@ -138,76 +140,60 @@ def _solve_implicit(driver: TamedDriver, t: float, c, z, h: float,
     Under the step guard h max(0, M_y) < 1 the map y -> y - h f^h(y) is
     strictly increasing, so the root is unique.
 
-    Polished acceptance: a path whose residual meets the tolerance is
-    frozen at the Newton update of that iterate, which the iteration
-    computes anyway (at the iterate itself where the update is not finite).
-    The residual is convex for the usual drivers, so Newton approaches the
-    root from one side; freezing the iterate would leave its stopping error
-    in y, and that error adds up over the levels of a long run.
+    Polished acceptance: a path whose residual meets the tolerance
+    |r| <= IMPLICIT_TOL (1 + |y|) is frozen at the Newton update of that
+    iterate, which the iteration computes anyway (at the iterate itself
+    where the update is not finite).  The residual is convex for the usual
+    drivers, so Newton approaches the root from one side; freezing the
+    iterate would leave its stopping error in y, and that error adds up
+    over the levels of a long run.
 
-    Converged paths leave the iteration once they make up three quarters
-    of it (dropping entries costs several elementwise passes), so later
-    iterations work mostly on unconverged paths.  The residual at the
-    candidate carries into the next iteration; f^h is evaluated again only
-    where the step was halved, and the halved-step blend is built only when
-    some step got worse.
+    The residual at the candidate carries into the next iteration; f^h is
+    evaluated again only where the step was halved.  Paths still outside
+    the tolerance after IMPLICIT_MAX_ITER iterations raise
+    ImplicitSolverError, which names the lowest of them.
     """
     ctil = c + h * driver.base.z_coeff * np.asarray(z, dtype=float)
     y = ctil.copy()
-    # the iteration runs on y[active]; `live` marks its unconverged entries,
-    # the others' values wait in `frozen` until they are dropped and written
-    # to y (until the first drop, `frozen` is y itself)
-    active, live = np.arange(y.size), np.ones(y.size, dtype=bool)
-    ya, ca, frozen = y, ctil, y
-    res = ya - ca - h * driver.tamed_y_part(ya)
+    live = np.ones(y.size, dtype=bool)
+    res = y - ctil - h * driver.tamed_y_part(y)
     abs_res = np.abs(res)
-    iterations = 0
-    for it in range(max_iter):
-        iterations = it + 1
+    for iterations in range(1, IMPLICIT_MAX_ITER + 1):
         # the Newton update of every iterate, built in place
-        y_next = np.multiply(h, driver.y_slope(ya))
-        np.subtract(1.0, y_next, out=y_next)
-        np.maximum(y_next, 0.1, out=y_next)
-        np.divide(res, y_next, out=y_next)
-        np.subtract(ya, y_next, out=y_next)
-        threshold = np.abs(ya)
+        newton = np.multiply(h, driver.y_slope(y))
+        np.subtract(1.0, newton, out=newton)
+        np.maximum(newton, 0.1, out=newton)
+        np.divide(res, newton, out=newton)
+        np.subtract(y, newton, out=newton)
+        threshold = np.abs(y)
         threshold += 1.0
-        threshold *= tol
-        newly = abs_res <= threshold
-        newly &= live
-        if newly.any():
-            np.copyto(frozen, np.where(np.isfinite(y_next), y_next, ya), where=newly)
-            live ^= newly
-            left = np.count_nonzero(live)
-            if left == 0:
+        threshold *= IMPLICIT_TOL
+        done = abs_res <= threshold
+        done &= live
+        if done.any():
+            np.copyto(y, newton, where=done & np.isfinite(newton))
+            live ^= done
+            if not live.any():
                 break
-            if left <= 0.25 * live.size:
-                y[active] = frozen
-                active, ya, ca, y_next = active[live], ya[live], ca[live], y_next[live]
-                res, abs_res, frozen = res[live], abs_res[live], frozen[live]
-                live = np.ones(ya.size, dtype=bool)
         # halve steps that made the residual worse; the residual carries into
         # the next iteration and is recomputed only where the step was halved
-        res = y_next - ca
-        res -= h * driver.tamed_y_part(y_next)
+        np.subtract(newton, ctil, out=res)
+        res -= h * driver.tamed_y_part(newton)
         abs_next = np.abs(res)
         worse = abs_next > abs_res
         worse &= live
         abs_res = abs_next
         if worse.any():
-            ya = np.where(worse, 0.5 * (ya + y_next), y_next)
-            res[worse] = ya[worse] - ca[worse] - h * driver.tamed_y_part(ya[worse])
+            newton[worse] = 0.5 * (y[worse] + newton[worse])
+            res[worse] = newton[worse] - ctil[worse] - h * driver.tamed_y_part(newton[worse])
             abs_res[worse] = np.abs(res[worse])
-        else:
-            ya = y_next
+        np.copyto(y, newton, where=live)
     else:
-        # out of iterations: the live entries keep their last iterate, as it
-        # is; those outside the tolerance fail
-        np.copyto(frozen, ya, where=live)
-        bad = live & (abs_res > tol * (1.0 + np.abs(ya)))
+        # out of iterations: the live paths keep their last iterate, and
+        # those outside the tolerance fail
+        bad = live & (abs_res > IMPLICIT_TOL * (1.0 + np.abs(y)))
         if bad.any():
-            raise ImplicitSolverError(int(active[np.argmax(bad)]), step, scheme)
-    y[active] = frozen
+            raise ImplicitSolverError(int(np.argmax(bad)), step, scheme)
     return y, iterations
 
 
@@ -328,7 +314,7 @@ class _SchemeRun:
         self.first_bad = None
         self.seconds = 0.0
 
-    def advance(self, i: int, t: float, h: float, op) -> None:
+    def advance(self, i: int, h: float, op) -> None:
         """Z_i, then Y_i; a non-finite Z_i or Y_i marks the scheme exploded
         at i and stores nothing.  The tamed y-part at Y_{i+1} is evaluated
         once, for the Z target (its z-part added as TamedDriver.__call__
@@ -342,9 +328,7 @@ class _SchemeRun:
         if np.isfinite(z).all():
             if scheme.kind == IMPLICIT:
                 c, self.y_fits[i] = op.mean(op.children(y_next))
-                y, self.iterations[i] = _solve_implicit(
-                    driver, t, c, z, h, scheme.implicit_tol, scheme.implicit_max_iter, i,
-                    self.label)
+                y, self.iterations[i] = _solve_implicit(driver, c, z, h, i, self.label)
             else:
                 y, self.y_fits[i] = op.mean(op.children(y_next) + (op.children(p) + z_coeff * z) * h)
             if np.isfinite(y).all():
@@ -381,13 +365,12 @@ def _backward(groups: list[tuple[object, list[_SchemeRun], object]], reached=Non
                 if j % strides[g] or not running[g]:
                     continue
                 i = j // strides[g]
-                t = grid.times[i]
                 start = time.perf_counter()
                 op.begin_step(i)
                 shared = (time.perf_counter() - start) / len(running[g])
                 for run in running[g]:
                     start = time.perf_counter()
-                    run.advance(i, t, grid.h, op)
+                    run.advance(i, grid.h, op)
                     run.seconds += time.perf_counter() - start + shared
                 op.end_step()
                 running[g] = [run for run in running[g] if run.first_bad is None]

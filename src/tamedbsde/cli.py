@@ -20,7 +20,7 @@ import ctypes
 import sys
 
 from .backward import ImplicitSolverError, SchemeExplodedError
-from .config import ConfigError, load_config
+from .config import ConfigError, checked_seed, load_config
 from .experiments import (
     convergence_study,
     emit_csv,
@@ -92,7 +92,7 @@ def _run(args) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = checked_seed(args.seed)
         if args.threads is not None and args.threads < 1:
             raise ConfigError("threads must be >= 1")
         if args.out is not None:

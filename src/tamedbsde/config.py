@@ -29,12 +29,19 @@ from dataclasses import dataclass, field, replace
 
 from .drivers import DriverSpec, ProbePlan, TamingSpec, polynomial_driver
 from .forward import SdeSpec, TerminalSpec
-from .grids import GAUSSIAN, NoiseModel, TRUNCATED, truncation_lambda
+from .grids import GAUSSIAN, NoiseModel, TRUNCATED, check_horizon, truncation_lambda
 from .backward import IMPLICIT, SchemeSpec, check_implicit_guard
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 2)."""
+
+
+def checked_seed(seed: int) -> int:
+    """The seed, if it is a Philox key: an integer in [0, 2^128)."""
+    if not 0 <= seed < 2**128:
+        raise ConfigError(f"seed must lie in [0, 2^128), got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -147,10 +154,9 @@ def parse_config(text: str) -> ExperimentConfig:
     r = _Reader(pairs)
 
     horizon = r.float_("horizon")
-    if not horizon > 0.0:
-        raise ConfigError(f"horizon must be positive, got {horizon}")
-    seed = r.int_("seed")
+    seed = checked_seed(r.int_("seed"))
     try:
+        check_horizon(horizon)
         sde = SdeSpec(
             x0=r.float_("sde.x0", default=0.0),
             drift_const=r.float_("sde.b0", default=0.0),
@@ -223,12 +229,7 @@ def parse_config(text: str) -> ExperimentConfig:
         else:
             taming = TamingSpec(kind="none")
         try:
-            scheme = SchemeSpec(
-                kind=kind,
-                theta_prime=r.float_(f"{prefix}.theta_prime", default=1.0),
-                implicit_tol=r.float_(f"{prefix}.implicit_tol", default=1e-12),
-                implicit_max_iter=r.int_(f"{prefix}.implicit_max_iter", default=50),
-            )
+            scheme = SchemeSpec(kind=kind, theta_prime=r.float_(f"{prefix}.theta_prime", default=1.0))
         except ValueError as exc:
             raise ConfigError(f"{prefix}: {exc}") from None
         schemes.append(SchemeRun(label=label, scheme=scheme, taming=taming))

@@ -35,17 +35,16 @@ class PartitionGrid:
     h: float
     times: np.ndarray
 
-    def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+
+def check_horizon(horizon: float) -> None:
+    """Raises ValueError unless the horizon is positive and finite."""
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
 
 
 def build_grid(horizon: float, steps: int) -> PartitionGrid:
     """Uniform grid with t_i = i * horizon / steps."""
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    check_horizon(horizon)
     if int(steps) != steps or steps < 1:
         raise ValueError(f"steps must be a positive integer, got {steps}")
     steps = int(steps)

@@ -4,7 +4,7 @@ One fit approximates one conditional expectation E_i[target | X_i = x].
 Every fit goes through an rcond-truncated thin SVD of the design, so one
 factorization of a sample serves any number of targets.
 The sample is standardized (centered and scaled) before evaluating the
-basis by default; the variance of X grows with t_i and raw high-degree
+basis; the variance of X grows with t_i and raw high-degree
 Hermite columns become badly conditioned without it.
 """
 
@@ -22,7 +22,6 @@ class BasisSpec:
     """First `size` probabilists' Hermite polynomials He_0 .. He_{size-1}."""
 
     size: int
-    standardize: bool = True
 
     def __post_init__(self):
         if self.size < 1:
@@ -54,11 +53,9 @@ def hermite_matrix(x: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def standardization(basis: BasisSpec, x: np.ndarray) -> tuple[float, float]:
+def standardization(x: np.ndarray) -> tuple[float, float]:
     """(center, scale) for the sample; a degenerate sample falls back to
     centering only (scale 1)."""
-    if not basis.standardize:
-        return 0.0, 1.0
     x = np.asarray(x, dtype=float)
     center = float(x.mean()) if x.size else 0.0
     scale = float(x.std()) if x.size else 1.0
@@ -75,7 +72,7 @@ def design_matrix(basis: BasisSpec, x, center: float | None = None, scale: float
     """
     x = np.asarray(x, dtype=float)
     if center is None or scale is None:
-        center, scale = standardization(basis, x)
+        center, scale = standardization(x)
     return hermite_matrix((x - center) / scale, basis.size)
 
 
@@ -138,7 +135,7 @@ def fit_least_squares(design: np.ndarray, targets, basis: BasisSpec | None = Non
         raise ValueError(f"non-finite target at index {int(np.argmax(bad))}")
 
     if basis is None:
-        basis = BasisSpec(size=design.shape[1], standardize=False)
+        basis = BasisSpec(size=design.shape[1])
     return RegressionFit(coeffs=factors.solve(targets), basis=basis, center=center, scale=scale,
                          rank=factors.rank, smallest_singular_value=factors.smallest_singular_value)
 
@@ -172,7 +169,7 @@ class SampleDesign:
 
 def sample_design(basis: BasisSpec, x) -> SampleDesign:
     """Standardize x, build its design matrix and factor it."""
-    center, scale = standardization(basis, x)
+    center, scale = standardization(x)
     matrix = design_matrix(basis, x, center, scale)
     return SampleDesign(basis=basis, center=center, scale=scale, matrix=matrix,
                         factors=factorize(matrix))

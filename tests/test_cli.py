@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import tamedbsde
+from tamedbsde import backward
 from tamedbsde.cli import main
 
 CONV = """
@@ -137,21 +138,36 @@ def test_unknown_scheme_kind_is_config_error(tmp_path):
     assert main(["converge", str(cfg)]) == 2
 
 
+def with_keys(text, extra):
+    """`text` with the `key = value` lines of `extra`, each in place of the
+    line of its key where `text` has one."""
+    keys = {line.split("=")[0].strip() for line in extra.splitlines()}
+    kept = [line for line in text.splitlines() if line.split("=")[0].strip() not in keys]
+    return "\n".join(kept) + "\n" + extra
+
+
 @pytest.mark.parametrize("command, extra, args, message", [
     ("converge", "report.inline_timing = true\n", [], "report.inline_timing"),
     ("converge", "basis.standardize = false\n", [], "basis.standardize"),
+    ("converge", "scheme.1.implicit_tol = 1e-10\n", [], "scheme.1.implicit_tol"),
+    ("converge", "scheme.1.implicit_max_iter = 10\n", [], "scheme.1.implicit_max_iter"),
     ("converge", "threads = 0\n", [], "threads must be >= 1"),
     ("converge", "", ["--threads", "0"], "threads must be >= 1"),
     ("verify-taming", "tolerances.probe_samples = -5\n", [], "probe samples must be >= 0"),
     ("verify-taming", "driver.domain_bound = -1\n", [], "domain_bound must be positive"),
     ("verify-taming", "driver.domain_bound = nan\n", [], "domain_bound must be positive"),
     ("verify-taming", "driver.domain_bound = inf\n", [], "domain_bound must be positive"),
-], ids=["inline-timing", "standardize", "threads-key", "threads-option", "probe-samples",
-        "domain-bound", "domain-bound-nan", "domain-bound-inf"])
+    ("tree-oracle", "horizon = inf\n", [], "horizon must be positive and finite, got inf"),
+    ("verify-taming", "horizon = inf\n", [], "horizon must be positive and finite, got inf"),
+    ("converge", "seed = -1\n", [], "seed must lie in [0, 2^128), got -1"),
+    ("converge", "", ["--seed", str(2**128)], f"seed must lie in [0, 2^128), got {2**128}"),
+], ids=["inline-timing", "standardize", "implicit-tol", "implicit-max-iter", "threads-key",
+        "threads-option", "probe-samples", "domain-bound", "domain-bound-nan", "domain-bound-inf",
+        "horizon-inf-tree", "horizon-inf-taming", "seed-key", "seed-option"])
 def test_rejected_value_is_config_error(tmp_path, capsys, command, extra, args, message):
     out = tmp_path / "x.csv"
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(CONV.format(out=out) + extra)
+    cfg.write_text(with_keys(CONV.format(out=out), extra))
     assert main([command, str(cfg), *args]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -232,9 +248,10 @@ def test_forward_blowup_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in err and "path 0, step 2 of N=8" in err
 
 
-def test_implicit_non_convergence_is_numerical_failure(tmp_path, capsys):
+def test_implicit_non_convergence_is_numerical_failure(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(CONV.format(out=tmp_path / "x.csv") + "scheme.1.implicit_max_iter = 1\n")
+    cfg.write_text(CONV.format(out=tmp_path / "x.csv"))
+    monkeypatch.setattr(backward, "IMPLICIT_MAX_ITER", 1)
     assert main(["converge", str(cfg)]) == 4
     err = capsys.readouterr().err
     # the finest grid's last step comes first
@@ -243,10 +260,11 @@ def test_implicit_non_convergence_is_numerical_failure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["positivity", "tree-oracle"])
-def test_streamed_study_implicit_non_convergence_is_numerical_failure(tmp_path, capsys, command):
+def test_streamed_study_implicit_non_convergence_is_numerical_failure(tmp_path, capsys, monkeypatch,
+                                                                    command):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(CONV.format(out=tmp_path / "x.csv").replace("grids = 4,8", "grids = 8")
-                   + "scheme.1.implicit_max_iter = 1\n")
+    cfg.write_text(CONV.format(out=tmp_path / "x.csv").replace("grids = 4,8", "grids = 8"))
+    monkeypatch.setattr(backward, "IMPLICIT_MAX_ITER", 1)
     assert main([command, str(cfg)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: scheme 'implicit': implicit solve did not converge at path ")

@@ -16,12 +16,12 @@ from tamedbsde.trees import build_tree, enumerate_tree_paths
 
 
 def test_single_basis_function_is_constant_column():
-    mat = design_matrix(BasisSpec(size=1, standardize=False), np.array([1.0, -2.0, 3.5]))
+    mat = design_matrix(BasisSpec(size=1), np.array([1.0, -2.0, 3.5]), 0.0, 1.0)
     np.testing.assert_array_equal(mat, np.ones((3, 1)))
 
 
 def test_hermite_values_at_zero():
-    mat = design_matrix(BasisSpec(size=3, standardize=False), np.array([0.0]))
+    mat = design_matrix(BasisSpec(size=3), np.array([0.0]), 0.0, 1.0)
     np.testing.assert_array_equal(mat[0], [1.0, 0.0, -1.0])
 
 
@@ -48,7 +48,7 @@ def test_hermite_matrix_bitwise_matches_recurrence():
 
 
 def test_hermite_linear_row():
-    mat = design_matrix(BasisSpec(size=2, standardize=False), np.array([2.0]))
+    mat = design_matrix(BasisSpec(size=2), np.array([2.0]), 0.0, 1.0)
     np.testing.assert_array_equal(mat[0], [1.0, 2.0])
 
 
@@ -73,7 +73,7 @@ def test_quadratic_in_span():
 
 def test_interpolation_when_square():
     x = np.array([-1.0, 0.0, 2.0])
-    design = design_matrix(BasisSpec(size=3, standardize=False), x)
+    design = design_matrix(BasisSpec(size=3), x, 0.0, 1.0)
     fit = fit_least_squares(design, np.array([4.0, -1.0, 7.0]))
     np.testing.assert_allclose(design @ fit.coeffs, [4.0, -1.0, 7.0], atol=1e-10)
 
@@ -101,7 +101,7 @@ def test_non_finite_target_named():
 
 def test_degenerate_sample_falls_back_to_centering():
     x = np.full(20, 2.0)
-    fit = fit_basis(BasisSpec(size=3, standardize=True), x, np.full(20, 5.0))
+    fit = fit_basis(BasisSpec(size=3), x, np.full(20, 5.0))
     assert fit.scale == 1.0
     np.testing.assert_allclose(predict(fit, fit.basis, x), 5.0, rtol=1e-12)
 
@@ -122,7 +122,7 @@ def test_residual_orthogonality():
     x = rng.normal(size=500)
     y = np.sin(x) + 0.1 * rng.normal(size=500)
     center, scale = x.mean(), x.std()
-    design = design_matrix(BasisSpec(size=5, standardize=True), x)
+    design = design_matrix(BasisSpec(size=5), x)
     fit = fit_least_squares(design, y, basis=BasisSpec(size=5), center=center, scale=scale)
     residual = y - design @ fit.coeffs
     assert np.linalg.norm(design.T @ residual) <= 1e-8 * np.linalg.norm(y)
@@ -167,7 +167,7 @@ def test_constant_sample_has_rank_one():
 
 
 def test_non_finite_design_entry_named():
-    design = design_matrix(BasisSpec(size=3, standardize=False), np.linspace(-1, 1, 6))
+    design = design_matrix(BasisSpec(size=3), np.linspace(-1, 1, 6), 0.0, 1.0)
     design[4, 2] = np.inf
     with pytest.raises(ValueError, match="row 4, column 2"):
         fit_least_squares(design, np.zeros(6))
