@@ -2,11 +2,11 @@
 
 Every scheme computes Z first and explicitly,
 
-    Z_i = E_i[ (Y_{i+1} + (1-theta') f^h(t_i, Y_{i+1}, 0) h) H_{i+1} ],
+    Z_i = E_i[ (Y_{i+1} + (1-theta') f^h(Y_{i+1}, 0) h) H_{i+1} ],
 
 then the Y update: the explicit kinds set
-Y_i = E_i[ Y_{i+1} + f^h(t_i, Y_{i+1}, Z_i) h ], the implicit kind sets
-Y_i = E_i[Y_{i+1}] + f^h(t_i, Y_i, Z_i) h and solves for Y_i per path.
+Y_i = E_i[ Y_{i+1} + f^h(Y_{i+1}, Z_i) h ], the implicit kind sets
+Y_i = E_i[Y_{i+1}] + f^h(Y_i, Z_i) h and solves for Y_i per path.
 One loop runs it over a conditional-expectation operator: `children(v)`
 aligns a level-(i+1) array with level i, and `mean(kids)` and
 `mean_h(kids)` return E_i[v] and E_i[v H_{i+1}] of kids = children(v), each
@@ -27,7 +27,6 @@ import numpy as np
 
 from .drivers import NONE, TamedDriver, TamingSpec, derive_constants
 from .forward import PathEnsemble, TerminalSpec
-from .grids import IncrementBatch
 # Nothing here calls predict; it stays bound as backward.predict because the
 # benchmark's trace probes (perfbench/spans.py) look it up by that name.
 from .regression import BasisSpec, predict, sample_design  # noqa: F401
@@ -64,10 +63,8 @@ class ExactTreeBasis:
 
     Exact conditional expectation for ensembles produced by
     trees.enumerate_tree_paths (paths sharing a level-i node form contiguous
-    blocks of size 2^(N-i)).
+    blocks of size 2^(N-i)); N is the ensemble's number of steps.
     """
-
-    steps: int
 
 
 @dataclass
@@ -278,13 +275,18 @@ class _TreeOperator:
         return (kids[1] - kids[0]) / self.two_sqrt_h, _NO_FIT
 
 
-def _path_operator(basis: BasisSpec | ExactTreeBasis, ensemble: PathEnsemble,
-                   batch: IncrementBatch) -> _LsmcOperator:
-    X, H = ensemble.X, batch.H
+def _path_operator(basis: BasisSpec | ExactTreeBasis, ensemble: PathEnsemble) -> _LsmcOperator:
+    """The operator of `basis` on the ensemble's X and its own increments H,
+    whose shape is checked against X (an ensemble built by hand can hold
+    increments of another shape)."""
+    X, H = ensemble.X, ensemble.increments.H
+    n, paths = ensemble.grid.steps, X.shape[1]
+    if H.shape != (n, paths):
+        raise ValueError(f"ensemble increments have shape {H.shape}, expected ({n}, {paths})")
     if not isinstance(basis, ExactTreeBasis):
         return _LsmcOperator(basis, X, H)
-    if X.shape[1] != 2**basis.steps:
-        raise ValueError(f"exact tree basis expects 2^{basis.steps} paths, got {X.shape[1]}")
+    if paths != 2**n:
+        raise ValueError(f"exact tree basis expects 2^{n} paths, got {paths}")
     return _PrefixOperator(None, X, H)
 
 
@@ -388,8 +390,7 @@ def _output(run: _SchemeRun, Y, Z) -> SchemeOutput:
 
 
 def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: PathEnsemble,
-                       xi: np.ndarray, batch: IncrementBatch,
-                       basis: BasisSpec | ExactTreeBasis,
+                       xi: np.ndarray, basis: BasisSpec | ExactTreeBasis,
                        labels: list[str] | None = None) -> list[SchemeOutput]:
     """Backward recursion of several (scheme, driver) pairs over one path
     ensemble, in lockstep.
@@ -404,8 +405,7 @@ def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: 
     grid = ensemble.grid
     n = grid.steps
     paths = ensemble.X.shape[1]
-    if batch.dW.shape != (n, paths):
-        raise ValueError(f"increment batch shape {batch.dW.shape} does not match ({n}, {paths})")
+    op = _path_operator(basis, ensemble)
     if xi.shape != (paths,):
         raise ValueError(f"terminal values have shape {xi.shape}, expected ({paths},)")
     runs = []
@@ -414,7 +414,7 @@ def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: 
         Y[n] = xi
         runs.append(_SchemeRun(scheme, tamed, grid, Y, np.empty((n, paths)),
                                labels[k] if labels else None))
-    _backward([(_path_operator(basis, ensemble, batch), runs, grid)])
+    _backward([(op, runs, grid)])
 
     for run in runs:
         if run.first_bad is not None:
@@ -457,11 +457,10 @@ def stream_backward(groups: list[tuple], basis: BasisSpec, reached) -> list[list
 
 
 def run_backward(scheme: SchemeSpec, tamed: TamedDriver, ensemble: PathEnsemble,
-                 xi: np.ndarray, batch: IncrementBatch,
-                 basis: BasisSpec | ExactTreeBasis) -> SchemeOutput:
+                 xi: np.ndarray, basis: BasisSpec | ExactTreeBasis) -> SchemeOutput:
     """Backward recursion of one scheme over a path ensemble: the group of
     one of `run_backward_group`."""
-    return run_backward_group([(scheme, tamed)], ensemble, xi, batch, basis)[0]
+    return run_backward_group([(scheme, tamed)], ensemble, xi, basis)[0]
 
 
 def tree_exact_run(scheme: SchemeSpec, tamed: TamedDriver, tree: TreeModel,
@@ -508,11 +507,10 @@ class ZetaDiagnostic:
 
 
 def zeta_diagnostic(output, tamed: TamedDriver, *, ensemble: PathEnsemble | None = None,
-                    batch: IncrementBatch | None = None,
                     basis: BasisSpec | ExactTreeBasis | None = None) -> ZetaDiagnostic:
     """Martingale-representation coefficient of each step and its gap to Z.
 
-    zeta_i = E_i[(Y_{i+1} + f^h(t_i, Y_{i+1}, Z_i) h) H_{i+1}]; the gap
+    zeta_i = E_i[(Y_{i+1} + f^h(Y_{i+1}, Z_i) h) H_{i+1}]; the gap
     D_i = Z_i - zeta_i measures how far the practical Z target is from the
     theoretically natural one.  Requires a completed (non-exploded) run.
     """
@@ -522,9 +520,9 @@ def zeta_diagnostic(output, tamed: TamedDriver, *, ensemble: PathEnsemble | None
     if on_tree:
         grid, op = output.tree.grid, _TreeOperator(output.tree)
     else:
-        if ensemble is None or batch is None or basis is None:
-            raise ValueError("path-ensemble zeta diagnostic needs ensemble, batch and basis")
-        grid, op = ensemble.grid, _path_operator(basis, ensemble, batch)
+        if ensemble is None or basis is None:
+            raise ValueError("path-ensemble zeta diagnostic needs ensemble and basis")
+        grid, op = ensemble.grid, _path_operator(basis, ensemble)
     Y, Z = output.Y, output.Z
 
     h, z_coeff = grid.h, tamed.base.z_coeff

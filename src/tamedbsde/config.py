@@ -18,13 +18,14 @@ and blank lines.  Values are scalars or comma-separated lists.  Example::
     scheme.1.r0 = 0.5
     output = positivity.csv
 
-Scheme entries are numbered; each carries its own taming.  A top-level
-`taming.*` section, when present, is the default taming for scheme entries
-that do not name one, and is checked by `verify-taming` alongside them.
+Scheme entries are numbered; each carries its own taming, `none` when it
+names no `scheme.<n>.taming` (its `r0` and `exponent` keys are then unknown
+keys).  Every number must be finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .drivers import DriverSpec, ProbePlan, TamingSpec, polynomial_driver
@@ -65,7 +66,6 @@ class ExperimentConfig:
     noise: NoiseModel
     output_path: str
     probe: ProbePlan = field(default_factory=ProbePlan)
-    default_taming: TamingSpec | None = None
 
 
 def _parse_pairs(text: str) -> dict[str, str]:
@@ -88,6 +88,13 @@ def _parse_pairs(text: str) -> dict[str, str]:
 
 _REQUIRED = object()
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def _getter(convert, expected: str):
@@ -119,21 +126,18 @@ class _Reader:
             raise ConfigError(f"missing required key {key!r}")
         return default
 
-    float_ = _getter(float, "a number")
+    float_ = _getter(_finite, "a finite number")
     int_ = _getter(int, "an integer")
     bool_ = _getter(lambda v: _BOOLS[v.lower()], "true/false")
-    float_list = _getter(lambda v: [float(part) for part in v.split(",")], "comma-separated numbers")
+    float_list = _getter(lambda v: [_finite(part) for part in v.split(",")],
+                         "comma-separated finite numbers")
     int_list = _getter(lambda v: [int(part) for part in v.split(",")], "comma-separated integers")
 
     def unknown_keys(self):
         return sorted(set(self.pairs) - self.seen)
 
 
-def _taming_from(reader: _Reader, prefix: str, kind: str | None) -> TamingSpec | None:
-    if kind is None:
-        kind = reader.str_(f"{prefix}.kind", default=None)
-        if kind is None:
-            return None
+def _taming_from(reader: _Reader, prefix: str, kind: str) -> TamingSpec:
     r0 = reader.float_(f"{prefix}.r0", default=1.0)
     exponent = reader.float_(f"{prefix}.exponent", default=None)
     try:
@@ -212,8 +216,6 @@ def parse_config(text: str) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    default_taming = _taming_from(r, "taming", None)
-
     indices = sorted({int(k.split(".")[1]) for k in pairs if k.startswith("scheme.")
                       if k.split(".")[1].isdigit()})
     schemes: list[SchemeRun] = []
@@ -221,13 +223,8 @@ def parse_config(text: str) -> ExperimentConfig:
         prefix = f"scheme.{idx}"
         kind = r.str_(f"{prefix}.kind")
         label = r.str_(f"{prefix}.label", default=f"scheme{idx}")
-        taming_kind = r.str_(f"{prefix}.taming", default="")
-        if taming_kind:
-            taming = _taming_from(r, prefix, taming_kind)
-        elif default_taming is not None:
-            taming = default_taming
-        else:
-            taming = TamingSpec(kind="none")
+        taming_kind = r.str_(f"{prefix}.taming", default=None)
+        taming = TamingSpec() if taming_kind is None else _taming_from(r, prefix, taming_kind)
         try:
             scheme = SchemeSpec(kind=kind, theta_prime=r.float_(f"{prefix}.theta_prime", default=1.0))
         except ValueError as exc:
@@ -253,7 +250,6 @@ def parse_config(text: str) -> ExperimentConfig:
         noise=noise,
         output_path=r.str_("output", default="report.csv"),
         probe=probe,
-        default_taming=default_taming,
     )
     unknown = r.unknown_keys()
     if unknown:

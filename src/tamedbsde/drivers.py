@@ -1,7 +1,7 @@
 """Polynomial drivers, the taming family, derived step-size constants and
 the runtime assumption verifier.
 
-A driver is f(t, y, z) = P(y) + z_coeff * z with P polynomial.  Tamings act
+A driver is f(y, z) = P(y) + z_coeff * z with P polynomial.  Tamings act
 on the y-part P only, leaving the (linear, Lipschitz) z-part untouched; this
 keeps the z-regularity constant exact under every taming and matches all the
 experiment configurations, which are z-free.
@@ -37,7 +37,7 @@ class DriverConstants:
 
     k_t, k_y, k_z : |f| <= k_t + k_y |y|^m + k_z |z|
     m_y           : one-sided Lipschitz constant in y
-    l_t, l_y, l_z : time-Hoelder, local-Lipschitz-in-y, Lipschitz-in-z
+    l_y, l_z      : local-Lipschitz-in-y, Lipschitz-in-z
     domain_bound  : |y| range on which m_y (and l_y) were certified; the
                     growth constants are global for polynomials.
     """
@@ -46,7 +46,6 @@ class DriverConstants:
     k_y: float
     k_z: float
     m_y: float
-    l_t: float
     l_y: float
     l_z: float
     domain_bound: float
@@ -94,14 +93,14 @@ def derive_base_constants(y_coeffs, z_coeff: float = 0.0, domain_bound: float = 
     l_y = float(sum(k * abs(ck) for k, ck in enumerate(c)))
     return DriverConstants(
         k_t=k_t, k_y=k_y, k_z=abs(float(z_coeff)),
-        m_y=m_y, l_t=0.0, l_y=l_y, l_z=abs(float(z_coeff)),
+        m_y=m_y, l_y=l_y, l_z=abs(float(z_coeff)),
         domain_bound=float(domain_bound),
     )
 
 
 @dataclass(frozen=True)
 class DriverSpec:
-    """Base driver f(t, y, z) = sum_k a_k y^k + z_coeff * z."""
+    """Base driver f(y, z) = sum_k a_k y^k + z_coeff * z."""
 
     y_coeffs: tuple[float, ...]
     z_coeff: float = 0.0
@@ -177,8 +176,8 @@ def polynomial_driver(y_coeffs, z_coeff: float = 0.0, domain_bound: float = 10.0
     return DriverSpec(coeffs, float(z_coeff), derive_base_constants(coeffs, z_coeff, domain_bound))
 
 
-def eval_driver(spec: DriverSpec, t, y, z):
-    """f(t, y, z); t is accepted for interface uniformity (drivers are autonomous)."""
+def eval_driver(spec: DriverSpec, y, z):
+    """f(y, z)."""
     return spec.y_part(y) + spec.z_coeff * np.asarray(z, dtype=float)
 
 
@@ -201,7 +200,7 @@ class TamingSpec:
             raise ValueError(f"unknown taming kind {self.kind!r}; expected one of {TAMING_KINDS}")
         if not self.r0 > 0.0:
             raise ValueError("taming r0 must be positive")
-        if self.exponent is not None and self.exponent < 0.0:
+        if self.exponent is not None and not self.exponent >= 0.0:
             raise ValueError("taming exponent must be >= 0")
 
     def resolved_exponent(self, degree: int) -> float:
@@ -262,7 +261,7 @@ class TamedDriver:
             return np.abs(y) ** (m - 1)
         raise AssertionError(kind)
 
-    def __call__(self, t, y, z):
+    def __call__(self, y, z):
         return self.tamed_y_part(y) + self.base.z_coeff * np.asarray(z, dtype=float)
 
     def y_slope(self, y):
@@ -296,9 +295,9 @@ class TamedDriver:
         return (dp * denom - p * df_num / r) / denom**2
 
 
-def taming_residual(driver: TamedDriver, t, y, z):
+def taming_residual(driver: TamedDriver, y, z):
     """R^h = f - f^h; vanishes pointwise as h -> 0."""
-    return eval_driver(driver.base, t, y, z) - driver(t, y, z)
+    return eval_driver(driver.base, y, z) - driver(y, z)
 
 
 @dataclass(frozen=True)
@@ -317,7 +316,6 @@ class DerivedConstants:
     k_t: float
     k_y: float
     k_z: float
-    l_t: float
     l_y: float
     l_z: float
     mbar_t: float
@@ -384,7 +382,7 @@ def derive_constants(driver: TamedDriver) -> DerivedConstants:
     c = base.constants
     m = base.growth_power
     mbar_t, mbar_y, mbar_z = _monotone_growth_base(base)
-    common = dict(h=h, radius=r, k_z=c.k_z, l_t=c.l_t, l_z=c.l_z, m_y=c.m_y)
+    common = dict(h=h, radius=r, k_z=c.k_z, l_z=c.l_z, m_y=c.m_y)
 
     if kind == INNER_PROJ:
         return DerivedConstants(
@@ -458,8 +456,12 @@ class ProbePlan:
     rel_slack: float = 1e-9
 
     def __post_init__(self):
+        if not (self.y_max > 0.0 and self.z_max > 0.0):
+            raise ValueError(f"probe range must be positive, got y_max={self.y_max}, z_max={self.z_max}")
         if self.samples < 0:
             raise ValueError(f"probe samples must be >= 0, got {self.samples}")
+        if not self.rel_slack >= 0.0:
+            raise ValueError(f"probe rel_slack must be >= 0, got {self.rel_slack}")
 
 
 @dataclass
@@ -524,8 +526,8 @@ def verify_assumptions(driver: TamedDriver, probe: ProbePlan | None = None) -> A
     # pointwise checks on (y, z) singles
     yy = np.repeat(ys, zs.size)
     zz = np.tile(zs, ys.size)
-    fh = driver(0.0, yy, zz)
-    f = eval_driver(base, 0.0, yy, zz)
+    fh = driver(yy, zz)
+    f = eval_driver(base, yy, zz)
     singles = np.column_stack([yy, zz])
 
     rhs = np.abs(f)
@@ -544,7 +546,7 @@ def verify_assumptions(driver: TamedDriver, probe: ProbePlan | None = None) -> A
     yp, y = [a.ravel() for a in np.meshgrid(ys, ys, indexing="ij")]
     pairs = np.column_stack([yp, y])
     dy = yp - y
-    dfh = driver(0.0, yp, 0.0) - driver(0.0, y, 0.0)
+    dfh = driver(yp, 0.0) - driver(y, 0.0)
 
     lip_excess = np.abs(dfh) - cons.l_y * np.abs(dy)
     mon_excess = dy * dfh - cons.m_y * dy**2

@@ -26,7 +26,7 @@ from .backward import (
     tree_exact_run,
 )
 from .config import ConfigError, ExperimentConfig, SchemeRun
-from .drivers import INNER_PROJ, TamedDriver, derive_constants, verify_assumptions
+from .drivers import INNER_PROJ, TamedDriver, TamingSpec, derive_constants, verify_assumptions
 from .forward import euler_simulate, terminal_values
 from .grids import (
     IncrementBatch,
@@ -320,20 +320,13 @@ def tree_oracle_study(cfg: ExperimentConfig) -> PositivityStudyReport:
 def verify_taming_study(cfg: ExperimentConfig) -> TamingReport:
     """Assumption checks and boundedness witnesses for every configured
     taming across the whole N ladder."""
-    tamings: list[tuple[str, object]] = []
-    seen = set()
+    # the first label of each distinct taming
+    tamings: dict[TamingSpec, str] = {}
     for run in cfg.schemes:
-        key = (run.taming.kind, run.taming.r0, run.taming.exponent)
-        if key not in seen:
-            seen.add(key)
-            tamings.append((run.label, run.taming))
-    if cfg.default_taming is not None:
-        key = (cfg.default_taming.kind, cfg.default_taming.r0, cfg.default_taming.exponent)
-        if key not in seen:
-            tamings.append(("default", cfg.default_taming))
+        tamings.setdefault(run.taming, run.label)
 
     rows: list[TamingRow] = []
-    for label, taming in sorted(tamings, key=lambda item: item[0]):
+    for taming, label in sorted(tamings.items(), key=lambda item: item[1]):
         for n in cfg.grids:
             h = cfg.horizon / n
             tamed = TamedDriver(base=cfg.driver, taming=taming, h=h)

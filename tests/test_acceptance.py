@@ -77,14 +77,14 @@ def test_criterion_1_oracle_equivalence():
         assert not tree.recombining
         ens = enumerate_tree_paths(tree)
         xi = terminal_values(terminal, ens)
-        basis = ExactTreeBasis(steps=steps)
+        basis = ExactTreeBasis()
         node_idx = [path_node_index(tree, lvl) for lvl in range(steps + 1)]
         for kind in SCHEME_KINDS:
             for taming in TAMING_KINDS:
                 for theta in (0.0, 0.5, 1.0):
                     scheme = SchemeSpec(kind=kind, theta_prime=theta)
                     tamed = TamedDriver(driver, TamingSpec(kind=taming), h=grid.h)
-                    mc = run_backward(scheme, tamed, ens, xi, ens.increments, basis)
+                    mc = run_backward(scheme, tamed, ens, xi, basis)
                     tr = tree_exact_run(scheme, tamed, tree, terminal)
                     assert not mc.exploded and not tr.exploded
                     for lvl in range(steps + 1):
@@ -194,7 +194,7 @@ def test_criterion_4_non_explosion_moments():
             ens = euler_simulate(sde, grid, batch)
             xi = terminal_values(term, ens)
             out = run_backward(SchemeSpec(kind="explicit_tamed"),
-                               TamedDriver(CUBIC, taming, grid.h), ens, xi, batch, basis)
+                               TamedDriver(CUBIC, taming, grid.h), ens, xi, basis)
             assert not out.exploded
             mass[steps] = float(np.max(np.mean(out.Y**2, axis=1)))
         ratio = mass[512] / mass[8]
@@ -213,7 +213,7 @@ def test_criterion_5_explosion_demonstration():
     xi = terminal_values(TerminalSpec((0.0, 0.0, 0.0, 1.0)), ens)
     out = run_backward(SchemeSpec(kind="explicit_untamed"),
                        TamedDriver(CUBIC, TamingSpec(kind="none"), grid.h),
-                       ens, xi, batch, BasisSpec(size=6))
+                       ens, xi, BasisSpec(size=6))
     ok = out.exploded or float(np.nanmax(np.abs(out.Y))) > 1e3
     report(5, "explosion demonstration", ok)
     assert ok
@@ -224,7 +224,7 @@ def _positivity_driver() -> DriverSpec:
     # f(y) = -y^2 is monotone on the domain [0, inf) the solution lives in:
     # declare M_y = 0 there, and the sharp local-Lipschitz factor L_y = 1
     cons = DriverConstants(k_t=0.0, k_y=1.0, k_z=0.0, m_y=0.0,
-                           l_t=0.0, l_y=1.0, l_z=0.0, domain_bound=10.0)
+                           l_y=1.0, l_z=0.0, domain_bound=10.0)
     return DriverSpec((0.0, 0.0, -1.0), 0.0, cons)
 
 

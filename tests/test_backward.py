@@ -137,7 +137,7 @@ def test_exact_basis_matches_tree_run():
     xi = terminal_values(term, ens)
     tamed = TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h)
     scheme = SchemeSpec(kind="explicit_tamed", theta_prime=0.5)
-    mc = run_backward(scheme, tamed, ens, xi, ens.increments, ExactTreeBasis(steps=8))
+    mc = run_backward(scheme, tamed, ens, xi, ExactTreeBasis())
     tr = tree_exact_run(scheme, tamed, tree, term)
     for level in range(9):
         idx = path_node_index(tree, level)
@@ -151,7 +151,7 @@ def test_regression_backend_closed_form():
     ens = euler_simulate(SdeSpec(x0=0.0, diff_const=0.8), grid, batch)
     xi = np.full(500, 1.0)
     out = run_backward(SchemeSpec(kind="explicit_tamed"), untamed(LINEAR, grid.h),
-                       ens, xi, batch, BasisSpec(size=3))
+                       ens, xi, BasisSpec(size=3))
     np.testing.assert_allclose(out.Y[0], (1.0 - grid.h) ** 10, atol=1e-9)
 
 
@@ -169,15 +169,15 @@ def test_step_projection_bitwise_equals_fit_then_predict(theta_prime):
     basis = BasisSpec(size=12)
     tamed = TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h)
     out = run_backward(SchemeSpec(kind="explicit_tamed", theta_prime=theta_prime),
-                       tamed, ens, xi, batch, basis)
+                       tamed, ens, xi, basis)
     assert not out.exploded
     h = grid.h
     for i in range(grid.steps):
-        t, x, y_next = grid.times[i], ens.X[i], out.Y[i + 1]
-        z_target = (y_next + (1.0 - theta_prime) * tamed(t, y_next, 0.0) * h) * batch.H[i]
+        x, y_next = ens.X[i], out.Y[i + 1]
+        z_target = (y_next + (1.0 - theta_prime) * tamed(y_next, 0.0) * h) * batch.H[i]
         z_i = predict(fit_basis(basis, x, z_target), basis, x)
         assert np.array_equal(out.Z[i], z_i), i
-        y_target = y_next + tamed(t, y_next, z_i) * h
+        y_target = y_next + tamed(y_next, z_i) * h
         assert np.array_equal(out.Y[i], predict(fit_basis(basis, x, y_target), basis, x)), i
 
 
@@ -198,7 +198,7 @@ def test_one_design_build_per_step(monkeypatch):
     steps = 7
     grid, batch, ens, xi = _wide_ensemble(steps, paths=500)
     out = run_backward(SchemeSpec(kind="implicit"), untamed(CUBIC, grid.h),
-                       ens, xi, batch, BasisSpec(size=6))
+                       ens, xi, BasisSpec(size=6))
     assert not out.exploded
     # two projections (Z, then E_i[Y_{i+1}]) per step share one design
     assert calls == {"design": steps, "fit": 2 * steps}
@@ -225,7 +225,7 @@ def test_group_membership_does_not_change_outputs(monkeypatch):
          TamedDriver(CUBIC, TamingSpec(kind="mult_c"), h)),
         (SchemeSpec(kind="explicit_untamed"), untamed(CUBIC, h)),
     ]
-    solo = [run_backward(scheme, tamed, ens, xi, batch, basis) for scheme, tamed in members]
+    solo = [run_backward(scheme, tamed, ens, xi, basis) for scheme, tamed in members]
     # the untamed scheme explodes mid-run and leaves the group
     assert [out.exploded for out in solo] == [False, False, False, True]
     assert 0 < solo[-1].first_bad_step < steps - 1
@@ -243,9 +243,9 @@ def test_group_membership_does_not_change_outputs(monkeypatch):
 
     monkeypatch.setattr(regression, "design_matrix", counting_design)
     monkeypatch.setattr(regression, "factorize", counting_factorize)
-    group = run_backward_group(members, ens, xi, batch, basis)
+    group = run_backward_group(members, ens, xi, basis)
     assert calls == {"design": steps, "factorize": steps}
-    reversed_group = run_backward_group(members[::-1], ens, xi, batch, basis)[::-1]
+    reversed_group = run_backward_group(members[::-1], ens, xi, basis)[::-1]
     for alone, together, backwards in zip(solo, group, reversed_group):
         _assert_same_output(alone, together)
         _assert_same_output(alone, backwards)
@@ -266,8 +266,8 @@ def _permutation_case():
          TamedDriver(CUBIC, TamingSpec(kind="mult_c"), h)),
         (SchemeSpec(kind="explicit_untamed"), untamed(CUBIC, h)),
     ]
-    reference = run_backward_group(members, ens, xi, batch, basis)
-    return members, (ens, xi, batch, basis), reference
+    reference = run_backward_group(members, ens, xi, basis)
+    return members, (ens, xi, basis), reference
 
 
 @settings(max_examples=24, deadline=None)
@@ -289,7 +289,7 @@ def _path_permutation_case():
     members = [(SchemeSpec(kind="implicit"), untamed(CUBIC, h))] + [
         (SchemeSpec(kind="explicit_tamed", theta_prime=theta), TamedDriver(CUBIC, TamingSpec(kind=kind), h))
         for kind, theta in (("inner_proj", 1.0), ("outer_proj", 1.0), ("mult_c", 0.5), ("mult_d", 0.0))]
-    reference = run_backward_group(members, ens, xi, batch, BasisSpec(size=6))
+    reference = run_backward_group(members, ens, xi, BasisSpec(size=6))
     return members, (ens, xi, batch), reference
 
 
@@ -303,7 +303,7 @@ def test_group_outputs_follow_a_permutation_of_paths(seed):
     perm = np.random.default_rng(seed).permutation(xi.size)
     shuffled_batch = IncrementBatch(dW=batch.dW[:, perm], H=batch.H[:, perm], lam=batch.lam)
     shuffled = PathEnsemble(X=ens.X[:, perm], increments=shuffled_batch, grid=ens.grid)
-    outputs = run_backward_group(members, shuffled, xi[perm], shuffled_batch, BasisSpec(size=6))
+    outputs = run_backward_group(members, shuffled, xi[perm], BasisSpec(size=6))
     for ref, out in zip(reference, outputs):
         assert not out.exploded
         for want, got in zip([*ref.Y, *ref.Z], [*out.Y, *out.Z]):
@@ -316,7 +316,7 @@ def test_terminal_column_is_exact():
     ens = euler_simulate(SdeSpec(x0=0.0), grid, batch)
     xi = terminal_values(TerminalSpec((0.0, 1.0)), ens)
     out = run_backward(SchemeSpec(kind="explicit_tamed"), untamed(ZERO, grid.h),
-                       ens, xi, batch, BasisSpec(size=3))
+                       ens, xi, BasisSpec(size=3))
     np.testing.assert_array_equal(out.Y[-1], xi)
 
 
@@ -326,7 +326,7 @@ def test_explosion_is_flagged_not_raised():
     ens = euler_simulate(SdeSpec(x0=0.0, diff_const=1.0), grid, batch)
     xi = terminal_values(TerminalSpec((0.0, 0.0, 0.0, 1.0)), ens)
     out = run_backward(SchemeSpec(kind="explicit_untamed"), untamed(CUBIC, grid.h),
-                       ens, xi, batch, BasisSpec(size=6))
+                       ens, xi, BasisSpec(size=6))
     assert out.exploded
     assert out.first_bad_step is not None
     # partial data: levels above the bad step are still populated
@@ -342,7 +342,7 @@ def test_exploded_levels_are_nan_and_reached_levels_are_not():
     good, bad = run_backward_group(
         [(SchemeSpec(kind="explicit_tamed"), TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h)),
          (SchemeSpec(kind="explicit_untamed"), untamed(CUBIC, grid.h))],
-        ens, xi, batch, BasisSpec(size=6))
+        ens, xi, BasisSpec(size=6))
     assert not good.exploded and np.all(np.isfinite(good.Y)) and np.all(np.isfinite(good.Z))
     j = bad.first_bad_step
     assert bad.exploded and 0 < j < grid.steps - 1
@@ -544,7 +544,7 @@ def test_one_tamed_y_part_per_explicit_step(monkeypatch):
     calls.clear()
     grid, batch, ens, xi = _wide_ensemble(steps, paths=300)
     run_backward(scheme, TamedDriver(CUBIC, TamingSpec(kind="mult_c"), grid.h),
-                 ens, xi, batch, BasisSpec(size=4))
+                 ens, xi, BasisSpec(size=4))
     assert calls == [300] * steps
 
 
@@ -848,9 +848,8 @@ def test_d_for_theta_one_matches_direct_tree_value():
         sqrt_h = math.sqrt(grid.h)
         for i in range(steps):
             down, up = out.Y[i + 1][:-1], out.Y[i + 1][1:]
-            t = grid.times[i]
-            direct = -0.5 * (tamed(t, up, out.Z[i]) / sqrt_h
-                             - tamed(t, down, out.Z[i]) / sqrt_h) * grid.h
+            direct = -0.5 * (tamed(up, out.Z[i]) / sqrt_h
+                             - tamed(down, out.Z[i]) / sqrt_h) * grid.h
             np.testing.assert_allclose(diag.D[i], direct, atol=1e-12)
         assert np.all(np.isfinite(diag.norms))
         norms_by_n[steps] = float(np.sum(diag.norms))
@@ -864,8 +863,8 @@ def test_zeta_on_regression_backend():
     xi = terminal_values(TerminalSpec((0.0, 1.0)), ens)
     tamed = untamed(ZERO, grid.h)
     basis = BasisSpec(size=4)
-    out = run_backward(SchemeSpec(kind="explicit_tamed"), tamed, ens, xi, batch, basis)
-    diag = zeta_diagnostic(out, tamed, ensemble=ens, batch=batch, basis=basis)
+    out = run_backward(SchemeSpec(kind="explicit_tamed"), tamed, ens, xi, basis)
+    diag = zeta_diagnostic(out, tamed, ensemble=ens, basis=basis)
     assert np.max(np.abs(diag.D)) < 1e-10
     assert diag.norms.shape == (6,)
 
@@ -877,8 +876,8 @@ def test_path_zeta_norms_are_path_major_means(steps):
     grid, batch, ens, xi = _wide_ensemble(steps, paths=2500)
     tamed = TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h)
     basis = BasisSpec(size=6)
-    out = run_backward(SchemeSpec(kind="explicit_tamed", theta_prime=0.5), tamed, ens, xi, batch, basis)
-    diag = zeta_diagnostic(out, tamed, ensemble=ens, batch=batch, basis=basis)
+    out = run_backward(SchemeSpec(kind="explicit_tamed", theta_prime=0.5), tamed, ens, xi, basis)
+    diag = zeta_diagnostic(out, tamed, ensemble=ens, basis=basis)
     assert diag.D.shape == (steps, 2500)
     D = np.ascontiguousarray(diag.D.T)
     assert np.array_equal(diag.norms, np.mean(D**2, axis=0) * grid.h)
@@ -901,7 +900,7 @@ def test_path_storage_is_level_major(monkeypatch):
     assert ens.increments is batch
 
     # the operator's levels are the ensemble's and the batch's, not copies
-    op = backward._path_operator(BasisSpec(size=4), ens, batch)
+    op = backward._path_operator(BasisSpec(size=4), ens)
     assert np.shares_memory(op.X, ens.X) and np.shares_memory(op.H, batch.H)
     assert all(op.X[i].flags.c_contiguous for i in range(fine.steps + 1))
     assert all(op.H[i].flags.c_contiguous for i in range(fine.steps))
@@ -916,7 +915,7 @@ def test_path_storage_is_level_major(monkeypatch):
     xi = terminal_values(TerminalSpec((0.0, 0.0, 1.0)), ens)
     members = [(SchemeSpec(kind=kind), TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), fine.h))
                for kind in ("explicit_tamed", "implicit")]
-    outs = run_backward_group(members, ens, xi, batch, BasisSpec(size=4))
+    outs = run_backward_group(members, ens, xi, BasisSpec(size=4))
     assert len(rows) > 3 * fine.steps
     assert all(row.ndim == 1 and row.flags.c_contiguous for row in rows)
     for out in outs:

@@ -155,15 +155,39 @@ def with_keys(text, extra):
     ("converge", "", ["--threads", "0"], "threads must be >= 1"),
     ("verify-taming", "tolerances.probe_samples = -5\n", [], "probe samples must be >= 0"),
     ("verify-taming", "driver.domain_bound = -1\n", [], "domain_bound must be positive"),
-    ("verify-taming", "driver.domain_bound = nan\n", [], "domain_bound must be positive"),
-    ("verify-taming", "driver.domain_bound = inf\n", [], "domain_bound must be positive"),
-    ("tree-oracle", "horizon = inf\n", [], "horizon must be positive and finite, got inf"),
-    ("verify-taming", "horizon = inf\n", [], "horizon must be positive and finite, got inf"),
+    ("verify-taming", "driver.domain_bound = nan\n", [],
+     "key 'driver.domain_bound': expected a finite number, got 'nan'"),
+    ("verify-taming", "driver.domain_bound = inf\n", [],
+     "key 'driver.domain_bound': expected a finite number, got 'inf'"),
+    ("tree-oracle", "horizon = inf\n", [], "key 'horizon': expected a finite number, got 'inf'"),
+    ("verify-taming", "horizon = inf\n", [], "key 'horizon': expected a finite number, got 'inf'"),
     ("converge", "seed = -1\n", [], "seed must lie in [0, 2^128), got -1"),
     ("converge", "", ["--seed", str(2**128)], f"seed must lie in [0, 2^128), got {2**128}"),
+    ("verify-taming", "taming.kind = none\n", [], "unknown configuration keys: taming.kind"),
+    ("verify-taming", "taming.kind = mult_d\ntaming.r0 = 0.5\ntaming.exponent = 0.5\n", [],
+     "unknown configuration keys: taming.exponent, taming.kind, taming.r0"),
+    ("verify-taming", "scheme.2.exponent = nan\n", [],
+     "key 'scheme.2.exponent': expected a finite number, got 'nan'"),
+    ("verify-taming", "scheme.2.r0 = inf\n", [], "key 'scheme.2.r0': expected a finite number, got 'inf'"),
+    ("verify-taming", "driver.z_coeff = nan\n", [],
+     "key 'driver.z_coeff': expected a finite number, got 'nan'"),
+    ("verify-taming", "driver.m_y = nan\n", [], "key 'driver.m_y': expected a finite number, got 'nan'"),
+    ("verify-taming", "driver.l_y = inf\n", [], "key 'driver.l_y': expected a finite number, got 'inf'"),
+    ("verify-taming", "terminal.coeffs = nan\n", [],
+     "key 'terminal.coeffs': expected comma-separated finite numbers, got 'nan'"),
+    ("converge", "driver.y_poly = 0,nan,0,-1\n", [],
+     "key 'driver.y_poly': expected comma-separated finite numbers, got '0,nan,0,-1'"),
+    ("verify-taming", "tolerances.rel_slack = nan\n", [],
+     "key 'tolerances.rel_slack': expected a finite number, got 'nan'"),
+    ("verify-taming", "tolerances.probe_z_max = nan\n", [],
+     "key 'tolerances.probe_z_max': expected a finite number, got 'nan'"),
+    ("verify-taming", "tolerances.probe_y_max = -1\n", [], "probe range must be positive"),
 ], ids=["inline-timing", "standardize", "implicit-tol", "implicit-max-iter", "threads-key",
         "threads-option", "probe-samples", "domain-bound", "domain-bound-nan", "domain-bound-inf",
-        "horizon-inf-tree", "horizon-inf-taming", "seed-key", "seed-option"])
+        "horizon-inf-tree", "horizon-inf-taming", "seed-key", "seed-option",
+        "taming-kind", "taming-section", "exponent-nan", "r0-inf", "z-coeff-nan", "m-y-nan",
+        "l-y-inf", "terminal-nan", "y-poly-nan", "rel-slack-nan", "probe-z-max-nan",
+        "probe-y-max-negative"])
 def test_rejected_value_is_config_error(tmp_path, capsys, command, extra, args, message):
     out = tmp_path / "x.csv"
     cfg = tmp_path / "bad.cfg"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,20 +31,20 @@ def tamed(base, kind, r0=1.0, exponent=None, h=0.125):
 # ---------------------------------------------------------------- evaluation
 
 def test_eval_cubic():
-    assert eval_driver(CUBIC, 0.0, 2.0, 0.0) == -8.0
+    assert eval_driver(CUBIC, 2.0, 0.0) == -8.0
 
 
 def test_eval_fhn_root():
-    assert eval_driver(FHN, 0.0, 1.0, 0.0) == 0.0
+    assert eval_driver(FHN, 1.0, 0.0) == 0.0
 
 
 def test_eval_quadratic():
-    assert eval_driver(QUADRATIC, 0.0, 3.0, 0.0) == -9.0
+    assert eval_driver(QUADRATIC, 3.0, 0.0) == -9.0
 
 
 def test_eval_z_part():
     spec = polynomial_driver([1.0], z_coeff=0.5)
-    assert eval_driver(spec, 0.0, 0.0, 4.0) == 3.0
+    assert eval_driver(spec, 0.0, 4.0) == 3.0
 
 
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e200, 1e308]
@@ -61,7 +63,7 @@ def _same_bits(a, b):
 @given(coeffs=COEFFS, x=POINTS)
 @settings(max_examples=300, deadline=None)
 def test_horner_bitwise_equals_polyval(coeffs, x):
-    spec = DriverSpec(tuple(coeffs), 0.0, DriverConstants(0, 0, 0, 0, 0, 0, 0, 1))
+    spec = DriverSpec(tuple(coeffs), 0.0, DriverConstants(0, 0, 0, 0, 0, 0, 1))
     c = np.asarray(coeffs, dtype=float)
     with np.errstate(all="ignore"):
         assert _same_bits(spec.y_part(x), npoly.polyval(x, c))
@@ -74,17 +76,17 @@ def test_horner_bitwise_equals_polyval(coeffs, x):
 
 def test_inner_projection_forced():
     d = tamed(CUBIC, "inner_proj", r0=1.0, exponent=0.0)
-    assert d(0.0, 2.0, 0.0) == -1.0
+    assert d(2.0, 0.0) == -1.0
 
 
 def test_outer_projection_forced():
     d = tamed(CUBIC, "outer_proj", r0=1.5, exponent=0.0)
-    assert d(0.0, 2.0, 0.0) == -1.5
+    assert d(2.0, 0.0) == -1.5
 
 
 def test_mult_c_value():
     d = tamed(CUBIC, "mult_c", r0=1.0, exponent=0.0)
-    assert d(0.0, 2.0, 0.0) == pytest.approx(-8.0 / 9.0, rel=1e-14)
+    assert d(2.0, 0.0) == pytest.approx(-8.0 / 9.0, rel=1e-14)
 
 
 def test_projections_are_identity_inside_the_ball():
@@ -92,15 +94,15 @@ def test_projections_are_identity_inside_the_ball():
     outer = tamed(CUBIC, "outer_proj", r0=2.0, exponent=0.0)
     for y in (-1.2, -0.5, 0.0, 0.7, 1.2):
         if abs(y) <= 2.0:
-            assert inner(0.0, y, 0.0) == eval_driver(CUBIC, 0.0, y, 0.0)
+            assert inner(y, 0.0) == eval_driver(CUBIC, y, 0.0)
         if abs(y**3) <= 2.0:
-            assert outer(0.0, y, 0.0) == eval_driver(CUBIC, 0.0, y, 0.0)
+            assert outer(y, 0.0) == eval_driver(CUBIC, y, 0.0)
 
 
 def test_mult_b_zero_convention():
     d = tamed(FHN, "mult_b", r0=1.0, exponent=0.0)
     # damping factor is 1 at y = 0, so the tamed driver agrees with f there
-    assert d(0.0, 0.0, 0.0) == eval_driver(FHN, 0.0, 0.0, 0.0)
+    assert d(0.0, 0.0) == eval_driver(FHN, 0.0, 0.0)
 
 
 @given(y=st.floats(min_value=-25.0, max_value=25.0),
@@ -108,19 +110,19 @@ def test_mult_b_zero_convention():
 @settings(max_examples=200)
 def test_pointwise_domination_on_cubic(y, kind):
     d = tamed(CUBIC, kind, r0=1.0, h=0.25)
-    assert abs(d(0.0, y, 0.0)) <= abs(eval_driver(CUBIC, 0.0, y, 0.0)) + 1e-12
+    assert abs(d(y, 0.0)) <= abs(eval_driver(CUBIC, y, 0.0)) + 1e-12
 
 
 def test_residual_zero_inside_identity_region():
     inner = tamed(CUBIC, "inner_proj", r0=1.0, exponent=0.0)
-    assert taming_residual(inner, 0.0, 0.5, 0.0) == 0.0
+    assert taming_residual(inner, 0.5, 0.0) == 0.0
     outer = tamed(CUBIC, "outer_proj", r0=1.0, exponent=0.0)
-    assert taming_residual(outer, 0.0, 0.9, 0.0) == 0.0
+    assert taming_residual(outer, 0.9, 0.0) == 0.0
 
 
 def test_residual_mult_c_value():
     d = tamed(CUBIC, "mult_c", r0=1.0, exponent=0.0)
-    assert taming_residual(d, 0.0, 2.0, 0.0) == pytest.approx(-8.0 + 8.0 / 9.0, rel=1e-14)
+    assert taming_residual(d, 2.0, 0.0) == pytest.approx(-8.0 + 8.0 / 9.0, rel=1e-14)
 
 
 def test_residual_vanishes_with_h():
@@ -130,7 +132,7 @@ def test_residual_vanishes_with_h():
     prev = np.inf
     for k in range(1, 10):
         d = tamed(CUBIC, "inner_proj", r0=1.0, h=2.0**-k)
-        res = abs(taming_residual(d, 0.0, y, 0.0))
+        res = abs(taming_residual(d, y, 0.0))
         assert res <= prev + 1e-12
         prev = res
     assert prev == 0.0
@@ -236,3 +238,10 @@ def test_driver_spec_validation():
         TamingSpec(kind="sideways")
     with pytest.raises(ValueError):
         TamingSpec(kind="inner_proj", r0=0.0)
+    with pytest.raises(ValueError, match="exponent"):
+        TamingSpec(kind="mult_c", exponent=math.nan)
+    for bad in ({"y_max": -1.0}, {"z_max": 0.0}, {"y_max": math.nan}):
+        with pytest.raises(ValueError, match="probe range must be positive"):
+            ProbePlan(**bad)
+    with pytest.raises(ValueError, match="rel_slack"):
+        ProbePlan(rel_slack=math.nan)

@@ -143,7 +143,7 @@ def _grid_outputs(cfg):
         ens = euler_simulate(cfg.sde, grid, batch)
         xi = terminal_values(cfg.terminal, ens)
         members = [(run.scheme, TamedDriver(cfg.driver, run.taming, grid.h)) for run in cfg.schemes]
-        outputs[n] = run_backward_group(members, ens, xi, batch, basis)
+        outputs[n] = run_backward_group(members, ens, xi, basis)
     return outputs
 
 
@@ -327,7 +327,7 @@ def test_streamed_positivity_study_bitwise_equals_stored_outputs(noise):
     ens = euler_simulate(cfg.sde, grid, batch)
     runs = sorted(cfg.schemes, key=lambda run: run.label)
     members = [(run.scheme, TamedDriver(cfg.driver, run.taming, grid.h)) for run in runs]
-    outputs = run_backward_group(members, ens, terminal_values(cfg.terminal, ens), batch,
+    outputs = run_backward_group(members, ens, terminal_values(cfg.terminal, ens),
                                  BasisSpec(size=cfg.basis_size))
     assert [out.first_bad_step for out in outputs] == [None, None, 6]
     report = positivity_study(cfg)
@@ -501,14 +501,6 @@ def test_parse_good_config():
     assert cfg.schemes[0].taming.kind == "inner_proj"
     assert cfg.schemes[0].taming.r0 == 0.6
     assert cfg.basis_size == 12
-
-
-def test_default_taming_section():
-    text = GOOD.replace("scheme.1.taming = inner_proj\nscheme.1.r0 = 0.6\n",
-                        "") + "taming.kind = mult_d\ntaming.r0 = 0.5\n"
-    cfg = parse_config(text)
-    assert cfg.schemes[0].taming.kind == "mult_d"
-    assert cfg.schemes[0].taming.r0 == 0.5
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
