@@ -1,8 +1,8 @@
 """Least-squares projection on a probabilists'-Hermite basis of the state.
 
 One fit approximates one conditional expectation E_i[target | X_i = x].
-Every fit goes through an rcond-truncated thin SVD of the design, so one
-factorization of a sample serves any number of targets.
+Every fit goes through an `eigh` of the design's equilibrated K x K Gram
+matrix (`Factorization`), so one factorization serves any number of targets.
 The sample is standardized (centered and scaled) before evaluating the
 basis; the variance of X grows with t_i and raw high-degree
 Hermite columns become badly conditioned without it.
@@ -39,17 +39,16 @@ class RegressionFit:
 
 
 def hermite_matrix(x: np.ndarray, size: int) -> np.ndarray:
-    """Columns He_0(x) .. He_{size-1}(x) via the three-term recurrence,
-    run on 1-D temporaries rather than on strided columns of the output."""
+    """C-ordered (size, M) rows He_0(x) .. He_{size-1}(x), each row written
+    in place by the three-term recurrence from the two rows above it."""
     x = np.asarray(x, dtype=float)
-    out = np.empty((x.size, size), dtype=float)
-    out[:, 0] = 1.0
+    out = np.empty((size, x.size), dtype=float)
+    out[0] = 1.0
     if size > 1:
-        out[:, 1] = x
-    prev, cur = 1.0, x
+        out[1] = x
     for k in range(2, size):
-        prev, cur = cur, x * cur - (k - 1) * prev
-        out[:, k] = cur
+        np.multiply(x, out[k - 1], out=out[k])
+        out[k] -= (k - 1) * out[k - 2]
     return out
 
 
@@ -65,7 +64,7 @@ def standardization(x: np.ndarray) -> tuple[float, float]:
 
 
 def design_matrix(basis: BasisSpec, x, center: float | None = None, scale: float | None = None) -> np.ndarray:
-    """M x K matrix of basis values at (standardized) x.
+    """M x K matrix of basis values at (standardized) x, a transposed view.
 
     When center/scale are omitted they are computed from x itself; pass the
     values stored in a fit to evaluate the basis consistently elsewhere.
@@ -73,53 +72,54 @@ def design_matrix(basis: BasisSpec, x, center: float | None = None, scale: float
     x = np.asarray(x, dtype=float)
     if center is None or scale is None:
         center, scale = standardization(x)
-    return hermite_matrix((x - center) / scale, basis.size)
+    return hermite_matrix((x - center) / scale, basis.size).T
 
 
 @dataclass(frozen=True)
 class Factorization:
-    """Rcond-truncated thin SVD A = U_r diag(s_r) V_r^T of one design matrix.
+    """`eigh` of the equilibrated Gram matrix of a design D (K x M):
+    diag(1/d) D D^T diag(1/d) = W diag(lam) W^T, d the row norms of D (0 read
+    as 1).  The rank r counts the eigenvalues above RCOND * lam_max; only the
+    K x r factor B = diag(1/d) W_r and lam_r are kept.  Coefficients are
+    minimum-norm in the equilibrated coordinates diag(d) c, fitted values the
+    least-squares projection either way.  The smallest singular value is the
+    raw design's on the kept subspace, that of diag(sqrt(lam_r)) W_r^T diag(d)."""
 
-    Only the r singular values above RCOND * s_0 and their vectors are kept,
-    which is the rank and the minimum-norm solution `lstsq` uses.
-    """
-
-    u: np.ndarray
-    s: np.ndarray
-    vt: np.ndarray
+    b: np.ndarray
+    lam: np.ndarray
+    smallest_singular_value: float
 
     @property
     def rank(self) -> int:
-        return int(self.s.size)
+        return int(self.lam.size)
 
-    @property
-    def smallest_singular_value(self) -> float:
-        return float(self.s[-1]) if self.s.size else 0.0
-
-    def solve(self, targets: np.ndarray) -> np.ndarray:
-        """Minimum-norm least-squares coefficients V_r ((U_r^T t) / s_r); a
-        2-D target gets one column of coefficients per column."""
-        return ((targets.T @ self.u) / self.s @ self.vt).T
+    def solve(self, design: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """Coefficients B ((B^T (D t)) / lam) of one target t on its design."""
+        return self.b @ ((self.b.T @ (design.T @ target)) / self.lam)
 
 
 def factorize(design: np.ndarray) -> Factorization:
-    """Thin SVD of the design, truncated at RCOND relative to s_0.
+    """Factor the M x K design through its equilibrated Gram matrix.
 
     Raises ValueError naming the first non-finite design entry.
     """
-    bad = ~np.isfinite(design)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise ValueError(f"non-finite design entry at row {i}, column {j}")
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    rank = int(np.count_nonzero(s > RCOND * s[0])) if s.size else 0
-    return Factorization(u=u[:, :rank], s=s[:rank], vt=vt[:rank])
+    gram = design.T @ design
+    if not np.isfinite(gram).all():
+        bad = np.argwhere(~np.isfinite(design))
+        where = f"entry at row {bad[0][0]}, column {bad[0][1]}" if bad.size else "Gram matrix (overflow)"
+        raise ValueError(f"non-finite design {where}")
+    d = np.sqrt(np.where(np.diag(gram) > 0.0, np.diag(gram), 1.0))
+    lam, w = np.linalg.eigh(gram / np.outer(d, d))
+    keep = lam > RCOND * lam[-1]
+    s = np.linalg.svd(np.sqrt(lam[keep])[:, None] * w[:, keep].T * d, compute_uv=False)
+    return Factorization(w[:, keep] / d[:, None], lam[keep], float(s[-1]) if s.size else 0.0)
 
 
 def fit_least_squares(design: np.ndarray, targets, basis: BasisSpec | None = None,
                       center: float = 0.0, scale: float = 1.0,
                       factors: Factorization | None = None) -> RegressionFit:
-    """Minimum-norm least squares with small singular values discarded.
+    """Least squares through the design's `Factorization`: eigenvalues of the
+    equilibrated Gram matrix below RCOND * lam_max are discarded.
 
     `factors` is the design's factorization when the caller already has it;
     without it the design is factored here.  Raises ValueError naming the
@@ -136,7 +136,7 @@ def fit_least_squares(design: np.ndarray, targets, basis: BasisSpec | None = Non
 
     if basis is None:
         basis = BasisSpec(size=design.shape[1])
-    return RegressionFit(coeffs=factors.solve(targets), basis=basis, center=center, scale=scale,
+    return RegressionFit(coeffs=factors.solve(design, targets), basis=basis, center=center, scale=scale,
                          rank=factors.rank, smallest_singular_value=factors.smallest_singular_value)
 
 
@@ -146,10 +146,10 @@ class SampleDesign:
     factorization.
 
     Built once per sample; every fit on the sample reuses the one
-    factorization, and every fitted value at the sample's own points the
-    same C-ordered matrix, so fitted values equal `predict(fit, basis, x)`
-    bit for bit without a rebuild.  Each target is projected on its own, so
-    a fit does not depend on which other targets share the design.
+    factorization, and fitted values are coeffs @ matrix.T on the level-major
+    array, as in `predict`, so they equal `predict(fit, basis, x)` bit for
+    bit.  Each target is projected on its own, so a fit does not depend on
+    which other targets share the design.
     """
 
     basis: BasisSpec
@@ -164,7 +164,7 @@ class SampleDesign:
 
     def fitted(self, fit: RegressionFit) -> np.ndarray:
         """Fitted values at the sample points of a fit made on this design."""
-        return self.matrix @ fit.coeffs
+        return fit.coeffs @ self.matrix.T
 
 
 def sample_design(basis: BasisSpec, x) -> SampleDesign:
@@ -191,4 +191,4 @@ def predict(fit: RegressionFit, basis: BasisSpec, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         return np.empty(0, dtype=float)
-    return design_matrix(basis, x, fit.center, fit.scale) @ fit.coeffs
+    return fit.coeffs @ design_matrix(basis, x, fit.center, fit.scale).T

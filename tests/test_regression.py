@@ -1,3 +1,6 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +10,12 @@ from tamedbsde import (
     SdeSpec,
     build_grid,
     design_matrix,
+    euler_simulate,
     fit_basis,
     fit_least_squares,
+    load_config,
     predict,
+    sample_increments,
 )
 from tamedbsde.regression import RCOND, hermite_matrix, sample_design
 from tamedbsde.trees import build_tree, enumerate_tree_paths
@@ -43,8 +49,9 @@ def test_hermite_matrix_bitwise_matches_recurrence():
     x = np.random.default_rng(3).normal(scale=2.0, size=(301, 2))[:, 0]
     for size in range(1, 13):
         mat = hermite_matrix(x, size)
+        assert mat.shape == (size, x.size)
         assert mat.flags.c_contiguous
-        assert np.array_equal(mat, _hermite_by_columns(x, size)), size
+        assert np.array_equal(mat, _hermite_by_columns(x, size).T), size
 
 
 def test_hermite_linear_row():
@@ -171,3 +178,67 @@ def test_non_finite_design_entry_named():
     design[4, 2] = np.inf
     with pytest.raises(ValueError, match="row 4, column 2"):
         fit_least_squares(design, np.zeros(6))
+
+
+def _refined_fitted(design, target, corrections=4):
+    # reference least-squares fitted values, independent of the Gram route:
+    # a Householder QR solve, then corrections from residuals in long double
+    q, r = np.linalg.qr(design)
+    a, t = design.astype(np.longdouble), target.astype(np.longdouble)
+    coeffs = np.zeros(design.shape[1], dtype=np.longdouble)
+    for _ in range(corrections + 1):
+        residual = (t - a @ coeffs).astype(float)
+        coeffs += np.linalg.solve(r, q.T @ residual)
+    return (a @ coeffs).astype(float)
+
+
+def _assert_fits_reference(design, targets):
+    for target in targets:
+        reference = _refined_fitted(design.matrix, target)
+        fitted = design.fitted(design.fit(target))
+        assert np.max(np.abs(fitted - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_fits_match_refined_reference_on_benchmark_paths():
+    # the X rows of the wide benchmark config (40k paths, K = 12), with a
+    # Y-shaped target X_{i+1}^2 and a Z-shaped one X_{i+1}^2 H_{i+1}
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "configs", "lsmc_wide.cfg")
+    cfg = load_config(path)
+    grid = build_grid(cfg.horizon, cfg.grids[0])
+    batch = sample_increments(grid, cfg.paths, cfg.seed, cfg.noise)
+    X = euler_simulate(cfg.sde, grid, batch).X
+    for i in (1, 4, 9):
+        design = sample_design(BasisSpec(size=cfg.basis_size), X[i])
+        nxt = X[i + 1] ** 2
+        _assert_fits_reference(design, (nxt, nxt * batch.H[i]))
+
+
+def test_fits_match_refined_reference_on_gaussian_sample():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=5_000)
+    design = sample_design(BasisSpec(size=6), x)
+    _assert_fits_reference(design, (np.sin(2 * x) + rng.normal(size=x.size), np.exp(x)))
+
+
+@pytest.mark.parametrize("size", [6, 12])
+@pytest.mark.parametrize("atoms", range(1, 8))
+def test_few_atom_sample_rank(atoms, size):
+    # X after atoms - 1 Rademacher steps takes exactly `atoms` values
+    rng = np.random.default_rng(atoms)
+    x = 0.3 + 0.25 * rng.choice([-1.0, 1.0], size=(atoms - 1, 4_000)).sum(axis=0)
+    assert np.unique(x).size == atoms
+    fit = sample_design(BasisSpec(size=size), x).fit(np.cos(x))
+    assert fit.rank == min(atoms, size)
+
+
+def test_sample_design_holds_no_paths_sized_factor():
+    x = np.random.default_rng(5).normal(size=40_000)
+    design_bytes = x.size * 12 * 8
+    tracemalloc.start()
+    try:
+        design = sample_design(BasisSpec(size=12), x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert design.matrix.nbytes == design_bytes
+    assert peak < 1.5 * design_bytes
