@@ -127,6 +127,11 @@ class SchemeExplodedError(RuntimeError):
     """A scheme whose output is required (the convergence proxy) exploded."""
 
 
+class DesignError(RuntimeError):
+    """The regression design of a step cannot be factored: the basis
+    overflows at the step's states."""
+
+
 def _solve_implicit(driver: TamedDriver, c, z, h: float, step: int,
                     scheme: str | None = None) -> tuple[np.ndarray, int]:
     """Solve y = c + f^h(y, z) h elementwise.
@@ -212,7 +217,10 @@ class _LsmcOperator:
 
     def begin_step(self, step: int) -> None:
         self.step = step
-        self.design = sample_design(self.basis, self.X[step])
+        try:
+            self.design = sample_design(self.basis, self.X[step])
+        except ValueError as exc:
+            raise DesignError(f"N={self.X.shape[0] - 1}, step {step}: {exc}") from exc
 
     def end_step(self) -> None:
         self.design = None
@@ -538,10 +546,8 @@ def zeta_diagnostic(output, tamed: TamedDriver, *, ensemble: PathEnsemble | None
         weights = output.tree.level_weights
         norms = np.array([float(np.sum(weights(i) * d**2) * h) for i, d in enumerate(D)])
     else:
-        # the axis-0 mean of a path-major copy adds the paths up in order for
-        # N >= 2 and pairwise for N = 1: no single row-wise sum gives both
-        norms = np.mean(np.stack(D, axis=1) ** 2, axis=0) * h
         zeta, D = np.stack(zeta), np.stack(D)
+        norms = np.mean(D**2, axis=1) * h
     return ZetaDiagnostic(zeta=zeta, D=D, norms=norms)
 
 
@@ -656,19 +662,8 @@ class PositivityReport:
         return float(np.min(self.per_step_min))
 
 
-def path_extrema(level: np.ndarray) -> tuple[float, float]:
-    """(min, max) of one level of Y over paths, folded path by path in
-    order: the bits of the axis-0 reductions over a path-major array, which
-    also fixes which of -0.0 and +0.0 a tie gives (a reduction over the
-    contiguous row can give the other one)."""
-    return np.minimum.accumulate(level)[-1], np.maximum.accumulate(level)[-1]
-
-
 def positivity_report(output) -> PositivityReport:
     """Exact per-step extrema of Y, over paths or over tree nodes."""
-    if isinstance(output, TreeSchemeOutput):
-        mins = np.array([np.min(level) for level in output.Y])
-        maxs = np.array([np.max(level) for level in output.Y])
-    else:
-        mins, maxs = map(np.array, zip(*map(path_extrema, output.Y)))
+    mins = np.array([level.min() for level in output.Y])
+    maxs = np.array([level.max() for level in output.Y])
     return PositivityReport(per_step_min=mins, per_step_max=maxs)

@@ -6,9 +6,10 @@ corresponding config entries; `--threads`, like the `threads` key, is
 accepted and ignored, as every study runs on one thread.  OpenBLAS is held
 to one thread, so the output does not depend on the core count.  Exit
 codes: 0 success, 2 invalid config, 3 I/O error, 4 numerical failure
-(ForwardBlowupError, ImplicitSolverError, or SchemeExplodedError when a
-convergence proxy scheme explodes; the message names the scheme, path and
-step where they apply).  Explosions of the schemes under study are
+(ForwardBlowupError, ImplicitSolverError, DesignError when a step's
+regression design is not finite, or SchemeExplodedError when a
+convergence proxy scheme explodes; the message names the scheme, N, path
+and step where they apply).  Explosions of the schemes under study are
 recorded in the report, not process failures.
 """
 
@@ -19,7 +20,7 @@ import contextlib
 import ctypes
 import sys
 
-from .backward import ImplicitSolverError, SchemeExplodedError
+from .backward import DesignError, ImplicitSolverError, SchemeExplodedError
 from .config import ConfigError, checked_seed, load_config
 from .experiments import (
     convergence_study,
@@ -131,7 +132,7 @@ def _run(args) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (ForwardBlowupError, ImplicitSolverError, SchemeExplodedError) as exc:
+    except (ForwardBlowupError, ImplicitSolverError, SchemeExplodedError, DesignError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     return 0

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .drivers import DriverSpec, ProbePlan, TamingSpec, polynomial_driver
+from .drivers import DriverSpec, ProbePlan, TamedDriver, TamingSpec, polynomial_driver
 from .forward import SdeSpec, TerminalSpec
 from .grids import GAUSSIAN, NoiseModel, TRUNCATED, check_horizon, truncation_lambda
 from .backward import IMPLICIT, SchemeSpec, check_implicit_guard
@@ -264,7 +264,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def _check_ladder(cfg: ExperimentConfig) -> None:
     """What must hold at every N of the ladder: the implicit step guard, when
-    an implicit scheme is configured, and the Lambda floor of truncated noise."""
+    an implicit scheme is configured, the Lambda floor of truncated noise,
+    and a finite taming radius r0 h^(-exponent) for every scheme."""
     implicit = any(run.scheme.kind == IMPLICIT for run in cfg.schemes)
     for n in cfg.grids:
         h = cfg.horizon / n
@@ -275,6 +276,14 @@ def _check_ladder(cfg: ExperimentConfig) -> None:
                 truncation_lambda(cfg.noise, h)
         except ValueError as exc:
             raise ConfigError(f"N={n}: {exc}") from None
+        for run in cfg.schemes:
+            try:
+                radius = TamedDriver(cfg.driver, run.taming, h).radius
+            except OverflowError:
+                radius = math.inf
+            if not math.isfinite(radius):
+                raise ConfigError(f"scheme {run.label!r}, N={n}: the taming radius "
+                                  "r0 * h^(-exponent) is not finite")
 
 
 def load_config(path: str) -> ExperimentConfig:

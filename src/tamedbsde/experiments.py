@@ -19,7 +19,6 @@ import numpy as np
 from .backward import (
     IMPLICIT,
     EXPLICIT_TAMED,
-    path_extrema,
     run_backward,  # noqa: F401  (unused; the benchmark's trace probes look it up here)
     step_size_condition,
     stream_backward,
@@ -35,7 +34,6 @@ from .grids import (
     RADEMACHER,
     build_grid,
     increments_from_dw,
-    path_blocks,
     sample_increments,
 )
 from .regression import BasisSpec
@@ -44,30 +42,19 @@ from .regression import BasisSpec
 def _sum_to_grids(batch: IncrementBatch, fine: PartitionGrid, coarse: list[PartitionGrid],
                   model: NoiseModel) -> list[np.ndarray]:
     """Fine-grid Brownian increments summed over the intervals of each coarse
-    grid, as (steps, paths) arrays, in one pass over the batch.
+    grid, as C-ordered (steps, paths) arrays.
 
-    The sums are taken path-major, block by block of paths: numpy adds each
-    path's `stride` contiguous increments pairwise (from 8 on), which a sum
-    over level-major rows would not, so the bits do not depend on the
-    batch's layout.  Each block is moved to path-major order once, for
-    every coarse grid.
+    Level j of a grid with stride s adds the fine rows j*s .. j*s + s - 1
+    one after another, in row order, so any run of whole coarse levels sums
+    from its own fine rows to the same bits.
     """
     for grid in coarse:
         if fine.steps % grid.steps:
             raise ValueError(f"grids are not nested: {grid.steps} does not divide {fine.steps}")
         if model.kind == RADEMACHER:
             raise ValueError("rademacher increments do not aggregate across grids")
-    if not coarse:
-        return []
-    m = batch.dW.shape[1]
-    summed = [np.empty((grid.steps, m)) for grid in coarse]
-    for a, b in path_blocks(m, fine.steps):
-        block = np.empty((b - a, fine.steps))
-        block.T[...] = batch.dW[:, a:b]  # copied row by row
-        for grid, out in zip(coarse, summed):
-            sums = block.reshape(b - a, grid.steps, fine.steps // grid.steps).sum(axis=2)
-            out[:, a:b] = sums.T
-    return summed
+    dW = np.ascontiguousarray(batch.dW)
+    return [dW.reshape(grid.steps, -1, dW.shape[1]).sum(axis=1) for grid in coarse]
 
 
 def aggregate_to_grid(batch: IncrementBatch, fine: PartitionGrid, coarse: PartitionGrid,
@@ -179,13 +166,6 @@ def _proxy_runs(cfg: ExperimentConfig) -> list[SchemeRun]:
     return chosen
 
 
-def _mean_square(d: np.ndarray) -> float:
-    """E|d|^2 over paths, added up path by path, in order (a cumulative sum
-    is sequential): the order of the axis-0 mean over a path-major array
-    with two or more columns, so the bits do not depend on the layout."""
-    return np.cumsum(d * d)[-1] / d.size
-
-
 def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     """Run every configured scheme on every grid and measure the distance
     max_i E[|Y_i - Y^proxy_i|^2]^(1/2) against the fine-grid proxy (the
@@ -230,7 +210,7 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
             proxy /= len(proxy_index)
         for k, y in enumerate(levels):
             if y is not None:
-                mse[g][k, i] = _mean_square(y - proxy)
+                mse[g][k, i] = np.mean((y - proxy) ** 2)
 
     outputs = stream_backward(groups, basis, reduce_level)
 
@@ -254,9 +234,8 @@ def positivity_study(cfg: ExperimentConfig) -> PositivityStudyReport:
     configured N (regression backend), plus the step condition h * L^h_y.
 
     The schemes run as one lockstep group through `stream_backward`, and
-    each level of Y is reduced to its extrema (`path_extrema`) when it is
-    reached, so the study holds X, H and a level or two of Y per scheme,
-    no Z.
+    each level of Y is reduced to its extrema when it is reached, so the
+    study holds X, H and a level or two of Y per scheme, no Z.
     The levels of a scheme that exploded are NaN from its first bad step
     down."""
     if len(cfg.grids) != 1:
@@ -274,7 +253,7 @@ def positivity_study(cfg: ExperimentConfig) -> PositivityStudyReport:
     def reduce_level(_, i: int, levels: list) -> None:
         for k, y in enumerate(levels):
             if y is not None:
-                mins[k, i], maxs[k, i] = path_extrema(y)
+                mins[k, i], maxs[k, i] = y.min(), y.max()
 
     stream_backward([(grid, X, H, xi, members)], basis, reduce_level)
     rows: list[ExtremaRow] = []

@@ -191,9 +191,12 @@ def sample_increments(
     n = grid.steps
     sqrt_h = math.sqrt(grid.h)
 
-    # the stream runs path-major; each block of paths is stored level-major
+    # the stream runs path-major; it is drawn in blocks of paths of about
+    # 2^16 words, each moved to level-major storage within the cache
     dW = np.empty((n, hi - lo))
-    for a, b in path_blocks(hi - lo, n):
+    size = max(1, (1 << 16) // n)
+    for a in range(0, hi - lo, size):
+        b = min(a + size, hi - lo)
         count, start = (b - a) * n, (lo + a) * n
         if model.kind == RADEMACHER:
             raw = _raw_uint64(int(seed), start, count)
@@ -202,13 +205,6 @@ def sample_increments(
             block = ndtri(_uniforms(int(seed), start, count)) * sqrt_h
         dW[:, a:b] = block.reshape(b - a, n).T
     return increments_from_dw(model, dW, grid.h)
-
-
-def path_blocks(paths: int, words_per_path: int) -> list[tuple[int, int]]:
-    """Path ranges (a, b) of about 2^16 words each: the blocks in which
-    path-major data moves to or from level-major storage within the cache."""
-    size = max(1, (1 << 16) // words_per_path)
-    return [(a, min(a + size, paths)) for a in range(0, paths, size)]
 
 
 def truncation_lambda(model: NoiseModel, h: float) -> tuple[float, float]:

