@@ -47,6 +47,7 @@ from .backward import (
     run_backward,
     run_backward_group,
     tree_exact_run,
+    tree_group_run,
     zeta_diagnostic,
 )
 from .config import ConfigError, ExperimentConfig, SchemeRun, load_config, parse_config

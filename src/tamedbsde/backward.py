@@ -14,7 +14,9 @@ with the (rank, smallest singular value) of its projection.  The operator
 is Hermite least squares on Monte-Carlo paths, per-prefix averaging on
 enumerated tree paths or the child average on tree levels; the schemes on
 one path ensemble run in lockstep and share each step's operator, and the
-groups of nested grids can run in one sweep over fine time.
+groups of nested grids can run in one sweep over fine time.  On a tree the
+explicit schemes of one base driver advance together, as the rows of one
+(rows, nodes) block.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .drivers import NONE, TamedDriver, TamingSpec, derive_constants
+from .drivers import NONE, DerivedConstants, TamedDriver, TamingBlock, TamingSpec, derive_constants
 from .forward import PathEnsemble, TerminalSpec
 # Nothing here calls predict; it stays bound as backward.predict because the
 # benchmark's trace probes (perfbench/spans.py) look it up by that name.
@@ -94,7 +96,7 @@ class SchemeOutput:
 @dataclass
 class TreeSchemeOutput:
     """Per-node output on the tree: ragged level arrays (None for a run
-    that streamed its levels, see tree_exact_run)."""
+    that streamed its levels, see tree_group_run)."""
 
     tree: TreeModel
     Y: list | None
@@ -204,7 +206,8 @@ _NO_FIT = (0, math.nan)
 
 class _LsmcOperator:
     """Hermite least squares on paths, each its own child: one design and
-    factorization of X_i per step serve every scheme of a lockstep group.
+    factorization of X_i per step serve every scheme of a lockstep group,
+    each scheme a block of one whose (paths,) targets are fitted on their own.
     A non-finite target (the scheme exploded) projects to NaN, with no fit.
     Row i of X holds X_i, row i of H holds H_{i+1}."""
 
@@ -255,8 +258,9 @@ class _PrefixOperator(_LsmcOperator):
 
 
 class _TreeOperator:
-    """Exact child averages on a tree level: children(v) is the (2, nodes)
-    view of the down and up child of every level-i node."""
+    """Exact child averages on a tree level: children(v) is the (2, ...)
+    view of the down and up child of every level-i node, for a level of
+    one scheme (nodes,) or of a block of schemes (rows, nodes)."""
 
     def __init__(self, tree: TreeModel):
         self.recombining = tree.recombining
@@ -270,10 +274,12 @@ class _TreeOperator:
 
     def children(self, v):
         if self.recombining:
-            # node j's children are j and j+1: overlapping windows of the
-            # contiguous level (as_strided is slower)
-            return np.ndarray((2, v.size - 1), buffer=v, strides=(v.strides[0], v.strides[0]))
-        return v.reshape(-1, 2).T
+            # node j's children are j and j+1: overlapping windows of each
+            # contiguous row (as_strided is slower)
+            return np.ndarray((2,) + v.shape[:-1] + (v.shape[-1] - 1,), buffer=v,
+                              strides=(v.strides[-1],) + v.strides)
+        kids = v.reshape(v.shape[:-1] + (-1, 2))
+        return kids.transpose(-1, *range(kids.ndim - 1))
 
     @staticmethod
     def mean(kids):
@@ -299,72 +305,103 @@ def _path_operator(basis: BasisSpec | ExactTreeBasis, ensemble: PathEnsemble) ->
 
 
 class _SchemeRun:
-    """One scheme in the backward recursion.  `Y[j]` and `Z[j]` are level j
-    of its storage (the terminal level stored on entry); a level it never
-    reaches, because it exploded first, is left as it was.  `label` names the
-    scheme in error messages; a `required` run raises SchemeExplodedError
-    where it explodes."""
+    """A block of schemes in the backward recursion, advanced together.  A
+    block of one scheme keeps its levels as (nodes,) arrays; a block of
+    explicit schemes that share a base driver keeps them as the rows of
+    C-ordered (rows, nodes) arrays and tames them together (TamingBlock).
+    `Y[j]` and `Z[j]` are level j of the block's storage (the terminal level
+    stored on entry).  A row whose Z_i or Y_i is not finite is marked
+    exploded at i in `first_bad`; the block stores level i only while a row
+    is still finite there, and a level it never reaches is left as it was.
+    `labels` name the rows in error messages; a `required` run raises
+    SchemeExplodedError where a row explodes."""
 
-    def __init__(self, scheme: SchemeSpec, tamed: TamedDriver, grid, Y, Z,
-                 label: str | None = None, required: bool = False):
-        if not math.isclose(tamed.h, grid.h, rel_tol=1e-9):
-            raise ValueError(f"driver was tamed at h={tamed.h}, grid has h={grid.h}")
-        if scheme.kind == EXPLICIT_UNTAMED and tamed.taming.kind != NONE:
-            tamed = replace(tamed, taming=TamingSpec(kind=NONE))
-        if scheme.kind == IMPLICIT:
-            check_implicit_guard(grid.h, tamed.base.constants.m_y)
-        self.scheme = scheme
-        self.driver = tamed
+    def __init__(self, members: list[tuple[SchemeSpec, TamedDriver]], grid, Y, Z,
+                 labels: list | None = None, required: bool = False):
+        drivers, weights = [], []
+        for scheme, tamed in members:
+            if not math.isclose(tamed.h, grid.h, rel_tol=1e-9):
+                raise ValueError(f"driver was tamed at h={tamed.h}, grid has h={grid.h}")
+            if scheme.kind == EXPLICIT_UNTAMED and tamed.taming.kind != NONE:
+                tamed = replace(tamed, taming=TamingSpec(kind=NONE))
+            if scheme.kind == IMPLICIT:
+                check_implicit_guard(grid.h, tamed.base.constants.m_y)
+            drivers.append(tamed)
+            weights.append(1.0 - scheme.theta_prime)
+        self.implicit = members[0][0].kind == IMPLICIT
+        if len(members) == 1:
+            self.driver, self.weight = drivers[0], weights[0]
+        elif any(scheme.kind == IMPLICIT for scheme, _ in members):
+            raise ValueError("an implicit scheme runs in a block of its own")
+        else:
+            self.driver, self.weight = TamingBlock(drivers), np.array(weights)[:, None]
         self.Y, self.Z = Y, Z
-        self.label, self.required = label, required
+        self.labels, self.required = labels or [None] * len(members), required
         n = grid.steps
         self.z_fits = [_NO_FIT] * n
         self.y_fits = [_NO_FIT] * n
         self.iterations = np.zeros(n, dtype=int)
-        self.first_bad = None
+        self.first_bad = [None] * len(members)
         self.seconds = 0.0
 
+    @property
+    def live(self) -> bool:
+        """Whether a row has not exploded."""
+        return None in self.first_bad
+
     def advance(self, i: int, h: float, op) -> None:
-        """Z_i, then Y_i; a non-finite Z_i or Y_i marks the scheme exploded
-        at i and stores nothing.  The tamed y-part at Y_{i+1} is evaluated
-        once, for the Z target (its z-part added as TamedDriver.__call__
-        adds it) and the explicit Y target."""
-        scheme, driver = self.scheme, self.driver
+        """Z_i, then Y_i, of every row.  The tamed y-part at Y_{i+1} is
+        evaluated once, for the Z target (its z-part added as
+        TamedDriver.__call__ adds it) and the explicit Y target; the
+        implicit solve runs only on a finite Z_i."""
+        driver = self.driver
         z_coeff = driver.base.z_coeff
         y_next = self.Y[i + 1]
         p = driver.tamed_y_part(y_next)
         z, self.z_fits[i] = op.mean_h(
-            op.children(y_next + (1.0 - scheme.theta_prime) * (p + z_coeff * 0.0) * h))
-        if np.isfinite(z).all():
-            if scheme.kind == IMPLICIT:
+            op.children(y_next + self.weight * (p + z_coeff * 0.0) * h))
+        if self.implicit:
+            finite = np.isfinite(z).all()
+            if finite:
                 c, self.y_fits[i] = op.mean(op.children(y_next))
-                y, self.iterations[i] = _solve_implicit(driver, c, z, h, i, self.label)
-            else:
-                y, self.y_fits[i] = op.mean(op.children(y_next) + (op.children(p) + z_coeff * z) * h)
-            if np.isfinite(y).all():
-                self.Z[i], self.Y[i] = z, y
-                return
-        self.first_bad = i
-        if self.required:
-            bad = ~np.isfinite(y_next + p * h)  # where the driver term overflowed, if anywhere
-            where = f", path {int(np.argmax(bad))}" if bad.any() else ""
-            raise SchemeExplodedError(f"{self.label} exploded at step {i}{where}")
+                y, self.iterations[i] = _solve_implicit(driver, c, z, h, i, self.labels[0])
+                finite = np.isfinite(y).all()
+        else:
+            y, self.y_fits[i] = op.mean(op.children(y_next) + (op.children(p) + z_coeff * z) * h)
+            finite = np.isfinite(z).all() and np.isfinite(y).all()
+        if finite:
+            self.Z[i], self.Y[i] = z, y
+            return
+        # some row exploded: which ones (an implicit block is one row)
+        finite = (np.zeros(1, dtype=bool) if self.implicit
+                  else np.isfinite(z).all(axis=-1) & np.isfinite(y).all(axis=-1))
+        for k in np.flatnonzero(~finite):
+            if self.first_bad[k] is None:
+                self.first_bad[k] = i
+                if self.required:
+                    # where the driver term overflowed, if anywhere
+                    bad = ~np.isfinite(np.atleast_2d(y_next + p * h)[k])
+                    where = f", path {int(np.argmax(bad))}" if bad.any() else ""
+                    raise SchemeExplodedError(f"{self.labels[k]} exploded at step {i}{where}")
+        if finite.any():
+            self.Z[i], self.Y[i] = z, y
 
 
 def _backward(groups: list[tuple[object, list[_SchemeRun], object]], reached=None) -> None:
     """The backward recursion of lockstep groups on nested grids, in one
     sweep over fine time.
 
-    `groups` holds (operator, runs, grid) per grid, finest first.  At fine
-    index j every group whose stride (fine steps over its steps) divides j
-    takes its step i = j / stride, finest first, then calls `reached(g, i)`
-    if given.  A step's `begin_step` (on paths, the design and its
-    factorization) comes before the runs' turns and `end_step` releases it
-    after, so a run's targets live only during its own turn; a run's
-    `seconds` is its own time plus an equal share of each `begin_step`
-    among the runs still going.  An exploded run leaves the lockstep with
-    its partial data: explosion of the untamed explicit scheme is an
-    experimental observable, not an error.
+    `groups` holds (operator, runs, grid) per grid, finest first, each run
+    a block of schemes.  At fine index j every group whose stride (fine
+    steps over its steps) divides j takes its step i = j / stride, finest
+    first, then calls `reached(g, i)` if given.  A step's `begin_step` (on
+    paths, the design and its factorization) comes before the runs' turns
+    and `end_step` releases it after, so a run's targets live only during
+    its own turn; a run's `seconds` is its own time plus an equal share of
+    each `begin_step` among the runs still going.  A run whose rows have
+    all exploded leaves the lockstep with its partial data: explosion of
+    the untamed explicit scheme is an experimental observable, not an
+    error.
     """
     steps = groups[0][2].steps
     strides = [steps // grid.steps for _, _, grid in groups]
@@ -383,7 +420,7 @@ def _backward(groups: list[tuple[object, list[_SchemeRun], object]], reached=Non
                     run.advance(i, grid.h, op)
                     run.seconds += time.perf_counter() - start + shared
                 op.end_step()
-                running[g] = [run for run in running[g] if run.first_bad is None]
+                running[g] = [run for run in running[g] if run.live]
                 if reached is not None:
                     reached(g, i)
 
@@ -393,8 +430,9 @@ def _output(run: _SchemeRun, Y, Z) -> SchemeOutput:
     y_rank, y_sv = map(np.array, zip(*run.y_fits))
     diag = SchemeDiagnostics(z_fit_rank=z_rank, z_fit_sv=z_sv, y_fit_rank=y_rank,
                              y_fit_sv=y_sv, implicit_iterations=run.iterations)
-    return SchemeOutput(Y=Y, Z=Z, diagnostics=diag, exploded=run.first_bad is not None,
-                        first_bad_step=run.first_bad, wallclock_ms=run.seconds * 1e3)
+    (first_bad,) = run.first_bad
+    return SchemeOutput(Y=Y, Z=Z, diagnostics=diag, exploded=first_bad is not None,
+                        first_bad_step=first_bad, wallclock_ms=run.seconds * 1e3)
 
 
 def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: PathEnsemble,
@@ -420,15 +458,16 @@ def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: 
     for k, (scheme, tamed) in enumerate(members):
         Y = np.empty((n + 1, paths))
         Y[n] = xi
-        runs.append(_SchemeRun(scheme, tamed, grid, Y, np.empty((n, paths)),
-                               labels[k] if labels else None))
+        runs.append(_SchemeRun([(scheme, tamed)], grid, Y, np.empty((n, paths)),
+                               [labels[k]] if labels else None))
     _backward([(op, runs, grid)])
 
     for run in runs:
-        if run.first_bad is not None:
+        (first_bad,) = run.first_bad
+        if first_bad is not None:
             # the levels it never reached
-            run.Y[:run.first_bad + 1] = np.nan
-            run.Z[:run.first_bad + 1] = np.nan
+            run.Y[:first_bad + 1] = np.nan
+            run.Z[:first_bad + 1] = np.nan
     return [_output(run, run.Y, run.Z) for run in runs]
 
 
@@ -449,14 +488,14 @@ def stream_backward(groups: list[tuple], basis: BasisSpec, reached) -> list[list
     sweep = []
     for g, (grid, X, H, xi, members) in enumerate(groups):
         n = grid.steps
-        runs = [_SchemeRun(scheme, tamed, grid, [None] * n + [xi], [None] * n, label, required)
+        runs = [_SchemeRun([(scheme, tamed)], grid, [None] * n + [xi], [None] * n, [label], required)
                 for scheme, tamed, label, required in members]
         sweep.append((_LsmcOperator(basis, X, H), runs, grid))
         reached(g, n, [xi] * len(runs))
 
     def levels(g, i):
         runs = sweep[g][1]
-        reached(g, i, [run.Y[i] if run.first_bad is None else None for run in runs])
+        reached(g, i, [run.Y[i] if run.live else None for run in runs])
         for run in runs:
             run.Y[i + 1] = run.Z[i] = None
 
@@ -471,37 +510,80 @@ def run_backward(scheme: SchemeSpec, tamed: TamedDriver, ensemble: PathEnsemble,
     return run_backward_group([(scheme, tamed)], ensemble, xi, basis)[0]
 
 
+def tree_group_run(members: list[tuple[SchemeSpec, TamedDriver]], tree: TreeModel,
+                   terminal: TerminalSpec, labels: list[str] | None = None,
+                   reached=None) -> list[TreeSchemeOutput]:
+    """Backward recursion of several (scheme, driver) pairs on one tree, in
+    one sweep, with E_i computed as the exact half/half child average.
+
+    The explicit members that share a base driver run as one block, the
+    rows of (rows, nodes) levels in member order, and each implicit member
+    as a block of its own.  Every operation is elementwise along the rows,
+    so a member's output does not depend on the rest of the group or its
+    order.  `labels` name the members in error messages.
+
+    With `reached`, the runs stream their levels instead of keeping them:
+    `reached(rows, i, y)` gets level i of a block as soon as it is computed,
+    the terminal levels first.  `rows` are the indices in `members` of y's
+    rows, and y is (nodes,) for a block of one.  A block is reported until
+    its last row explodes; the row of an exploded member carries values
+    that are not finite from its first_bad_step down.  The outputs' Y and Z
+    are then None.
+    """
+    n = tree.steps
+    xi = np.asarray(terminal(tree.levels[n]), dtype=float)
+    blocks: dict[object, list[int]] = {}
+    for k, (scheme, tamed) in enumerate(members):
+        blocks.setdefault((IMPLICIT, k) if scheme.kind == IMPLICIT else tamed.base, []).append(k)
+    runs = []
+    for rows in blocks.values():
+        top = xi if len(rows) == 1 else np.repeat(xi[None], len(rows), axis=0)
+        runs.append(_SchemeRun([members[k] for k in rows], tree.grid, [None] * n + [top], [None] * n,
+                               [labels[k] for k in rows] if labels else None))
+    level = None
+    if reached is not None:
+        for rows, run in zip(blocks.values(), runs):
+            reached(rows, n, run.Y[n])
+
+        def level(_, i):
+            for rows, run in zip(blocks.values(), runs):
+                if run.live:
+                    reached(rows, i, run.Y[i])
+                run.Y[i + 1] = run.Z[i] = None
+
+    _backward([(_TreeOperator(tree), runs, tree.grid)], level)
+
+    def member(levels, row, first_bad):
+        """The row's levels, NaN from its first bad step down."""
+        out = [v if v is None or v.ndim == 1 else v[row] for v in levels]
+        if first_bad is not None:
+            out[:first_bad + 1] = [np.full(tree.node_count(j), np.nan) for j in range(first_bad + 1)]
+        return out
+
+    outputs = [None] * len(members)
+    for rows, run in zip(blocks.values(), runs):
+        for row, k in enumerate(rows):
+            bad = run.first_bad[row]
+            Y, Z = (None, None) if reached is not None else (member(run.Y, row, bad),
+                                                              member(run.Z, row, bad))
+            outputs[k] = TreeSchemeOutput(tree=tree, Y=Y, Z=Z, implicit_iterations=run.iterations,
+                                          exploded=bad is not None, first_bad_step=bad)
+    return outputs
+
+
 def tree_exact_run(scheme: SchemeSpec, tamed: TamedDriver, tree: TreeModel,
                    terminal: TerminalSpec, label: str | None = None,
                    reached=None) -> TreeSchemeOutput:
-    """Same recursion with E_i computed as the exact half/half child average;
-    `label` names the scheme in error messages.
+    """Backward recursion of one scheme on a tree: the group of one of
+    `tree_group_run`; `label` names the scheme in error messages.
 
     With `reached`, the run streams its levels instead of keeping them:
     `reached(i, y)` gets Y_i as soon as it is computed, the terminal level
     first and no level past an explosion, and the output's Y and Z are None.
     """
-    n = tree.steps
-    xi = np.asarray(terminal(tree.levels[n]), dtype=float)
-    run = _SchemeRun(scheme, tamed, tree.grid, [None] * n + [xi], [None] * n, label)
-    level = None
-    if reached is not None:
-        reached(n, xi)
-
-        def level(_, i):
-            if run.first_bad is None:
-                reached(i, run.Y[i])
-            run.Y[i + 1] = run.Z[i] = None
-
-    _backward([(_TreeOperator(tree), [run], tree.grid)], level)
-
-    def filled(levels):
-        return [np.full(tree.node_count(j), np.nan) if v is None else v for j, v in enumerate(levels)]
-
-    Y, Z = (None, None) if reached is not None else (filled(run.Y), filled(run.Z))
-    return TreeSchemeOutput(tree=tree, Y=Y, Z=Z,
-                            implicit_iterations=run.iterations,
-                            exploded=run.first_bad is not None, first_bad_step=run.first_bad)
+    stream = None if reached is None else (lambda _, i, y: reached(i, y))
+    return tree_group_run([(scheme, tamed)], tree, terminal,
+                          None if label is None else [label], stream)[0]
 
 
 @dataclass
@@ -551,12 +633,12 @@ def zeta_diagnostic(output, tamed: TamedDriver, *, ensemble: PathEnsemble | None
     return ZetaDiagnostic(zeta=zeta, D=D, norms=norms)
 
 
-def step_size_condition(scheme: SchemeSpec, tamed: TamedDriver, abs_h_increment: float) -> float:
+def step_size_condition(scheme: SchemeSpec, cons: DerivedConstants, abs_h_increment: float) -> float:
     """Value of the comparison step condition
-    h (L^h_y + L^h_z |H| + (1-theta') h L^h_z |H| L^h_y); below 1 every
-    linearization factor stays positive."""
-    cons = derive_constants(tamed)
-    h = tamed.h
+    h (L^h_y + L^h_z |H| + (1-theta') h L^h_z |H| L^h_y) of the constants
+    a tamed driver derives (derive_constants); below 1 every linearization
+    factor stays positive."""
+    h = cons.h
     lz_h = cons.l_z * abs_h_increment
     return h * (cons.l_y + lz_h + (1.0 - scheme.theta_prime) * h * lz_h * cons.l_y)
 
@@ -640,7 +722,7 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
     scale = max(1.0, max(float(np.max(np.abs(out1.Y[n]))), float(np.max(np.abs(out2.Y[n])))))
     violations = int(sum(int(np.sum(d < -tol * scale)) for d in deltas))
 
-    condition = step_size_condition(scheme, tamed1, 1.0 / sqrt_h)
+    condition = step_size_condition(scheme, derive_constants(tamed1), 1.0 / sqrt_h)
     return ComparisonReport(
         condition_value=condition, condition_ok=condition < 1.0,
         terminal_margin=terminal_margin, driver_margin=driver_margin,

@@ -213,6 +213,105 @@ class TamingSpec:
         return 0.5
 
 
+def _damping_numerator(kind: str, base: DriverSpec, y, p):
+    """F(y) in the damping factor 1 / (1 + F(y)/r) of a multiplicative
+    kind; p is P(y)."""
+    m = base.growth_power
+    if kind == MULT_A:
+        return np.abs(p)
+    if kind == MULT_B:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.abs(p - base.value_at_zero) / np.abs(y)
+        return np.where(y == 0.0, 0.0, ratio)
+    if kind == MULT_C:
+        return np.abs(y) ** m
+    if kind == MULT_D:
+        return np.abs(y) ** (m - 1)
+    raise AssertionError(kind)
+
+
+def _rows(mask: np.ndarray):
+    """An index of the rows where `mask` holds: Ellipsis for all of them, a
+    slice for one run of rows (both give views), else the row numbers."""
+    rows = np.flatnonzero(mask)
+    if rows.size == mask.size:
+        return ...
+    if rows[-1] - rows[0] == rows.size - 1:
+        return slice(rows[0], rows[-1] + 1)
+    return rows
+
+
+class TamingBlock:
+    """The tamed y-parts f^h of drivers that share one base driver, on the
+    rows of a (rows, nodes) block: row k is tamed as drivers[k] tames it.
+    A block of one driver tames an array of any shape.
+
+    One Horner pass serves every row: the inner-projection rows of y are
+    clipped into a copy first, then the outer-projection rows of P are
+    clipped and the multiplicative rows damped by 1 / (1 + F(y)/r), each
+    row with its own radius r.  Every operation is elementwise, so a row
+    comes out the same whatever else is in the block.
+    """
+
+    def __init__(self, drivers):
+        base = drivers[0].base
+        if any(d.base != base for d in drivers[1:]):
+            raise ValueError("the drivers of a taming block must share one base driver")
+        self.base = base
+        kinds = np.array([d.taming.kind for d in drivers])
+        radius = np.array([[d.radius] for d in drivers])
+        if len(drivers) == 1:
+            radius = radius[0, 0]
+
+        def part(mask):
+            if not mask.any():
+                return None
+            rows = _rows(mask)
+            r = radius if rows is ... else radius[rows]
+            return rows, -r, r
+
+        self.inner = part(kinds == INNER_PROJ)
+        self.outer = part(kinds == OUTER_PROJ)
+        mult = np.isin(kinds, MULT_KINDS)
+        self.mult = part(mult)
+        # each multiplicative kind's rows among the multiplicative rows
+        self.mult_kinds = [(kind, _rows(kinds[mult] == kind)) for kind in MULT_KINDS
+                           if kind in kinds]
+
+    def tamed_y_part(self, y):
+        """f^h's y-part of each row of y, as a new array of y's shape (a
+        scalar for a scalar y)."""
+        y = np.asarray(y, dtype=float)
+        if y.ndim == 0:
+            return self.tamed_y_part(y.reshape(1))[0]
+        x = y
+        if self.inner is not None:
+            rows, lo, hi = self.inner
+            x = y.copy()
+            x[rows] = np.clip(y[rows], lo, hi)
+        p = horner(self.base.y_terms, x)
+        if self.outer is not None:
+            rows, lo, hi = self.outer
+            p[rows] = np.clip(p[rows], lo, hi)
+        if self.mult is not None:
+            rows, _, r = self.mult
+            y_m, p_m = y[rows], p[rows]
+            # with one kind, its F is the whole (fresh) damping array
+            damping = np.empty_like(p_m) if len(self.mult_kinds) > 1 else None
+            for kind, sub in self.mult_kinds:
+                f = _damping_numerator(kind, self.base, y_m[sub], p_m[sub])
+                if damping is None:
+                    damping = f
+                else:
+                    damping[sub] = f
+            # p / (1 + F/r), the quotient written over the damping
+            damping /= r
+            damping += 1.0
+            np.divide(p_m, damping, out=damping)
+            p[rows] = damping
+        return p
+
+
 @dataclass(frozen=True)
 class TamedDriver:
     """A base driver with its taming instantiated at a fixed step size h."""
@@ -233,33 +332,13 @@ class TamedDriver:
     def radius(self) -> float:
         return self.taming.r0 * self.h ** (-self.exponent)
 
-    def tamed_y_part(self, y):
-        y = np.asarray(y, dtype=float)
-        base, kind, r = self.base, self.taming.kind, self.radius
-        if kind == NONE:
-            return base.y_part(y)
-        if kind == INNER_PROJ:
-            return base.y_part(np.clip(y, -r, r))
-        p = base.y_part(y)
-        if kind == OUTER_PROJ:
-            return np.clip(p, -r, r)
-        return p / (1.0 + self._damping_numerator(y, p) / r)
+    @cached_property
+    def _taming(self) -> TamingBlock:
+        return TamingBlock((self,))
 
-    def _damping_numerator(self, y, p):
-        """F(y) in the damping factor 1 / (1 + F(y)/r)."""
-        kind, m = self.taming.kind, self.base.growth_power
-        if kind == MULT_A:
-            return np.abs(p)
-        if kind == MULT_B:
-            p0 = self.base.value_at_zero
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.abs(p - p0) / np.abs(y)
-            return np.where(y == 0.0, 0.0, ratio)
-        if kind == MULT_C:
-            return np.abs(y) ** m
-        if kind == MULT_D:
-            return np.abs(y) ** (m - 1)
-        raise AssertionError(kind)
+    def tamed_y_part(self, y):
+        """f^h's y-part at y: the block of one of TamingBlock."""
+        return self._taming.tamed_y_part(y)
 
     def __call__(self, y, z):
         return self.tamed_y_part(y) + self.base.z_coeff * np.asarray(z, dtype=float)
@@ -283,7 +362,7 @@ class TamedDriver:
             return (self.tamed_y_part(y + eps) - self.tamed_y_part(y - eps)) / (2.0 * eps)
         p = base.y_part(y)
         dp = base.y_part_slope(y)
-        f_num = self._damping_numerator(y, p)
+        f_num = _damping_numerator(kind, base, y, p)
         m = base.growth_power
         if kind == MULT_A:
             df_num = np.sign(p) * dp

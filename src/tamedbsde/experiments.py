@@ -22,10 +22,18 @@ from .backward import (
     run_backward,  # noqa: F401  (unused; the benchmark's trace probes look it up here)
     step_size_condition,
     stream_backward,
-    tree_exact_run,
+    tree_exact_run,  # noqa: F401  (unused; the benchmark's trace probes look it up here)
+    tree_group_run,
 )
 from .config import ConfigError, ExperimentConfig, SchemeRun
-from .drivers import INNER_PROJ, TamedDriver, TamingSpec, derive_constants, verify_assumptions
+from .drivers import (
+    INNER_PROJ,
+    DerivedConstants,
+    TamedDriver,
+    TamingSpec,
+    derive_constants,
+    verify_assumptions,
+)
 from .forward import euler_simulate, terminal_values
 from .grids import (
     IncrementBatch,
@@ -133,6 +141,21 @@ class TamingReport:
 
 def _tamed(cfg: ExperimentConfig, run: SchemeRun, h: float) -> TamedDriver:
     return TamedDriver(base=cfg.driver, taming=run.taming, h=h)
+
+
+def _checked_constants(tamed: TamedDriver, label: str, n: int) -> DerivedConstants:
+    """The derived constants of a configured scheme's taming at N steps.
+    K^h_y, L^h_y and their squares times h must be finite: a large taming
+    radius can overflow them, and a config where it does is invalid."""
+    try:
+        cons = derive_constants(tamed)
+        finite = all(map(math.isfinite, (cons.k_y, cons.l_y, cons.k_y_sq_h, cons.l_y_sq_h)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError(f"scheme {label!r}, N={n}: the derived constants K^h_y, L^h_y, "
+                          "(K^h_y)^2 h and (L^h_y)^2 h are not all finite")
+    return cons
 
 
 def _grid_paths(cfg: ExperimentConfig, grids: list[PartitionGrid]):
@@ -260,16 +283,18 @@ def positivity_study(cfg: ExperimentConfig) -> PositivityStudyReport:
     conditions = []
     for k, run in enumerate(runs):
         rows += _extrema_rows(run.label, mins[k], maxs[k], grid.times)
-        cond = grid.h * derive_constants(_tamed(cfg, run, grid.h)).l_y
+        cond = grid.h * _checked_constants(_tamed(cfg, run, grid.h), run.label, n).l_y
         conditions.append((run.label, cond, cond < 1.0))
     return PositivityStudyReport(rows=rows, conditions=conditions, backend="regression")
 
 
 def tree_oracle_study(cfg: ExperimentConfig) -> PositivityStudyReport:
     """Exact-tree counterpart of the positivity study (Rademacher noise,
-    half/half conditional expectations, no regression error).  Each run
-    streams its levels (`tree_exact_run` with a callback), each reduced to
-    its extrema when it is reached, so no run keeps its Y or Z."""
+    half/half conditional expectations, no regression error).  The schemes
+    run in one sweep (`tree_group_run`), the explicit ones as the rows of
+    one block, and each block's levels are reduced to their extrema when
+    they are reached, so no run keeps its Y or Z.  The levels of a scheme
+    that exploded are NaN from its first bad step down."""
     from .trees import build_tree
 
     if len(cfg.grids) != 1:
@@ -280,18 +305,23 @@ def tree_oracle_study(cfg: ExperimentConfig) -> PositivityStudyReport:
         tree = build_tree(cfg.sde, grid)
     except ValueError as exc:
         raise ConfigError(f"N={n}: {exc}") from None
+    runs = sorted(cfg.schemes, key=lambda s: s.label)
+    tamed = [_tamed(cfg, run, grid.h) for run in runs]
+    mins, maxs = np.full((2, len(runs), n + 1), np.nan)
+
+    def reduce_level(rows: list[int], i: int, y: np.ndarray) -> None:
+        mins[rows, i], maxs[rows, i] = y.min(axis=-1), y.max(axis=-1)
+
+    outputs = tree_group_run([(run.scheme, driver) for run, driver in zip(runs, tamed)], tree,
+                             cfg.terminal, [f"scheme {run.label!r}" for run in runs], reduce_level)
     rows: list[ExtremaRow] = []
     conditions = []
-    for run in sorted(cfg.schemes, key=lambda s: s.label):
-        tamed = _tamed(cfg, run, grid.h)
-        mins, maxs = np.full((2, n + 1), np.nan)
-
-        def reduce_level(i: int, y: np.ndarray) -> None:
-            mins[i], maxs[i] = y.min(), y.max()
-
-        tree_exact_run(run.scheme, tamed, tree, cfg.terminal, f"scheme {run.label!r}", reduce_level)
-        rows += _extrema_rows(run.label, mins, maxs, grid.times)
-        cond = step_size_condition(run.scheme, tamed, 1.0 / math.sqrt(grid.h))
+    for k, (run, driver, output) in enumerate(zip(runs, tamed, outputs)):
+        if output.exploded:
+            mins[k, :output.first_bad_step + 1] = maxs[k, :output.first_bad_step + 1] = np.nan
+        rows += _extrema_rows(run.label, mins[k], maxs[k], grid.times)
+        cons = _checked_constants(driver, run.label, n)
+        cond = step_size_condition(run.scheme, cons, 1.0 / math.sqrt(grid.h))
         conditions.append((run.label, cond, cond < 1.0))
     return PositivityStudyReport(rows=rows, conditions=conditions, backend="tree")
 
@@ -309,7 +339,7 @@ def verify_taming_study(cfg: ExperimentConfig) -> TamingReport:
         for n in cfg.grids:
             h = cfg.horizon / n
             tamed = TamedDriver(base=cfg.driver, taming=taming, h=h)
-            cons = derive_constants(tamed)
+            cons = _checked_constants(tamed, label, n)
             report = verify_assumptions(tamed, cfg.probe)
             rows.append(TamingRow(
                 taming=label, steps=n, h=h, radius=cons.radius,

@@ -294,7 +294,7 @@ def test_criterion_7_discrete_comparison():
         tamed_high = TamedDriver(high, taming, grid.h)
         tamed_low = TamedDriver(low, taming, grid.h)
         scheme = SchemeSpec(kind="explicit_tamed", theta_prime=float(rng.choice([0.0, 0.5, 1.0])))
-        if step_size_condition(scheme, tamed_high, 1.0 / math.sqrt(grid.h)) >= 1.0:
+        if step_size_condition(scheme, derive_constants(tamed_high), 1.0 / math.sqrt(grid.h)) >= 1.0:
             continue
         g0, g1 = rng.uniform(-1.0, 1.0, size=2)
         shift = float(rng.uniform(0.0, 1.0))

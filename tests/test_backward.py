@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from tamedbsde import (
     derive_constants,
     enumerate_tree_paths,
     euler_simulate,
+    load_config,
     polynomial_driver,
     positivity_report,
     run_backward,
@@ -31,6 +33,8 @@ from tamedbsde import (
     sample_increments,
     terminal_values,
     tree_exact_run,
+    tree_group_run,
+    tree_oracle_study,
     zeta_diagnostic,
 )
 from tamedbsde import backward, regression
@@ -665,6 +669,63 @@ def test_streamed_tree_run_reports_the_stored_levels(layout):
     assert stored.exploded and stored.first_bad_step > 0
 
 
+def _tree_group_members(h):
+    """The implicit scheme, the six tamings at mixed theta' and an untamed
+    explicit scheme that explodes on the terminal 30 x^3, on one base driver."""
+    base = polynomial_driver([0.0, 1.0, 0.0, -1.0], z_coeff=0.5)
+    explicit = [("inner_proj", 0.5), ("mult_b", 1.0), ("outer_proj", 0.0), ("mult_d", 0.5),
+                ("mult_a", 0.0), ("mult_c", 1.0)]
+    return [(SchemeSpec(kind="implicit"), TamedDriver(base, NO_TAMING, h))] + [
+        (SchemeSpec(kind="explicit_tamed", theta_prime=theta),
+         TamedDriver(base, TamingSpec(kind=kind, r0=0.8), h)) for kind, theta in explicit
+    ] + [(SchemeSpec(kind="explicit_untamed", theta_prime=0.5),
+          TamedDriver(base, TamingSpec(kind="inner_proj"), h))]
+
+
+@pytest.mark.parametrize("layout", sorted(TREE_SDES))
+def test_tree_group_outputs_do_not_depend_on_member_order_or_blocks(layout):
+    grid = build_grid(1.0, 9)
+    tree = build_tree(TREE_SDES[layout], grid)
+    terminal = TerminalSpec((0.0, 0.0, 0.0, 30.0))
+    members = _tree_group_members(grid.h)
+    alone = [tree_exact_run(scheme, tamed, tree, terminal) for scheme, tamed in members]
+    assert [out.exploded for out in alone] == [False] * 7 + [True]
+    assert 0 < alone[-1].first_bad_step < grid.steps - 1
+
+    def same(out, ref):
+        assert [level.tobytes() for level in out.Y] == [level.tobytes() for level in ref.Y]
+        assert [level.tobytes() for level in out.Z] == [level.tobytes() for level in ref.Z]
+        assert out.implicit_iterations.tobytes() == ref.implicit_iterations.tobytes()
+        assert (out.exploded, out.first_bad_step) == (ref.exploded, ref.first_bad_step)
+
+    # every order of the whole group, and groups of a few members, where
+    # the explicit members share one block of rows
+    for order in (range(8), range(7, -1, -1), [3, 7, 0, 5, 1, 6, 2, 4], [4, 2], [7, 1], [0, 6]):
+        outputs = tree_group_run([members[k] for k in order], tree, terminal)
+        for k, out in zip(order, outputs):
+            same(out, alone[k])
+
+    # streamed: the implicit member alone, the seven explicit ones as one
+    # (7, nodes) block, each level reported until the last row explodes
+    seen = {}
+
+    def reached(rows, i, y):
+        seen.setdefault(tuple(rows), {})[i] = y.copy()
+
+    outputs = tree_group_run(members, tree, terminal, reached=reached)
+    assert sorted(seen) == [(0,), (1, 2, 3, 4, 5, 6, 7)]
+    block = seen[(1, 2, 3, 4, 5, 6, 7)]
+    assert list(block) == list(range(grid.steps, -1, -1))
+    assert all(y.shape == (7, tree.node_count(i)) for i, y in block.items())
+    for k, ref in enumerate(alone):
+        assert outputs[k].Y is None and outputs[k].Z is None
+        assert (outputs[k].exploded, outputs[k].first_bad_step) == (ref.exploded, ref.first_bad_step)
+        last = ref.first_bad_step if ref.exploded else -1
+        levels = seen[(0,)] if k == 0 else {i: y[k - 1] for i, y in block.items()}
+        assert all(levels[i].tobytes() == ref.Y[i].tobytes() for i in range(grid.steps, last, -1))
+        assert all(not np.isfinite(levels[i]).all() for i in range(last, -1, -1))
+
+
 # ---------------------------------------------------------------- closed-form ODE reference
 
 # A constant terminal value c and the x-free driver f = -y^3 make Z = 0 and
@@ -769,6 +830,23 @@ def test_implicit_tree_roots_match_the_benchmark_reference():
         out = _tree_ladder_implicit(steps)[1]
         want = reference[str(steps)]
         assert abs(out.root_value - want) <= 1e-10 * abs(want), steps
+
+
+def test_tree_oracle_roots_match_the_benchmark_reference():
+    # all seven roots the benchmark's tree check compares, as the tree-oracle
+    # CSV writes them (12 significant digits), to its 1e-10
+    here = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+    with open(os.path.join(here, "tree_reference.json"), encoding="utf-8") as fh:
+        reference = json.load(fh)
+    cfg = load_config(os.path.join(here, "configs", "tree_ladder.cfg"))
+    assert cfg.grids == [250, 500, 1000]
+    for steps in cfg.grids:
+        report = tree_oracle_study(replace(cfg, grids=[steps]))
+        roots = {row.scheme: float(f"{row.min_y:.12g}") for row in report.rows if row.index == 0}
+        assert sorted(roots) == sorted(reference)
+        for label, root in roots.items():
+            want = reference[label][str(steps)]
+            assert abs(root - want) <= 1e-10 * abs(want), (label, steps)
 
 
 def _count_driver_calls(monkeypatch):
@@ -1035,5 +1113,5 @@ def test_step_size_condition_value():
     grid = build_grid(1.0, 10)
     tamed = TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h)
     cons = derive_constants(tamed)
-    value = step_size_condition(SchemeSpec(kind="explicit_tamed"), tamed, 1.0 / math.sqrt(grid.h))
+    value = step_size_condition(SchemeSpec(kind="explicit_tamed"), cons, 1.0 / math.sqrt(grid.h))
     assert value == pytest.approx(grid.h * cons.l_y)  # z-free driver

@@ -187,13 +187,25 @@ def with_keys(text, extra):
       for command in ("converge", "positivity", "verify-taming", "tree-oracle")],
     ("verify-taming", "scheme.2.r0 = 1e308\nscheme.2.exponent = 0.5\n", [],
      "scheme 'inner', N=4: the taming radius r0 * h^(-exponent) is not finite"),
+    # a finite radius whose derived constants overflow: (K^h_y)^2 h for
+    # inner (K^h_y = r^2), (L^h_y)^2 h for mult_c (L^h_y = 3 (1 + 2r))
+    *[(command, "grids = 4\nscheme.2.r0 = 1e300\n", [],
+       "scheme 'inner', N=4: the derived constants K^h_y, L^h_y, (K^h_y)^2 h and (L^h_y)^2 h "
+       "are not all finite")
+      for command in ("positivity", "verify-taming", "tree-oracle")],
+    ("verify-taming", "scheme.3.label = mult_c\nscheme.3.kind = explicit_tamed\n"
+     "scheme.3.taming = mult_c\nscheme.3.r0 = 1e300\nscheme.3.exponent = 0.5\n", [],
+     "scheme 'mult_c', N=4: the derived constants K^h_y, L^h_y, (K^h_y)^2 h and (L^h_y)^2 h "
+     "are not all finite"),
 ], ids=["inline-timing", "standardize", "implicit-tol", "implicit-max-iter", "threads-key",
         "threads-option", "probe-samples", "domain-bound", "domain-bound-nan", "domain-bound-inf",
         "horizon-inf-tree", "horizon-inf-taming", "seed-key", "seed-option",
         "taming-kind", "taming-section", "exponent-nan", "r0-inf", "z-coeff-nan", "m-y-nan",
         "l-y-inf", "terminal-nan", "y-poly-nan", "rel-slack-nan", "probe-z-max-nan",
         "probe-y-max-negative", "radius-overflow-converge", "radius-overflow-positivity",
-        "radius-overflow-taming", "radius-overflow-tree", "radius-inf"])
+        "radius-overflow-taming", "radius-overflow-tree", "radius-inf",
+        "radius-overflow-constants-positivity", "radius-overflow-constants-taming",
+        "radius-overflow-constants-tree", "radius-overflow-constants-mult-c"])
 def test_rejected_value_is_config_error(tmp_path, capsys, command, extra, args, message):
     out = tmp_path / "x.csv"
     cfg = tmp_path / "bad.cfg"

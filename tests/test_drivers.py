@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from tamedbsde import (
     taming_residual,
     verify_assumptions,
 )
-from tamedbsde.drivers import DriverConstants
+from tamedbsde.drivers import DriverConstants, TamingBlock
 
 CUBIC = polynomial_driver([0.0, 0.0, 0.0, -1.0])          # f(y) = -y^3
 FHN = polynomial_driver([0.0, 1.0, 0.0, -1.0])            # f(y) = y - y^3
@@ -73,6 +74,94 @@ def test_horner_bitwise_equals_polyval(coeffs, x):
 
 
 # ---------------------------------------------------------------- taming maps
+
+# ---------------------------------------------------------------- taming blocks
+
+def _reference_tamed_y_part(driver, y):
+    """f^h's y-part written out per kind from the formulas: P by polyval,
+    the projections by clip, the multiplicative kinds as P / (1 + F/r)."""
+    base, kind, r, m = driver.base, driver.taming.kind, driver.radius, driver.base.growth_power
+    y = np.asarray(y, dtype=float)
+    if kind == "inner_proj":
+        return npoly.polyval(np.clip(y, -r, r), base.y_coeffs)
+    p = npoly.polyval(y, base.y_coeffs)
+    if kind == "none":
+        return p
+    if kind == "outer_proj":
+        return np.clip(p, -r, r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        damping = {
+            "mult_a": lambda: np.abs(p),
+            "mult_b": lambda: np.where(y == 0.0, 0.0, np.abs(p - npoly.polyval(0.0, base.y_coeffs))
+                                       / np.abs(y)),
+            "mult_c": lambda: np.abs(y) ** m,
+            "mult_d": lambda: np.abs(y) ** (m - 1),
+        }[kind]()
+    return p / (1.0 + damping / r)
+
+
+def _seven_drivers(base, h=0.01):
+    """One driver of each taming kind, each with its own radius; the kind
+    "none" is the untamed explicit scheme's driver, its taming reset."""
+    inner = tamed(base, "inner_proj", r0=0.7, exponent=0.25, h=h)
+    return [
+        tamed(base, "mult_b", r0=0.9, exponent=0.5, h=h),
+        inner,
+        tamed(base, "mult_d", r0=1.1, exponent=0.5, h=h),
+        tamed(base, "outer_proj", r0=1.5, exponent=0.5, h=h),
+        replace(inner, taming=TamingSpec(kind="none")),
+        tamed(base, "mult_a", r0=1.3, exponent=0.4, h=h),
+        tamed(base, "mult_c", r0=0.8, exponent=0.5, h=h),
+    ]
+
+
+def _block_inputs(drivers):
+    """+-0, +-inf, NaN, tiny and overflowing values, and |y| on both sides
+    of every driver's radius."""
+    radii = np.array([d.radius for d in drivers if d.taming.kind != "none"])
+    near = np.concatenate([radii * f for f in (0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 2.0)])
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-300, 1e200, 0.25, -3.0]
+    return np.concatenate([special, near, -near])
+
+
+@pytest.mark.parametrize("base", [FHN, polynomial_driver([0.5, -2.0]),
+                                  polynomial_driver([0.3, 0.0, 0.0, -1.0])],
+                         ids=["fhn", "linear", "shifted-cubic"])
+def test_taming_block_bitwise_equals_per_driver_taming(base):
+    drivers = _seven_drivers(base)
+    y = _block_inputs(drivers)
+    rng = np.random.default_rng(3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = [d.tamed_y_part(y) for d in drivers]
+        for d, got in zip(drivers, alone):
+            assert got.tobytes() == _reference_tamed_y_part(d, y).tobytes(), d.taming.kind
+            # a block of one takes a scalar too
+            assert np.float64(d.tamed_y_part(y[7])).tobytes() == got[7].tobytes()
+        # the seven rows in the listed order (no kind in one run of rows),
+        # sorted by kind (every kind one run) and one scrambled order; each
+        # row sees the same y or its own shuffle of it
+        for order in (range(7), sorted(range(7), key=lambda k: drivers[k].taming.kind),
+                      [3, 0, 6, 2, 5, 1, 4]):
+            block = TamingBlock([drivers[k] for k in order])
+            assert [row.tobytes() for row in block.tamed_y_part(np.tile(y, (7, 1)))] == \
+                [alone[k].tobytes() for k in order]
+            shuffled = np.array([rng.permutation(y) for _ in order])
+            out = block.tamed_y_part(shuffled)
+            for k, row, got in zip(order, shuffled, out):
+                assert got.tobytes() == drivers[k].tamed_y_part(row).tobytes()
+        # a block of one row, and of rows of one kind with different radii
+        for d, got in zip(drivers, alone):
+            assert TamingBlock([d]).tamed_y_part(y[None])[0].tobytes() == got.tobytes()
+        mult = [d for d in drivers if d.taming.kind.startswith("mult")]
+        out = TamingBlock(mult[:1] * 2 + [replace(mult[0], h=0.5)]).tamed_y_part(np.tile(y, (3, 1)))
+        assert out[0].tobytes() == out[1].tobytes() == alone[0].tobytes()
+        assert out[2].tobytes() == replace(mult[0], h=0.5).tamed_y_part(y).tobytes()
+
+
+def test_taming_block_needs_one_base_driver():
+    with pytest.raises(ValueError, match="one base driver"):
+        TamingBlock([tamed(CUBIC, "inner_proj"), tamed(FHN, "inner_proj")])
+
 
 def test_inner_projection_forced():
     d = tamed(CUBIC, "inner_proj", r0=1.0, exponent=0.0)
