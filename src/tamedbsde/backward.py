@@ -204,29 +204,44 @@ def _solve_implicit(driver: TamedDriver, c, z, h: float, step: int,
 _NO_FIT = (0, math.nan)
 
 
+@dataclass(frozen=True)
+class ArrayRows:
+    """The row source of full arrays: X as PathEnsemble.X and H as
+    IncrementBatch.H, step i reading row i of each."""
+
+    X: np.ndarray
+    H: np.ndarray
+
+    def __call__(self, step: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.X[step], self.H[step]
+
+
 class _LsmcOperator:
     """Hermite least squares on paths, each its own child: one design and
     factorization of X_i per step serve every scheme of a lockstep group,
     each scheme a block of one whose (paths,) targets are fitted on their own.
     A non-finite target (the scheme exploded) projects to NaN, with no fit.
-    Row i of X holds X_i, row i of H holds H_{i+1}."""
+    `begin_step(i)` reads X_i and H_{i+1} from the row source `rows`, a
+    callable i -> (X_i, H_{i+1}) such as ArrayRows; `steps` is the grid's N."""
 
-    def __init__(self, basis: BasisSpec | None, X: np.ndarray, H: np.ndarray):
+    def __init__(self, basis: BasisSpec | None, rows, steps: int):
         self.basis = basis
-        self.X = X
-        self.H = H
+        self.rows = rows
+        self.steps = steps
         self.step = None
+        self.h_row = None
         self.design = None
 
     def begin_step(self, step: int) -> None:
         self.step = step
+        x, self.h_row = self.rows(step)
         try:
-            self.design = sample_design(self.basis, self.X[step])
+            self.design = sample_design(self.basis, x)
         except ValueError as exc:
-            raise DesignError(f"N={self.X.shape[0] - 1}, step {step}: {exc}") from exc
+            raise DesignError(f"N={self.steps}, step {step}: {exc}") from exc
 
     def end_step(self) -> None:
-        self.design = None
+        self.design = self.h_row = None
 
     @staticmethod
     def children(v):
@@ -238,7 +253,7 @@ class _LsmcOperator:
         return self._project(kids)
 
     def mean_h(self, kids):
-        return self.mean(kids * self.H[self.step])
+        return self.mean(kids * self.h_row)
 
     def _project(self, target):
         fit = self.design.fit(target)
@@ -250,6 +265,7 @@ class _PrefixOperator(_LsmcOperator):
 
     def begin_step(self, step: int) -> None:
         self.step = step
+        _, self.h_row = self.rows(step)
 
     def _project(self, target):
         groups = 2**self.step
@@ -298,10 +314,10 @@ def _path_operator(basis: BasisSpec | ExactTreeBasis, ensemble: PathEnsemble) ->
     if H.shape != (n, paths):
         raise ValueError(f"ensemble increments have shape {H.shape}, expected ({n}, {paths})")
     if not isinstance(basis, ExactTreeBasis):
-        return _LsmcOperator(basis, X, H)
+        return _LsmcOperator(basis, ArrayRows(X, H), n)
     if paths != 2**n:
         raise ValueError(f"exact tree basis expects 2^{n} paths, got {paths}")
-    return _PrefixOperator(None, X, H)
+    return _PrefixOperator(None, ArrayRows(X, H), n)
 
 
 class _SchemeRun:
@@ -476,21 +492,24 @@ def stream_backward(groups: list[tuple], basis: BasisSpec, reached) -> list[list
     sweep over fine time (see `_backward`), keeping no level a later step
     does not read: one level of Y per scheme between its steps, no Z.
 
-    `groups` holds (grid, X, H, xi, members) per grid, the grids nested and
-    finest first: X and H as in PathEnsemble.X and IncrementBatch.H, xi the
-    terminal values and members (scheme, driver, label, required) tuples; a
-    required member raises SchemeExplodedError where it explodes.  Each time
-    grid g reaches level i, `reached(g, i, levels)` gets Y_i of every member,
-    None for a member that has exploded; the terminal levels come first,
-    finest grid first.  The outputs carry each member's diagnostics,
-    explosion step and wallclock, with Y and Z None.
+    `groups` holds (grid, rows, xi, members) per grid, the grids nested and
+    finest first: rows the grid's row source of X_i and H_{i+1} (see
+    _LsmcOperator; ArrayRows for full arrays), xi the terminal values and
+    members (scheme, driver, label, required) tuples; a required member
+    raises SchemeExplodedError where it explodes.  The row source is read
+    in each step's `begin_step`, so the time it takes is shared among the
+    group's members as the design's is.  Each time grid g reaches level i,
+    `reached(g, i, levels)` gets Y_i of every member, None for a member
+    that has exploded; the terminal levels come first, finest grid first.
+    The outputs carry each member's diagnostics, explosion step and
+    wallclock, with Y and Z None.
     """
     sweep = []
-    for g, (grid, X, H, xi, members) in enumerate(groups):
+    for g, (grid, rows, xi, members) in enumerate(groups):
         n = grid.steps
         runs = [_SchemeRun([(scheme, tamed)], grid, [None] * n + [xi], [None] * n, [label], required)
                 for scheme, tamed, label, required in members]
-        sweep.append((_LsmcOperator(basis, X, H), runs, grid))
+        sweep.append((_LsmcOperator(basis, rows, n), runs, grid))
         reached(g, n, [xi] * len(runs))
 
     def levels(g, i):

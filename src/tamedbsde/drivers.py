@@ -577,6 +577,21 @@ def _fit_constant(excess, weight):
     return float(np.max(excess[pos] / weight[pos]))
 
 
+def checked_constants(driver: TamedDriver) -> DerivedConstants:
+    """derive_constants(driver), which must give finite K^h_y, L^h_y,
+    (K^h_y)^2 h and (L^h_y)^2 h: a large taming radius can overflow them,
+    and ValueError rejects such a driver."""
+    try:
+        cons = derive_constants(driver)
+        finite = all(map(math.isfinite, (cons.k_y, cons.l_y, cons.k_y_sq_h, cons.l_y_sq_h)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError("the derived constants K^h_y, L^h_y, (K^h_y)^2 h and (L^h_y)^2 h "
+                         "are not all finite")
+    return cons
+
+
 def verify_assumptions(driver: TamedDriver, probe: ProbePlan | None = None) -> AssumptionReport:
     """Evaluate the tamed-driver assumptions on a quasi-uniform probe.
 
@@ -587,10 +602,11 @@ def verify_assumptions(driver: TamedDriver, probe: ProbePlan | None = None) -> A
     the vanishing of the residual f - f^h on the identity region.  Where a
     remainder only admits an existence statement, the verifier fits the
     constant on the probe and reports it instead of asserting a value.
-    Failures are report entries, never exceptions.
+    Failures are report entries, never exceptions; only derived constants
+    that are not finite are rejected, before any probe (checked_constants).
     """
     probe = probe or ProbePlan()
-    cons = derive_constants(driver)
+    cons = checked_constants(driver)
     base, kind = driver.base, driver.taming.kind
     m = base.growth_power
     r = driver.radius

@@ -18,6 +18,7 @@ import numpy as np
 
 from .backward import (
     IMPLICIT,
+    ArrayRows,
     EXPLICIT_TAMED,
     run_backward,  # noqa: F401  (unused; the benchmark's trace probes look it up here)
     step_size_condition,
@@ -28,13 +29,13 @@ from .backward import (
 from .config import ConfigError, ExperimentConfig, SchemeRun
 from .drivers import (
     INNER_PROJ,
-    DerivedConstants,
     TamedDriver,
     TamingSpec,
-    derive_constants,
+    checked_constants,
+    derive_constants,  # noqa: F401  (unused; the benchmark's trace probes look it up here)
     verify_assumptions,
 )
-from .forward import euler_simulate, terminal_values
+from .forward import euler_rows, euler_simulate, terminal_values
 from .grids import (
     IncrementBatch,
     NoiseModel,
@@ -47,10 +48,11 @@ from .grids import (
 from .regression import BasisSpec
 
 
-def _sum_to_grids(batch: IncrementBatch, fine: PartitionGrid, coarse: list[PartitionGrid],
+def _sum_to_grids(dW: np.ndarray, fine: PartitionGrid, coarse: list[PartitionGrid],
                   model: NoiseModel) -> list[np.ndarray]:
     """Fine-grid Brownian increments summed over the intervals of each coarse
-    grid, as C-ordered (steps, paths) arrays.
+    grid, as C-ordered (levels, paths) arrays.  dW holds fine rows of whole
+    coarse levels: all of them, or those of a run of levels.
 
     Level j of a grid with stride s adds the fine rows j*s .. j*s + s - 1
     one after another, in row order, so any run of whole coarse levels sums
@@ -61,8 +63,8 @@ def _sum_to_grids(batch: IncrementBatch, fine: PartitionGrid, coarse: list[Parti
             raise ValueError(f"grids are not nested: {grid.steps} does not divide {fine.steps}")
         if model.kind == RADEMACHER:
             raise ValueError("rademacher increments do not aggregate across grids")
-    dW = np.ascontiguousarray(batch.dW)
-    return [dW.reshape(grid.steps, -1, dW.shape[1]).sum(axis=1) for grid in coarse]
+    dW = np.ascontiguousarray(dW)
+    return [dW.reshape(-1, fine.steps // grid.steps, dW.shape[1]).sum(axis=1) for grid in coarse]
 
 
 def aggregate_to_grid(batch: IncrementBatch, fine: PartitionGrid, coarse: PartitionGrid,
@@ -70,7 +72,7 @@ def aggregate_to_grid(batch: IncrementBatch, fine: PartitionGrid, coarse: Partit
     """Sum fine-grid Brownian increments over each coarse interval and
     re-derive H at the coarse step size (see `_sum_to_grids` for the
     summation order)."""
-    (summed,) = _sum_to_grids(batch, fine, [coarse], model)
+    (summed,) = _sum_to_grids(batch.dW, fine, [coarse], model)
     return increments_from_dw(model, summed, coarse.h)
 
 
@@ -143,39 +145,89 @@ def _tamed(cfg: ExperimentConfig, run: SchemeRun, h: float) -> TamedDriver:
     return TamedDriver(base=cfg.driver, taming=run.taming, h=h)
 
 
-def _checked_constants(tamed: TamedDriver, label: str, n: int) -> DerivedConstants:
-    """The derived constants of a configured scheme's taming at N steps.
-    K^h_y, L^h_y and their squares times h must be finite: a large taming
-    radius can overflow them, and a config where it does is invalid."""
+def _checked(label: str, n: int, check, *args):
+    """check(*args), where a ValueError (derived constants that are not all
+    finite, see checked_constants) means a configured scheme's taming is
+    invalid at N steps: a ConfigError naming the scheme and N."""
     try:
-        cons = derive_constants(tamed)
-        finite = all(map(math.isfinite, (cons.k_y, cons.l_y, cons.k_y_sq_h, cons.l_y_sq_h)))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ConfigError(f"scheme {label!r}, N={n}: the derived constants K^h_y, L^h_y, "
-                          "(K^h_y)^2 h and (L^h_y)^2 h are not all finite")
-    return cons
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"scheme {label!r}, N={n}: {exc}") from None
 
 
-def _grid_paths(cfg: ExperimentConfig, grids: list[PartitionGrid]):
-    """(X, H, xi) per grid, finest first, from one fine-grid simulation: X
-    and H of the grid's ensemble and batch, xi the terminal values.  A
-    grid's Brownian increments are dropped after its Euler run, and its H
-    is derived from them only then, so at most one grid's increments are
-    held next to the finest grid's."""
+class _SegmentRows:
+    """Row source of one grid of the convergence study (see
+    backward._LsmcOperator) that keeps only X checkpoints: X at the start of
+    each segment of `span` = ceil(sqrt(N/2)) of the grid's levels, which
+    balances the checkpoints, about N / span rows, against one segment of X
+    and H, about 2 span rows.
+
+    Segment k holds levels a = k * span .. b - 1, b = min(a + span, N).  Its
+    rebuild sums the grid's dW rows a .. b - 1 from their fine rows
+    (`_sum_to_grids`; the finest grid reads them as they are), derives H
+    from them (`increments_from_dw`) and runs Euler from the checkpoint X_a
+    (`euler_rows`): the rows of a full run, to the bit.  The sweep rebuilds
+    a segment when it asks for one of its levels and drops it when it asks
+    for a level of the next one.
+
+    The constructor runs the grid forward once, segment by segment, keeping
+    the checkpoints, the terminal values `xi` = g(X_N) and the last segment,
+    which the sweep reads first.  It raises what a full run raises:
+    ForwardBlowupError, or ValueError for a Lambda below the floor or a
+    grid that does not nest in the finest one.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, fine: PartitionGrid, grid: PartitionGrid,
+                 dW: np.ndarray):
+        self.sde, self.noise, self.fine, self.grid, self.dW = cfg.sde, cfg.noise, fine, grid, dW
+        self.span = math.ceil(math.sqrt(grid.steps / 2))
+        self.checkpoints = [np.full(dW.shape[1], cfg.sde.x0)]
+        self.X = self.H = None
+        for k in range(math.ceil(grid.steps / self.span)):
+            self._load(k)
+            self.checkpoints.append(self.X[-1].copy())
+        self.xi = np.asarray(cfg.terminal(self.checkpoints.pop()), dtype=float)
+
+    def _load(self, k: int) -> None:
+        """Rebuild segment k, X_a .. X_b and H_{a+1} .. H_b, in place of the
+        one loaded before, which is dropped first."""
+        self.X = self.H = None
+        n, a = self.grid.steps, k * self.span
+        b = min(a + self.span, n)
+        stride = self.fine.steps // n
+        dW = self.dW[a * stride:b * stride]
+        if n != self.fine.steps:
+            (dW,) = _sum_to_grids(dW, self.fine, [self.grid], self.noise)
+        self.H = increments_from_dw(self.noise, dW, self.grid.h).H
+        self.X = np.empty((b - a + 1, dW.shape[1]))
+        self.X[0] = self.checkpoints[k]
+        euler_rows(self.sde, self.X, dW, self.grid.h, a, n)
+        self.segment = k
+
+    def __call__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        k = i // self.span
+        if k != self.segment:
+            self._load(k)
+        return self.X[i - k * self.span], self.H[i - k * self.span]
+
+
+# paths per sample_increments call of the convergence study: the H it
+# derives next to each block's dW is dropped at once, so the fine H is never
+# held whole
+SAMPLE_BLOCK = 4096
+
+
+def _grid_paths(cfg: ExperimentConfig, grids: list[PartitionGrid]) -> list[_SegmentRows]:
+    """The row source of each grid, finest first, from one fine-grid sample
+    of dW, drawn a block of paths at a time and kept for the sweep.  Each
+    grid's checkpoints and terminal values are made before the first
+    backward step (see _SegmentRows)."""
     fine = grids[0]
-    batch = sample_increments(fine, cfg.paths, cfg.seed, cfg.noise)
-    ensemble = euler_simulate(cfg.sde, fine, batch)
-    out = [(ensemble.X, batch.H, terminal_values(cfg.terminal, ensemble))]
-    summed = _sum_to_grids(batch, fine, grids[1:], cfg.noise)
-    del batch, ensemble
-    for grid in grids[1:]:
-        coarse = increments_from_dw(cfg.noise, summed.pop(0), grid.h)
-        ensemble = euler_simulate(cfg.sde, grid, coarse)
-        out.append((ensemble.X, coarse.H, terminal_values(cfg.terminal, ensemble)))
-        del coarse, ensemble
-    return out
+    dW = np.empty((fine.steps, cfg.paths))
+    for a in range(0, cfg.paths, SAMPLE_BLOCK):
+        b = min(a + SAMPLE_BLOCK, cfg.paths)
+        dW[:, a:b] = sample_increments(fine, cfg.paths, cfg.seed, cfg.noise, (a, b)).dW
+    return [_SegmentRows(cfg, fine, grid, dW) for grid in grids]
 
 
 def _proxy_runs(cfg: ExperimentConfig) -> list[SchemeRun]:
@@ -198,8 +250,10 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     in one backward sweep over fine time (`stream_backward`), finest first
     at each fine step.  The proxy level and every grid's squared errors at
     that level are reduced as soon as the level is reached, so no scheme
-    keeps more than one level of Y between its steps.  A proxy scheme that
-    explodes raises SchemeExplodedError at its step.
+    keeps more than one level of Y between its steps.  Each grid reads its
+    X and H from its row source (_SegmentRows), which holds one segment of
+    them at a time next to the fine dW.  A proxy scheme that explodes
+    raises SchemeExplodedError at its step.
     """
     if cfg.noise.kind == RADEMACHER and len(cfg.grids) > 1:
         raise ConfigError(f"noise kind {RADEMACHER!r} does not aggregate across grids; "
@@ -209,13 +263,13 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     proxy_index = [cfg.schemes.index(run) for run in proxy_runs]
     grids = [build_grid(cfg.horizon, n) for n in reversed(cfg.grids)]
     groups = []
-    for g, (grid, (X, H, xi)) in enumerate(zip(grids, _grid_paths(cfg, grids))):
+    for g, (grid, rows) in enumerate(zip(grids, _grid_paths(cfg, grids))):
         members = []
         for run in cfg.schemes:
             required = g == 0 and run in proxy_runs
             label = f"{'proxy scheme' if required else 'scheme'} {run.label!r} (N={grid.steps})"
             members.append((run.scheme, _tamed(cfg, run, grid.h), label, required))
-        groups.append((grid, X, H, xi, members))
+        groups.append((grid, rows, rows.xi, members))
     mse = [np.empty((len(cfg.schemes), grid.steps + 1)) for grid in grids]
     proxy = None
 
@@ -265,7 +319,11 @@ def positivity_study(cfg: ExperimentConfig) -> PositivityStudyReport:
         raise ConfigError("positivity study expects exactly one grid size")
     n = cfg.grids[0]
     grid = build_grid(cfg.horizon, n)
-    ((X, H, xi),) = _grid_paths(cfg, [grid])
+    batch = sample_increments(grid, cfg.paths, cfg.seed, cfg.noise)
+    ensemble = euler_simulate(cfg.sde, grid, batch)
+    # the ensemble holds the batch: dropping both drops dW
+    rows, xi = ArrayRows(ensemble.X, batch.H), terminal_values(cfg.terminal, ensemble)
+    del batch, ensemble
     basis = BasisSpec(size=cfg.basis_size)
 
     runs = sorted(cfg.schemes, key=lambda s: s.label)
@@ -278,12 +336,12 @@ def positivity_study(cfg: ExperimentConfig) -> PositivityStudyReport:
             if y is not None:
                 mins[k, i], maxs[k, i] = y.min(), y.max()
 
-    stream_backward([(grid, X, H, xi, members)], basis, reduce_level)
+    stream_backward([(grid, rows, xi, members)], basis, reduce_level)
     rows: list[ExtremaRow] = []
     conditions = []
     for k, run in enumerate(runs):
         rows += _extrema_rows(run.label, mins[k], maxs[k], grid.times)
-        cond = grid.h * _checked_constants(_tamed(cfg, run, grid.h), run.label, n).l_y
+        cond = grid.h * _checked(run.label, n, checked_constants, _tamed(cfg, run, grid.h)).l_y
         conditions.append((run.label, cond, cond < 1.0))
     return PositivityStudyReport(rows=rows, conditions=conditions, backend="regression")
 
@@ -320,7 +378,7 @@ def tree_oracle_study(cfg: ExperimentConfig) -> PositivityStudyReport:
         if output.exploded:
             mins[k, :output.first_bad_step + 1] = maxs[k, :output.first_bad_step + 1] = np.nan
         rows += _extrema_rows(run.label, mins[k], maxs[k], grid.times)
-        cons = _checked_constants(driver, run.label, n)
+        cons = _checked(run.label, n, checked_constants, driver)
         cond = step_size_condition(run.scheme, cons, 1.0 / math.sqrt(grid.h))
         conditions.append((run.label, cond, cond < 1.0))
     return PositivityStudyReport(rows=rows, conditions=conditions, backend="tree")
@@ -339,8 +397,8 @@ def verify_taming_study(cfg: ExperimentConfig) -> TamingReport:
         for n in cfg.grids:
             h = cfg.horizon / n
             tamed = TamedDriver(base=cfg.driver, taming=taming, h=h)
-            cons = _checked_constants(tamed, label, n)
-            report = verify_assumptions(tamed, cfg.probe)
+            report = _checked(label, n, verify_assumptions, tamed, cfg.probe)
+            cons = report.constants
             rows.append(TamingRow(
                 taming=label, steps=n, h=h, radius=cons.radius,
                 k_t=cons.k_t, k_y=cons.k_y, l_y=cons.l_y,

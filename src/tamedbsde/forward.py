@@ -91,7 +91,7 @@ class PathEnsemble:
 
 def euler_simulate(sde: SdeSpec, grid: PartitionGrid, batch: IncrementBatch) -> PathEnsemble:
     """Euler scheme X_{i+1} = X_i + b(X_i) h + sigma(X_i) dW_{i+1}, one row
-    of X per step.
+    of X per step (see `euler_rows`).
 
     Raises ForwardBlowupError naming the first offending step, and its
     lowest offending path, if a state becomes non-finite or exceeds the
@@ -103,16 +103,29 @@ def euler_simulate(sde: SdeSpec, grid: PartitionGrid, batch: IncrementBatch) -> 
 
     X = np.empty((steps + 1, paths), dtype=float)
     X[0] = sde.x0
-    h, dW = grid.h, batch.dW
-    for i in range(steps):
-        x = X[i]
-        X[i + 1] = x + sde.drift(x) * h + sde.diffusion(x) * dW[i]
+    euler_rows(sde, X, batch.dW, grid.h, 0, steps)
+    return PathEnsemble(X=X, increments=batch, grid=grid)
+
+
+def euler_rows(sde: SdeSpec, X: np.ndarray, dW: np.ndarray, h: float, first: int,
+               steps: int) -> None:
+    """Fill rows 1.. of X from row 0 by the Euler update, in place: X[k] is
+    X_{first+k} of an N = `steps` grid and dW[k] is dW_{first+k+1}.  Each
+    row depends only on the row before it and its increments, so a run
+    restarted from a stored row gives that row's successors to the bit.
+
+    Raises ForwardBlowupError naming the absolute step of the first
+    offending row and its lowest offending path where a state becomes
+    non-finite or exceeds the overflow limit.
+    """
+    for k, dw in enumerate(dW):
+        x = X[k]
+        X[k + 1] = x + sde.drift(x) * h + sde.diffusion(x) * dw
         # NaN fails the comparison, so this also catches non-finite states
-        bad = ~(np.abs(X[i + 1]) <= OVERFLOW_LIMIT)
+        bad = ~(np.abs(X[k + 1]) <= OVERFLOW_LIMIT)
         if bad.any():
             p = int(np.argmax(bad))
-            raise ForwardBlowupError(p, i + 1, float(X[i + 1, p]), steps)
-    return PathEnsemble(X=X, increments=batch, grid=grid)
+            raise ForwardBlowupError(p, first + k + 1, float(X[k + 1, p]), steps)
 
 
 def terminal_values(terminal: TerminalSpec, ensemble: PathEnsemble) -> np.ndarray:

@@ -976,9 +976,9 @@ def test_path_storage_is_level_major(monkeypatch):
 
     # the operator's levels are the ensemble's and the batch's, not copies
     op = backward._path_operator(BasisSpec(size=4), ens)
-    assert np.shares_memory(op.X, ens.X) and np.shares_memory(op.H, batch.H)
-    assert all(op.X[i].flags.c_contiguous for i in range(fine.steps + 1))
-    assert all(op.H[i].flags.c_contiguous for i in range(fine.steps))
+    assert np.shares_memory(op.rows.X, ens.X) and np.shares_memory(op.rows.H, batch.H)
+    assert all(op.rows.X[i].flags.c_contiguous for i in range(fine.steps + 1))
+    assert all(op.rows.H[i].flags.c_contiguous for i in range(fine.steps))
 
     # every row a step reads or writes is a contiguous 1-D array
     rows = []

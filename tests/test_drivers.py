@@ -291,6 +291,19 @@ def test_assumptions_pass_for_standard_tamings(base, kind, exponent):
     assert report.passed, dict(report.checks)
 
 
+@pytest.mark.parametrize("kind,r0", [("inner_proj", 1e300), ("mult_c", 1e300)])
+def test_verifier_rejects_constants_that_are_not_finite_before_probing(monkeypatch, kind, r0):
+    # (K^h_y)^2 h overflows for inner (K^h_y = r^2), (L^h_y)^2 h for mult_c
+    from tamedbsde import drivers
+
+    def no_probe(*args):
+        raise AssertionError("probed")
+
+    monkeypatch.setattr(drivers, "eval_driver", no_probe)
+    with pytest.raises(ValueError, match="derived constants .* are not all finite"):
+        verify_assumptions(tamed(CUBIC, kind, r0=r0, exponent=0.5))
+
+
 def test_untamed_growth_passes_but_lipschitz_fails_at_large_range():
     report = verify_assumptions(tamed(CUBIC, "none"), ProbePlan(y_max=50.0))
     assert report.checks["growth"].passed

@@ -130,15 +130,75 @@ def test_aggregation_of_a_level_segment_sums_only_its_fine_rows():
     model = NoiseModel()
     batch = sample_increments(fine, 300, 7, model)
     coarse = [build_grid(1.0, n) for n in (64, 32, 16, 8, 4, 2, 1)]
-    for grid, full in zip(coarse, _sum_to_grids(batch, fine, coarse, model)):
+    for grid, full in zip(coarse, _sum_to_grids(batch.dW, fine, coarse, model)):
         stride = fine.steps // grid.steps
         for a in range(grid.steps):
             for b in range(a + 1, grid.steps + 1):
                 rows = batch.dW[a * stride:b * stride]
                 part = IncrementBatch(dW=rows, H=rows / fine.h, lam=1.0)
-                (seg,) = _sum_to_grids(part, build_grid((b - a) * stride * fine.h, (b - a) * stride),
+                (seg,) = _sum_to_grids(part.dW, build_grid((b - a) * stride * fine.h, (b - a) * stride),
                                        [build_grid((b - a) * grid.h, b - a)], model)
                 assert seg.tobytes() == full[a:b].tobytes()
+
+
+LADDER_SDE = SdeSpec(x0=0.3, drift_const=0.1, drift_slope=-0.5, diff_const=0.8, diff_slope=0.2)
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(),
+                                   NoiseModel(kind="truncated_gaussian", radius0=2.0,
+                                              use_log_schedule=True)],
+                         ids=["gaussian", "truncated"])
+def test_segment_rebuild_equals_full_run_rows_bitwise(monkeypatch, noise):
+    # the study's row source of every grid, rebuilt segment by segment from
+    # its checkpoints, gives euler_simulate's X_i and aggregate_to_grid's
+    # H_{i+1} byte for byte; the spans are 1, 1, 2, 3, 4, 5, 7, so N = 5,
+    # 10 and 80 are not multiples of theirs, and N = 1 is one step
+    from tamedbsde import experiments
+
+    monkeypatch.setattr(experiments, "SAMPLE_BLOCK", 128)  # 300 paths in three calls
+    cfg = small_config(sde=LADDER_SDE, grids=[1, 2, 5, 10, 20, 40, 80], paths=300, noise=noise)
+    grids = [build_grid(cfg.horizon, n) for n in reversed(cfg.grids)]
+    fine = grids[0]
+    batch = sample_increments(fine, cfg.paths, cfg.seed, noise)
+    sources = experiments._grid_paths(cfg, grids)
+    assert [rows.span for rows in sources] == [7, 5, 4, 3, 2, 1, 1]
+    for grid, rows in zip(grids, sources):
+        coarse = batch if grid is fine else aggregate_to_grid(batch, fine, grid, noise)
+        ens = euler_simulate(cfg.sde, grid, coarse)
+        assert rows.xi.tobytes() == terminal_values(cfg.terminal, ens).tobytes()
+        assert len(rows.checkpoints) == -(-grid.steps // rows.span)
+        for i in range(grid.steps - 1, -1, -1):
+            x, h = rows(i)
+            assert x.tobytes() == ens.X[i].tobytes()
+            assert h.tobytes() == coarse.H[i].tobytes()
+            # one segment of X and H is held at a time
+            assert rows.X.shape[0] <= rows.span + 1 and rows.H.shape[0] <= rows.span
+
+
+def test_checkpoint_pass_blowup_names_the_full_run_path_and_step():
+    # multiplicative noise: paths leave the finite range at different
+    # steps, on every grid; the checkpoint pass names the same first step,
+    # lowest path and N as euler_simulate
+    from tamedbsde.experiments import _SegmentRows
+    from tamedbsde.forward import ForwardBlowupError
+
+    sde = SdeSpec(x0=1.0, diff_const=0.0, diff_slope=60.0)
+    cfg = small_config(sde=sde, grids=[10, 20, 80], paths=400)
+    fine = build_grid(cfg.horizon, 80)
+    batch = sample_increments(fine, cfg.paths, cfg.seed, cfg.noise)
+    seen = set()
+    for n in cfg.grids:
+        grid = build_grid(cfg.horizon, n)
+        coarse = batch if n == 80 else aggregate_to_grid(batch, fine, grid, cfg.noise)
+        with pytest.raises(ForwardBlowupError) as full:
+            euler_simulate(cfg.sde, grid, coarse)
+        with pytest.raises(ForwardBlowupError) as segmented:
+            _SegmentRows(cfg, fine, grid, batch.dW)
+        assert (segmented.value.path, segmented.value.step) == (full.value.path, full.value.step)
+        assert str(segmented.value) == str(full.value) and f"of N={n}" in str(full.value)
+        seen.add((full.value.path, full.value.step))
+    # the failures are not all at path 0 or in a first segment
+    assert any(path > 0 for path, _ in seen) and max(step for _, step in seen) > 3
 
 
 def test_error_reduction_bitwise_equals_row_mean():
@@ -219,9 +279,10 @@ def test_zero_driver_noise_floor():
 
 
 def test_study_peak_memory_is_paths_plus_one_finest_y():
-    # the study holds X and H of every grid; next to them, all it needs is
-    # less than one scheme's full Y on the finest grid (two live levels of Y
-    # per scheme, no Z, one proxy level, one design)
+    # X and H of every grid bound what the study holds of the paths (it
+    # keeps the fine dW and a few X rows per grid, see the test below); next
+    # to them, all it needs is less than one scheme's full Y on the finest
+    # grid (two live levels of Y per scheme, no Z, one proxy level, one design)
     import tracemalloc
 
     cfg = small_config(
@@ -241,6 +302,35 @@ def test_study_peak_memory_is_paths_plus_one_finest_y():
     finally:
         tracemalloc.stop()
     assert peak < x_and_h + finest_y
+
+
+def test_study_peak_memory_is_fine_dw_checkpoints_and_one_segment_per_grid():
+    # the study keeps the fine dW, and per grid the X checkpoints and one
+    # segment of X and H (span = ceil(sqrt(N/2)) levels: X_a .. X_b and
+    # H_{a+1} .. H_b); next to them, the allowance of the test above
+    import math
+    import tracemalloc
+
+    cfg = small_config(
+        schemes=small_config().schemes + [
+            SchemeRun("outer", SchemeSpec(kind="explicit_tamed"),
+                      TamingSpec(kind="outer_proj", r0=1.5, exponent=0.5)),
+            SchemeRun("mult_d", SchemeSpec(kind="explicit_tamed"),
+                      TamingSpec(kind="mult_d", r0=1.0, exponent=0.5))],
+        grids=[8, 16, 32, 64, 128], paths=20000, basis_size=6)
+    row = cfg.paths * 8  # bytes of one level of one array
+    spans = {n: math.ceil(math.sqrt(n / 2)) for n in cfg.grids}
+    fine_dw = cfg.grids[-1] * row
+    per_grid = sum(math.ceil(n / spans[n]) + (spans[n] + 1) + spans[n] for n in cfg.grids) * row
+    finest_y = (cfg.grids[-1] + 1) * row
+    bound = fine_dw + per_grid + finest_y  # 128 + 96 + 129 rows
+    tracemalloc.start()
+    try:
+        convergence_study(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_study_requires_proxy_scheme():
