@@ -14,9 +14,11 @@ with the (rank, smallest singular value) of its projection.  The operator
 is Hermite least squares on Monte-Carlo paths, per-prefix averaging on
 enumerated tree paths or the child average on tree levels; the schemes on
 one path ensemble run in lockstep and share each step's operator, and the
-groups of nested grids can run in one sweep over fine time.  On a tree the
-explicit schemes of one base driver advance together, as the rows of one
-(rows, nodes) block.
+groups of nested grids run in one sweep over fine time (`sweep`), which
+hands each level to a callback; the stored outputs of run_backward_group
+and tree_group_run are one such callback.  On a tree the explicit schemes
+of one base driver advance together, as the rows of one (rows, nodes)
+block.
 """
 
 from __future__ import annotations
@@ -95,12 +97,12 @@ class SchemeOutput:
 
 @dataclass
 class TreeSchemeOutput:
-    """Per-node output on the tree: ragged level arrays (None for a run
-    that streamed its levels, see tree_group_run)."""
+    """Per-node output on the tree: Y and Z are lists of ragged level
+    arrays, N+1 and N of them."""
 
     tree: TreeModel
-    Y: list | None
-    Z: list | None
+    Y: list
+    Z: list
     implicit_iterations: np.ndarray
     exploded: bool = False
     first_bad_step: int | None = None
@@ -216,18 +218,21 @@ class ArrayRows:
         return self.X[step], self.H[step]
 
 
-class _LsmcOperator:
+class LsmcOperator:
     """Hermite least squares on paths, each its own child: one design and
     factorization of X_i per step serve every scheme of a lockstep group,
     each scheme a block of one whose (paths,) targets are fitted on their own.
     A non-finite target (the scheme exploded) projects to NaN, with no fit.
     `begin_step(i)` reads X_i and H_{i+1} from the row source `rows`, a
-    callable i -> (X_i, H_{i+1}) such as ArrayRows; `steps` is the grid's N."""
+    callable i -> (X_i, H_{i+1}) such as ArrayRows, of the paths on `grid`."""
 
-    def __init__(self, basis: BasisSpec | None, rows, steps: int):
+    # each scheme is fitted on its own: no block of rows
+    row_blocks = False
+
+    def __init__(self, basis: BasisSpec | None, rows, grid):
         self.basis = basis
         self.rows = rows
-        self.steps = steps
+        self.grid = grid
         self.step = None
         self.h_row = None
         self.design = None
@@ -238,7 +243,7 @@ class _LsmcOperator:
         try:
             self.design = sample_design(self.basis, x)
         except ValueError as exc:
-            raise DesignError(f"N={self.steps}, step {step}: {exc}") from exc
+            raise DesignError(f"N={self.grid.steps}, step {step}: {exc}") from exc
 
     def end_step(self) -> None:
         self.design = self.h_row = None
@@ -260,7 +265,7 @@ class _LsmcOperator:
         return self.design.fitted(fit), (fit.rank, fit.smallest_singular_value)
 
 
-class _PrefixOperator(_LsmcOperator):
+class _PrefixOperator(LsmcOperator):
     """Exact projection on per-prefix indicators of enumerated tree paths."""
 
     def begin_step(self, step: int) -> None:
@@ -273,12 +278,16 @@ class _PrefixOperator(_LsmcOperator):
         return np.repeat(target.reshape(groups, block).mean(axis=1), block), (groups, 1.0)
 
 
-class _TreeOperator:
+class TreeOperator:
     """Exact child averages on a tree level: children(v) is the (2, ...)
     view of the down and up child of every level-i node, for a level of
     one scheme (nodes,) or of a block of schemes (rows, nodes)."""
 
+    # every operation is elementwise along the rows of a block
+    row_blocks = True
+
     def __init__(self, tree: TreeModel):
+        self.grid = tree.grid
         self.recombining = tree.recombining
         self.two_sqrt_h = 2.0 * math.sqrt(tree.grid.h)
 
@@ -305,7 +314,7 @@ class _TreeOperator:
         return (kids[1] - kids[0]) / self.two_sqrt_h, _NO_FIT
 
 
-def _path_operator(basis: BasisSpec | ExactTreeBasis, ensemble: PathEnsemble) -> _LsmcOperator:
+def _path_operator(basis: BasisSpec | ExactTreeBasis, ensemble: PathEnsemble) -> LsmcOperator:
     """The operator of `basis` on the ensemble's X and its own increments H,
     whose shape is checked against X (an ensemble built by hand can hold
     increments of another shape)."""
@@ -314,28 +323,29 @@ def _path_operator(basis: BasisSpec | ExactTreeBasis, ensemble: PathEnsemble) ->
     if H.shape != (n, paths):
         raise ValueError(f"ensemble increments have shape {H.shape}, expected ({n}, {paths})")
     if not isinstance(basis, ExactTreeBasis):
-        return _LsmcOperator(basis, ArrayRows(X, H), n)
+        return LsmcOperator(basis, ArrayRows(X, H), ensemble.grid)
     if paths != 2**n:
         raise ValueError(f"exact tree basis expects 2^{n} paths, got {paths}")
-    return _PrefixOperator(None, ArrayRows(X, H), n)
+    return _PrefixOperator(None, ArrayRows(X, H), ensemble.grid)
 
 
 class _SchemeRun:
-    """A block of schemes in the backward recursion, advanced together.  A
-    block of one scheme keeps its levels as (nodes,) arrays; a block of
-    explicit schemes that share a base driver keeps them as the rows of
-    C-ordered (rows, nodes) arrays and tames them together (TamingBlock).
-    `Y[j]` and `Z[j]` are level j of the block's storage (the terminal level
-    stored on entry).  A row whose Z_i or Y_i is not finite is marked
-    exploded at i in `first_bad`; the block stores level i only while a row
-    is still finite there, and a level it never reaches is left as it was.
-    `labels` name the rows in error messages; a `required` run raises
-    SchemeExplodedError where a row explodes."""
+    """A block of a group's members in the backward recursion, advanced
+    together.  A block of one scheme takes (nodes,) levels; a block of
+    explicit schemes that share a base driver takes the rows of C-ordered
+    (rows, nodes) levels and tames them together (TamingBlock).  `members`
+    are the indices in the group of the block's rows, and `y` and `z` are
+    the latest Y_i and Z_i the block took (`y` the terminal level on
+    entry).  A row whose Z_i or Y_i is not finite is marked exploded at i
+    in `first_bad`, keyed by member; the block takes level i only while a
+    row is still finite there.  A member's label names it in error
+    messages; a required member raises SchemeExplodedError where it
+    explodes."""
 
-    def __init__(self, members: list[tuple[SchemeSpec, TamedDriver]], grid, Y, Z,
-                 labels: list | None = None, required: bool = False):
+    def __init__(self, members: list[tuple], rows: list[int], grid, xi: np.ndarray):
         drivers, weights = [], []
-        for scheme, tamed in members:
+        for k in rows:
+            scheme, tamed, _, _ = members[k]
             if not math.isclose(tamed.h, grid.h, rel_tol=1e-9):
                 raise ValueError(f"driver was tamed at h={tamed.h}, grid has h={grid.h}")
             if scheme.kind == EXPLICIT_UNTAMED and tamed.taming.kind != NONE:
@@ -344,35 +354,38 @@ class _SchemeRun:
                 check_implicit_guard(grid.h, tamed.base.constants.m_y)
             drivers.append(tamed)
             weights.append(1.0 - scheme.theta_prime)
-        self.implicit = members[0][0].kind == IMPLICIT
-        if len(members) == 1:
-            self.driver, self.weight = drivers[0], weights[0]
-        elif any(scheme.kind == IMPLICIT for scheme, _ in members):
+        self.implicit = members[rows[0]][0].kind == IMPLICIT
+        if len(rows) == 1:
+            self.driver, self.weight, self.y = drivers[0], weights[0], xi
+        elif any(members[k][0].kind == IMPLICIT for k in rows):
             raise ValueError("an implicit scheme runs in a block of its own")
         else:
             self.driver, self.weight = TamingBlock(drivers), np.array(weights)[:, None]
-        self.Y, self.Z = Y, Z
-        self.labels, self.required = labels or [None] * len(members), required
+            self.y = np.repeat(xi[None], len(rows), axis=0)
+        self.z = None
+        self.members = rows
+        self.labels = [members[k][2] for k in rows]
+        self.required = [members[k][3] for k in rows]
         n = grid.steps
         self.z_fits = [_NO_FIT] * n
         self.y_fits = [_NO_FIT] * n
         self.iterations = np.zeros(n, dtype=int)
-        self.first_bad = [None] * len(members)
+        self.first_bad = dict.fromkeys(rows)
         self.seconds = 0.0
 
     @property
     def live(self) -> bool:
         """Whether a row has not exploded."""
-        return None in self.first_bad
+        return None in self.first_bad.values()
 
     def advance(self, i: int, h: float, op) -> None:
-        """Z_i, then Y_i, of every row.  The tamed y-part at Y_{i+1} is
-        evaluated once, for the Z target (its z-part added as
-        TamedDriver.__call__ adds it) and the explicit Y target; the
-        implicit solve runs only on a finite Z_i."""
+        """Z_i, then Y_i, of every row, from Y_{i+1} in `y`.  The tamed
+        y-part at Y_{i+1} is evaluated once, for the Z target (its z-part
+        added as TamedDriver.__call__ adds it) and the explicit Y target;
+        the implicit solve runs only on a finite Z_i."""
         driver = self.driver
         z_coeff = driver.base.z_coeff
-        y_next = self.Y[i + 1]
+        y_next = self.y
         p = driver.tamed_y_part(y_next)
         z, self.z_fits[i] = op.mean_h(
             op.children(y_next + self.weight * (p + z_coeff * 0.0) * h))
@@ -386,45 +399,78 @@ class _SchemeRun:
             y, self.y_fits[i] = op.mean(op.children(y_next) + (op.children(p) + z_coeff * z) * h)
             finite = np.isfinite(z).all() and np.isfinite(y).all()
         if finite:
-            self.Z[i], self.Y[i] = z, y
+            self.z, self.y = z, y
             return
         # some row exploded: which ones (an implicit block is one row)
         finite = (np.zeros(1, dtype=bool) if self.implicit
                   else np.isfinite(z).all(axis=-1) & np.isfinite(y).all(axis=-1))
-        for k in np.flatnonzero(~finite):
+        for row in np.flatnonzero(~finite):
+            k = self.members[row]
             if self.first_bad[k] is None:
                 self.first_bad[k] = i
-                if self.required:
+                if self.required[row]:
                     # where the driver term overflowed, if anywhere
-                    bad = ~np.isfinite(np.atleast_2d(y_next + p * h)[k])
+                    bad = ~np.isfinite(np.atleast_2d(y_next + p * h)[row])
                     where = f", path {int(np.argmax(bad))}" if bad.any() else ""
-                    raise SchemeExplodedError(f"{self.labels[k]} exploded at step {i}{where}")
+                    raise SchemeExplodedError(f"{self.labels[row]} exploded at step {i}{where}")
         if finite.any():
-            self.Z[i], self.Y[i] = z, y
+            self.z, self.y = z, y
 
 
-def _backward(groups: list[tuple[object, list[_SchemeRun], object]], reached=None) -> None:
+def sweep(groups: list[tuple], reached) -> list[list[_SchemeRun]]:
     """The backward recursion of lockstep groups on nested grids, in one
-    sweep over fine time.
+    sweep over fine time: every run of the schemes goes through it.
 
-    `groups` holds (operator, runs, grid) per grid, finest first, each run
-    a block of schemes.  At fine index j every group whose stride (fine
-    steps over its steps) divides j takes its step i = j / stride, finest
-    first, then calls `reached(g, i)` if given.  A step's `begin_step` (on
-    paths, the design and its factorization) comes before the runs' turns
-    and `end_step` releases it after, so a run's targets live only during
-    its own turn; a run's `seconds` is its own time plus an equal share of
-    each `begin_step` among the runs still going.  A run whose rows have
-    all exploded leaves the lockstep with its partial data: explosion of
-    the untamed explicit scheme is an experimental observable, not an
-    error.
+    `groups` holds (op, xi, members) per grid, finest first: op the grid's
+    conditional-expectation operator (LsmcOperator or TreeOperator; the
+    grid is op.grid), xi the terminal values and members (scheme, driver,
+    label, required) tuples; a label names its member in error messages,
+    and a required member raises SchemeExplodedError where it explodes.
+    Where the operator takes blocks of rows (op.row_blocks, on a tree) the
+    explicit members of one base driver run as the rows of one block, in
+    member order, and each implicit member as a block of its own;
+    elsewhere each member is a block of one.
+
+    `reached(g, i, blocks)` gets the terminal levels first, finest grid
+    first, then every level i of grid g as it is reached, with the blocks
+    still in the lockstep: `block.members` are the indices in the group of
+    its rows, `block.y` is Y_i and `block.z` is Z_i (None at the terminal
+    level), (nodes,) for a block of one and (rows, nodes) otherwise.  A
+    block is reported until its last row explodes; the row of an exploded
+    member is not finite from its first bad step down.  After each call
+    the sweep drops every Z_i and the last level of each block that has
+    left the lockstep, so a block keeps one level of Y between its steps,
+    and none after its last.
+
+    At fine index j every group whose stride (fine steps over its steps)
+    divides j takes its step i = j / stride, finest first.  A step's
+    `begin_step` (on paths, the row source's read, the design and its
+    factorization) comes before the blocks' turns and `end_step` releases
+    it after, so a block's targets live only during its own turn; a block's
+    `seconds` is its own time plus an equal share of each `begin_step`
+    among the blocks still going.  A block whose rows have all exploded
+    leaves the lockstep: explosion of the untamed explicit scheme is an
+    experimental observable, not an error.
+
+    Returns, per group, the block of each member, which holds the member's
+    first bad step (`first_bad[k]`, None if it did not explode), its
+    iteration counts, fits and `seconds`.
     """
-    steps = groups[0][2].steps
-    strides = [steps // grid.steps for _, _, grid in groups]
-    running = [runs for _, runs, _ in groups]
+    running, owners = [], []
+    for g, (op, xi, members) in enumerate(groups):
+        blocks: dict[object, list[int]] = {}
+        for k, (scheme, tamed, _, _) in enumerate(members):
+            shared = op.row_blocks and scheme.kind != IMPLICIT
+            blocks.setdefault(tamed.base if shared else k, []).append(k)
+        runs = [_SchemeRun(members, rows, op.grid, xi) for rows in blocks.values()]
+        running.append(runs)
+        owners.append([run for k in range(len(members)) for run in runs if k in run.members])
+        reached(g, op.grid.steps, runs)
+    steps = groups[0][0].grid.steps
+    strides = [steps // op.grid.steps for op, _, _ in groups]
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(steps - 1, -1, -1):
-            for g, (op, _, grid) in enumerate(groups):
+            for g, (op, _, _) in enumerate(groups):
                 if j % strides[g] or not running[g]:
                     continue
                 i = j // strides[g]
@@ -433,22 +479,45 @@ def _backward(groups: list[tuple[object, list[_SchemeRun], object]], reached=Non
                 shared = (time.perf_counter() - start) / len(running[g])
                 for run in running[g]:
                     start = time.perf_counter()
-                    run.advance(i, grid.h, op)
+                    run.advance(i, op.grid.h, op)
                     run.seconds += time.perf_counter() - start + shared
                 op.end_step()
-                running[g] = [run for run in running[g] if run.live]
-                if reached is not None:
-                    reached(g, i)
+                live = [run for run in running[g] if run.live]
+                reached(g, i, live)
+                for run in running[g]:
+                    run.z = None
+                    if i == 0 or not run.live:
+                        run.y = None
+                running[g] = live
+    return owners
 
 
-def _output(run: _SchemeRun, Y, Z) -> SchemeOutput:
-    z_rank, z_sv = map(np.array, zip(*run.z_fits))
-    y_rank, y_sv = map(np.array, zip(*run.y_fits))
-    diag = SchemeDiagnostics(z_fit_rank=z_rank, z_fit_sv=z_sv, y_fit_rank=y_rank,
-                             y_fit_sv=y_sv, implicit_iterations=run.iterations)
-    (first_bad,) = run.first_bad
-    return SchemeOutput(Y=Y, Z=Z, diagnostics=diag, exploded=first_bad is not None,
-                        first_bad_step=first_bad, wallclock_ms=run.seconds * 1e3)
+def _stored(op, xi: np.ndarray, members: list[tuple[SchemeSpec, TamedDriver]],
+            labels: list | None, levels) -> tuple[list[_SchemeRun], list, list]:
+    """The sweep of one group with every member's levels kept: Y[k] and
+    Z[k] are member k's N+1 and N levels, made by `levels(n)` (an
+    (n, nodes) array or a list of n level arrays), each filled when the
+    sweep reaches it; the levels of a member that exploded are NaN from its
+    first bad step down.  Returns each member's block, Y and Z."""
+    n = op.grid.steps
+    Y = [levels(n + 1) for _ in members]
+    Z = [levels(n) for _ in members]
+
+    def store(_, i, blocks):
+        for block in blocks:
+            for row, k in enumerate(block.members):
+                Y[k][i][...] = np.atleast_2d(block.y)[row]
+                if block.z is not None:
+                    Z[k][i][...] = np.atleast_2d(block.z)[row]
+
+    (runs,) = sweep([(op, xi, [(scheme, tamed, labels[k] if labels else None, False)
+                               for k, (scheme, tamed) in enumerate(members)])], store)
+    for k, run in enumerate(runs):
+        bad = run.first_bad[k]
+        if bad is not None:
+            for level in (*Y[k][:bad + 1], *Z[k][:bad + 1]):
+                level[...] = np.nan
+    return runs, Y, Z
 
 
 def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: PathEnsemble,
@@ -464,62 +533,21 @@ def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: 
     scheme's rows from its first bad step down are NaN.  `labels` name the
     members in error messages.
     """
-    grid = ensemble.grid
-    n = grid.steps
     paths = ensemble.X.shape[1]
     op = _path_operator(basis, ensemble)
     if xi.shape != (paths,):
         raise ValueError(f"terminal values have shape {xi.shape}, expected ({paths},)")
-    runs = []
-    for k, (scheme, tamed) in enumerate(members):
-        Y = np.empty((n + 1, paths))
-        Y[n] = xi
-        runs.append(_SchemeRun([(scheme, tamed)], grid, Y, np.empty((n, paths)),
-                               [labels[k]] if labels else None))
-    _backward([(op, runs, grid)])
-
-    for run in runs:
-        (first_bad,) = run.first_bad
-        if first_bad is not None:
-            # the levels it never reached
-            run.Y[:first_bad + 1] = np.nan
-            run.Z[:first_bad + 1] = np.nan
-    return [_output(run, run.Y, run.Z) for run in runs]
-
-
-def stream_backward(groups: list[tuple], basis: BasisSpec, reached) -> list[list[SchemeOutput]]:
-    """Backward recursion of one lockstep group per grid, all grids in one
-    sweep over fine time (see `_backward`), keeping no level a later step
-    does not read: one level of Y per scheme between its steps, no Z.
-
-    `groups` holds (grid, rows, xi, members) per grid, the grids nested and
-    finest first: rows the grid's row source of X_i and H_{i+1} (see
-    _LsmcOperator; ArrayRows for full arrays), xi the terminal values and
-    members (scheme, driver, label, required) tuples; a required member
-    raises SchemeExplodedError where it explodes.  The row source is read
-    in each step's `begin_step`, so the time it takes is shared among the
-    group's members as the design's is.  Each time grid g reaches level i,
-    `reached(g, i, levels)` gets Y_i of every member, None for a member
-    that has exploded; the terminal levels come first, finest grid first.
-    The outputs carry each member's diagnostics, explosion step and
-    wallclock, with Y and Z None.
-    """
-    sweep = []
-    for g, (grid, rows, xi, members) in enumerate(groups):
-        n = grid.steps
-        runs = [_SchemeRun([(scheme, tamed)], grid, [None] * n + [xi], [None] * n, [label], required)
-                for scheme, tamed, label, required in members]
-        sweep.append((_LsmcOperator(basis, rows, n), runs, grid))
-        reached(g, n, [xi] * len(runs))
-
-    def levels(g, i):
-        runs = sweep[g][1]
-        reached(g, i, [run.Y[i] if run.live else None for run in runs])
-        for run in runs:
-            run.Y[i + 1] = run.Z[i] = None
-
-    _backward(sweep, levels)
-    return [[_output(run, None, None) for run in runs] for _, runs, _ in sweep]
+    runs, Y, Z = _stored(op, xi, members, labels, lambda n: np.empty((n, paths)))
+    outputs = []
+    for k, run in enumerate(runs):
+        z_rank, z_sv = map(np.array, zip(*run.z_fits))
+        y_rank, y_sv = map(np.array, zip(*run.y_fits))
+        diag = SchemeDiagnostics(z_fit_rank=z_rank, z_fit_sv=z_sv, y_fit_rank=y_rank,
+                                 y_fit_sv=y_sv, implicit_iterations=run.iterations)
+        bad = run.first_bad[k]
+        outputs.append(SchemeOutput(Y=Y[k], Z=Z[k], diagnostics=diag, exploded=bad is not None,
+                                    first_bad_step=bad, wallclock_ms=run.seconds * 1e3))
+    return outputs
 
 
 def run_backward(scheme: SchemeSpec, tamed: TamedDriver, ensemble: PathEnsemble,
@@ -530,8 +558,7 @@ def run_backward(scheme: SchemeSpec, tamed: TamedDriver, ensemble: PathEnsemble,
 
 
 def tree_group_run(members: list[tuple[SchemeSpec, TamedDriver]], tree: TreeModel,
-                   terminal: TerminalSpec, labels: list[str] | None = None,
-                   reached=None) -> list[TreeSchemeOutput]:
+                   terminal: TerminalSpec, labels: list[str] | None = None) -> list[TreeSchemeOutput]:
     """Backward recursion of several (scheme, driver) pairs on one tree, in
     one sweep, with E_i computed as the exact half/half child average.
 
@@ -539,70 +566,23 @@ def tree_group_run(members: list[tuple[SchemeSpec, TamedDriver]], tree: TreeMode
     rows of (rows, nodes) levels in member order, and each implicit member
     as a block of its own.  Every operation is elementwise along the rows,
     so a member's output does not depend on the rest of the group or its
-    order.  `labels` name the members in error messages.
-
-    With `reached`, the runs stream their levels instead of keeping them:
-    `reached(rows, i, y)` gets level i of a block as soon as it is computed,
-    the terminal levels first.  `rows` are the indices in `members` of y's
-    rows, and y is (nodes,) for a block of one.  A block is reported until
-    its last row explodes; the row of an exploded member carries values
-    that are not finite from its first_bad_step down.  The outputs' Y and Z
-    are then None.
+    order.  An exploding member's levels from its first bad step down are
+    NaN.  `labels` name the members in error messages.
     """
-    n = tree.steps
-    xi = np.asarray(terminal(tree.levels[n]), dtype=float)
-    blocks: dict[object, list[int]] = {}
-    for k, (scheme, tamed) in enumerate(members):
-        blocks.setdefault((IMPLICIT, k) if scheme.kind == IMPLICIT else tamed.base, []).append(k)
-    runs = []
-    for rows in blocks.values():
-        top = xi if len(rows) == 1 else np.repeat(xi[None], len(rows), axis=0)
-        runs.append(_SchemeRun([members[k] for k in rows], tree.grid, [None] * n + [top], [None] * n,
-                               [labels[k] for k in rows] if labels else None))
-    level = None
-    if reached is not None:
-        for rows, run in zip(blocks.values(), runs):
-            reached(rows, n, run.Y[n])
-
-        def level(_, i):
-            for rows, run in zip(blocks.values(), runs):
-                if run.live:
-                    reached(rows, i, run.Y[i])
-                run.Y[i + 1] = run.Z[i] = None
-
-    _backward([(_TreeOperator(tree), runs, tree.grid)], level)
-
-    def member(levels, row, first_bad):
-        """The row's levels, NaN from its first bad step down."""
-        out = [v if v is None or v.ndim == 1 else v[row] for v in levels]
-        if first_bad is not None:
-            out[:first_bad + 1] = [np.full(tree.node_count(j), np.nan) for j in range(first_bad + 1)]
-        return out
-
-    outputs = [None] * len(members)
-    for rows, run in zip(blocks.values(), runs):
-        for row, k in enumerate(rows):
-            bad = run.first_bad[row]
-            Y, Z = (None, None) if reached is not None else (member(run.Y, row, bad),
-                                                              member(run.Z, row, bad))
-            outputs[k] = TreeSchemeOutput(tree=tree, Y=Y, Z=Z, implicit_iterations=run.iterations,
-                                          exploded=bad is not None, first_bad_step=bad)
-    return outputs
+    xi = np.asarray(terminal(tree.levels[tree.steps]), dtype=float)
+    runs, Y, Z = _stored(TreeOperator(tree), xi, members, labels,
+                         lambda n: [np.empty(tree.node_count(j)) for j in range(n)])
+    return [TreeSchemeOutput(tree=tree, Y=Y[k], Z=Z[k], implicit_iterations=run.iterations,
+                             exploded=run.first_bad[k] is not None, first_bad_step=run.first_bad[k])
+            for k, run in enumerate(runs)]
 
 
 def tree_exact_run(scheme: SchemeSpec, tamed: TamedDriver, tree: TreeModel,
-                   terminal: TerminalSpec, label: str | None = None,
-                   reached=None) -> TreeSchemeOutput:
+                   terminal: TerminalSpec, label: str | None = None) -> TreeSchemeOutput:
     """Backward recursion of one scheme on a tree: the group of one of
-    `tree_group_run`; `label` names the scheme in error messages.
-
-    With `reached`, the run streams its levels instead of keeping them:
-    `reached(i, y)` gets Y_i as soon as it is computed, the terminal level
-    first and no level past an explosion, and the output's Y and Z are None.
-    """
-    stream = None if reached is None else (lambda _, i, y: reached(i, y))
+    `tree_group_run`; `label` names the scheme in error messages."""
     return tree_group_run([(scheme, tamed)], tree, terminal,
-                          None if label is None else [label], stream)[0]
+                          None if label is None else [label])[0]
 
 
 @dataclass
@@ -627,16 +607,16 @@ def zeta_diagnostic(output, tamed: TamedDriver, *, ensemble: PathEnsemble | None
         raise ValueError("zeta diagnostic needs a run that completed without explosion")
     on_tree = isinstance(output, TreeSchemeOutput)
     if on_tree:
-        grid, op = output.tree.grid, _TreeOperator(output.tree)
+        op = TreeOperator(output.tree)
+    elif ensemble is None or basis is None:
+        raise ValueError("path-ensemble zeta diagnostic needs ensemble and basis")
     else:
-        if ensemble is None or basis is None:
-            raise ValueError("path-ensemble zeta diagnostic needs ensemble and basis")
-        grid, op = ensemble.grid, _path_operator(basis, ensemble)
+        op = _path_operator(basis, ensemble)
     Y, Z = output.Y, output.Z
 
-    h, z_coeff = grid.h, tamed.base.z_coeff
+    h, z_coeff = op.grid.h, tamed.base.z_coeff
     zeta, D = [], []
-    for i in range(grid.steps):
+    for i in range(op.grid.steps):
         op.begin_step(i)
         # one tamed y-part per level; the z-part is added as TamedDriver.__call__ adds it
         kids_p = op.children(tamed.tamed_y_part(Y[i + 1]))
@@ -704,7 +684,7 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
     h = grid.h
     sqrt_h = math.sqrt(h)
     n = grid.steps
-    op = _TreeOperator(tree)
+    op = TreeOperator(tree)
     c1, c2 = tamed1.base.z_coeff, tamed2.base.z_coeff
 
     terminal_margin = float(np.min(out1.Y[n] - out2.Y[n]))

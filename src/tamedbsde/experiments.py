@@ -20,11 +20,12 @@ from .backward import (
     IMPLICIT,
     ArrayRows,
     EXPLICIT_TAMED,
+    LsmcOperator,
+    TreeOperator,
     run_backward,  # noqa: F401  (unused; the benchmark's trace probes look it up here)
     step_size_condition,
-    stream_backward,
+    sweep,
     tree_exact_run,  # noqa: F401  (unused; the benchmark's trace probes look it up here)
-    tree_group_run,
 )
 from .config import ConfigError, ExperimentConfig, SchemeRun
 from .drivers import (
@@ -157,7 +158,7 @@ def _checked(label: str, n: int, check, *args):
 
 class _SegmentRows:
     """Row source of one grid of the convergence study (see
-    backward._LsmcOperator) that keeps only X checkpoints: X at the start of
+    backward.LsmcOperator) that keeps only X checkpoints: X at the start of
     each segment of `span` = ceil(sqrt(N/2)) of the grid's levels, which
     balances the checkpoints, about N / span rows, against one segment of X
     and H, about 2 span rows.
@@ -247,13 +248,13 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     average of the implicit and inner-tamed outputs at the largest N).
 
     The schemes of one grid run as one lockstep group, and all groups run
-    in one backward sweep over fine time (`stream_backward`), finest first
-    at each fine step.  The proxy level and every grid's squared errors at
-    that level are reduced as soon as the level is reached, so no scheme
-    keeps more than one level of Y between its steps.  Each grid reads its
-    X and H from its row source (_SegmentRows), which holds one segment of
-    them at a time next to the fine dW.  A proxy scheme that explodes
-    raises SchemeExplodedError at its step.
+    in one backward sweep over fine time (`sweep`), finest first at each
+    fine step.  The proxy level and every grid's squared errors at that
+    level are reduced as soon as the level is reached, so no scheme keeps
+    more than one level of Y between its steps, and none of Z.  Each grid
+    reads its X and H from its row source (_SegmentRows), which holds one
+    segment of them at a time next to the fine dW.  A proxy scheme that
+    explodes raises SchemeExplodedError at its step.
     """
     if cfg.noise.kind == RADEMACHER and len(cfg.grids) > 1:
         raise ConfigError(f"noise kind {RADEMACHER!r} does not aggregate across grids; "
@@ -269,34 +270,33 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
             required = g == 0 and run in proxy_runs
             label = f"{'proxy scheme' if required else 'scheme'} {run.label!r} (N={grid.steps})"
             members.append((run.scheme, _tamed(cfg, run, grid.h), label, required))
-        groups.append((grid, rows, rows.xi, members))
+        groups.append((LsmcOperator(basis, rows, grid), rows.xi, members))
     mse = [np.empty((len(cfg.schemes), grid.steps + 1)) for grid in grids]
     proxy = None
 
-    def reduce_level(g: int, i: int, levels: list) -> None:
+    def reduce_level(g: int, i: int, blocks: list) -> None:
         """Mean squared errors of grid g's level i against proxy level
         i * stride.  The finest grid comes first at each fine step and makes
         the proxy level, summed in place from zero and divided: the
         arithmetic of np.mean over the stacked proxy outputs, without the
-        stack."""
+        stack.  On paths each block is one scheme."""
         nonlocal proxy
+        levels = {block.members[0]: block.y for block in blocks}
         if g == 0:
             proxy = np.zeros(cfg.paths)
             for k in proxy_index:
                 proxy += levels[k]
             proxy /= len(proxy_index)
-        for k, y in enumerate(levels):
-            if y is not None:
-                mse[g][k, i] = np.mean((y - proxy) ** 2)
-
-    outputs = stream_backward(groups, basis, reduce_level)
+        for k, y in levels.items():
+            mse[g][k, i] = np.mean((y - proxy) ** 2)
 
     rows = []
-    for grid, group, errors in zip(grids, outputs, mse):
-        for run, output, level_mse in zip(cfg.schemes, group, errors):
-            err = math.inf if output.exploded else float(np.max(np.sqrt(level_mse)))
+    for grid, blocks, errors in zip(grids, sweep(groups, reduce_level), mse):
+        for k, (run, block, level_mse) in enumerate(zip(cfg.schemes, blocks, errors)):
+            exploded = block.first_bad[k] is not None
+            err = math.inf if exploded else float(np.max(np.sqrt(level_mse)))
             rows.append(ErrorRow(run.label, grid.steps, grid.h, err if math.isfinite(err) else math.inf,
-                                 output.wallclock_ms, output.exploded, cfg.seed))
+                                 block.seconds * 1e3, exploded, cfg.seed))
     rows.sort(key=lambda row: (row.scheme, row.steps))
     return ErrorReport(rows=rows, proxy_labels=[s.label for s in proxy_runs], seed=cfg.seed)
 
@@ -306,15 +306,24 @@ def _extrema_rows(label: str, mins: np.ndarray, maxs: np.ndarray, times) -> list
             for i in range(len(mins) - 1, -1, -1)]
 
 
+def _extrema(mins: np.ndarray, maxs: np.ndarray):
+    """The sweep callback that reduces each block's level i to the extrema
+    of each of its rows, stored at [member, i] of `mins` and `maxs`."""
+    def reduce_level(_, i: int, blocks: list) -> None:
+        for block in blocks:
+            mins[block.members, i], maxs[block.members, i] = block.y.min(axis=-1), block.y.max(axis=-1)
+    return reduce_level
+
+
 def positivity_study(cfg: ExperimentConfig) -> PositivityStudyReport:
     """Per-step empirical extrema of Y for each scheme at the single
     configured N (regression backend), plus the step condition h * L^h_y.
 
-    The schemes run as one lockstep group through `stream_backward`, and
-    each level of Y is reduced to its extrema when it is reached, so the
-    study holds X, H and a level or two of Y per scheme, no Z.
-    The levels of a scheme that exploded are NaN from its first bad step
-    down."""
+    The schemes run as one lockstep group through `sweep`, and each level
+    of Y is reduced to its extrema when it is reached, so the study holds
+    X, H and a level or two of Y per scheme, and Z only while its step
+    runs.  The levels of a scheme that exploded are NaN from its first bad
+    step down."""
     if len(cfg.grids) != 1:
         raise ConfigError("positivity study expects exactly one grid size")
     n = cfg.grids[0]
@@ -322,21 +331,15 @@ def positivity_study(cfg: ExperimentConfig) -> PositivityStudyReport:
     batch = sample_increments(grid, cfg.paths, cfg.seed, cfg.noise)
     ensemble = euler_simulate(cfg.sde, grid, batch)
     # the ensemble holds the batch: dropping both drops dW
-    rows, xi = ArrayRows(ensemble.X, batch.H), terminal_values(cfg.terminal, ensemble)
+    op = LsmcOperator(BasisSpec(size=cfg.basis_size), ArrayRows(ensemble.X, batch.H), grid)
+    xi = terminal_values(cfg.terminal, ensemble)
     del batch, ensemble
-    basis = BasisSpec(size=cfg.basis_size)
 
     runs = sorted(cfg.schemes, key=lambda s: s.label)
     members = [(run.scheme, _tamed(cfg, run, grid.h), f"scheme {run.label!r}", False)
                for run in runs]
     mins, maxs = np.full((2, len(runs), n + 1), np.nan)
-
-    def reduce_level(_, i: int, levels: list) -> None:
-        for k, y in enumerate(levels):
-            if y is not None:
-                mins[k, i], maxs[k, i] = y.min(), y.max()
-
-    stream_backward([(grid, rows, xi, members)], basis, reduce_level)
+    sweep([(op, xi, members)], _extrema(mins, maxs))
     rows: list[ExtremaRow] = []
     conditions = []
     for k, run in enumerate(runs):
@@ -349,10 +352,11 @@ def positivity_study(cfg: ExperimentConfig) -> PositivityStudyReport:
 def tree_oracle_study(cfg: ExperimentConfig) -> PositivityStudyReport:
     """Exact-tree counterpart of the positivity study (Rademacher noise,
     half/half conditional expectations, no regression error).  The schemes
-    run in one sweep (`tree_group_run`), the explicit ones as the rows of
-    one block, and each block's levels are reduced to their extrema when
-    they are reached, so no run keeps its Y or Z.  The levels of a scheme
-    that exploded are NaN from its first bad step down."""
+    run in one sweep (`sweep`), the explicit ones as the rows of one block,
+    and each block's levels are reduced to their extrema when they are
+    reached, so a block holds a level or two of Y, and Z only while its
+    step runs.  The levels of a scheme that exploded are NaN from its first
+    bad step down."""
     from .trees import build_tree
 
     if len(cfg.grids) != 1:
@@ -365,18 +369,16 @@ def tree_oracle_study(cfg: ExperimentConfig) -> PositivityStudyReport:
         raise ConfigError(f"N={n}: {exc}") from None
     runs = sorted(cfg.schemes, key=lambda s: s.label)
     tamed = [_tamed(cfg, run, grid.h) for run in runs]
+    members = [(run.scheme, driver, f"scheme {run.label!r}", False) for run, driver in zip(runs, tamed)]
+    xi = np.asarray(cfg.terminal(tree.levels[n]), dtype=float)
     mins, maxs = np.full((2, len(runs), n + 1), np.nan)
-
-    def reduce_level(rows: list[int], i: int, y: np.ndarray) -> None:
-        mins[rows, i], maxs[rows, i] = y.min(axis=-1), y.max(axis=-1)
-
-    outputs = tree_group_run([(run.scheme, driver) for run, driver in zip(runs, tamed)], tree,
-                             cfg.terminal, [f"scheme {run.label!r}" for run in runs], reduce_level)
+    (blocks,) = sweep([(TreeOperator(tree), xi, members)], _extrema(mins, maxs))
     rows: list[ExtremaRow] = []
     conditions = []
-    for k, (run, driver, output) in enumerate(zip(runs, tamed, outputs)):
-        if output.exploded:
-            mins[k, :output.first_bad_step + 1] = maxs[k, :output.first_bad_step + 1] = np.nan
+    for k, (run, driver, block) in enumerate(zip(runs, tamed, blocks)):
+        bad = block.first_bad[k]
+        if bad is not None:
+            mins[k, :bad + 1] = maxs[k, :bad + 1] = np.nan
         rows += _extrema_rows(run.label, mins[k], maxs[k], grid.times)
         cons = _checked(run.label, n, checked_constants, driver)
         cond = step_size_condition(run.scheme, cons, 1.0 / math.sqrt(grid.h))

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -647,10 +648,19 @@ def test_exploding_tree_run_bitwise_equals_reference_loop(layout):
     assert out.exploded and 0 < out.first_bad_step < grid.steps - 1
 
 
+def _tree_sweep(tree, terminal, members, reached):
+    """The blocks of (scheme, driver) pairs swept on the tree, unlabelled
+    and not required."""
+    xi = np.asarray(terminal(tree.levels[tree.steps]), dtype=float)
+    (blocks,) = backward.sweep([(backward.TreeOperator(tree), xi,
+                                 [(scheme, tamed, None, False) for scheme, tamed in members])], reached)
+    return blocks
+
+
 @pytest.mark.parametrize("layout", sorted(TREE_SDES))
 def test_streamed_tree_run_reports_the_stored_levels(layout):
-    # with a callback the run keeps no level, reports each one it reaches
-    # (none past an explosion) and still returns its iteration counts
+    # the sweep keeps no level once it returns, reports each one it reaches
+    # (none past an explosion) and still returns the iteration counts
     grid = build_grid(1.0, 9)
     tree = build_tree(TREE_SDES[layout], grid)
     tamed = TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h)
@@ -659,13 +669,22 @@ def test_streamed_tree_run_reports_the_stored_levels(layout):
                               TerminalSpec((0.0, 0.0, 0.0, 30.0)))):
         stored = tree_exact_run(scheme, tamed, tree, terminal)
         seen = {}
-        out = tree_exact_run(scheme, tamed, tree, terminal, reached=seen.__setitem__)
-        assert out.Y is None and out.Z is None
+
+        def reached(g, i, blocks):
+            assert g == 0 and [block.members for block in blocks] in ([], [[0]])
+            for block in blocks:
+                seen[i] = block.y, block.z
+
+        (block,) = _tree_sweep(tree, terminal, [(scheme, tamed)], reached)
+        assert block.y is None and block.z is None
         last = stored.first_bad_step if stored.exploded else -1
         assert list(seen) == list(range(grid.steps, last, -1))
-        assert all(seen[i].tobytes() == stored.Y[i].tobytes() for i in seen)
-        assert out.implicit_iterations.tobytes() == stored.implicit_iterations.tobytes()
-        assert (out.exploded, out.first_bad_step) == (stored.exploded, stored.first_bad_step)
+        assert all(seen[i][0].tobytes() == stored.Y[i].tobytes() for i in seen)
+        assert seen[grid.steps][1] is None
+        assert all(seen[i][1].tobytes() == stored.Z[i].tobytes() for i in seen if i < grid.steps)
+        assert block.iterations.tobytes() == stored.implicit_iterations.tobytes()
+        assert block.first_bad[0] == stored.first_bad_step
+        assert (block.first_bad[0] is not None) == stored.exploded
     assert stored.exploded and stored.first_bad_step > 0
 
 
@@ -705,25 +724,74 @@ def test_tree_group_outputs_do_not_depend_on_member_order_or_blocks(layout):
         for k, out in zip(order, outputs):
             same(out, alone[k])
 
-    # streamed: the implicit member alone, the seven explicit ones as one
+    # swept: the implicit member alone, the seven explicit ones as one
     # (7, nodes) block, each level reported until the last row explodes
     seen = {}
 
-    def reached(rows, i, y):
-        seen.setdefault(tuple(rows), {})[i] = y.copy()
+    def reached(g, i, blocks):
+        for block in blocks:
+            seen.setdefault(tuple(block.members), {})[i] = block.y
 
-    outputs = tree_group_run(members, tree, terminal, reached=reached)
+    blocks = _tree_sweep(tree, terminal, members, reached)
     assert sorted(seen) == [(0,), (1, 2, 3, 4, 5, 6, 7)]
     block = seen[(1, 2, 3, 4, 5, 6, 7)]
     assert list(block) == list(range(grid.steps, -1, -1))
     assert all(y.shape == (7, tree.node_count(i)) for i, y in block.items())
     for k, ref in enumerate(alone):
-        assert outputs[k].Y is None and outputs[k].Z is None
-        assert (outputs[k].exploded, outputs[k].first_bad_step) == (ref.exploded, ref.first_bad_step)
+        assert blocks[k].y is None and blocks[k].z is None
+        assert blocks[k].first_bad[k] == ref.first_bad_step
+        assert (blocks[k].first_bad[k] is not None) == ref.exploded
         last = ref.first_bad_step if ref.exploded else -1
         levels = seen[(0,)] if k == 0 else {i: y[k - 1] for i, y in block.items()}
         assert all(levels[i].tobytes() == ref.Y[i].tobytes() for i in range(grid.steps, last, -1))
         assert all(not np.isfinite(levels[i]).all() for i in range(last, -1, -1))
+
+
+def _sweep_checking_drops(op, xi, members):
+    """Sweep one group, checking at each callback that no Z level of the
+    callback before is alive, nor the last level of a block that left the
+    lockstep there.  Returns the blocks and the levels at which one left."""
+    z_refs, y_refs, gone, left = [], [], [], []
+
+    def reached(_, i, blocks):
+        assert all(ref() is None for ref in z_refs + gone)
+        z_refs[:] = [weakref.ref(block.z) for block in blocks if block.z is not None]
+        gone[:] = [ref for block, ref in y_refs if block not in blocks]
+        y_refs[:] = [(block, weakref.ref(block.y)) for block in blocks]
+        left.extend(i for _ in gone)
+
+    (blocks,) = backward.sweep([(op, xi, members)], reached)
+    assert all(ref() is None for ref in z_refs + gone)
+    assert all(block.y is None and block.z is None for block in blocks)
+    return blocks, left
+
+
+def test_sweep_keeps_no_z_level_and_no_level_of_a_block_that_left():
+    # after each callback the sweep drops every Z_i, and the last Y level of
+    # a block whose rows have all exploded: a weak reference to either,
+    # taken in one callback, is dead at the next (a memory bound on the
+    # whole study would not see one leaked level)
+    grid = build_grid(1.0, 64)
+    batch = sample_increments(grid, 2000, 20240, NoiseModel())
+    ens = euler_simulate(SdeSpec(x0=0.0, diff_const=1.0), grid, batch)
+    xi = terminal_values(TerminalSpec((0.0, 0.0, 0.0, 1.0)), ens)
+    members = [(SchemeSpec(kind="implicit"), untamed(CUBIC, grid.h), None, False),
+               (SchemeSpec(kind="explicit_untamed"), untamed(CUBIC, grid.h), None, False)]
+    op = backward.LsmcOperator(BasisSpec(size=6), backward.ArrayRows(ens.X, batch.H), grid)
+    blocks, left = _sweep_checking_drops(op, xi, members)
+    assert blocks[0].first_bad[0] is None
+    assert left == [blocks[1].first_bad[1]] and left[0] > 0
+
+    # on a tree: the implicit member and the untamed one, each a block
+    for sde in TREE_SDES.values():
+        grid = build_grid(1.0, 9)
+        tree = build_tree(sde, grid)
+        members = [(scheme, tamed, None, False)
+                   for scheme, tamed in _tree_group_members(grid.h)[::7]]
+        xi = np.asarray(TerminalSpec((0.0, 0.0, 0.0, 30.0))(tree.levels[-1]), dtype=float)
+        blocks, left = _sweep_checking_drops(backward.TreeOperator(tree), xi, members)
+        assert blocks[0].first_bad[0] is None
+        assert left == [blocks[1].first_bad[1]] and left[0] > 0
 
 
 # ---------------------------------------------------------------- closed-form ODE reference

@@ -109,6 +109,14 @@ def test_missing_config_exit_code(tmp_path):
     assert main(["converge", str(tmp_path / "absent.cfg")]) == 2
 
 
+def test_config_that_is_not_utf8_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"horizon = 1.0\xff\n")
+    assert main(["converge", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and str(cfg) in err
+
+
 def test_unwritable_output_exit_code(tmp_path, capsys):
     cfg = write(tmp_path, "c.cfg", CONV, str(tmp_path / "no" / "dir" / "x.csv"))
     assert main(["converge", cfg]) == 3
