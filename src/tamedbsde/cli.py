@@ -36,7 +36,10 @@ from .forward import ForwardBlowupError
 def _one_blas_thread():
     """Hold every OpenBLAS loaded in the process (found in /proc/self/maps;
     elsewhere nothing changes) to one thread, and restore its count on
-    exit: with more threads its kernels may add up in another order."""
+    exit: with more threads its kernels may add up in another order.  At
+    entry that is numpy's, the one numpy.linalg runs on; scipy's own loads
+    later, at the first Gaussian draw, and is left as it is: its `ndtri`
+    does no BLAS work."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = sorted({line.split()[-1] for line in fh

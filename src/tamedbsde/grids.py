@@ -4,8 +4,11 @@ Brownian increments are produced by a counter-based scheme (Philox keyed by
 the seed) so that the draw for (path, step) is a pure function of
 (seed, path, step).  Disjoint path blocks can therefore be generated
 independently on concurrent workers and always assemble into the same
-batch.  Gaussian variates use the inverse-CDF transform (fixed choice;
-bit-exact reproducibility is promised within one build only).
+batch.  Gaussian variates use the inverse-CDF transform (scipy's `ndtri`;
+fixed choice, bit-exact reproducibility is promised within one build only).
+scipy is imported at the first Gaussian draw, not with this module: the
+truncation closed forms use the standard library and Rademacher draws need
+no inverse CDF, so tree, taming-check and config runs never load it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 GAUSSIAN = "gaussian"
 TRUNCATED = "truncated_gaussian"
@@ -92,12 +94,10 @@ class IncrementBatch:
     lam: float
 
 
-def _normal_pdf_sf(rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """Standard-normal density and upper tail at rho, with the arithmetic of
-    scipy.stats.norm (whose import costs more than the rest of the package)
-    on a 0-d float64 array."""
-    x = np.asarray(rho, dtype=np.float64)
-    return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi), ndtr(-x)
+def _normal_pdf_sf(rho: float) -> tuple[float, float]:
+    """Standard-normal density and upper tail at rho, from the standard
+    library: exp(-rho^2/2)/sqrt(2 pi) and erfc(rho/sqrt(2))/2."""
+    return math.exp(-rho * rho / 2.0) / math.sqrt(2.0 * math.pi), 0.5 * math.erfc(rho / math.sqrt(2.0))
 
 
 def truncation_radius(model: NoiseModel, h: float) -> float:
@@ -202,6 +202,8 @@ def sample_increments(
             raw = _raw_uint64(int(seed), start, count)
             block = np.where(raw >> np.uint64(63), 1.0, -1.0) * sqrt_h
         else:
+            from scipy.special import ndtri  # here, so runs that draw no Gaussian never load scipy
+
             block = ndtri(_uniforms(int(seed), start, count)) * sqrt_h
         dW[:, a:b] = block.reshape(b - a, n).T
     return increments_from_dw(model, dW, grid.h)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .forward import PathEnsemble, SdeSpec, euler_simulate
 from .grids import RADEMACHER, NoiseModel, PartitionGrid, increments_from_dw
@@ -40,11 +39,17 @@ class TreeModel:
         return self.levels[level].size
 
     def level_weights(self, level: int) -> np.ndarray:
-        """Node probabilities at a level (uniform or binomial)."""
+        """Node probabilities at a level: uniform, or the binomial weights
+        C(level, k) / 2^level, each the correctly rounded quotient of exact
+        integers (the coefficients by the multiplicative recurrence, which
+        costs far less than one math.comb per node)."""
         if not self.recombining:
             return np.full(2**level, 0.5**level)
-        k = np.arange(level + 1)
-        return np.exp(gammaln(level + 1) - gammaln(k + 1) - gammaln(level - k + 1) - level * math.log(2.0))
+        denom, coeff, weights = 1 << level, 1, []
+        for k in range(level + 1):
+            weights.append(coeff / denom)
+            coeff = coeff * (level - k) // (k + 1)
+        return np.array(weights)
 
 
 def build_tree(sde: SdeSpec, grid: PartitionGrid) -> TreeModel:

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln
 
 from tamedbsde import (
     BasisSpec,
@@ -41,7 +42,7 @@ from tamedbsde import (
 from tamedbsde import backward, regression
 from tamedbsde.backward import step_size_condition
 from tamedbsde.regression import fit_basis, predict
-from tamedbsde.trees import path_node_index
+from tamedbsde.trees import MAX_STEPS_RECOMBINING, path_node_index
 
 ZERO = polynomial_driver([0.0])
 LINEAR = polynomial_driver([0.0, -1.0])
@@ -60,6 +61,24 @@ def test_recombining_levels():
     assert tree.recombining
     assert [lvl.size for lvl in tree.levels] == [1, 2, 3, 4, 5, 6, 7]
     np.testing.assert_allclose(tree.level_weights(3), [1 / 8, 3 / 8, 3 / 8, 1 / 8])
+
+
+def test_recombining_level_weights_are_exact_binomials():
+    tree = build_tree(SdeSpec(x0=0.0, diff_const=1.0), build_grid(1.0, MAX_STEPS_RECOMBINING))
+    eps = np.finfo(float).eps
+    for level in (0, 1, 3, 10, 100, 500, MAX_STEPS_RECOMBINING):
+        weights = tree.level_weights(level)
+        assert weights.tolist() == [math.comb(level, k) / 2**level for k in range(level + 1)]
+        # the gammaln form they replace rounds its log-weights to about
+        # eps * gammaln(level + 1) absolute: 1e-13 relative up to level 100,
+        # 3.6e-12 at level 2000, where the exact weights still sum to 1
+        k = np.arange(level + 1)
+        log_form = np.exp(gammaln(level + 1) - gammaln(k + 1) - gammaln(level - k + 1)
+                          - level * math.log(2.0))
+        tol = 1e-13 if level <= 100 else 4 * eps * gammaln(level + 1)
+        kept = weights > 1e-300
+        np.testing.assert_allclose(weights[kept], log_form[kept], rtol=tol, atol=0)
+    assert abs(tree.level_weights(MAX_STEPS_RECOMBINING).sum() - 1.0) <= 1e-12
 
 
 def test_branching_levels_and_cap():

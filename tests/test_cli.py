@@ -1,4 +1,5 @@
 import errno
+import json
 import os
 import subprocess
 import sys
@@ -287,6 +288,52 @@ def test_cli_import_leaves_out_scipy_stats():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=120, check=True)
     assert result.stdout.strip() == "False"
+
+
+def run_python(code, *args):
+    """Runs code in a fresh interpreter on this checkout's sources; its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tamedbsde.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300, check=True).stdout
+
+
+def test_cli_import_adds_only_numpy_and_the_standard_library():
+    # scipy, and what it pulls in, is imported at the first Gaussian draw
+    code = ("import sys\nbefore = set(sys.modules)\nimport tamedbsde.cli\n"
+            "added = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+            "print(' '.join(sorted(added - set(sys.stdlib_module_names))))")
+    assert run_python(code).split() == ["numpy", "tamedbsde"]
+
+
+def test_only_gaussian_draws_load_scipy(tmp_path):
+    scripts = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+    tree = write(tmp_path, "t.cfg", POSITIVITY, tmp_path / "tree.csv")
+    truncated = write(tmp_path, "n.cfg", CONV + "noise.kind = truncated_gaussian\nnoise.r0 = 2.0\n",
+                      tmp_path / "n.csv")
+    gaussian = write(tmp_path, "g.cfg", CONV, tmp_path / "g.csv")
+    code = """
+import json
+import sys
+from tamedbsde.cli import main
+from tamedbsde.config import load_config
+tree, taming, taming_out, truncated, gaussian = sys.argv[1:]
+loaded = lambda: sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+steps = {}
+assert main(["tree-oracle", tree]) == 0
+steps["tree-oracle"] = loaded()
+assert main(["verify-taming", taming, "--out", taming_out]) == 0
+steps["verify-taming"] = loaded()
+load_config(truncated)
+steps["load_config"] = loaded()
+assert main(["converge", gaussian]) == 0
+steps["converge"] = "scipy.special" in sys.modules
+print(json.dumps(steps))
+"""
+    out = run_python(code, tree, os.path.join(scripts, "taming_check.cfg"), tmp_path / "taming.csv",
+                     truncated, gaussian)
+    steps = json.loads(out.splitlines()[-1])
+    assert steps == {"tree-oracle": [], "verify-taming": [], "load_config": [], "converge": True}
 
 
 def test_forward_blowup_is_numerical_failure(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from tamedbsde import (
@@ -14,6 +15,7 @@ from tamedbsde import (
     truncation_l2_gap,
     truncation_radius,
 )
+from tamedbsde.grids import LAMBDA_FLOOR, TRUNCATED, truncation_lambda
 
 
 # ---------------------------------------------------------------- oracles
@@ -120,6 +122,58 @@ def test_lambda_monotone_in_radius(r_small, growth, h):
     assert big >= small
     if small < 1.0 - 1e-9:  # away from the saturated regime the gain is strict
         assert big > small
+
+
+def lambda_and_gap_by_ndtr(radius, h):
+    """Lambda and the increment gap as the closed forms were once written:
+    the normal density and scipy.special.ndtr on a 0-d float64 array."""
+    rho = radius / math.sqrt(h)
+    x = np.asarray(rho, dtype=np.float64)
+    pdf, sf = np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi), ndtr(-x)
+    lam = math.erf(rho / math.sqrt(2.0)) - 2.0 * rho * pdf + 2.0 * rho * rho * sf
+    gap = 2.0 * ((1.0 + rho * rho) * sf - rho * pdf) / h
+    return float(lam), float(gap)
+
+
+@pytest.mark.parametrize("h", [1.0, 2.0**-10])
+def test_erfc_closed_forms_match_the_ndtr_form(h):
+    # the gap carries a 1/h, so it is compared as the dimensionless gap * h
+    for rho in np.logspace(-3, 1.6, 400):
+        radius = rho * math.sqrt(h)
+        lam, gap = lambda_and_gap_by_ndtr(radius, h)
+        assert abs(lambda_of_truncation(radius, h) - lam) <= 1e-15
+        assert abs(truncation_l2_gap(radius, h) * h - gap * h) <= 1e-15
+
+
+@pytest.mark.parametrize("log_schedule", [False, True])
+def test_lambda_floor_verdict_matches_the_ndtr_form(log_schedule):
+    # Lambda = 1/2 at rho = R(h)/sqrt(h) = 0.9748577030725142 (root of the
+    # ndtr form).  Across +-2% of it the verdict is the same; within 20 eps
+    # (relative) of it the two forms, 2.3e-16 apart at most, may only part
+    # where both Lambdas lie within one ulp of the floor (seen: 1/2 - 2^-54
+    # by ndtr against exactly 1/2 by erfc, at most one radius per h).
+    rho_star = 0.9748577030725142
+    band = rho_star * (1.0 + np.linspace(-0.02, 0.02, 201))
+    ulps = rho_star * (1.0 + np.arange(-20, 21) * np.finfo(float).eps)
+    verdicts = []
+    for h in (1.0, 0.1, 2.0**-7):
+        unit = NoiseModel(kind=TRUNCATED, radius0=1.0, use_log_schedule=log_schedule)
+        scale = truncation_radius(unit, h) / math.sqrt(h)
+        for rho in np.concatenate([band, ulps]):
+            model = NoiseModel(kind=TRUNCATED, radius0=rho / scale, use_log_schedule=log_schedule)
+            radius = truncation_radius(model, h)
+            rejected = lambda_and_gap_by_ndtr(radius, h)[0] < LAMBDA_FLOOR
+            try:
+                truncation_lambda(model, h)
+                accepted = True
+            except ValueError:
+                accepted = False
+            if accepted == rejected:
+                assert rho in ulps, (h, rho)
+                assert abs(lambda_of_truncation(radius, h) - LAMBDA_FLOOR) <= 2.0**-53, (h, rho)
+                assert abs(lambda_and_gap_by_ndtr(radius, h)[0] - LAMBDA_FLOOR) <= 2.0**-53, (h, rho)
+            verdicts.append(rejected)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 # ---------------------------------------------------------------- increment gap (AH.3)
