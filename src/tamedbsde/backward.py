@@ -31,6 +31,7 @@ import numpy as np
 
 from .drivers import NONE, DerivedConstants, TamedDriver, TamingBlock, TamingSpec, derive_constants
 from .forward import PathEnsemble, TerminalSpec
+from .grids import PartitionGrid
 # Nothing here calls predict; it stays bound as backward.predict because the
 # benchmark's trace probes (perfbench/spans.py) look it up by that name.
 from .regression import BasisSpec, predict, sample_design  # noqa: F401
@@ -281,15 +282,16 @@ class _PrefixOperator(LsmcOperator):
 class TreeOperator:
     """Exact child averages on a tree level: children(v) is the (2, ...)
     view of the down and up child of every level-i node, for a level of
-    one scheme (nodes,) or of a block of schemes (rows, nodes)."""
+    one scheme (nodes,) or of a block of schemes (rows, nodes).  It needs
+    only the grid and the layout (`recombining`), not the tree's levels."""
 
     # every operation is elementwise along the rows of a block
     row_blocks = True
 
-    def __init__(self, tree: TreeModel):
-        self.grid = tree.grid
-        self.recombining = tree.recombining
-        self.two_sqrt_h = 2.0 * math.sqrt(tree.grid.h)
+    def __init__(self, grid: PartitionGrid, recombining: bool):
+        self.grid = grid
+        self.recombining = recombining
+        self.two_sqrt_h = 2.0 * math.sqrt(grid.h)
 
     def begin_step(self, step: int) -> None:
         pass
@@ -570,7 +572,7 @@ def tree_group_run(members: list[tuple[SchemeSpec, TamedDriver]], tree: TreeMode
     NaN.  `labels` name the members in error messages.
     """
     xi = np.asarray(terminal(tree.levels[tree.steps]), dtype=float)
-    runs, Y, Z = _stored(TreeOperator(tree), xi, members, labels,
+    runs, Y, Z = _stored(TreeOperator(tree.grid, tree.recombining), xi, members, labels,
                          lambda n: [np.empty(tree.node_count(j)) for j in range(n)])
     return [TreeSchemeOutput(tree=tree, Y=Y[k], Z=Z[k], implicit_iterations=run.iterations,
                              exploded=run.first_bad[k] is not None, first_bad_step=run.first_bad[k])
@@ -607,7 +609,7 @@ def zeta_diagnostic(output, tamed: TamedDriver, *, ensemble: PathEnsemble | None
         raise ValueError("zeta diagnostic needs a run that completed without explosion")
     on_tree = isinstance(output, TreeSchemeOutput)
     if on_tree:
-        op = TreeOperator(output.tree)
+        op = TreeOperator(output.tree.grid, output.tree.recombining)
     elif ensemble is None or basis is None:
         raise ValueError("path-ensemble zeta diagnostic needs ensemble and basis")
     else:
@@ -684,7 +686,7 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
     h = grid.h
     sqrt_h = math.sqrt(h)
     n = grid.steps
-    op = TreeOperator(tree)
+    op = TreeOperator(grid, tree.recombining)
     c1, c2 = tamed1.base.z_coeff, tamed2.base.z_coeff
 
     terminal_margin = float(np.min(out1.Y[n] - out2.Y[n]))

@@ -113,7 +113,7 @@ def _run(args) -> int:
             emit_csv(report, cfg.output_path)
             for label, cond, ok in report.conditions:
                 print(f"{label}: h*L_y^h = {cond:.6g} ({'ok' if ok else 'violated'})")
-            print(f"wrote {len(report.rows)} rows to {cfg.output_path}")
+            print(f"wrote {report.mins.size} rows to {cfg.output_path}")
         elif args.command == "verify-taming":
             report = verify_taming_study(cfg)
             emit_csv(report, cfg.output_path)
@@ -128,7 +128,7 @@ def _run(args) -> int:
             emit_csv(report, cfg.output_path)
             for label, cond, ok in report.conditions:
                 print(f"{label}: step condition = {cond:.6g} ({'ok' if ok else 'violated'})")
-            print(f"wrote {len(report.rows)} rows to {cfg.output_path}")
+            print(f"wrote {report.mins.size} rows to {cfg.output_path}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +107,25 @@ class ExtremaRow:
 
 @dataclass
 class PositivityStudyReport:
-    rows: list[ExtremaRow]
+    """Per-step extrema of Y: row k of the (schemes, N+1) `mins` and `maxs`
+    belongs to `labels[k]`, column i to time `times[i]`; NaN where the
+    scheme had exploded."""
+
+    labels: list[str]
+    times: np.ndarray
+    mins: np.ndarray
+    maxs: np.ndarray
     conditions: list[tuple[str, float, bool]]  # (label, h*L^h_y condition value, ok)
     backend: str = "regression"
+
+    @property
+    def rows(self) -> list[ExtremaRow]:
+        """One row per scheme and step, each scheme's from step N down to
+        0: the rows of the CSV, built on each access."""
+        times = self.times.tolist()
+        return [ExtremaRow(label, i, times[i], lo[i], hi[i])
+                for label, lo, hi in zip(self.labels, self.mins.tolist(), self.maxs.tolist())
+                for i in range(len(times) - 1, -1, -1)]
 
 
 @dataclass(frozen=True)
@@ -301,11 +318,6 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     return ErrorReport(rows=rows, proxy_labels=[s.label for s in proxy_runs], seed=cfg.seed)
 
 
-def _extrema_rows(label: str, mins: np.ndarray, maxs: np.ndarray, times) -> list[ExtremaRow]:
-    return [ExtremaRow(label, i, float(times[i]), float(mins[i]), float(maxs[i]))
-            for i in range(len(mins) - 1, -1, -1)]
-
-
 def _extrema(mins: np.ndarray, maxs: np.ndarray):
     """The sweep callback that reduces each block's level i to the extrema
     of each of its rows, stored at [member, i] of `mins` and `maxs`."""
@@ -340,50 +352,51 @@ def positivity_study(cfg: ExperimentConfig) -> PositivityStudyReport:
                for run in runs]
     mins, maxs = np.full((2, len(runs), n + 1), np.nan)
     sweep([(op, xi, members)], _extrema(mins, maxs))
-    rows: list[ExtremaRow] = []
     conditions = []
-    for k, run in enumerate(runs):
-        rows += _extrema_rows(run.label, mins[k], maxs[k], grid.times)
+    for run in runs:
         cond = grid.h * _checked(run.label, n, checked_constants, _tamed(cfg, run, grid.h)).l_y
         conditions.append((run.label, cond, cond < 1.0))
-    return PositivityStudyReport(rows=rows, conditions=conditions, backend="regression")
+    return PositivityStudyReport([run.label for run in runs], grid.times, mins, maxs,
+                                 conditions, backend="regression")
 
 
 def tree_oracle_study(cfg: ExperimentConfig) -> PositivityStudyReport:
     """Exact-tree counterpart of the positivity study (Rademacher noise,
-    half/half conditional expectations, no regression error).  The schemes
-    run in one sweep (`sweep`), the explicit ones as the rows of one block,
-    and each block's levels are reduced to their extrema when they are
-    reached, so a block holds a level or two of Y, and Z only while its
-    step runs.  The levels of a scheme that exploded are NaN from its first
-    bad step down."""
-    from .trees import build_tree
+    half/half conditional expectations, no regression error).  The forward
+    tree is streamed to its terminal level, and the schemes run in one
+    sweep (`sweep`), the explicit ones as the rows of one block, with each
+    block's levels reduced to their extrema when they are reached.  So the
+    study holds O(N) values: two forward levels while they are built, then
+    a level or two of Y per block, and Z only while its step runs.  The
+    levels of a scheme that exploded are NaN from its first bad step
+    down."""
+    from .trees import recombines, terminal_level
 
     if len(cfg.grids) != 1:
         raise ConfigError("tree oracle expects exactly one grid size")
     n = cfg.grids[0]
     grid = build_grid(cfg.horizon, n)
     try:
-        tree = build_tree(cfg.sde, grid)
+        x_n = terminal_level(cfg.sde, grid)
     except ValueError as exc:
         raise ConfigError(f"N={n}: {exc}") from None
     runs = sorted(cfg.schemes, key=lambda s: s.label)
     tamed = [_tamed(cfg, run, grid.h) for run in runs]
     members = [(run.scheme, driver, f"scheme {run.label!r}", False) for run, driver in zip(runs, tamed)]
-    xi = np.asarray(cfg.terminal(tree.levels[n]), dtype=float)
+    xi = np.asarray(cfg.terminal(x_n), dtype=float)
     mins, maxs = np.full((2, len(runs), n + 1), np.nan)
-    (blocks,) = sweep([(TreeOperator(tree), xi, members)], _extrema(mins, maxs))
-    rows: list[ExtremaRow] = []
+    op = TreeOperator(grid, recombines(cfg.sde))
+    (blocks,) = sweep([(op, xi, members)], _extrema(mins, maxs))
     conditions = []
     for k, (run, driver, block) in enumerate(zip(runs, tamed, blocks)):
         bad = block.first_bad[k]
         if bad is not None:
             mins[k, :bad + 1] = maxs[k, :bad + 1] = np.nan
-        rows += _extrema_rows(run.label, mins[k], maxs[k], grid.times)
         cons = _checked(run.label, n, checked_constants, driver)
         cond = step_size_condition(run.scheme, cons, 1.0 / math.sqrt(grid.h))
         conditions.append((run.label, cond, cond < 1.0))
-    return PositivityStudyReport(rows=rows, conditions=conditions, backend="tree")
+    return PositivityStudyReport([run.label for run in runs], grid.times, mins, maxs,
+                                 conditions, backend="tree")
 
 
 def verify_taming_study(cfg: ExperimentConfig) -> TamingReport:
@@ -438,7 +451,8 @@ def emit_csv(report, path: str) -> None:
 
     Convergence reports keep the byte-reproducibility contract: measured
     wallclock goes to a `<name>.timings.csv` sidecar and the primary file's
-    wallclock_ms column reads 0.
+    wallclock_ms column reads 0.  Extrema are written from the report's
+    arrays, one scheme at a time, without row objects.
     """
     lines = []
     if isinstance(report, ErrorReport):
@@ -449,11 +463,7 @@ def emit_csv(report, path: str) -> None:
                           _fmt(row.seed)])
                 for row in report.rows])
     elif isinstance(report, PositivityStudyReport):
-        lines.append(EXTREMA_HEADER)
-        # the fields are str, int and float: _fmt's formats, without its dispatch
-        lines += [f"{row.scheme},{row.index},{row.t:.12g},{row.min_y:.12g},{row.max_y:.12g}"
-                  for row in report.rows]
-        _write_lines(path, lines)
+        _write_lines(path, _extrema_lines(report))
     elif isinstance(report, TamingReport):
         lines.append(TAMING_HEADER)
         for row in report.rows:
@@ -468,14 +478,26 @@ def emit_csv(report, path: str) -> None:
         raise TypeError(f"no CSV writer for report type {type(report).__name__}")
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    """Write the lines to a temporary file in the target directory, then
-    rename it over `path`: a write that fails leaves the old file as it
-    was and removes the temporary one."""
+def _extrema_lines(report: PositivityStudyReport) -> Iterator[str]:
+    """The header, then the lines of each scheme's `report.rows` (step N
+    first) as one string, made from its row of the arrays.  The fields are
+    str, int and float: _fmt's formats, without its dispatch."""
+    yield EXTREMA_HEADER
+    times = report.times.tolist()
+    steps = range(len(times) - 1, -1, -1)
+    for label, lo, hi in zip(report.labels, report.mins, report.maxs):
+        lo, hi = lo.tolist(), hi.tolist()
+        yield "\n".join(f"{label},{i},{times[i]:.12g},{lo[i]:.12g},{hi[i]:.12g}" for i in steps)
+
+
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write the lines, each ended by a newline, to a temporary file in the
+    target directory, then rename it over `path`: a write that fails
+    leaves the old file as it was and removes the temporary one."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.writelines(f"{line}\n" for line in lines)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

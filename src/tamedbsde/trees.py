@@ -10,6 +10,7 @@ distinct node (2^i nodes, capped).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,13 +53,21 @@ class TreeModel:
         return np.array(weights)
 
 
-def build_tree(sde: SdeSpec, grid: PartitionGrid) -> TreeModel:
-    """Forward Euler dynamics driven by +-sqrt(h) signs.
+def recombines(sde: SdeSpec) -> bool:
+    """Whether the tree of `sde` recombines: constant drift and diffusion."""
+    return sde.diff_slope == 0.0 and sde.drift_slope == 0.0
+
+
+def tree_levels(sde: SdeSpec, grid: PartitionGrid) -> Iterator[np.ndarray]:
+    """The forward states of levels 0..N, one level at a time: Euler
+    dynamics driven by +-sqrt(h) signs.  A level is computed from the one
+    before only, so a caller that drops each level holds two at a time.
 
     Recombination needs constant drift and diffusion (state-dependent drift
-    makes up-down and down-up differ even with constant sigma).
+    makes up-down and down-up differ even with constant sigma).  Raises
+    ValueError, before the first level, when N exceeds the tree's cap.
     """
-    recombining = sde.diff_slope == 0.0 and sde.drift_slope == 0.0
+    recombining = recombines(sde)
     n = grid.steps
     cap = MAX_STEPS_RECOMBINING if recombining else MAX_STEPS_BRANCHING
     if n > cap:
@@ -66,19 +75,32 @@ def build_tree(sde: SdeSpec, grid: PartitionGrid) -> TreeModel:
             f"tree with {n} steps exceeds the {'recombining' if recombining else 'branching'} cap {cap}"
         )
     sqrt_h = math.sqrt(grid.h)
-    levels = [np.array([sde.x0])]
+    x = np.array([sde.x0])
+    yield x
     for _ in range(n):
-        x = levels[-1]
         down = x + sde.drift(x) * grid.h + sde.diffusion(x) * (-sqrt_h)
         up = x + sde.drift(x) * grid.h + sde.diffusion(x) * sqrt_h
         if recombining:
-            nxt = np.concatenate([down[:1], up])
+            x = np.concatenate([down[:1], up])
         else:
-            nxt = np.empty(2 * x.size)
-            nxt[0::2] = down
-            nxt[1::2] = up
-        levels.append(nxt)
-    return TreeModel(grid=grid, sde=sde, recombining=recombining, levels=tuple(levels))
+            x = np.empty(2 * x.size)
+            x[0::2] = down
+            x[1::2] = up
+        yield x
+
+
+def build_tree(sde: SdeSpec, grid: PartitionGrid) -> TreeModel:
+    """Every level of `tree_levels`, stored."""
+    return TreeModel(grid=grid, sde=sde, recombining=recombines(sde),
+                     levels=tuple(tree_levels(sde, grid)))
+
+
+def terminal_level(sde: SdeSpec, grid: PartitionGrid) -> np.ndarray:
+    """Level N of `tree_levels`, with the bits of build_tree's, computed
+    while holding two levels at a time."""
+    for x in tree_levels(sde, grid):
+        pass
+    return x
 
 
 def enumerate_tree_paths(tree: TreeModel) -> PathEnsemble:
@@ -87,7 +109,7 @@ def enumerate_tree_paths(tree: TreeModel) -> PathEnsemble:
     Path p at step i sits at node index p >> (N - i) in branching mode, so
     paths sharing a level-i node are contiguous blocks of size 2^(N-i); the
     exact-projection basis relies on that layout.  The Euler update of
-    euler_simulate is the expression build_tree uses, so the path values
+    euler_simulate is the expression tree_levels uses, so the path values
     agree bitwise with the node values.
     """
     n = tree.steps

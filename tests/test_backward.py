@@ -42,7 +42,7 @@ from tamedbsde import (
 from tamedbsde import backward, regression
 from tamedbsde.backward import step_size_condition
 from tamedbsde.regression import fit_basis, predict
-from tamedbsde.trees import MAX_STEPS_RECOMBINING, path_node_index
+from tamedbsde.trees import MAX_STEPS_BRANCHING, MAX_STEPS_RECOMBINING, path_node_index, terminal_level
 
 ZERO = polynomial_driver([0.0])
 LINEAR = polynomial_driver([0.0, -1.0])
@@ -87,6 +87,22 @@ def test_branching_levels_and_cap():
     assert [lvl.size for lvl in tree.levels] == [1, 2, 4, 8, 16, 32]
     with pytest.raises(ValueError, match="cap"):
         build_tree(SdeSpec(x0=0.0, diff_slope=0.3), build_grid(1.0, 15))
+
+
+@pytest.mark.parametrize("sde, steps", [
+    (SdeSpec(x0=0.5, drift_const=0.1, diff_const=1.0), 1),
+    (SdeSpec(x0=0.5, drift_const=0.1, diff_const=1.0), 7),
+    (SdeSpec(x0=0.5, drift_const=0.1, diff_const=1.0), MAX_STEPS_RECOMBINING),
+    (SdeSpec(x0=0.1, drift_const=0.2, drift_slope=0.3, diff_const=0.7, diff_slope=0.1),
+     MAX_STEPS_BRANCHING),
+], ids=["recombining-1", "recombining-7", "recombining-cap", "branching-cap"])
+def test_streamed_terminal_level_equals_the_stored_one_bitwise(sde, steps):
+    grid = build_grid(1.0, steps)
+    tree = build_tree(sde, grid)
+    assert tree.recombining == (sde.drift_slope == 0.0)
+    x_n = terminal_level(sde, grid)
+    assert x_n.dtype == tree.levels[steps].dtype
+    assert x_n.tobytes() == tree.levels[steps].tobytes()
 
 
 def test_state_dependent_drift_breaks_recombination():
@@ -671,7 +687,7 @@ def _tree_sweep(tree, terminal, members, reached):
     """The blocks of (scheme, driver) pairs swept on the tree, unlabelled
     and not required."""
     xi = np.asarray(terminal(tree.levels[tree.steps]), dtype=float)
-    (blocks,) = backward.sweep([(backward.TreeOperator(tree), xi,
+    (blocks,) = backward.sweep([(backward.TreeOperator(tree.grid, tree.recombining), xi,
                                  [(scheme, tamed, None, False) for scheme, tamed in members])], reached)
     return blocks
 
@@ -808,7 +824,8 @@ def test_sweep_keeps_no_z_level_and_no_level_of_a_block_that_left():
         members = [(scheme, tamed, None, False)
                    for scheme, tamed in _tree_group_members(grid.h)[::7]]
         xi = np.asarray(TerminalSpec((0.0, 0.0, 0.0, 30.0))(tree.levels[-1]), dtype=float)
-        blocks, left = _sweep_checking_drops(backward.TreeOperator(tree), xi, members)
+        op = backward.TreeOperator(tree.grid, tree.recombining)
+        blocks, left = _sweep_checking_drops(op, xi, members)
         assert blocks[0].first_bad[0] is None
         assert left == [blocks[1].first_bad[1]] and left[0] > 0
 

@@ -280,6 +280,14 @@ def test_tree_beyond_its_cap_is_config_error(tmp_path, capsys, steps, sde):
     assert f"N={steps}" in err and "cap" in err
 
 
+def test_tree_one_step_beyond_the_recombining_cap_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(POSITIVITY.format(out=tmp_path / "x.csv").replace("grids = 10", "grids = 2001"))
+    assert main(["tree-oracle", str(cfg)]) == 2
+    assert "N=2001: tree with 2001 steps exceeds the recombining cap 2000" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats costs more to import than the rest of the package
     src = os.path.dirname(os.path.dirname(os.path.abspath(tamedbsde.__file__)))

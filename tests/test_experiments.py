@@ -466,6 +466,54 @@ def test_streamed_tree_oracle_study_bitwise_equals_stored_runs(sde):
     assert _row_bits(report.rows) == _row_bits(_stored_rows(runs, outputs, grid.times))
 
 
+def test_tree_oracle_peak_memory_is_the_extrema_and_a_few_levels():
+    # the study holds the (schemes, N+1) mins and maxs and levels of at
+    # most N+1 nodes, never the tree: two forward levels and their Euler
+    # temporaries while the tree is streamed, then per block Y_{i+1}, the
+    # tamed y-part, Z_i, Y_i and the step's temporaries (a children sum is
+    # two levels).  Twelve levels of each scheme's row bound those; at
+    # N = 1000 the bound is 0.78 MB, where the stored tree alone is 4 MB
+    import tracemalloc
+    from dataclasses import replace
+
+    cfg = replace(load_config(os.path.join(ROOT, "perfbench", "configs", "tree_ladder.cfg")),
+                  grids=[1000])
+    n, schemes = cfg.grids[0], len(cfg.schemes)
+    level = (n + 1) * 8  # bytes of the largest level of one row
+    bound = (2 + 12) * schemes * level
+    assert bound < 2**20
+    tracemalloc.start()
+    try:
+        tree_oracle_study(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+def _documented_extrema_csv(report):
+    """`scheme,i,t,min_Y,max_Y` and one line per row of `report.rows`, the
+    numbers with 12 significant digits."""
+    return "".join(["scheme,i,t,min_Y,max_Y\n"] + [
+        f"{row.scheme},{row.index},{row.t:.12g},{row.min_y:.12g},{row.max_y:.12g}\n"
+        for row in report.rows])
+
+
+@pytest.mark.parametrize("study", [positivity_study, tree_oracle_study])
+def test_extrema_csv_from_arrays_equals_the_documented_rows(tmp_path, study):
+    # the untamed scheme explodes mid-run, so nan lines are written too
+    cfg = small_config(sde=SdeSpec(x0=0.5, diff_const=1.0), grids=[9],
+                       terminal=TerminalSpec((0.0, 0.0, 0.0, 30.0)),
+                       schemes=small_config().schemes + [UNTAMED])
+    report = study(cfg)
+    path = tmp_path / "extrema.csv"
+    emit_csv(report, str(path))
+    text = path.read_bytes().decode("utf-8")
+    assert text == _documented_extrema_csv(report)
+    assert "nan" in text and len(report.rows) == report.mins.size == 3 * 10
+    assert [row.scheme for row in report.rows[::10]] == report.labels == ["implicit", "inner", "untamed"]
+
+
 WIDE = """
 horizon = 1.0
 seed = 5
