@@ -29,26 +29,21 @@ from .drivers import (
     derive_constants,
     eval_driver,
     polynomial_driver,
-    taming_residual,
     verify_assumptions,
 )
-from .regression import BasisSpec, RegressionFit, design_matrix, fit_basis, fit_least_squares, predict
+from .regression import BasisSpec, design_matrix, fit_least_squares, predict
 from .trees import TreeModel, build_tree, enumerate_tree_paths
 from .backward import (
     ComparisonReport,
     ExactTreeBasis,
-    PositivityReport,
     SchemeOutput,
     SchemeSpec,
     TreeSchemeOutput,
-    ZetaDiagnostic,
     comparison_check,
-    positivity_report,
     run_backward,
     run_backward_group,
     tree_exact_run,
     tree_group_run,
-    zeta_diagnostic,
 )
 from .config import ConfigError, ExperimentConfig, SchemeRun, load_config, parse_config
 from .experiments import (

@@ -16,16 +16,17 @@ enumerated tree paths or the child average on tree levels; the schemes on
 one path ensemble run in lockstep and share each step's operator, and the
 groups of nested grids run in one sweep over fine time (`sweep`), which
 hands each level to a callback; the stored outputs of run_backward_group
-and tree_group_run are one such callback.  On a tree the explicit schemes
-of one base driver advance together, as the rows of one (rows, nodes)
-block.
+and tree_group_run are one such callback, and comparison_check, which
+compares two instances on one tree level by level, is another.  On a tree
+the explicit schemes of one base driver advance together, as the rows of
+one (rows, nodes) block.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -445,7 +446,10 @@ def sweep(groups: list[tuple], reached) -> list[list[_SchemeRun]]:
     and none after its last.
 
     At fine index j every group whose stride (fine steps over its steps)
-    divides j takes its step i = j / stride, finest first.  A step's
+    divides j takes its step i = j / stride, finest first.  Groups may
+    share a grid (and its operator): those step in list order at each fine
+    index, so when group g reaches level i every earlier group on its grid
+    has reached it too, which the comparison check relies on.  A step's
     `begin_step` (on paths, the row source's read, the design and its
     factorization) comes before the blocks' turns and `end_step` releases
     it after, so a block's targets live only during its own turn; a block's
@@ -587,53 +591,6 @@ def tree_exact_run(scheme: SchemeSpec, tamed: TamedDriver, tree: TreeModel,
                           None if label is None else [label])[0]
 
 
-@dataclass
-class ZetaDiagnostic:
-    """zeta_i, the gap D_i = Z_i - zeta_i, and its L2 norms E|D_i|^2 h;
-    zeta and D are (N, paths) on paths and lists of levels on a tree."""
-
-    zeta: np.ndarray | list
-    D: np.ndarray | list
-    norms: np.ndarray
-
-
-def zeta_diagnostic(output, tamed: TamedDriver, *, ensemble: PathEnsemble | None = None,
-                    basis: BasisSpec | ExactTreeBasis | None = None) -> ZetaDiagnostic:
-    """Martingale-representation coefficient of each step and its gap to Z.
-
-    zeta_i = E_i[(Y_{i+1} + f^h(Y_{i+1}, Z_i) h) H_{i+1}]; the gap
-    D_i = Z_i - zeta_i measures how far the practical Z target is from the
-    theoretically natural one.  Requires a completed (non-exploded) run.
-    """
-    if output.exploded:
-        raise ValueError("zeta diagnostic needs a run that completed without explosion")
-    on_tree = isinstance(output, TreeSchemeOutput)
-    if on_tree:
-        op = TreeOperator(output.tree.grid, output.tree.recombining)
-    elif ensemble is None or basis is None:
-        raise ValueError("path-ensemble zeta diagnostic needs ensemble and basis")
-    else:
-        op = _path_operator(basis, ensemble)
-    Y, Z = output.Y, output.Z
-
-    h, z_coeff = op.grid.h, tamed.base.z_coeff
-    zeta, D = [], []
-    for i in range(op.grid.steps):
-        op.begin_step(i)
-        # one tamed y-part per level; the z-part is added as TamedDriver.__call__ adds it
-        kids_p = op.children(tamed.tamed_y_part(Y[i + 1]))
-        zeta.append(op.mean_h(op.children(Y[i + 1]) + (kids_p + z_coeff * Z[i]) * h)[0])
-        op.end_step()
-        D.append(Z[i] - zeta[i])
-    if on_tree:
-        weights = output.tree.level_weights
-        norms = np.array([float(np.sum(weights(i) * d**2) * h) for i, d in enumerate(D)])
-    else:
-        zeta, D = np.stack(zeta), np.stack(D)
-        norms = np.mean(D**2, axis=1) * h
-    return ZetaDiagnostic(zeta=zeta, D=D, norms=norms)
-
-
 def step_size_condition(scheme: SchemeSpec, cons: DerivedConstants, abs_h_increment: float) -> float:
     """Value of the comparison step condition
     h (L^h_y + L^h_z |H| + (1-theta') h L^h_z |H| L^h_y) of the constants
@@ -656,8 +613,6 @@ class ComparisonReport:
     violations: int
     min_b_factor: float
     b_factor_min_per_step: np.ndarray
-    output_1: TreeSchemeOutput = field(repr=False, default=None)
-    output_2: TreeSchemeOutput = field(repr=False, default=None)
 
 
 def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: TerminalSpec,
@@ -670,6 +625,12 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
     (xi^1 >= xi^2 and f^{h,1} >= f^{h,2} at the sampled nodes), whether the
     outputs came out ordered at every node, the per-step linearization
     factors B and the step-size condition.
+
+    The instances run as two groups of one `sweep` on the tree's grid.
+    When instance 2 reaches level i, instance 1 has just reached it too,
+    and the callback takes step i's margins and B factors from the Y_{i+1}
+    each instance left and the Y_i and Z_i they took; so the check holds
+    O(N) values and no stored run.
     """
     if scheme.kind == IMPLICIT:
         raise ValueError("the discrete comparison check applies to the explicit scheme kinds")
@@ -677,52 +638,66 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
     if not z_free and scheme.theta_prime != 1.0:
         raise ValueError("comparison needs z-free drivers or theta' = 1")
 
-    out1 = tree_exact_run(scheme, tamed1, tree, terminal1)
-    out2 = tree_exact_run(scheme, tamed2, tree, terminal2)
-    if out1.exploded or out2.exploded:
-        raise ValueError("comparison check needs non-exploded runs")
-
     grid = tree.grid
     h = grid.h
     sqrt_h = math.sqrt(h)
     n = grid.steps
     op = TreeOperator(grid, tree.recombining)
     c1, c2 = tamed1.base.z_coeff, tamed2.base.z_coeff
+    xi1, xi2 = (np.asarray(terminal(tree.levels[n]), dtype=float) for terminal in (terminal1, terminal2))
+    scale = max(1.0, max(float(np.max(np.abs(xi1))), float(np.max(np.abs(xi2)))))
 
-    terminal_margin = float(np.min(out1.Y[n] - out2.Y[n]))
-
-    driver_margin = np.inf
+    # per step the driver margin at the down and up children and min B,
+    # per level min(Y^1_i - Y^2_i); reduced in level order at the end
+    driver_min = np.empty((n, 2))
     b_min = np.empty(n)
+    delta_min = np.empty(n + 1)
+    violations = 0
+    taken = [None, None]  # the (Y_i, Z_i) each instance took last
+    below = [None, None]  # the Y_{i+1} each instance left
     sign = np.array([[-1.0], [1.0]])  # the H sign of the down and up child
-    for i in range(n):
-        # one tamed y-part per driver and level, split into (down, up)
-        # children; the z-part is added as TamedDriver.__call__ adds it
-        y1, y2 = op.children(out1.Y[i + 1]), op.children(out2.Y[i + 1])
-        p1_y1 = op.children(tamed1.tamed_y_part(out1.Y[i + 1]))
-        p1_y2 = op.children(tamed1.tamed_y_part(out2.Y[i + 1]))
-        p2_y2 = op.children(tamed2.tamed_y_part(out2.Y[i + 1]))
-        z1, z2 = out1.Z[i], out2.Z[i]
-        diff = (p1_y2 + c1 * z2) - (p2_y2 + c2 * z2)
-        driver_margin = min(driver_margin, float(np.min(diff[0])), float(np.min(diff[1])))
-        dy = y1 - y2
-        num = (p1_y1 + c1 * z1) - (p1_y2 + c1 * z1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            beta = np.where(dy != 0.0, num / np.where(dy != 0.0, dy, 1.0), 0.0)
-        if z_free:
-            b = 1.0 + h * beta
-        else:
-            gamma = np.where(z1 - z2 != 0.0, c1, 0.0)
-            num_hat = (p1_y1 + c1 * 0.0) - (p1_y2 + c1 * 0.0)
-            beta_hat = np.where(dy != 0.0, num_hat / np.where(dy != 0.0, dy, 1.0), 0.0)
-            b = 1.0 + h * beta + h * gamma * (1.0 + (1.0 - scheme.theta_prime) * h * beta_hat) \
-                * sign / sqrt_h
-        b_min[i] = min(np.min(b[0]), np.min(b[1]))
 
-    deltas = [out1.Y[i] - out2.Y[i] for i in range(n + 1)]
-    output_margin = float(min(np.min(d) for d in deltas))
-    scale = max(1.0, max(float(np.max(np.abs(out1.Y[n]))), float(np.max(np.abs(out2.Y[n])))))
-    violations = int(sum(int(np.sum(d < -tol * scale)) for d in deltas))
+    def compare(g: int, i: int, blocks: list) -> None:
+        nonlocal violations
+        if not blocks:
+            raise ValueError("comparison check needs non-exploded runs")
+        taken[g] = blocks[0].y, blocks[0].z
+        if g == 0:
+            return
+        (y1_i, z1), (y2_i, z2) = taken
+        if i < n:
+            # one tamed y-part per driver and level, split into (down, up)
+            # children; the z-part is added as TamedDriver.__call__ adds it
+            y1, y2 = op.children(below[0]), op.children(below[1])
+            p1_y1 = op.children(tamed1.tamed_y_part(below[0]))
+            p1_y2 = op.children(tamed1.tamed_y_part(below[1]))
+            p2_y2 = op.children(tamed2.tamed_y_part(below[1]))
+            diff = (p1_y2 + c1 * z2) - (p2_y2 + c2 * z2)
+            driver_min[i] = np.min(diff[0]), np.min(diff[1])
+            dy = y1 - y2
+            num = (p1_y1 + c1 * z1) - (p1_y2 + c1 * z1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                beta = np.where(dy != 0.0, num / np.where(dy != 0.0, dy, 1.0), 0.0)
+            if z_free:
+                b = 1.0 + h * beta
+            else:
+                gamma = np.where(z1 - z2 != 0.0, c1, 0.0)
+                num_hat = (p1_y1 + c1 * 0.0) - (p1_y2 + c1 * 0.0)
+                beta_hat = np.where(dy != 0.0, num_hat / np.where(dy != 0.0, dy, 1.0), 0.0)
+                b = 1.0 + h * beta + h * gamma * (1.0 + (1.0 - scheme.theta_prime) * h * beta_hat) \
+                    * sign / sqrt_h
+            b_min[i] = min(np.min(b[0]), np.min(b[1]))
+        delta = y1_i - y2_i
+        delta_min[i] = np.min(delta)
+        violations += int(np.sum(delta < -tol * scale))
+        below[:] = y1_i, y2_i
 
+    sweep([(op, xi, [(scheme, tamed, None, False)]) for xi, tamed in ((xi1, tamed1), (xi2, tamed2))],
+          compare)
+
+    terminal_margin = float(delta_min[n])
+    driver_margin = min([np.inf, *driver_min.ravel().tolist()])
+    output_margin = float(min(delta_min))
     condition = step_size_condition(scheme, derive_constants(tamed1), 1.0 / sqrt_h)
     return ComparisonReport(
         condition_value=condition, condition_ok=condition < 1.0,
@@ -731,22 +706,4 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
         output_margin=output_margin, outputs_ordered=violations == 0,
         violations=violations,
         min_b_factor=float(b_min.min()) if n else 1.0, b_factor_min_per_step=b_min,
-        output_1=out1, output_2=out2,
     )
-
-
-@dataclass
-class PositivityReport:
-    per_step_min: np.ndarray
-    per_step_max: np.ndarray
-
-    @property
-    def global_min(self) -> float:
-        return float(np.min(self.per_step_min))
-
-
-def positivity_report(output) -> PositivityReport:
-    """Exact per-step extrema of Y, over paths or over tree nodes."""
-    mins = np.array([level.min() for level in output.Y])
-    maxs = np.array([level.max() for level in output.Y])
-    return PositivityReport(per_step_min=mins, per_step_max=maxs)

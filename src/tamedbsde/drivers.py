@@ -374,11 +374,6 @@ class TamedDriver:
         return (dp * denom - p * df_num / r) / denom**2
 
 
-def taming_residual(driver: TamedDriver, y, z):
-    """R^h = f - f^h; vanishes pointwise as h -> 0."""
-    return eval_driver(driver.base, y, z) - driver(y, z)
-
-
 @dataclass(frozen=True)
 class DerivedConstants:
     """Step-size constants of a tamed driver.

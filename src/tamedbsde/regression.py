@@ -63,15 +63,11 @@ def standardization(x: np.ndarray) -> tuple[float, float]:
     return center, scale
 
 
-def design_matrix(basis: BasisSpec, x, center: float | None = None, scale: float | None = None) -> np.ndarray:
-    """M x K matrix of basis values at (standardized) x, a transposed view.
-
-    When center/scale are omitted they are computed from x itself; pass the
-    values stored in a fit to evaluate the basis consistently elsewhere.
-    """
+def design_matrix(basis: BasisSpec, x, center: float, scale: float) -> np.ndarray:
+    """M x K matrix of basis values at x standardized by (center, scale), a
+    transposed view: a sample's own `standardization`, or the values stored
+    in a fit to evaluate the basis consistently elsewhere."""
     x = np.asarray(x, dtype=float)
-    if center is None or scale is None:
-        center, scale = standardization(x)
     return hermite_matrix((x - center) / scale, basis.size).T
 
 
@@ -115,27 +111,17 @@ def factorize(design: np.ndarray) -> Factorization:
     return Factorization(w[:, keep] / d[:, None], lam[keep], float(s[-1]) if s.size else 0.0)
 
 
-def fit_least_squares(design: np.ndarray, targets, basis: BasisSpec | None = None,
-                      center: float = 0.0, scale: float = 1.0,
-                      factors: Factorization | None = None) -> RegressionFit:
-    """Least squares through the design's `Factorization`: eigenvalues of the
-    equilibrated Gram matrix below RCOND * lam_max are discarded.
-
-    `factors` is the design's factorization when the caller already has it;
-    without it the design is factored here.  Raises ValueError naming the
-    first non-finite design/target entry.
-    """
+def fit_least_squares(design: np.ndarray, targets, basis: BasisSpec, center: float, scale: float,
+                      factors: Factorization) -> RegressionFit:
+    """Least squares through the design's `Factorization` `factors`:
+    eigenvalues of the equilibrated Gram matrix below RCOND * lam_max are
+    discarded.  Raises ValueError naming the first non-finite target entry."""
     targets = np.asarray(targets, dtype=float)
     if design.shape[0] != targets.shape[0]:
         raise ValueError(f"design has {design.shape[0]} rows, targets {targets.shape[0]}")
-    if factors is None:
-        factors = factorize(design)
     bad = ~np.isfinite(targets)
     if bad.any():
         raise ValueError(f"non-finite target at index {int(np.argmax(bad))}")
-
-    if basis is None:
-        basis = BasisSpec(size=design.shape[1])
     return RegressionFit(coeffs=factors.solve(design, targets), basis=basis, center=center, scale=scale,
                          rank=factors.rank, smallest_singular_value=factors.smallest_singular_value)
 
@@ -173,11 +159,6 @@ def sample_design(basis: BasisSpec, x) -> SampleDesign:
     matrix = design_matrix(basis, x, center, scale)
     return SampleDesign(basis=basis, center=center, scale=scale, matrix=matrix,
                         factors=factorize(matrix))
-
-
-def fit_basis(basis: BasisSpec, x, targets) -> RegressionFit:
-    """Standardize x, build the design matrix and fit in one step."""
-    return sample_design(basis, x).fit(targets)
 
 
 def predict(fit: RegressionFit, basis: BasisSpec, x) -> np.ndarray:

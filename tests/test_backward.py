@@ -29,7 +29,6 @@ from tamedbsde import (
     euler_simulate,
     load_config,
     polynomial_driver,
-    positivity_report,
     run_backward,
     run_backward_group,
     sample_increments,
@@ -37,11 +36,10 @@ from tamedbsde import (
     tree_exact_run,
     tree_group_run,
     tree_oracle_study,
-    zeta_diagnostic,
 )
 from tamedbsde import backward, regression
 from tamedbsde.backward import step_size_condition
-from tamedbsde.regression import fit_basis, predict
+from tamedbsde.regression import predict, sample_design
 from tamedbsde.trees import MAX_STEPS_BRANCHING, MAX_STEPS_RECOMBINING, path_node_index, terminal_level
 
 ZERO = polynomial_driver([0.0])
@@ -214,10 +212,10 @@ def test_step_projection_bitwise_equals_fit_then_predict(theta_prime):
     for i in range(grid.steps):
         x, y_next = ens.X[i], out.Y[i + 1]
         z_target = (y_next + (1.0 - theta_prime) * tamed(y_next, 0.0) * h) * batch.H[i]
-        z_i = predict(fit_basis(basis, x, z_target), basis, x)
+        z_i = predict(sample_design(basis, x).fit(z_target), basis, x)
         assert np.array_equal(out.Z[i], z_i), i
         y_target = y_next + tamed(y_next, z_i) * h
-        assert np.array_equal(out.Y[i], predict(fit_basis(basis, x, y_target), basis, x)), i
+        assert np.array_equal(out.Y[i], predict(sample_design(basis, x).fit(y_target), basis, x)), i
 
 
 def test_one_design_build_per_step(monkeypatch):
@@ -977,89 +975,9 @@ def test_comparison_evaluates_each_tamed_y_part_once_per_level(monkeypatch, z_co
     term = TerminalSpec((0.0, 1.0))
     calls = _count_driver_calls(monkeypatch)
     comparison_check(SchemeSpec(kind="explicit_tamed"), hi, term, lo, term, tree)
-    # two tree runs (one per level each), then f^{h,1} at both outputs and
-    # f^{h,2} at the second, once per level
+    # the two instances' sweep groups (one per level each), then f^{h,1} at
+    # both instances' levels and f^{h,2} at the second's, once per level
     assert calls == {"__call__": 0, "tamed_y_part": 2 * steps + 3 * steps}
-
-
-def test_tree_zeta_evaluates_the_tamed_y_part_once_per_level(monkeypatch):
-    steps = 16
-    grid = build_grid(1.0, steps)
-    tree = build_tree(SdeSpec(x0=0.0, diff_const=1.0), grid)
-    tamed = TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h)
-    out = tree_exact_run(SchemeSpec(kind="explicit_tamed", theta_prime=0.5), tamed,
-                         tree, TerminalSpec((0.0, 1.0)))
-    calls = _count_driver_calls(monkeypatch)
-    zeta_diagnostic(out, tamed)
-    assert calls == {"__call__": 0, "tamed_y_part": steps}
-
-
-# ---------------------------------------------------------------- zeta / D diagnostics
-
-def test_d_vanishes_for_theta_zero_zfree():
-    grid = build_grid(1.0, 8)
-    tree = build_tree(SdeSpec(x0=0.0, diff_const=1.0), grid)
-    tamed = TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h)
-    out = tree_exact_run(SchemeSpec(kind="explicit_tamed", theta_prime=0.0), tamed,
-                         tree, TerminalSpec((0.0, 1.0)))
-    diag = zeta_diagnostic(out, tamed)
-    assert max(np.max(np.abs(d)) for d in diag.D) < 1e-14
-
-
-def test_d_vanishes_for_zero_driver():
-    grid = build_grid(1.0, 8)
-    tree = build_tree(SdeSpec(x0=0.0, diff_const=1.0), grid)
-    tamed = untamed(ZERO, grid.h)
-    for theta in (0.0, 0.5, 1.0):
-        out = tree_exact_run(SchemeSpec(kind="explicit_tamed", theta_prime=theta), tamed,
-                             tree, TerminalSpec((0.0, 1.0)))
-        diag = zeta_diagnostic(out, tamed)
-        assert max(np.max(np.abs(d)) for d in diag.D) < 1e-14
-
-
-def test_d_for_theta_one_matches_direct_tree_value():
-    norms_by_n = {}
-    for steps in (4, 8, 16):
-        grid = build_grid(1.0, steps)
-        tree = build_tree(SdeSpec(x0=0.0, diff_const=1.0), grid)
-        tamed = TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h)
-        out = tree_exact_run(SchemeSpec(kind="explicit_tamed", theta_prime=1.0), tamed,
-                             tree, TerminalSpec((0.0, 1.0)))
-        diag = zeta_diagnostic(out, tamed)
-        sqrt_h = math.sqrt(grid.h)
-        for i in range(steps):
-            down, up = out.Y[i + 1][:-1], out.Y[i + 1][1:]
-            direct = -0.5 * (tamed(up, out.Z[i]) / sqrt_h
-                             - tamed(down, out.Z[i]) / sqrt_h) * grid.h
-            np.testing.assert_allclose(diag.D[i], direct, atol=1e-12)
-        assert np.all(np.isfinite(diag.norms))
-        norms_by_n[steps] = float(np.sum(diag.norms))
-    assert norms_by_n[16] < norms_by_n[8] < norms_by_n[4]
-
-
-def test_zeta_on_regression_backend():
-    grid = build_grid(1.0, 6)
-    batch = sample_increments(grid, 4000, 12, NoiseModel())
-    ens = euler_simulate(SdeSpec(x0=0.0, diff_const=1.0), grid, batch)
-    xi = terminal_values(TerminalSpec((0.0, 1.0)), ens)
-    tamed = untamed(ZERO, grid.h)
-    basis = BasisSpec(size=4)
-    out = run_backward(SchemeSpec(kind="explicit_tamed"), tamed, ens, xi, basis)
-    diag = zeta_diagnostic(out, tamed, ensemble=ens, basis=basis)
-    assert np.max(np.abs(diag.D)) < 1e-10
-    assert diag.norms.shape == (6,)
-
-
-@pytest.mark.parametrize("steps", [1, 6])
-def test_path_zeta_norms_are_row_means(steps):
-    # each norm is the mean over its own level row, for every N
-    grid, batch, ens, xi = _wide_ensemble(steps, paths=2500)
-    tamed = TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h)
-    basis = BasisSpec(size=6)
-    out = run_backward(SchemeSpec(kind="explicit_tamed", theta_prime=0.5), tamed, ens, xi, basis)
-    diag = zeta_diagnostic(out, tamed, ensemble=ens, basis=basis)
-    assert diag.D.shape == (steps, 2500) and diag.D.flags.c_contiguous
-    assert np.array_equal(diag.norms, [np.mean(d**2) * grid.h for d in diag.D])
 
 
 # ---------------------------------------------------------------- storage layout
@@ -1121,9 +1039,12 @@ def test_comparison_zero_driver_shift():
     tamed = untamed(ZERO, grid.h)
     hi = TerminalSpec((1.0, 1.0))
     lo = TerminalSpec((0.0, 1.0))
-    report = comparison_check(SchemeSpec(kind="explicit_tamed"), tamed, hi, tamed, lo, tree)
+    scheme = SchemeSpec(kind="explicit_tamed")
+    report = comparison_check(scheme, tamed, hi, tamed, lo, tree)
     assert report.outputs_ordered
-    for d1, d2 in zip(report.output_1.Y, report.output_2.Y):
+    assert report.output_margin == pytest.approx(1.0, abs=1e-12)
+    out1, out2 = (tree_exact_run(scheme, tamed, tree, term) for term in (hi, lo))
+    for d1, d2 in zip(out1.Y, out2.Y):
         np.testing.assert_allclose(d1 - d2, 1.0, atol=1e-12)
 
 
@@ -1159,12 +1080,39 @@ def test_comparison_rejects_z_driver_with_partial_theta():
                          zdrv, term, zdrv, term, tree)
 
 
+def test_comparison_peak_memory_is_a_few_levels():
+    # the check holds per instance Y_{i+1}, Y_i and Z_i, the sweep's own
+    # level, the three tamed y-parts and the step's (down, up) temporaries,
+    # plus O(N) per-step minima, never a stored run: 64 levels of N + 1
+    # nodes bound those; at N = 1000 the bound is 0.51 MB, where two stored
+    # runs alone are 16 MB
+    import tracemalloc
+
+    steps = 1000
+    grid = build_grid(1.0, steps)
+    tree = build_tree(SdeSpec(x0=0.5, diff_const=1.0), grid)
+    taming = TamingSpec(kind="inner_proj", r0=1.0, exponent=0.25)
+    hi = TamedDriver(polynomial_driver([0.0, 0.0, 0.0, -1.0], z_coeff=0.5), taming, grid.h)
+    lo = TamedDriver(polynomial_driver([-0.1, 0.0, 0.0, -1.0], z_coeff=0.5), taming, grid.h)
+    term = TerminalSpec((0.0, 1.0))
+    bound = 64 * (steps + 1) * 8
+    assert tree.recombining and bound < 2**20
+    tracemalloc.start()
+    try:
+        report = comparison_check(SchemeSpec(kind="explicit_tamed"), hi, term, lo, term, tree)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.b_factor_min_per_step.shape == (steps,)
+    assert peak < bound
+
+
 def test_positivity_nonnegative_terminal_zero_driver():
     grid = build_grid(1.0, 8)
     tree = build_tree(SdeSpec(x0=0.0, diff_const=1.0), grid)
     out = tree_exact_run(SchemeSpec(kind="explicit_tamed"), untamed(ZERO, grid.h),
                          tree, TerminalSpec((0.0, 0.0, 1.0)))
-    assert positivity_report(out).global_min >= 0.0
+    assert min(level.min() for level in out.Y) >= 0.0
 
 
 def test_positivity_zero_solution():
@@ -1172,9 +1120,8 @@ def test_positivity_zero_solution():
     tree = build_tree(SdeSpec(x0=0.0, diff_const=1.0), grid)
     out = tree_exact_run(SchemeSpec(kind="explicit_tamed"), untamed(CUBIC, grid.h),
                          tree, TerminalSpec((0.0,)))
-    report = positivity_report(out)
-    assert report.global_min == 0.0
-    assert np.max(report.per_step_max) == 0.0
+    assert min(level.min() for level in out.Y) == 0.0
+    assert max(level.max() for level in out.Y) == 0.0
 
 
 def test_implicit_monotone_decay():

@@ -15,7 +15,6 @@ from tamedbsde import (
     derive_constants,
     eval_driver,
     polynomial_driver,
-    taming_residual,
     verify_assumptions,
 )
 from tamedbsde.drivers import DriverConstants, TamingBlock
@@ -204,14 +203,14 @@ def test_pointwise_domination_on_cubic(y, kind):
 
 def test_residual_zero_inside_identity_region():
     inner = tamed(CUBIC, "inner_proj", r0=1.0, exponent=0.0)
-    assert taming_residual(inner, 0.5, 0.0) == 0.0
+    assert eval_driver(CUBIC, 0.5, 0.0) - inner(0.5, 0.0) == 0.0
     outer = tamed(CUBIC, "outer_proj", r0=1.0, exponent=0.0)
-    assert taming_residual(outer, 0.9, 0.0) == 0.0
+    assert eval_driver(CUBIC, 0.9, 0.0) - outer(0.9, 0.0) == 0.0
 
 
 def test_residual_mult_c_value():
     d = tamed(CUBIC, "mult_c", r0=1.0, exponent=0.0)
-    assert taming_residual(d, 2.0, 0.0) == pytest.approx(-8.0 + 8.0 / 9.0, rel=1e-14)
+    assert eval_driver(CUBIC, 2.0, 0.0) - d(2.0, 0.0) == pytest.approx(-8.0 + 8.0 / 9.0, rel=1e-14)
 
 
 def test_residual_vanishes_with_h():
@@ -221,7 +220,7 @@ def test_residual_vanishes_with_h():
     prev = np.inf
     for k in range(1, 10):
         d = tamed(CUBIC, "inner_proj", r0=1.0, h=2.0**-k)
-        res = abs(taming_residual(d, y, 0.0))
+        res = abs(eval_driver(CUBIC, y, 0.0) - d(y, 0.0))
         assert res <= prev + 1e-12
         prev = res
     assert prev == 0.0

@@ -11,13 +11,11 @@ from tamedbsde import (
     build_grid,
     design_matrix,
     euler_simulate,
-    fit_basis,
-    fit_least_squares,
     load_config,
     predict,
     sample_increments,
 )
-from tamedbsde.regression import RCOND, hermite_matrix, sample_design
+from tamedbsde.regression import RCOND, factorize, hermite_matrix, sample_design
 from tamedbsde.trees import build_tree, enumerate_tree_paths
 
 
@@ -61,40 +59,39 @@ def test_hermite_linear_row():
 
 def test_constant_targets_reproduced():
     x = np.linspace(-1, 1, 50)
-    fit = fit_basis(BasisSpec(size=4), x, np.full(50, 3.25))
+    fit = sample_design(BasisSpec(size=4), x).fit(np.full(50, 3.25))
     np.testing.assert_allclose(predict(fit, fit.basis, x), 3.25, rtol=1e-12)
 
 
 def test_linear_targets_reproduced():
     x = np.linspace(-2, 5, 80)
-    fit = fit_basis(BasisSpec(size=2), x, x)
+    fit = sample_design(BasisSpec(size=2), x).fit(x)
     np.testing.assert_allclose(predict(fit, fit.basis, x), x, atol=1e-9)
 
 
 def test_quadratic_in_span():
     rng = np.random.default_rng(0)
     x = rng.normal(size=200)
-    fit = fit_basis(BasisSpec(size=3), x, x**2)
+    fit = sample_design(BasisSpec(size=3), x).fit(x**2)
     assert predict(fit, fit.basis, np.array([1.5]))[0] == pytest.approx(2.25, abs=1e-9)
 
 
 def test_interpolation_when_square():
-    x = np.array([-1.0, 0.0, 2.0])
-    design = design_matrix(BasisSpec(size=3), x, 0.0, 1.0)
-    fit = fit_least_squares(design, np.array([4.0, -1.0, 7.0]))
-    np.testing.assert_allclose(design @ fit.coeffs, [4.0, -1.0, 7.0], atol=1e-10)
+    design = sample_design(BasisSpec(size=3), np.array([-1.0, 0.0, 2.0]))
+    fit = design.fit(np.array([4.0, -1.0, 7.0]))
+    np.testing.assert_allclose(design.fitted(fit), [4.0, -1.0, 7.0], atol=1e-10)
 
 
 def test_prediction_requires_matching_basis():
     x = np.linspace(-1, 1, 10)
-    fit = fit_basis(BasisSpec(size=2), x, x)
+    fit = sample_design(BasisSpec(size=2), x).fit(x)
     with pytest.raises(ValueError, match="basis"):
         predict(fit, BasisSpec(size=3), x)
 
 
 def test_empty_prediction():
     x = np.linspace(-1, 1, 10)
-    fit = fit_basis(BasisSpec(size=2), x, x)
+    fit = sample_design(BasisSpec(size=2), x).fit(x)
     assert predict(fit, fit.basis, np.array([])).size == 0
 
 
@@ -103,12 +100,12 @@ def test_non_finite_target_named():
     y = x.copy()
     y[3] = np.nan
     with pytest.raises(ValueError, match="index 3"):
-        fit_basis(BasisSpec(size=2), x, y)
+        sample_design(BasisSpec(size=2), x).fit(y)
 
 
 def test_degenerate_sample_falls_back_to_centering():
     x = np.full(20, 2.0)
-    fit = fit_basis(BasisSpec(size=3), x, np.full(20, 5.0))
+    fit = sample_design(BasisSpec(size=3), x).fit(np.full(20, 5.0))
     assert fit.scale == 1.0
     np.testing.assert_allclose(predict(fit, fit.basis, x), 5.0, rtol=1e-12)
 
@@ -119,8 +116,8 @@ def test_projection_idempotent(seed, size):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=120)
     y = rng.normal(size=120)
-    fit = fit_basis(BasisSpec(size=size), x, y)
-    again = fit_basis(BasisSpec(size=size), x, predict(fit, fit.basis, x))
+    fit = sample_design(BasisSpec(size=size), x).fit(y)
+    again = sample_design(BasisSpec(size=size), x).fit(predict(fit, fit.basis, x))
     np.testing.assert_allclose(again.coeffs, fit.coeffs, atol=1e-9)
 
 
@@ -128,11 +125,9 @@ def test_residual_orthogonality():
     rng = np.random.default_rng(1)
     x = rng.normal(size=500)
     y = np.sin(x) + 0.1 * rng.normal(size=500)
-    center, scale = x.mean(), x.std()
-    design = design_matrix(BasisSpec(size=5), x)
-    fit = fit_least_squares(design, y, basis=BasisSpec(size=5), center=center, scale=scale)
-    residual = y - design @ fit.coeffs
-    assert np.linalg.norm(design.T @ residual) <= 1e-8 * np.linalg.norm(y)
+    design = sample_design(BasisSpec(size=5), x)
+    residual = y - design.fitted(design.fit(y))
+    assert np.linalg.norm(design.matrix.T @ residual) <= 1e-8 * np.linalg.norm(y)
 
 
 def test_reproduces_tree_conditional_expectation():
@@ -144,7 +139,7 @@ def test_reproduces_tree_conditional_expectation():
     i = 6
     target = ens.X[i + 1] ** 2
     exact = ens.X[i] ** 2 + grid.h
-    fit = fit_basis(BasisSpec(size=4), ens.X[i], target)
+    fit = sample_design(BasisSpec(size=4), ens.X[i]).fit(target)
     np.testing.assert_allclose(predict(fit, fit.basis, ens.X[i]), exact, atol=1e-8)
 
 
@@ -177,7 +172,7 @@ def test_non_finite_design_entry_named():
     design = design_matrix(BasisSpec(size=3), np.linspace(-1, 1, 6), 0.0, 1.0)
     design[4, 2] = np.inf
     with pytest.raises(ValueError, match="row 4, column 2"):
-        fit_least_squares(design, np.zeros(6))
+        factorize(design)
 
 
 def _refined_fitted(design, target, corrections=4):
