@@ -18,8 +18,9 @@ groups of nested grids run in one sweep over fine time (`sweep`), which
 hands each level to a callback; the stored outputs of run_backward_group
 and tree_group_run are one such callback, and comparison_check, which
 compares two instances on one tree level by level, is another.  On a tree
-the explicit schemes of one base driver advance together, as the rows of
-one (rows, nodes) block.
+the schemes of one base driver advance together, as the rows of one
+(rows, nodes) block: one y-part, Z target and child average per level
+serve every row, and the implicit rows are then solved one by one.
 """
 
 from __future__ import annotations
@@ -166,32 +167,35 @@ def _solve_implicit(driver: TamedDriver, c, z, h: float, step: int,
     live = np.ones(y.size, dtype=bool)
     res = y - ctil - h * driver.tamed_y_part(y)
     abs_res = np.abs(res)
+    # the Newton update, the threshold and the masks live in buffers of
+    # this call, written in place each iteration
+    newton, threshold = np.empty_like(y), np.empty_like(y)
+    done, worse = np.empty_like(live), np.empty_like(live)
     for iterations in range(1, IMPLICIT_MAX_ITER + 1):
-        # the Newton update of every iterate, built in place
-        newton = np.multiply(h, driver.y_slope(y))
+        np.multiply(h, driver.y_slope(y), out=newton)
         np.subtract(1.0, newton, out=newton)
         np.maximum(newton, 0.1, out=newton)
         np.divide(res, newton, out=newton)
         np.subtract(y, newton, out=newton)
-        threshold = np.abs(y)
+        np.abs(y, out=threshold)
         threshold += 1.0
         threshold *= IMPLICIT_TOL
-        done = abs_res <= threshold
+        np.less_equal(abs_res, threshold, out=done)
         done &= live
-        if done.any():
+        if np.count_nonzero(done):
             np.copyto(y, newton, where=done & np.isfinite(newton))
             live ^= done
-            if not live.any():
+            if not np.count_nonzero(live):
                 break
         # halve steps that made the residual worse; the residual carries into
         # the next iteration and is recomputed only where the step was halved
         np.subtract(newton, ctil, out=res)
         res -= h * driver.tamed_y_part(newton)
         abs_next = np.abs(res)
-        worse = abs_next > abs_res
+        np.greater(abs_next, abs_res, out=worse)
         worse &= live
         abs_res = abs_next
-        if worse.any():
+        if np.count_nonzero(worse):
             newton[worse] = 0.5 * (y[worse] + newton[worse])
             res[worse] = newton[worse] - ctil[worse] - h * driver.tamed_y_part(newton[worse])
             abs_res[worse] = np.abs(res[worse])
@@ -332,47 +336,56 @@ def _path_operator(basis: BasisSpec | ExactTreeBasis, ensemble: PathEnsemble) ->
     return _PrefixOperator(None, ArrayRows(X, H), ensemble.grid)
 
 
+def scheme_driver(scheme: SchemeSpec, tamed: TamedDriver) -> TamedDriver:
+    """The driver `scheme` runs when given `tamed`: the untamed explicit
+    kind drops the taming, every other kind runs `tamed` as it is."""
+    if scheme.kind == EXPLICIT_UNTAMED and tamed.taming.kind != NONE:
+        return replace(tamed, taming=TamingSpec(kind=NONE))
+    return tamed
+
+
 class _SchemeRun:
     """A block of a group's members in the backward recursion, advanced
     together.  A block of one scheme takes (nodes,) levels; a block of
-    explicit schemes that share a base driver takes the rows of C-ordered
+    schemes that share a base driver takes the rows of C-ordered
     (rows, nodes) levels and tames them together (TamingBlock).  `members`
-    are the indices in the group of the block's rows, and `y` and `z` are
-    the latest Y_i and Z_i the block took (`y` the terminal level on
-    entry).  A row whose Z_i or Y_i is not finite is marked exploded at i
-    in `first_bad`, keyed by member; the block takes level i only while a
-    row is still finite there.  A member's label names it in error
-    messages; a required member raises SchemeExplodedError where it
-    explodes."""
+    are the indices in the group of the block's rows, `drivers` the driver
+    each row runs (scheme_driver), and `y`, `z` and `p` are the latest Y_i
+    and Z_i the block took and the tamed y-part at the Y_{i+1} it left
+    (`y` the terminal level on entry).  `iterations` holds one row of
+    implicit iteration counts per member.  A row whose Z_i or Y_i is not
+    finite is marked exploded at i in `first_bad`, keyed by member; the
+    block takes level i only while a row is still finite there.  A
+    member's label names it in error messages; a required member raises
+    SchemeExplodedError where it explodes."""
 
     def __init__(self, members: list[tuple], rows: list[int], grid, xi: np.ndarray):
-        drivers, weights = [], []
+        self.drivers, weights = [], []
         for k in rows:
             scheme, tamed, _, _ = members[k]
             if not math.isclose(tamed.h, grid.h, rel_tol=1e-9):
                 raise ValueError(f"driver was tamed at h={tamed.h}, grid has h={grid.h}")
-            if scheme.kind == EXPLICIT_UNTAMED and tamed.taming.kind != NONE:
-                tamed = replace(tamed, taming=TamingSpec(kind=NONE))
             if scheme.kind == IMPLICIT:
                 check_implicit_guard(grid.h, tamed.base.constants.m_y)
-            drivers.append(tamed)
+            self.drivers.append(scheme_driver(scheme, tamed))
             weights.append(1.0 - scheme.theta_prime)
-        self.implicit = members[rows[0]][0].kind == IMPLICIT
-        if len(rows) == 1:
-            self.driver, self.weight, self.y = drivers[0], weights[0], xi
-        elif any(members[k][0].kind == IMPLICIT for k in rows):
-            raise ValueError("an implicit scheme runs in a block of its own")
+        self.single = len(rows) == 1
+        if self.single:
+            self.driver, self.weight, self.y = self.drivers[0], weights[0], xi
         else:
-            self.driver, self.weight = TamingBlock(drivers), np.array(weights)[:, None]
+            self.driver, self.weight = TamingBlock(self.drivers), np.array(weights)[:, None]
             self.y = np.repeat(xi[None], len(rows), axis=0)
-        self.z = None
+        # the rows solved implicitly, one by one; the rest take the explicit Y
+        self.implicit = [row for row, k in enumerate(rows) if members[k][0].kind == IMPLICIT]
+        self.explicit = len(self.implicit) < len(rows)
+        self.z = self.p = None
         self.members = rows
         self.labels = [members[k][2] for k in rows]
         self.required = [members[k][3] for k in rows]
         n = grid.steps
         self.z_fits = [_NO_FIT] * n
         self.y_fits = [_NO_FIT] * n
-        self.iterations = np.zeros(n, dtype=int)
+        self.iterations = np.zeros((len(rows), n), dtype=int)
         self.first_bad = dict.fromkeys(rows)
         self.seconds = 0.0
 
@@ -384,29 +397,38 @@ class _SchemeRun:
     def advance(self, i: int, h: float, op) -> None:
         """Z_i, then Y_i, of every row, from Y_{i+1} in `y`.  The tamed
         y-part at Y_{i+1} is evaluated once, for the Z target (its z-part
-        added as TamedDriver.__call__ adds it) and the explicit Y target;
-        the implicit solve runs only on a finite Z_i."""
+        added as TamedDriver.__call__ adds it) and the explicit Y target,
+        which is taken only when the block has explicit rows.  Each
+        implicit row is then solved from its own E_i[Y_{i+1}], where its
+        Z_i is finite; elsewhere its Y_i is NaN and the row explodes."""
         driver = self.driver
         z_coeff = driver.base.z_coeff
         y_next = self.y
         p = driver.tamed_y_part(y_next)
         z, self.z_fits[i] = op.mean_h(
             op.children(y_next + self.weight * (p + z_coeff * 0.0) * h))
-        if self.implicit:
-            finite = np.isfinite(z).all()
-            if finite:
-                c, self.y_fits[i] = op.mean(op.children(y_next))
-                y, self.iterations[i] = _solve_implicit(driver, c, z, h, i, self.labels[0])
-                finite = np.isfinite(y).all()
-        else:
+        z_finite = np.isfinite(z).all()
+        if self.explicit:
             y, self.y_fits[i] = op.mean(op.children(y_next) + (op.children(p) + z_coeff * z) * h)
-            finite = np.isfinite(z).all() and np.isfinite(y).all()
-        if finite:
-            self.z, self.y = z, y
+        elif not self.single:
+            y = np.empty(z.shape)
+        for row in self.implicit:
+            z_row = np.atleast_2d(z)[row]
+            if z_finite or np.isfinite(z_row).all():
+                c, self.y_fits[i] = op.mean(op.children(np.atleast_2d(y_next)[row]))
+                y_row, self.iterations[row, i] = _solve_implicit(
+                    self.drivers[row], c, z_row, h, i, self.labels[row])
+            else:
+                y_row = np.full(z_row.shape, np.nan)
+            if self.single:
+                y = y_row
+            else:
+                y[row] = y_row
+        if z_finite and np.isfinite(y).all():
+            self.z, self.y, self.p = z, y, p
             return
-        # some row exploded: which ones (an implicit block is one row)
-        finite = (np.zeros(1, dtype=bool) if self.implicit
-                  else np.isfinite(z).all(axis=-1) & np.isfinite(y).all(axis=-1))
+        # some row exploded: which ones
+        finite = np.isfinite(z).all(axis=-1) & np.isfinite(y).all(axis=-1)
         for row in np.flatnonzero(~finite):
             k = self.members[row]
             if self.first_bad[k] is None:
@@ -417,7 +439,7 @@ class _SchemeRun:
                     where = f", path {int(np.argmax(bad))}" if bad.any() else ""
                     raise SchemeExplodedError(f"{self.labels[row]} exploded at step {i}{where}")
         if finite.any():
-            self.z, self.y = z, y
+            self.z, self.y, self.p = z, y, p
 
 
 def sweep(groups: list[tuple], reached) -> list[list[_SchemeRun]]:
@@ -430,18 +452,18 @@ def sweep(groups: list[tuple], reached) -> list[list[_SchemeRun]]:
     label, required) tuples; a label names its member in error messages,
     and a required member raises SchemeExplodedError where it explodes.
     Where the operator takes blocks of rows (op.row_blocks, on a tree) the
-    explicit members of one base driver run as the rows of one block, in
-    member order, and each implicit member as a block of its own;
-    elsewhere each member is a block of one.
+    members of one base driver, explicit and implicit, run as the rows of
+    one block, in member order; elsewhere each member is a block of one.
 
     `reached(g, i, blocks)` gets the terminal levels first, finest grid
     first, then every level i of grid g as it is reached, with the blocks
     still in the lockstep: `block.members` are the indices in the group of
-    its rows, `block.y` is Y_i and `block.z` is Z_i (None at the terminal
-    level), (nodes,) for a block of one and (rows, nodes) otherwise.  A
-    block is reported until its last row explodes; the row of an exploded
-    member is not finite from its first bad step down.  After each call
-    the sweep drops every Z_i and the last level of each block that has
+    its rows, `block.y` is Y_i, `block.z` is Z_i and `block.p` the tamed
+    y-part at the Y_{i+1} it left (both None at the terminal level),
+    (nodes,) for a block of one and (rows, nodes) otherwise.  A block is
+    reported until its last row explodes; the row of an exploded member is
+    not finite from its first bad step down.  After each call the sweep
+    drops every Z_i and y-part and the last level of each block that has
     left the lockstep, so a block keeps one level of Y between its steps,
     and none after its last.
 
@@ -459,15 +481,14 @@ def sweep(groups: list[tuple], reached) -> list[list[_SchemeRun]]:
     experimental observable, not an error.
 
     Returns, per group, the block of each member, which holds the member's
-    first bad step (`first_bad[k]`, None if it did not explode), its
-    iteration counts, fits and `seconds`.
+    first bad step (`first_bad[k]`, None if it did not explode), its row
+    of iteration counts, the fits and `seconds`.
     """
     running, owners = [], []
     for g, (op, xi, members) in enumerate(groups):
         blocks: dict[object, list[int]] = {}
-        for k, (scheme, tamed, _, _) in enumerate(members):
-            shared = op.row_blocks and scheme.kind != IMPLICIT
-            blocks.setdefault(tamed.base if shared else k, []).append(k)
+        for k, (_, tamed, _, _) in enumerate(members):
+            blocks.setdefault(tamed.base if op.row_blocks else k, []).append(k)
         runs = [_SchemeRun(members, rows, op.grid, xi) for rows in blocks.values()]
         running.append(runs)
         owners.append([run for k in range(len(members)) for run in runs if k in run.members])
@@ -491,7 +512,7 @@ def sweep(groups: list[tuple], reached) -> list[list[_SchemeRun]]:
                 live = [run for run in running[g] if run.live]
                 reached(g, i, live)
                 for run in running[g]:
-                    run.z = None
+                    run.z = run.p = None
                     if i == 0 or not run.live:
                         run.y = None
                 running[g] = live
@@ -504,7 +525,8 @@ def _stored(op, xi: np.ndarray, members: list[tuple[SchemeSpec, TamedDriver]],
     Z[k] are member k's N+1 and N levels, made by `levels(n)` (an
     (n, nodes) array or a list of n level arrays), each filled when the
     sweep reaches it; the levels of a member that exploded are NaN from its
-    first bad step down.  Returns each member's block, Y and Z."""
+    first bad step down.  Returns each member's block, its row of
+    implicit iteration counts, Y and Z."""
     n = op.grid.steps
     Y = [levels(n + 1) for _ in members]
     Z = [levels(n) for _ in members]
@@ -523,7 +545,8 @@ def _stored(op, xi: np.ndarray, members: list[tuple[SchemeSpec, TamedDriver]],
         if bad is not None:
             for level in (*Y[k][:bad + 1], *Z[k][:bad + 1]):
                 level[...] = np.nan
-    return runs, Y, Z
+    iterations = [run.iterations[run.members.index(k)] for k, run in enumerate(runs)]
+    return runs, iterations, Y, Z
 
 
 def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: PathEnsemble,
@@ -543,13 +566,13 @@ def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: 
     op = _path_operator(basis, ensemble)
     if xi.shape != (paths,):
         raise ValueError(f"terminal values have shape {xi.shape}, expected ({paths},)")
-    runs, Y, Z = _stored(op, xi, members, labels, lambda n: np.empty((n, paths)))
+    runs, iterations, Y, Z = _stored(op, xi, members, labels, lambda n: np.empty((n, paths)))
     outputs = []
     for k, run in enumerate(runs):
         z_rank, z_sv = map(np.array, zip(*run.z_fits))
         y_rank, y_sv = map(np.array, zip(*run.y_fits))
         diag = SchemeDiagnostics(z_fit_rank=z_rank, z_fit_sv=z_sv, y_fit_rank=y_rank,
-                                 y_fit_sv=y_sv, implicit_iterations=run.iterations)
+                                 y_fit_sv=y_sv, implicit_iterations=iterations[k])
         bad = run.first_bad[k]
         outputs.append(SchemeOutput(Y=Y[k], Z=Z[k], diagnostics=diag, exploded=bad is not None,
                                     first_bad_step=bad, wallclock_ms=run.seconds * 1e3))
@@ -568,17 +591,18 @@ def tree_group_run(members: list[tuple[SchemeSpec, TamedDriver]], tree: TreeMode
     """Backward recursion of several (scheme, driver) pairs on one tree, in
     one sweep, with E_i computed as the exact half/half child average.
 
-    The explicit members that share a base driver run as one block, the
-    rows of (rows, nodes) levels in member order, and each implicit member
-    as a block of its own.  Every operation is elementwise along the rows,
-    so a member's output does not depend on the rest of the group or its
-    order.  An exploding member's levels from its first bad step down are
-    NaN.  `labels` name the members in error messages.
+    The members that share a base driver, explicit and implicit, run as
+    one block, the rows of (rows, nodes) levels in member order: the block
+    takes its y-part, Z target and child averages once per level, and each
+    implicit row is then solved on its own.  Every operation is elementwise
+    along the rows, so a member's output does not depend on the rest of the
+    group or its order.  An exploding member's levels from its first bad
+    step down are NaN.  `labels` name the members in error messages.
     """
     xi = np.asarray(terminal(tree.levels[tree.steps]), dtype=float)
-    runs, Y, Z = _stored(TreeOperator(tree.grid, tree.recombining), xi, members, labels,
-                         lambda n: [np.empty(tree.node_count(j)) for j in range(n)])
-    return [TreeSchemeOutput(tree=tree, Y=Y[k], Z=Z[k], implicit_iterations=run.iterations,
+    runs, iterations, Y, Z = _stored(TreeOperator(tree.grid, tree.recombining), xi, members, labels,
+                                     lambda n: [np.empty(tree.node_count(j)) for j in range(n)])
+    return [TreeSchemeOutput(tree=tree, Y=Y[k], Z=Z[k], implicit_iterations=iterations[k],
                              exploded=run.first_bad[k] is not None, first_bad_step=run.first_bad[k])
             for k, run in enumerate(runs)]
 
@@ -626,15 +650,18 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
     outputs came out ordered at every node, the per-step linearization
     factors B and the step-size condition.
 
-    The instances run as two groups of one `sweep` on the tree's grid.
-    When instance 2 reaches level i, instance 1 has just reached it too,
-    and the callback takes step i's margins and B factors from the Y_{i+1}
-    each instance left and the Y_i and Z_i they took; so the check holds
-    O(N) values and no stored run.
+    The instances run as two groups of one `sweep` on the tree's grid, and
+    the margins, B factors and step condition use the drivers the sweep
+    runs (scheme_driver: untamed for the untamed kind).  When instance 2
+    reaches level i, instance 1 has just reached it too, and the callback
+    takes step i's margins and B factors from the Y_{i+1} each instance
+    left, its y-part there and the Y_i and Z_i they took; so the check
+    holds O(N) values and no stored run.
     """
     if scheme.kind == IMPLICIT:
         raise ValueError("the discrete comparison check applies to the explicit scheme kinds")
-    z_free = tamed1.base.z_coeff == 0.0 and tamed2.base.z_coeff == 0.0
+    driver1, driver2 = scheme_driver(scheme, tamed1), scheme_driver(scheme, tamed2)
+    z_free = driver1.base.z_coeff == 0.0 and driver2.base.z_coeff == 0.0
     if not z_free and scheme.theta_prime != 1.0:
         raise ValueError("comparison needs z-free drivers or theta' = 1")
 
@@ -643,7 +670,7 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
     sqrt_h = math.sqrt(h)
     n = grid.steps
     op = TreeOperator(grid, tree.recombining)
-    c1, c2 = tamed1.base.z_coeff, tamed2.base.z_coeff
+    c1, c2 = driver1.base.z_coeff, driver2.base.z_coeff
     xi1, xi2 = (np.asarray(terminal(tree.levels[n]), dtype=float) for terminal in (terminal1, terminal2))
     scale = max(1.0, max(float(np.max(np.abs(xi1))), float(np.max(np.abs(xi2)))))
 
@@ -653,7 +680,7 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
     b_min = np.empty(n)
     delta_min = np.empty(n + 1)
     violations = 0
-    taken = [None, None]  # the (Y_i, Z_i) each instance took last
+    taken = [None, None]  # the (Y_i, Z_i, y-part at Y_{i+1}) each instance took last
     below = [None, None]  # the Y_{i+1} each instance left
     sign = np.array([[-1.0], [1.0]])  # the H sign of the down and up child
 
@@ -661,17 +688,18 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
         nonlocal violations
         if not blocks:
             raise ValueError("comparison check needs non-exploded runs")
-        taken[g] = blocks[0].y, blocks[0].z
+        block = blocks[0]
+        taken[g] = block.y, block.z, block.p
         if g == 0:
             return
-        (y1_i, z1), (y2_i, z2) = taken
+        (y1_i, z1, p1), (y2_i, z2, p2) = taken
         if i < n:
-            # one tamed y-part per driver and level, split into (down, up)
+            # each instance's y-part at the level it left, as its sweep
+            # took it, and f^{h,1}'s at instance 2's, split into (down, up)
             # children; the z-part is added as TamedDriver.__call__ adds it
             y1, y2 = op.children(below[0]), op.children(below[1])
-            p1_y1 = op.children(tamed1.tamed_y_part(below[0]))
-            p1_y2 = op.children(tamed1.tamed_y_part(below[1]))
-            p2_y2 = op.children(tamed2.tamed_y_part(below[1]))
+            p1_y1, p2_y2 = op.children(p1), op.children(p2)
+            p1_y2 = op.children(driver1.tamed_y_part(below[1]))
             diff = (p1_y2 + c1 * z2) - (p2_y2 + c2 * z2)
             driver_min[i] = np.min(diff[0]), np.min(diff[1])
             dy = y1 - y2
@@ -692,13 +720,13 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
         violations += int(np.sum(delta < -tol * scale))
         below[:] = y1_i, y2_i
 
-    sweep([(op, xi, [(scheme, tamed, None, False)]) for xi, tamed in ((xi1, tamed1), (xi2, tamed2))],
+    sweep([(op, xi, [(scheme, driver, None, False)]) for xi, driver in ((xi1, driver1), (xi2, driver2))],
           compare)
 
     terminal_margin = float(delta_min[n])
     driver_margin = min([np.inf, *driver_min.ravel().tolist()])
     output_margin = float(min(delta_min))
-    condition = step_size_condition(scheme, derive_constants(tamed1), 1.0 / sqrt_h)
+    condition = step_size_condition(scheme, derive_constants(driver1), 1.0 / sqrt_h)
     return ComparisonReport(
         condition_value=condition, condition_ok=condition < 1.0,
         terminal_margin=terminal_margin, driver_margin=driver_margin,

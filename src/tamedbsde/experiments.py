@@ -24,6 +24,7 @@ from .backward import (
     LsmcOperator,
     TreeOperator,
     run_backward,  # noqa: F401  (unused; the benchmark's trace probes look it up here)
+    scheme_driver,
     step_size_condition,
     sweep,
     tree_exact_run,  # noqa: F401  (unused; the benchmark's trace probes look it up here)
@@ -160,7 +161,9 @@ class TamingReport:
 
 
 def _tamed(cfg: ExperimentConfig, run: SchemeRun, h: float) -> TamedDriver:
-    return TamedDriver(base=cfg.driver, taming=run.taming, h=h)
+    """The driver `run` runs at step size h (scheme_driver), whose
+    constants its step condition reports."""
+    return scheme_driver(run.scheme, TamedDriver(base=cfg.driver, taming=run.taming, h=h))
 
 
 def _checked(label: str, n: int, check, *args):
@@ -364,10 +367,10 @@ def tree_oracle_study(cfg: ExperimentConfig) -> PositivityStudyReport:
     """Exact-tree counterpart of the positivity study (Rademacher noise,
     half/half conditional expectations, no regression error).  The forward
     tree is streamed to its terminal level, and the schemes run in one
-    sweep (`sweep`), the explicit ones as the rows of one block, with each
-    block's levels reduced to their extrema when they are reached.  So the
-    study holds O(N) values: two forward levels while they are built, then
-    a level or two of Y per block, and Z only while its step runs.  The
+    sweep (`sweep`) as the rows of one block, with the block's levels
+    reduced to their extrema when they are reached.  So the study holds
+    O(N) values: two forward levels while they are built, then a level or
+    two of Y per block, and Z only while its step runs.  The
     levels of a scheme that exploded are NaN from its first bad step
     down."""
     from .trees import recombines, terminal_level

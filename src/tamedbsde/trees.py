@@ -78,13 +78,17 @@ def tree_levels(sde: SdeSpec, grid: PartitionGrid) -> Iterator[np.ndarray]:
     x = np.array([sde.x0])
     yield x
     for _ in range(n):
-        down = x + sde.drift(x) * grid.h + sde.diffusion(x) * (-sqrt_h)
-        up = x + sde.drift(x) * grid.h + sde.diffusion(x) * sqrt_h
+        # x + b(x) h + sigma(x) (+-sqrt(h)) with each part evaluated once:
+        # m + s (-sqrt(h)) equals m - s sqrt(h) bit for bit
+        mean = x + sde.drift(x) * grid.h
+        step = sde.diffusion(x) * sqrt_h
+        up = mean + step
         if recombining:
-            x = np.concatenate([down[:1], up])
+            # every down node but the first is the up node of its neighbour
+            x = np.concatenate([mean[:1] - step[:1], up])
         else:
             x = np.empty(2 * x.size)
-            x[0::2] = down
+            x[0::2] = mean - step
             x[1::2] = up
         yield x
 
@@ -108,9 +112,9 @@ def enumerate_tree_paths(tree: TreeModel) -> PathEnsemble:
 
     Path p at step i sits at node index p >> (N - i) in branching mode, so
     paths sharing a level-i node are contiguous blocks of size 2^(N-i); the
-    exact-projection basis relies on that layout.  The Euler update of
-    euler_simulate is the expression tree_levels uses, so the path values
-    agree bitwise with the node values.
+    exact-projection basis relies on that layout.  tree_levels' update
+    has the bits of euler_simulate's Euler update, so the path values agree
+    bitwise with the node values.
     """
     n = tree.steps
     if n > MAX_STEPS_BRANCHING:

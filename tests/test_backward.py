@@ -39,6 +39,7 @@ from tamedbsde import (
 )
 from tamedbsde import backward, regression
 from tamedbsde.backward import step_size_condition
+from tamedbsde.drivers import TamingBlock
 from tamedbsde.regression import predict, sample_design
 from tamedbsde.trees import MAX_STEPS_BRANCHING, MAX_STEPS_RECOMBINING, path_node_index, terminal_level
 
@@ -740,9 +741,13 @@ def test_tree_group_outputs_do_not_depend_on_member_order_or_blocks(layout):
     tree = build_tree(TREE_SDES[layout], grid)
     terminal = TerminalSpec((0.0, 0.0, 0.0, 30.0))
     members = _tree_group_members(grid.h)
+    # and a second implicit member of the base driver, tamed, at theta' = 1/2
+    members.append((SchemeSpec(kind="implicit", theta_prime=0.5),
+                    TamedDriver(members[0][1].base, TamingSpec(kind="inner_proj", r0=0.8), grid.h)))
     alone = [tree_exact_run(scheme, tamed, tree, terminal) for scheme, tamed in members]
-    assert [out.exploded for out in alone] == [False] * 7 + [True]
-    assert 0 < alone[-1].first_bad_step < grid.steps - 1
+    assert [out.exploded for out in alone] == [False] * 7 + [True, False]
+    assert 0 < alone[7].first_bad_step < grid.steps - 1
+    assert all(out.implicit_iterations.all() for out in (alone[0], alone[8]))
 
     def same(out, ref):
         assert [level.tobytes() for level in out.Y] == [level.tobytes() for level in ref.Y]
@@ -751,14 +756,16 @@ def test_tree_group_outputs_do_not_depend_on_member_order_or_blocks(layout):
         assert (out.exploded, out.first_bad_step) == (ref.exploded, ref.first_bad_step)
 
     # every order of the whole group, and groups of a few members, where
-    # the explicit members share one block of rows
-    for order in (range(8), range(7, -1, -1), [3, 7, 0, 5, 1, 6, 2, 4], [4, 2], [7, 1], [0, 6]):
+    # the members share one block of rows: the two implicit ones alone, or
+    # beside explicit rows
+    for order in (range(9), range(8, -1, -1), [3, 7, 8, 0, 5, 1, 6, 2, 4], [4, 2], [7, 1],
+                  [0, 6], [8, 0], [8, 7, 3, 0]):
         outputs = tree_group_run([members[k] for k in order], tree, terminal)
         for k, out in zip(order, outputs):
             same(out, alone[k])
 
-    # swept: the implicit member alone, the seven explicit ones as one
-    # (7, nodes) block, each level reported until the last row explodes
+    # swept: all nine members as one (9, nodes) block, each level reported
+    # (the implicit rows never explode)
     seen = {}
 
     def reached(g, i, blocks):
@@ -766,29 +773,54 @@ def test_tree_group_outputs_do_not_depend_on_member_order_or_blocks(layout):
             seen.setdefault(tuple(block.members), {})[i] = block.y
 
     blocks = _tree_sweep(tree, terminal, members, reached)
-    assert sorted(seen) == [(0,), (1, 2, 3, 4, 5, 6, 7)]
-    block = seen[(1, 2, 3, 4, 5, 6, 7)]
+    assert sorted(seen) == [tuple(range(9))]
+    block = seen[tuple(range(9))]
     assert list(block) == list(range(grid.steps, -1, -1))
-    assert all(y.shape == (7, tree.node_count(i)) for i, y in block.items())
+    assert all(y.shape == (9, tree.node_count(i)) for i, y in block.items())
     for k, ref in enumerate(alone):
         assert blocks[k].y is None and blocks[k].z is None
         assert blocks[k].first_bad[k] == ref.first_bad_step
         assert (blocks[k].first_bad[k] is not None) == ref.exploded
+        assert blocks[k].iterations[k].tobytes() == ref.implicit_iterations.tobytes()
         last = ref.first_bad_step if ref.exploded else -1
-        levels = seen[(0,)] if k == 0 else {i: y[k - 1] for i, y in block.items()}
+        levels = {i: y[k] for i, y in block.items()}
         assert all(levels[i].tobytes() == ref.Y[i].tobytes() for i in range(grid.steps, last, -1))
         assert all(not np.isfinite(levels[i]).all() for i in range(last, -1, -1))
 
 
+def test_tree_group_takes_one_block_y_part_per_level(monkeypatch):
+    # one (rows, nodes) y-part per level serves the Z and explicit Y targets
+    # of every row, the implicit ones included; the implicit solves
+    # evaluate their own drivers on (nodes,) arrays
+    blocks, levels = [], []
+    tamed_y_part = TamingBlock.tamed_y_part
+
+    def counting(self, y):
+        if np.ndim(y) == 2:
+            blocks.append(self)
+            levels.append(np.shape(y))
+        return tamed_y_part(self, y)
+
+    monkeypatch.setattr(TamingBlock, "tamed_y_part", counting)
+    grid = build_grid(1.0, 9)
+    tree = build_tree(TREE_SDES["recombining"], grid)
+    outputs = tree_group_run(_tree_group_members(grid.h), tree, TerminalSpec((0.0, 1.0)))
+    assert outputs[0].implicit_iterations.all() and not any(out.exploded for out in outputs)
+    assert levels == [(8, tree.node_count(i + 1)) for i in range(grid.steps - 1, -1, -1)]
+    assert all(block is blocks[0] for block in blocks)
+
+
 def _sweep_checking_drops(op, xi, members):
-    """Sweep one group, checking at each callback that no Z level of the
-    callback before is alive, nor the last level of a block that left the
-    lockstep there.  Returns the blocks and the levels at which one left."""
+    """Sweep one group, checking at each callback that no Z level or
+    y-part of the callback before is alive, nor the last level of a block
+    that left the lockstep there.  Returns the blocks and the levels at
+    which one left."""
     z_refs, y_refs, gone, left = [], [], [], []
 
     def reached(_, i, blocks):
         assert all(ref() is None for ref in z_refs + gone)
-        z_refs[:] = [weakref.ref(block.z) for block in blocks if block.z is not None]
+        z_refs[:] = [weakref.ref(level) for block in blocks for level in (block.z, block.p)
+                     if level is not None]
         gone[:] = [ref for block, ref in y_refs if block not in blocks]
         y_refs[:] = [(block, weakref.ref(block.y)) for block in blocks]
         left.extend(i for _ in gone)
@@ -800,8 +832,8 @@ def _sweep_checking_drops(op, xi, members):
 
 
 def test_sweep_keeps_no_z_level_and_no_level_of_a_block_that_left():
-    # after each callback the sweep drops every Z_i, and the last Y level of
-    # a block whose rows have all exploded: a weak reference to either,
+    # after each callback the sweep drops every Z_i and y-part, and the last
+    # Y level of a block whose rows have all exploded: a weak reference to one,
     # taken in one callback, is dead at the next (a memory bound on the
     # whole study would not see one leaked level)
     grid = build_grid(1.0, 64)
@@ -815,12 +847,14 @@ def test_sweep_keeps_no_z_level_and_no_level_of_a_block_that_left():
     assert blocks[0].first_bad[0] is None
     assert left == [blocks[1].first_bad[1]] and left[0] > 0
 
-    # on a tree: the implicit member and the untamed one, each a block
+    # on a tree: the implicit member and an untamed one of another base
+    # driver, each a block
     for sde in TREE_SDES.values():
         grid = build_grid(1.0, 9)
         tree = build_tree(sde, grid)
-        members = [(scheme, tamed, None, False)
-                   for scheme, tamed in _tree_group_members(grid.h)[::7]]
+        exploding = _tree_group_members(grid.h)[7]
+        members = [(SchemeSpec(kind="implicit"), untamed(CUBIC, grid.h), None, False),
+                   (*exploding, None, False)]
         xi = np.asarray(TerminalSpec((0.0, 0.0, 0.0, 30.0))(tree.levels[-1]), dtype=float)
         op = backward.TreeOperator(tree.grid, tree.recombining)
         blocks, left = _sweep_checking_drops(op, xi, members)
@@ -975,9 +1009,31 @@ def test_comparison_evaluates_each_tamed_y_part_once_per_level(monkeypatch, z_co
     term = TerminalSpec((0.0, 1.0))
     calls = _count_driver_calls(monkeypatch)
     comparison_check(SchemeSpec(kind="explicit_tamed"), hi, term, lo, term, tree)
-    # the two instances' sweep groups (one per level each), then f^{h,1} at
-    # both instances' levels and f^{h,2} at the second's, once per level
-    assert calls == {"__call__": 0, "tamed_y_part": 2 * steps + 3 * steps}
+    # the two instances' sweep groups (one per level each), whose y-parts
+    # the check reuses, then f^{h,1} at the second instance's levels
+    assert calls == {"__call__": 0, "tamed_y_part": 2 * steps + steps}
+
+
+def test_comparison_of_the_untamed_kind_checks_the_drivers_it_runs():
+    # the untamed kind runs the untamed drivers, so its margins, B factors
+    # and step condition are theirs, whatever taming the drivers passed in
+    # carry (the tamed drivers' would read condition 0.645 and min B 0.94
+    # beside the 18 violations)
+    grid = build_grid(1.0, 16)
+    tree = build_tree(SdeSpec(x0=0.0, diff_const=1.0), grid)
+    bases = CUBIC, polynomial_driver([-0.1, 0.0, 0.0, -1.0])
+    terminals = TerminalSpec((0.0, 1.0)), TerminalSpec((-0.1, 1.0))
+    scheme = SchemeSpec(kind="explicit_untamed")
+    taming = TamingSpec(kind="inner_proj", r0=0.3)
+    reports = [comparison_check(scheme, drivers[0], terminals[0], drivers[1], terminals[1], tree)
+               for drivers in ([TamedDriver(base, taming, grid.h) for base in bases],
+                               [untamed(base, grid.h) for base in bases])]
+    tamed_report, untamed_report = (
+        {key: np.asarray(value).tobytes() for key, value in vars(report).items()} for report in reports)
+    assert tamed_report == untamed_report
+    report = reports[0]
+    assert report.violations == 18 and not report.condition_ok
+    assert report.condition_value > 18.0 and report.min_b_factor < -2.0
 
 
 # ---------------------------------------------------------------- storage layout

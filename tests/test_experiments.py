@@ -405,6 +405,18 @@ def test_tree_oracle_study_runs():
 UNTAMED = SchemeRun("untamed", SchemeSpec(kind="explicit_untamed"), TamingSpec(kind="none"))
 
 
+def test_extrema_studies_report_the_condition_of_the_driver_a_scheme_runs():
+    # the untamed kind runs the untamed driver whatever taming its entry
+    # names, so its step condition is the untamed driver's (the tamed
+    # driver's would read 4.99 against 37.5 here)
+    dressed = SchemeRun("dressed", SchemeSpec(kind="explicit_untamed"),
+                        TamingSpec(kind="inner_proj", r0=1.0, exponent=0.25))
+    cfg = small_config(grids=[8], paths=200, schemes=[UNTAMED, dressed])
+    for study in (positivity_study, tree_oracle_study):
+        (_, dressed_cond, _), (_, plain_cond, _) = study(cfg).conditions
+        assert dressed_cond == plain_cond > 30.0, study.__name__
+
+
 def _row_bits(rows):
     return [(row.scheme, row.index, np.array([row.t, row.min_y, row.max_y]).tobytes())
             for row in rows]
