@@ -38,7 +38,6 @@ from .backward import (
     ExactTreeBasis,
     SchemeOutput,
     SchemeSpec,
-    TreeSchemeOutput,
     comparison_check,
     run_backward,
     run_backward_group,

@@ -9,18 +9,17 @@ Y_i = E_i[ Y_{i+1} + f^h(Y_{i+1}, Z_i) h ], the implicit kind sets
 Y_i = E_i[Y_{i+1}] + f^h(Y_i, Z_i) h and solves for Y_i per path.
 One loop runs it over a conditional-expectation operator: `children(v)`
 aligns a level-(i+1) array with level i, and `mean(kids)` and
-`mean_h(kids)` return E_i[v] and E_i[v H_{i+1}] of kids = children(v), each
-with the (rank, smallest singular value) of its projection.  The operator
-is Hermite least squares on Monte-Carlo paths, per-prefix averaging on
-enumerated tree paths or the child average on tree levels; the schemes on
-one path ensemble run in lockstep and share each step's operator, and the
-groups of nested grids run in one sweep over fine time (`sweep`), which
-hands each level to a callback; the stored outputs of run_backward_group
-and tree_group_run are one such callback, and comparison_check, which
-compares two instances on one tree level by level, is another.  On a tree
-the schemes of one base driver advance together, as the rows of one
-(rows, nodes) block: one y-part, Z target and child average per level
-serve every row, and the implicit rows are then solved one by one.
+`mean_h(kids)` return E_i[v] and E_i[v H_{i+1}] of kids = children(v).  The
+operator is Hermite least squares on Monte-Carlo paths (which records each
+step's fit rank), per-prefix averaging on enumerated tree paths or the child
+average on tree levels.  The schemes on one path ensemble run in lockstep
+and share each step's operator, and the groups of nested grids run in one
+sweep over fine time (`sweep`), which hands each level to a callback: the
+stored outputs of run_backward_group and tree_group_run, or the level-by-level
+comparison of two tree instances (comparison_check).  Every level is a
+C-ordered (rows, nodes) block: each scheme alone on paths, the schemes of
+one base driver together on a tree, where one y-part, Z target and child
+average per level serve every row before the implicit rows are solved.
 """
 
 from __future__ import annotations
@@ -75,40 +74,21 @@ class ExactTreeBasis:
 
 
 @dataclass
-class SchemeDiagnostics:
-    z_fit_rank: np.ndarray
-    z_fit_sv: np.ndarray
-    y_fit_rank: np.ndarray
-    y_fit_sv: np.ndarray
-    implicit_iterations: np.ndarray
-
-
-@dataclass
 class SchemeOutput:
-    """Per-path output: Y is (N+1, paths) and Z is (N, paths), row i
-    holding Y_i and Z_i of every path, C-ordered as the recursion writes
-    them; wallclock_ms is the scheme's share of its backward pass (see
-    run_backward_group)."""
+    """One scheme's N+1 levels of Y and N of Z, level i at index i: C-ordered
+    (N+1, paths) and (N, paths) arrays on paths, lists of ragged levels on a
+    tree; NaN from `first_bad_step` down if it exploded.  `wallclock_ms`
+    is its share of the backward pass (see sweep)."""
 
-    Y: np.ndarray
-    Z: np.ndarray
-    diagnostics: SchemeDiagnostics
-    exploded: bool = False
+    Y: np.ndarray | list
+    Z: np.ndarray | list
+    implicit_iterations: np.ndarray
     first_bad_step: int | None = None
     wallclock_ms: float = 0.0
 
-
-@dataclass
-class TreeSchemeOutput:
-    """Per-node output on the tree: Y and Z are lists of ragged level
-    arrays, N+1 and N of them."""
-
-    tree: TreeModel
-    Y: list
-    Z: list
-    implicit_iterations: np.ndarray
-    exploded: bool = False
-    first_bad_step: int | None = None
+    @property
+    def exploded(self) -> bool:
+        return self.first_bad_step is not None
 
     @property
     def root_value(self) -> float:
@@ -209,9 +189,6 @@ def _solve_implicit(driver: TamedDriver, c, z, h: float, step: int,
     return y, iterations
 
 
-_NO_FIT = (0, math.nan)
-
-
 @dataclass(frozen=True)
 class ArrayRows:
     """The row source of full arrays: X as PathEnsemble.X and H as
@@ -227,21 +204,23 @@ class ArrayRows:
 class LsmcOperator:
     """Hermite least squares on paths, each its own child: one design and
     factorization of X_i per step serve every scheme of a lockstep group,
-    each scheme a block of one whose (paths,) targets are fitted on their own.
-    A non-finite target (the scheme exploded) projects to NaN, with no fit.
-    `begin_step(i)` reads X_i and H_{i+1} from the row source `rows`, a
-    callable i -> (X_i, H_{i+1}) such as ArrayRows, of the paths on `grid`."""
+    each scheme a block of one whose (1, paths) targets are fitted on their
+    own.  A non-finite target (the scheme exploded) projects to NaN, with no
+    fit.  `begin_step(i)` reads X_i and H_{i+1} from the row source `rows`,
+    a callable i -> (X_i, H_{i+1}) such as ArrayRows, of the paths on
+    `grid`, and records step i's design rank and smallest singular value in
+    `fit_rank[i]` and `fit_sv[i]` (0 and NaN at a step not taken)."""
 
-    # each scheme is fitted on its own: no block of rows
+    # each scheme is fitted on its own: blocks of one row
     row_blocks = False
 
     def __init__(self, basis: BasisSpec | None, rows, grid):
         self.basis = basis
         self.rows = rows
         self.grid = grid
-        self.step = None
-        self.h_row = None
-        self.design = None
+        self.step = self.h_row = self.design = None
+        self.fit_rank = np.zeros(grid.steps, dtype=int)
+        self.fit_sv = np.full(grid.steps, np.nan)
 
     def begin_step(self, step: int) -> None:
         self.step = step
@@ -250,6 +229,8 @@ class LsmcOperator:
             self.design = sample_design(self.basis, x)
         except ValueError as exc:
             raise DesignError(f"N={self.grid.steps}, step {step}: {exc}") from exc
+        factors = self.design.factors
+        self.fit_rank[step], self.fit_sv[step] = factors.rank, factors.smallest_singular_value
 
     def end_step(self) -> None:
         self.design = self.h_row = None
@@ -260,35 +241,37 @@ class LsmcOperator:
 
     def mean(self, kids):
         if not np.isfinite(kids).all():
-            return np.full(kids.shape, np.nan), _NO_FIT
+            return np.full(kids.shape, np.nan)
         return self._project(kids)
 
     def mean_h(self, kids):
         return self.mean(kids * self.h_row)
 
     def _project(self, target):
-        fit = self.design.fit(target)
-        return self.design.fitted(fit), (fit.rank, fit.smallest_singular_value)
+        fit = self.design.fit(target[0])
+        return self.design.fitted(fit)[None]
 
 
 class _PrefixOperator(LsmcOperator):
-    """Exact projection on per-prefix indicators of enumerated tree paths."""
+    """Exact projection on per-prefix indicators of enumerated tree paths:
+    step i's fit has rank 2^i and smallest singular value 1."""
 
     def begin_step(self, step: int) -> None:
         self.step = step
         _, self.h_row = self.rows(step)
+        self.fit_rank[step], self.fit_sv[step] = 2**step, 1.0
 
     def _project(self, target):
         groups = 2**self.step
         block = target.size // groups
-        return np.repeat(target.reshape(groups, block).mean(axis=1), block), (groups, 1.0)
+        return np.repeat(target.reshape(groups, block).mean(axis=1), block)[None]
 
 
 class TreeOperator:
-    """Exact child averages on a tree level: children(v) is the (2, ...)
-    view of the down and up child of every level-i node, for a level of
-    one scheme (nodes,) or of a block of schemes (rows, nodes).  It needs
-    only the grid and the layout (`recombining`), not the tree's levels."""
+    """Exact child averages on a tree level: children(v) is the (2, rows,
+    nodes) view of the down and up child of every level-i node of a
+    (rows, nodes) block.  It needs only the grid and the layout
+    (`recombining`), not the tree's levels."""
 
     # every operation is elementwise along the rows of a block
     row_blocks = True
@@ -315,10 +298,10 @@ class TreeOperator:
 
     @staticmethod
     def mean(kids):
-        return 0.5 * (kids[0] + kids[1]), _NO_FIT
+        return 0.5 * (kids[0] + kids[1])
 
     def mean_h(self, kids):
-        return (kids[1] - kids[0]) / self.two_sqrt_h, _NO_FIT
+        return (kids[1] - kids[0]) / self.two_sqrt_h
 
 
 def _path_operator(basis: BasisSpec | ExactTreeBasis, ensemble: PathEnsemble) -> LsmcOperator:
@@ -346,18 +329,17 @@ def scheme_driver(scheme: SchemeSpec, tamed: TamedDriver) -> TamedDriver:
 
 class _SchemeRun:
     """A block of a group's members in the backward recursion, advanced
-    together.  A block of one scheme takes (nodes,) levels; a block of
-    schemes that share a base driver takes the rows of C-ordered
-    (rows, nodes) levels and tames them together (TamingBlock).  `members`
-    are the indices in the group of the block's rows, `drivers` the driver
-    each row runs (scheme_driver), and `y`, `z` and `p` are the latest Y_i
-    and Z_i the block took and the tamed y-part at the Y_{i+1} it left
-    (`y` the terminal level on entry).  `iterations` holds one row of
-    implicit iteration counts per member.  A row whose Z_i or Y_i is not
-    finite is marked exploded at i in `first_bad`, keyed by member; the
-    block takes level i only while a row is still finite there.  A
-    member's label names it in error messages; a required member raises
-    SchemeExplodedError where it explodes."""
+    together: the rows of C-ordered (rows, nodes) levels, tamed together
+    (TamingBlock), the members sharing a base driver.  `members` are the
+    indices in the group of the block's rows, `drivers` the driver each row
+    runs (scheme_driver), and `y`, `z` and `p` are the latest Y_i and Z_i
+    the block took and the tamed y-part at the Y_{i+1} it left (`y` the
+    terminal level on entry).  `iterations` holds one row of implicit
+    iteration counts per member.  A row whose Z_i or Y_i is not finite is
+    marked exploded at i in `first_bad`, keyed by member; the block takes
+    level i only while a row is still finite there.  A member's label names
+    it in error messages; a required member raises SchemeExplodedError
+    where it explodes."""
 
     def __init__(self, members: list[tuple], rows: list[int], grid, xi: np.ndarray):
         self.drivers, weights = [], []
@@ -369,12 +351,8 @@ class _SchemeRun:
                 check_implicit_guard(grid.h, tamed.base.constants.m_y)
             self.drivers.append(scheme_driver(scheme, tamed))
             weights.append(1.0 - scheme.theta_prime)
-        self.single = len(rows) == 1
-        if self.single:
-            self.driver, self.weight, self.y = self.drivers[0], weights[0], xi
-        else:
-            self.driver, self.weight = TamingBlock(self.drivers), np.array(weights)[:, None]
-            self.y = np.repeat(xi[None], len(rows), axis=0)
+        self.driver, self.weight = TamingBlock(self.drivers), np.array(weights)[:, None]
+        self.y = np.repeat(xi[None], len(rows), axis=0)
         # the rows solved implicitly, one by one; the rest take the explicit Y
         self.implicit = [row for row, k in enumerate(rows) if members[k][0].kind == IMPLICIT]
         self.explicit = len(self.implicit) < len(rows)
@@ -382,10 +360,7 @@ class _SchemeRun:
         self.members = rows
         self.labels = [members[k][2] for k in rows]
         self.required = [members[k][3] for k in rows]
-        n = grid.steps
-        self.z_fits = [_NO_FIT] * n
-        self.y_fits = [_NO_FIT] * n
-        self.iterations = np.zeros((len(rows), n), dtype=int)
+        self.iterations = np.zeros((len(rows), grid.steps), dtype=int)
         self.first_bad = dict.fromkeys(rows)
         self.seconds = 0.0
 
@@ -405,37 +380,31 @@ class _SchemeRun:
         z_coeff = driver.base.z_coeff
         y_next = self.y
         p = driver.tamed_y_part(y_next)
-        z, self.z_fits[i] = op.mean_h(
-            op.children(y_next + self.weight * (p + z_coeff * 0.0) * h))
+        z = op.mean_h(op.children(y_next + self.weight * (p + z_coeff * 0.0) * h))
         z_finite = np.isfinite(z).all()
         if self.explicit:
-            y, self.y_fits[i] = op.mean(op.children(y_next) + (op.children(p) + z_coeff * z) * h)
-        elif not self.single:
+            y = op.mean(op.children(y_next) + (op.children(p) + z_coeff * z) * h)
+        else:
             y = np.empty(z.shape)
         for row in self.implicit:
-            z_row = np.atleast_2d(z)[row]
-            if z_finite or np.isfinite(z_row).all():
-                c, self.y_fits[i] = op.mean(op.children(np.atleast_2d(y_next)[row]))
-                y_row, self.iterations[row, i] = _solve_implicit(
-                    self.drivers[row], c, z_row, h, i, self.labels[row])
+            if z_finite or np.isfinite(z[row]).all():
+                (c,) = op.mean(op.children(y_next[row:row + 1]))
+                y[row], self.iterations[row, i] = _solve_implicit(
+                    self.drivers[row], c, z[row], h, i, self.labels[row])
             else:
-                y_row = np.full(z_row.shape, np.nan)
-            if self.single:
-                y = y_row
-            else:
-                y[row] = y_row
+                y[row] = np.nan
         if z_finite and np.isfinite(y).all():
             self.z, self.y, self.p = z, y, p
             return
         # some row exploded: which ones
-        finite = np.isfinite(z).all(axis=-1) & np.isfinite(y).all(axis=-1)
+        finite = np.isfinite(z).all(axis=1) & np.isfinite(y).all(axis=1)
         for row in np.flatnonzero(~finite):
             k = self.members[row]
             if self.first_bad[k] is None:
                 self.first_bad[k] = i
                 if self.required[row]:
                     # where the driver term overflowed, if anywhere
-                    bad = ~np.isfinite(np.atleast_2d(y_next + p * h)[row])
+                    bad = ~np.isfinite(y_next[row] + p[row] * h)
                     where = f", path {int(np.argmax(bad))}" if bad.any() else ""
                     raise SchemeExplodedError(f"{self.labels[row]} exploded at step {i}{where}")
         if finite.any():
@@ -459,13 +428,14 @@ def sweep(groups: list[tuple], reached) -> list[list[_SchemeRun]]:
     first, then every level i of grid g as it is reached, with the blocks
     still in the lockstep: `block.members` are the indices in the group of
     its rows, `block.y` is Y_i, `block.z` is Z_i and `block.p` the tamed
-    y-part at the Y_{i+1} it left (both None at the terminal level),
-    (nodes,) for a block of one and (rows, nodes) otherwise.  A block is
-    reported until its last row explodes; the row of an exploded member is
-    not finite from its first bad step down.  After each call the sweep
-    drops every Z_i and y-part and the last level of each block that has
-    left the lockstep, so a block keeps one level of Y between its steps,
-    and none after its last.
+    y-part at the Y_{i+1} it left (both None at the terminal level), each
+    a C-ordered (rows, nodes) array whose row r belongs to member
+    block.members[r].  A block is reported until its last row explodes;
+    the row of an exploded member is not finite from its first bad step
+    down.  After each call the sweep drops every Z_i and y-part and the
+    last level of each block that has left the lockstep, so a block keeps
+    one level of Y between its steps, and none after its last.  Steps and
+    callbacks run with overflow and invalid-value warnings off.
 
     At fine index j every group whose stride (fine steps over its steps)
     divides j takes its step i = j / stride, finest first.  Groups may
@@ -482,20 +452,20 @@ def sweep(groups: list[tuple], reached) -> list[list[_SchemeRun]]:
 
     Returns, per group, the block of each member, which holds the member's
     first bad step (`first_bad[k]`, None if it did not explode), its row
-    of iteration counts, the fits and `seconds`.
+    of iteration counts and `seconds`.
     """
     running, owners = [], []
-    for g, (op, xi, members) in enumerate(groups):
-        blocks: dict[object, list[int]] = {}
-        for k, (_, tamed, _, _) in enumerate(members):
-            blocks.setdefault(tamed.base if op.row_blocks else k, []).append(k)
-        runs = [_SchemeRun(members, rows, op.grid, xi) for rows in blocks.values()]
-        running.append(runs)
-        owners.append([run for k in range(len(members)) for run in runs if k in run.members])
-        reached(g, op.grid.steps, runs)
     steps = groups[0][0].grid.steps
     strides = [steps // op.grid.steps for op, _, _ in groups]
     with np.errstate(over="ignore", invalid="ignore"):
+        for g, (op, xi, members) in enumerate(groups):
+            blocks: dict[object, list[int]] = {}
+            for k, (_, tamed, _, _) in enumerate(members):
+                blocks.setdefault(tamed.base if op.row_blocks else k, []).append(k)
+            runs = [_SchemeRun(members, rows, op.grid, xi) for rows in blocks.values()]
+            running.append(runs)
+            owners.append([run for k in range(len(members)) for run in runs if k in run.members])
+            reached(g, op.grid.steps, runs)
         for j in range(steps - 1, -1, -1):
             for g, (op, _, _) in enumerate(groups):
                 if j % strides[g] or not running[g]:
@@ -520,13 +490,12 @@ def sweep(groups: list[tuple], reached) -> list[list[_SchemeRun]]:
 
 
 def _stored(op, xi: np.ndarray, members: list[tuple[SchemeSpec, TamedDriver]],
-            labels: list | None, levels) -> tuple[list[_SchemeRun], list, list]:
+            labels: list | None, levels) -> list[SchemeOutput]:
     """The sweep of one group with every member's levels kept: Y[k] and
     Z[k] are member k's N+1 and N levels, made by `levels(n)` (an
     (n, nodes) array or a list of n level arrays), each filled when the
     sweep reaches it; the levels of a member that exploded are NaN from its
-    first bad step down.  Returns each member's block, its row of
-    implicit iteration counts, Y and Z."""
+    first bad step down.  Returns each member's output."""
     n = op.grid.steps
     Y = [levels(n + 1) for _ in members]
     Z = [levels(n) for _ in members]
@@ -534,19 +503,21 @@ def _stored(op, xi: np.ndarray, members: list[tuple[SchemeSpec, TamedDriver]],
     def store(_, i, blocks):
         for block in blocks:
             for row, k in enumerate(block.members):
-                Y[k][i][...] = np.atleast_2d(block.y)[row]
+                Y[k][i][...] = block.y[row]
                 if block.z is not None:
-                    Z[k][i][...] = np.atleast_2d(block.z)[row]
+                    Z[k][i][...] = block.z[row]
 
     (runs,) = sweep([(op, xi, [(scheme, tamed, labels[k] if labels else None, False)
                                for k, (scheme, tamed) in enumerate(members)])], store)
+    outputs = []
     for k, run in enumerate(runs):
         bad = run.first_bad[k]
         if bad is not None:
             for level in (*Y[k][:bad + 1], *Z[k][:bad + 1]):
                 level[...] = np.nan
-    iterations = [run.iterations[run.members.index(k)] for k, run in enumerate(runs)]
-    return runs, iterations, Y, Z
+        outputs.append(SchemeOutput(Y[k], Z[k], run.iterations[run.members.index(k)],
+                                    first_bad_step=bad, wallclock_ms=run.seconds * 1e3))
+    return outputs
 
 
 def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: PathEnsemble,
@@ -566,17 +537,7 @@ def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: 
     op = _path_operator(basis, ensemble)
     if xi.shape != (paths,):
         raise ValueError(f"terminal values have shape {xi.shape}, expected ({paths},)")
-    runs, iterations, Y, Z = _stored(op, xi, members, labels, lambda n: np.empty((n, paths)))
-    outputs = []
-    for k, run in enumerate(runs):
-        z_rank, z_sv = map(np.array, zip(*run.z_fits))
-        y_rank, y_sv = map(np.array, zip(*run.y_fits))
-        diag = SchemeDiagnostics(z_fit_rank=z_rank, z_fit_sv=z_sv, y_fit_rank=y_rank,
-                                 y_fit_sv=y_sv, implicit_iterations=iterations[k])
-        bad = run.first_bad[k]
-        outputs.append(SchemeOutput(Y=Y[k], Z=Z[k], diagnostics=diag, exploded=bad is not None,
-                                    first_bad_step=bad, wallclock_ms=run.seconds * 1e3))
-    return outputs
+    return _stored(op, xi, members, labels, lambda n: np.empty((n, paths)))
 
 
 def run_backward(scheme: SchemeSpec, tamed: TamedDriver, ensemble: PathEnsemble,
@@ -587,7 +548,7 @@ def run_backward(scheme: SchemeSpec, tamed: TamedDriver, ensemble: PathEnsemble,
 
 
 def tree_group_run(members: list[tuple[SchemeSpec, TamedDriver]], tree: TreeModel,
-                   terminal: TerminalSpec, labels: list[str] | None = None) -> list[TreeSchemeOutput]:
+                   terminal: TerminalSpec, labels: list[str] | None = None) -> list[SchemeOutput]:
     """Backward recursion of several (scheme, driver) pairs on one tree, in
     one sweep, with E_i computed as the exact half/half child average.
 
@@ -600,15 +561,12 @@ def tree_group_run(members: list[tuple[SchemeSpec, TamedDriver]], tree: TreeMode
     step down are NaN.  `labels` name the members in error messages.
     """
     xi = np.asarray(terminal(tree.levels[tree.steps]), dtype=float)
-    runs, iterations, Y, Z = _stored(TreeOperator(tree.grid, tree.recombining), xi, members, labels,
-                                     lambda n: [np.empty(tree.node_count(j)) for j in range(n)])
-    return [TreeSchemeOutput(tree=tree, Y=Y[k], Z=Z[k], implicit_iterations=iterations[k],
-                             exploded=run.first_bad[k] is not None, first_bad_step=run.first_bad[k])
-            for k, run in enumerate(runs)]
+    return _stored(TreeOperator(tree.grid, tree.recombining), xi, members, labels,
+                   lambda n: [np.empty(tree.node_count(j)) for j in range(n)])
 
 
 def tree_exact_run(scheme: SchemeSpec, tamed: TamedDriver, tree: TreeModel,
-                   terminal: TerminalSpec, label: str | None = None) -> TreeSchemeOutput:
+                   terminal: TerminalSpec, label: str | None = None) -> SchemeOutput:
     """Backward recursion of one scheme on a tree: the group of one of
     `tree_group_run`; `label` names the scheme in error messages."""
     return tree_group_run([(scheme, tamed)], tree, terminal,
@@ -680,9 +638,9 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
     b_min = np.empty(n)
     delta_min = np.empty(n + 1)
     violations = 0
-    taken = [None, None]  # the (Y_i, Z_i, y-part at Y_{i+1}) each instance took last
+    taken = [None, None]  # the (1, nodes) Y_i, Z_i and y-part at Y_{i+1} each instance took last
     below = [None, None]  # the Y_{i+1} each instance left
-    sign = np.array([[-1.0], [1.0]])  # the H sign of the down and up child
+    sign = np.array([-1.0, 1.0])[:, None, None]  # the H sign of the down and up child
 
     def compare(g: int, i: int, blocks: list) -> None:
         nonlocal violations

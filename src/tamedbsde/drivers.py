@@ -559,7 +559,7 @@ class AssumptionReport:
 
 def _collect(name, margins, samples, slack, fitted=None, cap=10) -> AssumptionCheck:
     worst = float(np.max(margins)) if margins.size else 0.0
-    bad = np.nonzero(margins > slack)[0]
+    bad = np.nonzero(~(margins <= slack))[0]  # a NaN margin (the probe overflowed) fails too
     viol = [tuple(float(v) for v in samples[j]) + (float(margins[j]),) for j in bad[:cap]]
     return AssumptionCheck(name, bad.size == 0, worst, fitted, viol)
 
@@ -587,6 +587,8 @@ def checked_constants(driver: TamedDriver) -> DerivedConstants:
     return cons
 
 
+# a probe far beyond the certified range overflows quietly: its margins fail
+@np.errstate(over="ignore", invalid="ignore")
 def verify_assumptions(driver: TamedDriver, probe: ProbePlan | None = None) -> AssumptionReport:
     """Evaluate the tamed-driver assumptions on a quasi-uniform probe.
 

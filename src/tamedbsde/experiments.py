@@ -299,9 +299,9 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
         i * stride.  The finest grid comes first at each fine step and makes
         the proxy level, summed in place from zero and divided: the
         arithmetic of np.mean over the stacked proxy outputs, without the
-        stack.  On paths each block is one scheme."""
+        stack.  On paths each block is one scheme, its level row 0."""
         nonlocal proxy
-        levels = {block.members[0]: block.y for block in blocks}
+        levels = {block.members[0]: block.y[0] for block in blocks}
         if g == 0:
             proxy = np.zeros(cfg.paths)
             for k in proxy_index:
@@ -326,7 +326,7 @@ def _extrema(mins: np.ndarray, maxs: np.ndarray):
     of each of its rows, stored at [member, i] of `mins` and `maxs`."""
     def reduce_level(_, i: int, blocks: list) -> None:
         for block in blocks:
-            mins[block.members, i], maxs[block.members, i] = block.y.min(axis=-1), block.y.max(axis=-1)
+            mins[block.members, i], maxs[block.members, i] = block.y.min(axis=1), block.y.max(axis=1)
     return reduce_level
 
 

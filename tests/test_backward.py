@@ -242,12 +242,29 @@ def test_one_design_build_per_step(monkeypatch):
     assert calls == {"design": steps, "fit": 2 * steps}
 
 
+def test_operator_records_each_steps_fit_rank_once():
+    # K = 20 Hermite columns on 100 paths: the designs are rank-deficient,
+    # and the operator records each step's rank and smallest singular value
+    # from the design's factorization, which every fit of the step shares
+    steps = 8
+    grid, batch, ens, xi = _wide_ensemble(steps, paths=100)
+    basis = BasisSpec(size=20)
+    h = grid.h
+    members = [(SchemeSpec(kind="implicit"), untamed(CUBIC, h), None, False),
+               (SchemeSpec(kind="explicit_tamed"), TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), h),
+                None, False)]
+    op = backward.LsmcOperator(basis, backward.ArrayRows(ens.X, batch.H), grid)
+    backward.sweep([(op, xi, members)], lambda g, i, blocks: None)
+    factors = [sample_design(basis, ens.X[i]).factors for i in range(steps)]
+    assert op.fit_rank.tolist() == [f.rank for f in factors]
+    assert op.fit_sv.tobytes() == np.array([f.smallest_singular_value for f in factors]).tobytes()
+    assert 1 < max(op.fit_rank) < basis.size
+
+
 def _assert_same_output(a, b):
     assert np.array_equal(a.Y, b.Y, equal_nan=True)
     assert np.array_equal(a.Z, b.Z, equal_nan=True)
-    for name in ("z_fit_rank", "z_fit_sv", "y_fit_rank", "y_fit_sv", "implicit_iterations"):
-        assert np.array_equal(getattr(a.diagnostics, name), getattr(b.diagnostics, name),
-                              equal_nan=True), name
+    assert np.array_equal(a.implicit_iterations, b.implicit_iterations)
     assert (a.exploded, a.first_bad_step) == (b.exploded, b.first_bad_step)
 
 
@@ -564,13 +581,13 @@ def test_implicit_solve_lands_on_the_long_double_root(poly, h, c):
 
 def test_one_tamed_y_part_per_explicit_step(monkeypatch):
     calls = []
-    tamed_y_part = TamedDriver.tamed_y_part
+    tamed_y_part = TamingBlock.tamed_y_part
 
     def counting(self, y):
         calls.append(np.size(y))
         return tamed_y_part(self, y)
 
-    monkeypatch.setattr(TamedDriver, "tamed_y_part", counting)
+    monkeypatch.setattr(TamingBlock, "tamed_y_part", counting)
     steps = 8
     grid = build_grid(1.0, steps)
     driver = TamedDriver(CUBIC, TamingSpec(kind="mult_c"), grid.h)
@@ -810,14 +827,19 @@ def test_tree_group_takes_one_block_y_part_per_level(monkeypatch):
     assert all(block is blocks[0] for block in blocks)
 
 
-def _sweep_checking_drops(op, xi, members):
-    """Sweep one group, checking at each callback that no Z level or
-    y-part of the callback before is alive, nor the last level of a block
-    that left the lockstep there.  Returns the blocks and the levels at
-    which one left."""
+def _sweep_checking_drops(op, xi, members, nodes):
+    """Sweep one group, checking at each callback that every block's Y_i,
+    Z_i and y-part at Y_{i+1} are C-ordered (rows, nodes(level)) arrays,
+    and that no Z level or y-part of the callback before is alive, nor the
+    last level of a block that left the lockstep there.  Returns the blocks
+    and the levels at which one left."""
     z_refs, y_refs, gone, left = [], [], [], []
 
     def reached(_, i, blocks):
+        for block in blocks:
+            rows = len(block.members)
+            for level, at in ((block.y, i), (block.z, i), (block.p, i + 1)):
+                assert level is None or (level.shape == (rows, nodes(at)) and level.flags.c_contiguous), i
         assert all(ref() is None for ref in z_refs + gone)
         z_refs[:] = [weakref.ref(level) for block in blocks for level in (block.z, block.p)
                      if level is not None]
@@ -843,23 +865,38 @@ def test_sweep_keeps_no_z_level_and_no_level_of_a_block_that_left():
     members = [(SchemeSpec(kind="implicit"), untamed(CUBIC, grid.h), None, False),
                (SchemeSpec(kind="explicit_untamed"), untamed(CUBIC, grid.h), None, False)]
     op = backward.LsmcOperator(BasisSpec(size=6), backward.ArrayRows(ens.X, batch.H), grid)
-    blocks, left = _sweep_checking_drops(op, xi, members)
+    blocks, left = _sweep_checking_drops(op, xi, members, lambda i: 2000)
     assert blocks[0].first_bad[0] is None
     assert left == [blocks[1].first_bad[1]] and left[0] > 0
 
     # on a tree: the implicit member and an untamed one of another base
-    # driver, each a block
+    # driver, each a block; then the same two on the tree's enumerated
+    # paths (per-prefix averages), and as rows of one block with a tamed
+    # member of the exploding one's base driver
+    terminal = TerminalSpec((0.0, 0.0, 0.0, 30.0))
     for sde in TREE_SDES.values():
         grid = build_grid(1.0, 9)
         tree = build_tree(sde, grid)
-        exploding = _tree_group_members(grid.h)[7]
+        group = _tree_group_members(grid.h)
         members = [(SchemeSpec(kind="implicit"), untamed(CUBIC, grid.h), None, False),
-                   (*exploding, None, False)]
-        xi = np.asarray(TerminalSpec((0.0, 0.0, 0.0, 30.0))(tree.levels[-1]), dtype=float)
+                   (*group[7], None, False)]
+        xi = np.asarray(terminal(tree.levels[-1]), dtype=float)
         op = backward.TreeOperator(tree.grid, tree.recombining)
-        blocks, left = _sweep_checking_drops(op, xi, members)
+        blocks, left = _sweep_checking_drops(op, xi, members, tree.node_count)
         assert blocks[0].first_bad[0] is None
         assert left == [blocks[1].first_bad[1]] and left[0] > 0
+
+        ens = enumerate_tree_paths(tree)
+        op = backward._path_operator(ExactTreeBasis(), ens)
+        blocks, left = _sweep_checking_drops(op, terminal_values(terminal, ens), members,
+                                             lambda i: 2**grid.steps)
+        assert blocks[0].first_bad[0] is None
+        assert left == [blocks[1].first_bad[1]] and left[0] > 0
+
+        blocks, left = _sweep_checking_drops(backward.TreeOperator(tree.grid, tree.recombining), xi,
+                                             [(*member, None, False) for member in group[:2]]
+                                             + members[1:], tree.node_count)
+        assert blocks[0] is blocks[1] is blocks[2] and left == []
 
 
 # ---------------------------------------------------------------- closed-form ODE reference
@@ -986,15 +1023,17 @@ def test_tree_oracle_roots_match_the_benchmark_reference():
 
 
 def _count_driver_calls(monkeypatch):
+    # TamedDriver.__call__, and every tamed y-part: a block's, or a driver's
+    # (TamedDriver.tamed_y_part tames through its block of one)
     calls = {"__call__": 0, "tamed_y_part": 0}
-    for name in calls:
-        method = getattr(TamedDriver, name)
+    for owner, name in ((TamedDriver, "__call__"), (TamingBlock, "tamed_y_part")):
+        method = getattr(owner, name)
 
         def counting(self, *args, _name=name, _method=method):
             calls[_name] += 1
             return _method(self, *args)
 
-        monkeypatch.setattr(TamedDriver, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     return calls
 
 

@@ -311,6 +311,16 @@ def test_untamed_growth_passes_but_lipschitz_fails_at_large_range():
     assert report.checks["lipschitz_y"].violations
 
 
+def test_a_probe_that_overflows_fails_its_checks_without_warnings():
+    # at |y| up to 1e300 the mult_b probe overflows and every margin is NaN:
+    # each check fails (a NaN margin is not within its slack), and the
+    # overflow stays inside the verifier (RuntimeWarnings are errors here)
+    report = verify_assumptions(tamed(CUBIC, "mult_b", exponent=0.5), ProbePlan(y_max=1e300))
+    assert all(math.isnan(check.worst_margin) for check in report.checks.values())
+    assert not any(check.passed for check in report.checks.values())
+    assert all(check.violations for check in report.checks.values())
+
+
 def test_outer_stays_below_radius():
     d = tamed(CUBIC, "outer_proj", r0=1.5, exponent=0.5)
     ys = np.linspace(-10, 10, 1001)

@@ -354,6 +354,17 @@ def test_exploded_rows_carry_infinite_error():
     assert all(row.error == float("inf") for row in untamed_rows if row.exploded)
 
 
+def test_overflowing_terminal_values_explode_the_proxy_without_warnings():
+    # g(x) = 1e300 x^4 overflows at most paths: the terminal levels' squared
+    # errors are reduced inside the sweep's errstate (RuntimeWarnings are
+    # errors here), and the proxy scheme explodes at its first step
+    from tamedbsde.backward import SchemeExplodedError
+
+    cfg = small_config(terminal=TerminalSpec((0.0, 0.0, 0.0, 0.0, 1e300)), grids=[4, 8], paths=500)
+    with pytest.raises(SchemeExplodedError, match=r"proxy scheme '\w+' \(N=8\) exploded at step 7"):
+        convergence_study(cfg)
+
+
 # ---------------------------------------------------------------- positivity / taming studies
 
 def test_positivity_constant_solution():
