@@ -33,9 +33,10 @@ import numpy as np
 from .drivers import NONE, DerivedConstants, TamedDriver, TamingBlock, TamingSpec, derive_constants
 from .forward import PathEnsemble, TerminalSpec
 from .grids import PartitionGrid
+from .regression import BasisSpec, sample_design
 # Nothing here calls predict; it stays bound as backward.predict because the
 # benchmark's trace probes (perfbench/spans.py) look it up by that name.
-from .regression import BasisSpec, predict, sample_design  # noqa: F401
+from .regression import predict  # noqa: F401
 from .trees import TreeModel
 
 EXPLICIT_TAMED = "explicit_tamed"
@@ -336,7 +337,8 @@ class _SchemeRun:
     the block took and the tamed y-part at the Y_{i+1} it left (`y` the
     terminal level on entry).  `iterations` holds one row of implicit
     iteration counts per member.  A row whose Z_i or Y_i is not finite is
-    marked exploded at i in `first_bad`, keyed by member; the block takes
+    marked exploded at i in `first_bad`, keyed by member, and its Z_i and
+    Y_i are written NaN, so it reads NaN from there down; the block takes
     level i only while a row is still finite there.  A member's label names
     it in error messages; a required member raises SchemeExplodedError
     where it explodes."""
@@ -396,8 +398,9 @@ class _SchemeRun:
         if z_finite and np.isfinite(y).all():
             self.z, self.y, self.p = z, y, p
             return
-        # some row exploded: which ones
+        # some row exploded: which ones; each reads NaN from here down
         finite = np.isfinite(z).all(axis=1) & np.isfinite(y).all(axis=1)
+        z[~finite] = y[~finite] = np.nan
         for row in np.flatnonzero(~finite):
             k = self.members[row]
             if self.first_bad[k] is None:
@@ -431,11 +434,12 @@ def sweep(groups: list[tuple], reached) -> list[list[_SchemeRun]]:
     y-part at the Y_{i+1} it left (both None at the terminal level), each
     a C-ordered (rows, nodes) array whose row r belongs to member
     block.members[r].  A block is reported until its last row explodes;
-    the row of an exploded member is not finite from its first bad step
-    down.  After each call the sweep drops every Z_i and y-part and the
-    last level of each block that has left the lockstep, so a block keeps
-    one level of Y between its steps, and none after its last.  Steps and
-    callbacks run with overflow and invalid-value warnings off.
+    the y and z rows of an exploded member are NaN from its first bad step
+    down, so no caller masks a level.  After each call the sweep drops
+    every Z_i and y-part and the last level of each block that has left
+    the lockstep, so a block keeps one level of Y between its steps, and
+    none after its last.  Steps and callbacks run with overflow and
+    invalid-value warnings off.
 
     At fine index j every group whose stride (fine steps over its steps)
     divides j takes its step i = j / stride, finest first.  Groups may
@@ -492,10 +496,11 @@ def sweep(groups: list[tuple], reached) -> list[list[_SchemeRun]]:
 def _stored(op, xi: np.ndarray, members: list[tuple[SchemeSpec, TamedDriver]],
             labels: list | None, levels) -> list[SchemeOutput]:
     """The sweep of one group with every member's levels kept: Y[k] and
-    Z[k] are member k's N+1 and N levels, made by `levels(n)` (an
+    Z[k] are member k's N+1 and N levels, made NaN by `levels(n)` (an
     (n, nodes) array or a list of n level arrays), each filled when the
-    sweep reaches it; the levels of a member that exploded are NaN from its
-    first bad step down.  Returns each member's output."""
+    sweep reaches it.  So the levels of a member that exploded are NaN from
+    its first bad step down: as the sweep reports them, or as prefilled
+    from the step where its block left.  Returns each member's output."""
     n = op.grid.steps
     Y = [levels(n + 1) for _ in members]
     Z = [levels(n) for _ in members]
@@ -509,15 +514,9 @@ def _stored(op, xi: np.ndarray, members: list[tuple[SchemeSpec, TamedDriver]],
 
     (runs,) = sweep([(op, xi, [(scheme, tamed, labels[k] if labels else None, False)
                                for k, (scheme, tamed) in enumerate(members)])], store)
-    outputs = []
-    for k, run in enumerate(runs):
-        bad = run.first_bad[k]
-        if bad is not None:
-            for level in (*Y[k][:bad + 1], *Z[k][:bad + 1]):
-                level[...] = np.nan
-        outputs.append(SchemeOutput(Y[k], Z[k], run.iterations[run.members.index(k)],
-                                    first_bad_step=bad, wallclock_ms=run.seconds * 1e3))
-    return outputs
+    return [SchemeOutput(Y[k], Z[k], run.iterations[run.members.index(k)],
+                         first_bad_step=run.first_bad[k], wallclock_ms=run.seconds * 1e3)
+            for k, run in enumerate(runs)]
 
 
 def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: PathEnsemble,
@@ -537,7 +536,7 @@ def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: 
     op = _path_operator(basis, ensemble)
     if xi.shape != (paths,):
         raise ValueError(f"terminal values have shape {xi.shape}, expected ({paths},)")
-    return _stored(op, xi, members, labels, lambda n: np.empty((n, paths)))
+    return _stored(op, xi, members, labels, lambda n: np.full((n, paths), np.nan))
 
 
 def run_backward(scheme: SchemeSpec, tamed: TamedDriver, ensemble: PathEnsemble,
@@ -562,7 +561,7 @@ def tree_group_run(members: list[tuple[SchemeSpec, TamedDriver]], tree: TreeMode
     """
     xi = np.asarray(terminal(tree.levels[tree.steps]), dtype=float)
     return _stored(TreeOperator(tree.grid, tree.recombining), xi, members, labels,
-                   lambda n: [np.empty(tree.node_count(j)) for j in range(n)])
+                   lambda n: [np.full(tree.node_count(j), np.nan) for j in range(n)])
 
 
 def tree_exact_run(scheme: SchemeSpec, tamed: TamedDriver, tree: TreeModel,

@@ -108,12 +108,6 @@ def _run(args) -> int:
             exploded = sum(row.exploded for row in report.rows)
             print(f"wrote {len(report.rows)} rows to {cfg.output_path} "
                   f"(proxy: {'+'.join(report.proxy_labels)}, exploded runs: {exploded})")
-        elif args.command == "positivity":
-            report = positivity_study(cfg)
-            emit_csv(report, cfg.output_path)
-            for label, cond, ok in report.conditions:
-                print(f"{label}: h*L_y^h = {cond:.6g} ({'ok' if ok else 'violated'})")
-            print(f"wrote {report.mins.size} rows to {cfg.output_path}")
         elif args.command == "verify-taming":
             report = verify_taming_study(cfg)
             emit_csv(report, cfg.output_path)
@@ -123,11 +117,14 @@ def _run(args) -> int:
                 print(f"growth witness (K_y^h)^2 h grows along the ladder for: {', '.join(growing)}")
             print(f"wrote {len(report.rows)} rows to {cfg.output_path}"
                   + (f"; failing tamings: {', '.join(failing)}" if failing else "; all checks pass"))
-        else:  # tree-oracle
-            report = tree_oracle_study(cfg)
+        else:  # the extrema study: positivity or tree-oracle
+            if args.command == "positivity":
+                report, condition = positivity_study(cfg), "h*L_y^h"
+            else:
+                report, condition = tree_oracle_study(cfg), "step condition"
             emit_csv(report, cfg.output_path)
             for label, cond, ok in report.conditions:
-                print(f"{label}: step condition = {cond:.6g} ({'ok' if ok else 'violated'})")
+                print(f"{label}: {condition} = {cond:.6g} ({'ok' if ok else 'violated'})")
             print(f"wrote {report.mins.size} rows to {cfg.output_path}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

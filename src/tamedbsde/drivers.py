@@ -26,10 +26,6 @@ MULT_D = "mult_d"
 TAMING_KINDS = (NONE, INNER_PROJ, OUTER_PROJ, MULT_A, MULT_B, MULT_C, MULT_D)
 MULT_KINDS = (MULT_A, MULT_B, MULT_C, MULT_D)
 
-# Kinds whose step-size constants admit the closed forms below; the rest
-# (and the untamed driver) get constants certified on a sampling grid.
-CLOSED_FORM_KINDS = (INNER_PROJ, OUTER_PROJ, MULT_C, MULT_D)
-
 
 @dataclass(frozen=True)
 class DriverConstants:

@@ -1,6 +1,9 @@
-"""Experiment drivers: convergence study against a fine-grid proxy,
-positivity study, taming verification across the step ladder, and the
-exact-tree oracle run; all emit deterministic CSV.
+"""Experiment drivers: convergence study against a fine-grid proxy, the
+extrema study of Y (the positivity study on paths and the tree oracle on
+the exact tree, one study with two backends) and taming verification
+across the step ladder; all emit deterministic CSV.  The studies that run
+schemes go through `backward.sweep`, whose levels of an exploded scheme
+read NaN from its first bad step down, so no study masks a level itself.
 
 Brownian paths are simulated once on the finest grid and aggregated to each
 coarser one, so every scheme/grid pair sees the same underlying noise and
@@ -49,6 +52,7 @@ from .grids import (
     sample_increments,
 )
 from .regression import BasisSpec
+from .trees import recombines, terminal_level
 
 
 def _sum_to_grids(dW: np.ndarray, fine: PartitionGrid, coarse: list[PartitionGrid],
@@ -116,8 +120,8 @@ class PositivityStudyReport:
     times: np.ndarray
     mins: np.ndarray
     maxs: np.ndarray
-    conditions: list[tuple[str, float, bool]]  # (label, h*L^h_y condition value, ok)
-    backend: str = "regression"
+    conditions: list[tuple[str, float, bool]]  # (label, step condition value, ok)
+    backend: str  # "regression" or "tree"
 
     @property
     def rows(self) -> list[ExtremaRow]:
@@ -321,85 +325,66 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     return ErrorReport(rows=rows, proxy_labels=[s.label for s in proxy_runs], seed=cfg.seed)
 
 
-def _extrema(mins: np.ndarray, maxs: np.ndarray):
-    """The sweep callback that reduces each block's level i to the extrema
-    of each of its rows, stored at [member, i] of `mins` and `maxs`."""
+def _extrema_study(cfg: ExperimentConfig, backend: str) -> PositivityStudyReport:
+    """Per-step extrema of Y for each scheme at the single configured N, and
+    each scheme's step condition: h * L^h_y on Monte-Carlo paths (`backend`
+    "regression"), step_size_condition at |H| = 1/sqrt(h) on the exact
+    Rademacher tree ("tree").
+
+    Every scheme's constants are checked before any sampling, tree or sweep.
+    The schemes run as one lockstep group through `sweep`, whose callback
+    reduces each row of each block level to its min and max, so Z lives only
+    while its step runs.  On paths the study holds X, H and a level or two
+    of Y per scheme; on the tree, whose forward levels are streamed to the
+    terminal one, the rows of one base driver share a block: O(N) values.
+    A scheme that exploded reads NaN from its first bad step down."""
+    if len(cfg.grids) != 1:
+        study = "tree oracle" if backend == "tree" else "positivity study"
+        raise ConfigError(f"{study} expects exactly one grid size")
+    n = cfg.grids[0]
+    grid = build_grid(cfg.horizon, n)
+    runs = sorted(cfg.schemes, key=lambda s: s.label)
+    tamed = [_tamed(cfg, run, grid.h) for run in runs]
+    constants = [_checked(run.label, n, checked_constants, driver) for run, driver in zip(runs, tamed)]
+    if backend == "tree":
+        try:
+            x_n = terminal_level(cfg.sde, grid)
+        except ValueError as exc:
+            raise ConfigError(f"N={n}: {exc}") from None
+        op, xi = TreeOperator(grid, recombines(cfg.sde)), np.asarray(cfg.terminal(x_n), dtype=float)
+        conditions = [step_size_condition(run.scheme, cons, 1.0 / math.sqrt(grid.h))
+                      for run, cons in zip(runs, constants)]
+    else:
+        batch = sample_increments(grid, cfg.paths, cfg.seed, cfg.noise)
+        ensemble = euler_simulate(cfg.sde, grid, batch)
+        # the ensemble holds the batch: dropping both drops dW
+        op = LsmcOperator(BasisSpec(size=cfg.basis_size), ArrayRows(ensemble.X, batch.H), grid)
+        xi = terminal_values(cfg.terminal, ensemble)
+        del batch, ensemble
+        conditions = [grid.h * cons.l_y for cons in constants]
+
+    members = [(run.scheme, driver, f"scheme {run.label!r}", False) for run, driver in zip(runs, tamed)]
+    mins, maxs = np.full((2, len(runs), n + 1), np.nan)
+
     def reduce_level(_, i: int, blocks: list) -> None:
         for block in blocks:
             mins[block.members, i], maxs[block.members, i] = block.y.min(axis=1), block.y.max(axis=1)
-    return reduce_level
+
+    sweep([(op, xi, members)], reduce_level)
+    return PositivityStudyReport([run.label for run in runs], grid.times, mins, maxs,
+                                 [(run.label, c, c < 1.0) for run, c in zip(runs, conditions)],
+                                 backend)
 
 
 def positivity_study(cfg: ExperimentConfig) -> PositivityStudyReport:
-    """Per-step empirical extrema of Y for each scheme at the single
-    configured N (regression backend), plus the step condition h * L^h_y.
-
-    The schemes run as one lockstep group through `sweep`, and each level
-    of Y is reduced to its extrema when it is reached, so the study holds
-    X, H and a level or two of Y per scheme, and Z only while its step
-    runs.  The levels of a scheme that exploded are NaN from its first bad
-    step down."""
-    if len(cfg.grids) != 1:
-        raise ConfigError("positivity study expects exactly one grid size")
-    n = cfg.grids[0]
-    grid = build_grid(cfg.horizon, n)
-    batch = sample_increments(grid, cfg.paths, cfg.seed, cfg.noise)
-    ensemble = euler_simulate(cfg.sde, grid, batch)
-    # the ensemble holds the batch: dropping both drops dW
-    op = LsmcOperator(BasisSpec(size=cfg.basis_size), ArrayRows(ensemble.X, batch.H), grid)
-    xi = terminal_values(cfg.terminal, ensemble)
-    del batch, ensemble
-
-    runs = sorted(cfg.schemes, key=lambda s: s.label)
-    members = [(run.scheme, _tamed(cfg, run, grid.h), f"scheme {run.label!r}", False)
-               for run in runs]
-    mins, maxs = np.full((2, len(runs), n + 1), np.nan)
-    sweep([(op, xi, members)], _extrema(mins, maxs))
-    conditions = []
-    for run in runs:
-        cond = grid.h * _checked(run.label, n, checked_constants, _tamed(cfg, run, grid.h)).l_y
-        conditions.append((run.label, cond, cond < 1.0))
-    return PositivityStudyReport([run.label for run in runs], grid.times, mins, maxs,
-                                 conditions, backend="regression")
+    """The extrema study on Monte-Carlo paths (see _extrema_study)."""
+    return _extrema_study(cfg, "regression")
 
 
 def tree_oracle_study(cfg: ExperimentConfig) -> PositivityStudyReport:
-    """Exact-tree counterpart of the positivity study (Rademacher noise,
-    half/half conditional expectations, no regression error).  The forward
-    tree is streamed to its terminal level, and the schemes run in one
-    sweep (`sweep`) as the rows of one block, with the block's levels
-    reduced to their extrema when they are reached.  So the study holds
-    O(N) values: two forward levels while they are built, then a level or
-    two of Y per block, and Z only while its step runs.  The
-    levels of a scheme that exploded are NaN from its first bad step
-    down."""
-    from .trees import recombines, terminal_level
-
-    if len(cfg.grids) != 1:
-        raise ConfigError("tree oracle expects exactly one grid size")
-    n = cfg.grids[0]
-    grid = build_grid(cfg.horizon, n)
-    try:
-        x_n = terminal_level(cfg.sde, grid)
-    except ValueError as exc:
-        raise ConfigError(f"N={n}: {exc}") from None
-    runs = sorted(cfg.schemes, key=lambda s: s.label)
-    tamed = [_tamed(cfg, run, grid.h) for run in runs]
-    members = [(run.scheme, driver, f"scheme {run.label!r}", False) for run, driver in zip(runs, tamed)]
-    xi = np.asarray(cfg.terminal(x_n), dtype=float)
-    mins, maxs = np.full((2, len(runs), n + 1), np.nan)
-    op = TreeOperator(grid, recombines(cfg.sde))
-    (blocks,) = sweep([(op, xi, members)], _extrema(mins, maxs))
-    conditions = []
-    for k, (run, driver, block) in enumerate(zip(runs, tamed, blocks)):
-        bad = block.first_bad[k]
-        if bad is not None:
-            mins[k, :bad + 1] = maxs[k, :bad + 1] = np.nan
-        cons = _checked(run.label, n, checked_constants, driver)
-        cond = step_size_condition(run.scheme, cons, 1.0 / math.sqrt(grid.h))
-        conditions.append((run.label, cond, cond < 1.0))
-    return PositivityStudyReport([run.label for run in runs], grid.times, mins, maxs,
-                                 conditions, backend="tree")
+    """The extrema study on the exact Rademacher tree: half/half
+    conditional expectations, no regression error (see _extrema_study)."""
+    return _extrema_study(cfg, "tree")
 
 
 def verify_taming_study(cfg: ExperimentConfig) -> TamingReport:

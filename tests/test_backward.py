@@ -28,6 +28,7 @@ from tamedbsde import (
     enumerate_tree_paths,
     euler_simulate,
     load_config,
+    parse_config,
     polynomial_driver,
     run_backward,
     run_backward_group,
@@ -737,6 +738,59 @@ def test_streamed_tree_run_reports_the_stored_levels(layout):
         assert block.first_bad[0] == stored.first_bad_step
         assert (block.first_bad[0] is not None) == stored.exploded
     assert stored.exploded and stored.first_bad_step > 0
+
+
+EXPLODING_BLOCK = """
+horizon = 1.0
+seed = 0
+sde.sigma = 2.0
+terminal.coeffs = 0,0,0,1
+driver.y_poly = 0,0,0,-1
+driver.z_coeff = 0.5
+driver.m_y = 0
+grids = {steps}
+paths = 1
+basis.size = 1
+scheme.1.label = implicit
+scheme.1.kind = implicit
+scheme.1.taming = none
+scheme.2.label = inner
+scheme.2.kind = explicit_tamed
+scheme.2.taming = inner_proj
+scheme.3.label = mult_b
+scheme.3.kind = explicit_tamed
+scheme.3.taming = mult_b
+scheme.4.label = untamed
+scheme.4.kind = explicit_untamed
+scheme.4.taming = none
+"""
+
+
+@pytest.mark.parametrize("steps, first_bad", [(12, 7), (24, 19)])
+def test_sweep_reports_an_exploded_row_as_nan_from_its_first_bad_step(steps, first_bad):
+    # f = -y^3 + 0.5 z, g = x^3, sigma = 2: the untamed row of the one
+    # block explodes at a step where some of its nodes are still finite,
+    # and the rows beside it keep the block in the sweep down to level 0
+    cfg = parse_config(EXPLODING_BLOCK.format(steps=steps))
+    grid = build_grid(cfg.horizon, steps)
+    tree = build_tree(cfg.sde, grid)
+    assert tree.recombining
+    seen = {}
+
+    def reached(g, i, blocks):
+        (block,) = blocks
+        assert block.members == [0, 1, 2, 3]
+        seen[i] = block.y[3].copy(), None if block.z is None else block.z[3].copy()
+
+    blocks = _tree_sweep(tree, cfg.terminal, [(run.scheme, TamedDriver(cfg.driver, run.taming, grid.h))
+                                              for run in cfg.schemes], reached)
+    assert [blocks[k].first_bad[k] for k in range(4)] == [None, None, None, first_bad]
+    assert list(seen) == list(range(steps, -1, -1))
+    for i, (y, z) in seen.items():
+        if i > first_bad:
+            assert np.isfinite(y).all() and (z is None or np.isfinite(z).all())
+        else:
+            assert np.isnan(y).all() and np.isnan(z).all(), i
 
 
 def _tree_group_members(h):

@@ -288,6 +288,30 @@ def test_tree_one_step_beyond_the_recombining_cap_is_config_error(tmp_path, caps
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["positivity", "tree-oracle"])
+@pytest.mark.parametrize("extra", ["scheme.4.r0 = 1e300\n", "scheme.4.r0 = 1e300\nsde.sigma = 1e150\n"],
+                         ids=["radius", "radius-and-blowup"])
+def test_extrema_study_checks_constants_before_any_work(tmp_path, capsys, monkeypatch, command, extra):
+    # mult_c's (L^h_y)^2 h overflows at r0 = 1e300: the config is invalid,
+    # and that is known before a path is sampled or a scheme is swept (the
+    # sigma = 1e150 forward would blow up)
+    from tamedbsde import experiments
+
+    calls = []
+    for name in ("sample_increments", "euler_simulate", "sweep"):
+        monkeypatch.setattr(experiments, name, lambda *args, name=name, original=getattr(experiments, name),
+                            **kwargs: calls.append(name) or original(*args, **kwargs))
+    scripts = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+    with open(os.path.join(scripts, "positivity_study.cfg"), encoding="utf-8") as fh:
+        text = fh.read()
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(with_keys(text, extra))
+    out = tmp_path / "x.csv"
+    assert main([command, str(cfg), "--out", str(out)]) == 2
+    assert "scheme 'mult_c', N=10: the derived constants" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats costs more to import than the rest of the package
     src = os.path.dirname(os.path.dirname(os.path.abspath(tamedbsde.__file__)))
