@@ -20,6 +20,9 @@ comparison of two tree instances (comparison_check).  Every level is a
 C-ordered (rows, nodes) block: each scheme alone on paths, the schemes of
 one base driver together on a tree, where one y-part, Z target and child
 average per level serve every row before the implicit rows are solved.
+A row whose Y or Z stops being finite leaves its block there, so a
+callback sees only finite levels below the terminal one; the sweep returns
+each member's SchemeOutput, where its first bad step is recorded.
 """
 
 from __future__ import annotations
@@ -78,11 +81,12 @@ class ExactTreeBasis:
 class SchemeOutput:
     """One scheme's N+1 levels of Y and N of Z, level i at index i: C-ordered
     (N+1, paths) and (N, paths) arrays on paths, lists of ragged levels on a
-    tree; NaN from `first_bad_step` down if it exploded.  `wallclock_ms`
-    is its share of the backward pass (see sweep)."""
+    tree, None as `sweep` returns it; NaN from `first_bad_step` down if it
+    exploded.  `wallclock_ms` is its share of the backward pass (see
+    sweep)."""
 
-    Y: np.ndarray | list
-    Z: np.ndarray | list
+    Y: np.ndarray | list | None
+    Z: np.ndarray | list | None
     implicit_iterations: np.ndarray
     first_bad_step: int | None = None
     wallclock_ms: float = 0.0
@@ -335,49 +339,49 @@ class _SchemeRun:
     indices in the group of the block's rows, `drivers` the driver each row
     runs (scheme_driver), and `y`, `z` and `p` are the latest Y_i and Z_i
     the block took and the tamed y-part at the Y_{i+1} it left (`y` the
-    terminal level on entry).  `iterations` holds one row of implicit
-    iteration counts per member.  A row whose Z_i or Y_i is not finite is
-    marked exploded at i in `first_bad`, keyed by member, and its Z_i and
-    Y_i are written NaN, so it reads NaN from there down; the block takes
-    level i only while a row is still finite there.  A member's label names
-    it in error messages; a required member raises SchemeExplodedError
-    where it explodes."""
+    terminal level on entry).  `group` holds the group's (scheme, driver,
+    label, required) members, `outputs` their SchemeOutputs, in which the
+    block writes each row's implicit iteration counts.  A row whose Z_i or
+    Y_i is not finite leaves the block at step i, its member's output
+    recording i as its first bad step, so the block's levels below the
+    terminal one are finite; a required member raises SchemeExplodedError
+    there, naming the path.  A member's label names it in error
+    messages."""
 
-    def __init__(self, members: list[tuple], rows: list[int], grid, xi: np.ndarray):
-        self.drivers, weights = [], []
+    def __init__(self, group: list[tuple], rows: list[int], grid, xi: np.ndarray,
+                 outputs: list[SchemeOutput]):
         for k in rows:
-            scheme, tamed, _, _ = members[k]
+            scheme, tamed, _, _ = group[k]
             if not math.isclose(tamed.h, grid.h, rel_tol=1e-9):
                 raise ValueError(f"driver was tamed at h={tamed.h}, grid has h={grid.h}")
             if scheme.kind == IMPLICIT:
                 check_implicit_guard(grid.h, tamed.base.constants.m_y)
-            self.drivers.append(scheme_driver(scheme, tamed))
-            weights.append(1.0 - scheme.theta_prime)
-        self.driver, self.weight = TamingBlock(self.drivers), np.array(weights)[:, None]
+        self.group, self.outputs = group, outputs
         self.y = np.repeat(xi[None], len(rows), axis=0)
-        # the rows solved implicitly, one by one; the rest take the explicit Y
-        self.implicit = [row for row, k in enumerate(rows) if members[k][0].kind == IMPLICIT]
-        self.explicit = len(self.implicit) < len(rows)
         self.z = self.p = None
-        self.members = rows
-        self.labels = [members[k][2] for k in rows]
-        self.required = [members[k][3] for k in rows]
-        self.iterations = np.zeros((len(rows), grid.steps), dtype=int)
-        self.first_bad = dict.fromkeys(rows)
-        self.seconds = 0.0
+        self._take(rows)
 
-    @property
-    def live(self) -> bool:
-        """Whether a row has not exploded."""
-        return None in self.first_bad.values()
+    def _take(self, rows: list[int]) -> None:
+        """Make the group's members `rows` the block's rows; a block with
+        none left leaves the lockstep."""
+        self.members = rows
+        if not rows:
+            return
+        schemes = [self.group[k][0] for k in rows]
+        self.drivers = [scheme_driver(scheme, self.group[k][1]) for scheme, k in zip(schemes, rows)]
+        self.driver = TamingBlock(self.drivers)
+        self.weight = np.array([1.0 - scheme.theta_prime for scheme in schemes])[:, None]
+        # the rows solved implicitly, one by one; the rest take the explicit Y
+        self.implicit = [row for row, scheme in enumerate(schemes) if scheme.kind == IMPLICIT]
+        self.explicit = len(self.implicit) < len(rows)
 
     def advance(self, i: int, h: float, op) -> None:
         """Z_i, then Y_i, of every row, from Y_{i+1} in `y`.  The tamed
         y-part at Y_{i+1} is evaluated once, for the Z target (its z-part
         added as TamedDriver.__call__ adds it) and the explicit Y target,
         which is taken only when the block has explicit rows.  Each
-        implicit row is then solved from its own E_i[Y_{i+1}], where its
-        Z_i is finite; elsewhere its Y_i is NaN and the row explodes."""
+        implicit row is then solved from its own E_i[Y_{i+1}] where its
+        Z_i is finite; elsewhere the row leaves, whatever its Y_i holds."""
         driver = self.driver
         z_coeff = driver.base.z_coeff
         y_next = self.y
@@ -391,30 +395,29 @@ class _SchemeRun:
         for row in self.implicit:
             if z_finite or np.isfinite(z[row]).all():
                 (c,) = op.mean(op.children(y_next[row:row + 1]))
-                y[row], self.iterations[row, i] = _solve_implicit(
-                    self.drivers[row], c, z[row], h, i, self.labels[row])
-            else:
-                y[row] = np.nan
+                k = self.members[row]
+                y[row], self.outputs[k].implicit_iterations[i] = _solve_implicit(
+                    self.drivers[row], c, z[row], h, i, self.group[k][2])
         if z_finite and np.isfinite(y).all():
             self.z, self.y, self.p = z, y, p
             return
-        # some row exploded: which ones; each reads NaN from here down
+        # some row exploded: it leaves, the rest stay
         finite = np.isfinite(z).all(axis=1) & np.isfinite(y).all(axis=1)
-        z[~finite] = y[~finite] = np.nan
         for row in np.flatnonzero(~finite):
             k = self.members[row]
-            if self.first_bad[k] is None:
-                self.first_bad[k] = i
-                if self.required[row]:
-                    # where the driver term overflowed, if anywhere
-                    bad = ~np.isfinite(y_next[row] + p[row] * h)
-                    where = f", path {int(np.argmax(bad))}" if bad.any() else ""
-                    raise SchemeExplodedError(f"{self.labels[row]} exploded at step {i}{where}")
-        if finite.any():
-            self.z, self.y, self.p = z, y, p
+            self.outputs[k].first_bad_step = i
+            _, _, label, required = self.group[k]
+            if required:
+                # where the driver term overflowed, if anywhere
+                bad = ~np.isfinite(y_next[row] + p[row] * h)
+                where = f", path {int(np.argmax(bad))}" if bad.any() else ""
+                raise SchemeExplodedError(f"{label} exploded at step {i}{where}")
+        keep = np.flatnonzero(finite)
+        self.z, self.y, self.p = z[keep], y[keep], p[keep]
+        self._take([self.members[row] for row in keep])
 
 
-def sweep(groups: list[tuple], reached) -> list[list[_SchemeRun]]:
+def sweep(groups: list[tuple], reached) -> list[list[SchemeOutput]]:
     """The backward recursion of lockstep groups on nested grids, in one
     sweep over fine time: every run of the schemes goes through it.
 
@@ -433,13 +436,14 @@ def sweep(groups: list[tuple], reached) -> list[list[_SchemeRun]]:
     its rows, `block.y` is Y_i, `block.z` is Z_i and `block.p` the tamed
     y-part at the Y_{i+1} it left (both None at the terminal level), each
     a C-ordered (rows, nodes) array whose row r belongs to member
-    block.members[r].  A block is reported until its last row explodes;
-    the y and z rows of an exploded member are NaN from its first bad step
-    down, so no caller masks a level.  After each call the sweep drops
-    every Z_i and y-part and the last level of each block that has left
-    the lockstep, so a block keeps one level of Y between its steps, and
-    none after its last.  Steps and callbacks run with overflow and
-    invalid-value warnings off.
+    block.members[r].  A member whose Y_i or Z_i is not finite has left
+    its block at step i, and a block with no rows left leaves the
+    lockstep: so every level a callback gets below the terminal one is
+    finite, and no caller masks a level.  The terminal level is xi as
+    given, finite or not.  After each call the sweep drops every Z_i and
+    y-part, so a block keeps one level of Y between its steps, and none
+    once it leaves or the sweep returns.  Steps and callbacks run with
+    overflow and invalid-value warnings off.
 
     At fine index j every group whose stride (fine steps over its steps)
     divides j takes its step i = j / stride, finest first.  Groups may
@@ -448,17 +452,17 @@ def sweep(groups: list[tuple], reached) -> list[list[_SchemeRun]]:
     has reached it too, which the comparison check relies on.  A step's
     `begin_step` (on paths, the row source's read, the design and its
     factorization) comes before the blocks' turns and `end_step` releases
-    it after, so a block's targets live only during its own turn; a block's
-    `seconds` is its own time plus an equal share of each `begin_step`
-    among the blocks still going.  A block whose rows have all exploded
-    leaves the lockstep: explosion of the untamed explicit scheme is an
-    experimental observable, not an error.
+    it after, so a block's targets live only during its own turn.
+    Explosion of the untamed explicit scheme is an experimental
+    observable, not an error.
 
-    Returns, per group, the block of each member, which holds the member's
-    first bad step (`first_bad[k]`, None if it did not explode), its row
-    of iteration counts and `seconds`.
+    Returns, per group, each member's SchemeOutput with Y = Z = None: its
+    first bad step (None if it did not explode), its implicit iteration
+    counts and `wallclock_ms`, the time of its block's steps while the
+    member was in it, with an equal share of each `begin_step` among the
+    blocks still going.
     """
-    running, owners = [], []
+    running, outputs = [], []
     steps = groups[0][0].grid.steps
     strides = [steps // op.grid.steps for op, _, _ in groups]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -466,10 +470,11 @@ def sweep(groups: list[tuple], reached) -> list[list[_SchemeRun]]:
             blocks: dict[object, list[int]] = {}
             for k, (_, tamed, _, _) in enumerate(members):
                 blocks.setdefault(tamed.base if op.row_blocks else k, []).append(k)
-            runs = [_SchemeRun(members, rows, op.grid, xi) for rows in blocks.values()]
-            running.append(runs)
-            owners.append([run for k in range(len(members)) for run in runs if k in run.members])
-            reached(g, op.grid.steps, runs)
+            outputs.append([SchemeOutput(None, None, np.zeros(op.grid.steps, dtype=int))
+                            for _ in members])
+            running.append([_SchemeRun(members, rows, op.grid, xi, outputs[g])
+                            for rows in blocks.values()])
+            reached(g, op.grid.steps, running[g])
         for j in range(steps - 1, -1, -1):
             for g, (op, _, _) in enumerate(groups):
                 if j % strides[g] or not running[g]:
@@ -479,18 +484,18 @@ def sweep(groups: list[tuple], reached) -> list[list[_SchemeRun]]:
                 op.begin_step(i)
                 shared = (time.perf_counter() - start) / len(running[g])
                 for run in running[g]:
-                    start = time.perf_counter()
+                    # the members before the step: one that leaves in it is charged for it
+                    rows, start = run.members, time.perf_counter()
                     run.advance(i, op.grid.h, op)
-                    run.seconds += time.perf_counter() - start + shared
+                    ms = (time.perf_counter() - start + shared) * 1e3
+                    for k in rows:
+                        outputs[g][k].wallclock_ms += ms
                 op.end_step()
-                live = [run for run in running[g] if run.live]
-                reached(g, i, live)
+                running[g] = [run for run in running[g] if run.members]
+                reached(g, i, running[g])
                 for run in running[g]:
                     run.z = run.p = None
-                    if i == 0 or not run.live:
-                        run.y = None
-                running[g] = live
-    return owners
+    return outputs
 
 
 def _stored(op, xi: np.ndarray, members: list[tuple[SchemeSpec, TamedDriver]],
@@ -498,9 +503,9 @@ def _stored(op, xi: np.ndarray, members: list[tuple[SchemeSpec, TamedDriver]],
     """The sweep of one group with every member's levels kept: Y[k] and
     Z[k] are member k's N+1 and N levels, made NaN by `levels(n)` (an
     (n, nodes) array or a list of n level arrays), each filled when the
-    sweep reaches it.  So the levels of a member that exploded are NaN from
-    its first bad step down: as the sweep reports them, or as prefilled
-    from the step where its block left.  Returns each member's output."""
+    sweep reaches it.  A member that exploded leaves its block at its first
+    bad step, so its levels from there down keep their NaN.  Returns each
+    member's output from the sweep, with its levels attached."""
     n = op.grid.steps
     Y = [levels(n + 1) for _ in members]
     Z = [levels(n) for _ in members]
@@ -512,11 +517,11 @@ def _stored(op, xi: np.ndarray, members: list[tuple[SchemeSpec, TamedDriver]],
                 if block.z is not None:
                     Z[k][i][...] = block.z[row]
 
-    (runs,) = sweep([(op, xi, [(scheme, tamed, labels[k] if labels else None, False)
-                               for k, (scheme, tamed) in enumerate(members)])], store)
-    return [SchemeOutput(Y[k], Z[k], run.iterations[run.members.index(k)],
-                         first_bad_step=run.first_bad[k], wallclock_ms=run.seconds * 1e3)
-            for k, run in enumerate(runs)]
+    (outputs,) = sweep([(op, xi, [(scheme, tamed, labels[k] if labels else None, False)
+                                  for k, (scheme, tamed) in enumerate(members)])], store)
+    for out, y, z in zip(outputs, Y, Z):
+        out.Y, out.Z = y, z
+    return outputs
 
 
 def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: PathEnsemble,

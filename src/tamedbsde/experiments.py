@@ -2,8 +2,9 @@
 extrema study of Y (the positivity study on paths and the tree oracle on
 the exact tree, one study with two backends) and taming verification
 across the step ladder; all emit deterministic CSV.  The studies that run
-schemes go through `backward.sweep`, whose levels of an exploded scheme
-read NaN from its first bad step down, so no study masks a level itself.
+schemes go through `backward.sweep`, where an exploded scheme leaves its
+block at its first bad step, so a study sees only finite levels below the
+terminal one and no study masks a level itself.
 
 Brownian paths are simulated once on the finest grid and aggregated to each
 coarser one, so every scheme/grid pair sees the same underlying noise and
@@ -315,12 +316,11 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
             mse[g][k, i] = np.mean((y - proxy) ** 2)
 
     rows = []
-    for grid, blocks, errors in zip(grids, sweep(groups, reduce_level), mse):
-        for k, (run, block, level_mse) in enumerate(zip(cfg.schemes, blocks, errors)):
-            exploded = block.first_bad[k] is not None
-            err = math.inf if exploded else float(np.max(np.sqrt(level_mse)))
+    for grid, outputs, errors in zip(grids, sweep(groups, reduce_level), mse):
+        for run, out, level_mse in zip(cfg.schemes, outputs, errors):
+            err = math.inf if out.exploded else float(np.max(np.sqrt(level_mse)))
             rows.append(ErrorRow(run.label, grid.steps, grid.h, err if math.isfinite(err) else math.inf,
-                                 block.seconds * 1e3, exploded, cfg.seed))
+                                 out.wallclock_ms, out.exploded, cfg.seed))
     rows.sort(key=lambda row: (row.scheme, row.steps))
     return ErrorReport(rows=rows, proxy_labels=[s.label for s in proxy_runs], seed=cfg.seed)
 
@@ -337,7 +337,8 @@ def _extrema_study(cfg: ExperimentConfig, backend: str) -> PositivityStudyReport
     while its step runs.  On paths the study holds X, H and a level or two
     of Y per scheme; on the tree, whose forward levels are streamed to the
     terminal one, the rows of one base driver share a block: O(N) values.
-    A scheme that exploded reads NaN from its first bad step down."""
+    A scheme that exploded leaves its block at its first bad step, so its
+    extrema keep their NaN prefill from there down."""
     if len(cfg.grids) != 1:
         study = "tree oracle" if backend == "tree" else "positivity study"
         raise ConfigError(f"{study} expects exactly one grid size")

@@ -60,16 +60,6 @@ class TerminalSpec:
         if len(self.coeffs) == 0 or len(self.coeffs) > 5:
             raise ValueError("terminal polynomial must have degree between 0 and 4")
 
-    @property
-    def degree(self) -> int:
-        nz = [k for k, c in enumerate(self.coeffs) if c != 0.0]
-        return max(nz) if nz else 0
-
-    @property
-    def globally_lipschitz(self) -> bool:
-        # degree >= 2 terminal maps are only locally Lipschitz
-        return self.degree <= 1
-
     @cached_property
     def terms(self) -> tuple[np.float64, ...]:
         return polynomial_terms(self.coeffs)

@@ -525,6 +525,34 @@ def test_implicit_solve_evaluates_the_driver_once_per_iteration(monkeypatch):
     assert len(calls) == it
 
 
+def test_implicit_solve_halves_a_step_that_grows_the_residual(monkeypatch):
+    from tamedbsde.backward import _solve_implicit
+
+    calls = []
+    tamed_y_part = TamedDriver.tamed_y_part
+
+    def counting(self, y):
+        calls.append(np.size(y))
+        return tamed_y_part(self, y)
+
+    monkeypatch.setattr(TamedDriver, "tamed_y_part", counting)
+    # Allen-Cahn f = y - y^3 (M_y = 1) at h = 0.95, just inside the guard:
+    # the residual 0.05 y + 0.95 y^3 - c, from y = c, overshoots on three
+    # of the five paths in the first iteration, whose steps are halved
+    h = 0.95
+    driver = untamed(polynomial_driver([0.0, 1.0, 0.0, -1.0]), h)
+    backward.check_implicit_guard(h, driver.base.constants.m_y)
+    c = np.array([0.5, -0.5, 0.1, 2.0, -3.0])
+    y, it = _solve_implicit(driver, c, np.zeros_like(c), h, 0)
+    roots = [np.roots([0.95, 0.0, 0.05, -ck]) for ck in c]
+    roots = [r[np.abs(r.imag) < 1e-9].real for r in roots]
+    assert all(r.size == 1 for r in roots)
+    np.testing.assert_allclose(y, np.concatenate(roots), rtol=1e-13, atol=0.0)
+    assert it == 7
+    # the halving re-evaluates f^h on the halved paths only
+    assert calls.count(3) == 1 and calls.count(5) == len(calls) - 1
+
+
 def test_polished_acceptance_keeps_an_iterate_whose_newton_update_is_not_finite():
     from tamedbsde.backward import _solve_implicit
 
@@ -701,18 +729,18 @@ def test_exploding_tree_run_bitwise_equals_reference_loop(layout):
 
 
 def _tree_sweep(tree, terminal, members, reached):
-    """The blocks of (scheme, driver) pairs swept on the tree, unlabelled
+    """The outputs of (scheme, driver) pairs swept on the tree, unlabelled
     and not required."""
     xi = np.asarray(terminal(tree.levels[tree.steps]), dtype=float)
-    (blocks,) = backward.sweep([(backward.TreeOperator(tree.grid, tree.recombining), xi,
-                                 [(scheme, tamed, None, False) for scheme, tamed in members])], reached)
-    return blocks
+    (outputs,) = backward.sweep([(backward.TreeOperator(tree.grid, tree.recombining), xi,
+                                  [(scheme, tamed, None, False) for scheme, tamed in members])], reached)
+    return outputs
 
 
 @pytest.mark.parametrize("layout", sorted(TREE_SDES))
 def test_streamed_tree_run_reports_the_stored_levels(layout):
-    # the sweep keeps no level once it returns, reports each one it reaches
-    # (none past an explosion) and still returns the iteration counts
+    # the sweep reports each level it reaches (none past an explosion) and
+    # returns the iteration counts and first bad step, with no level
     grid = build_grid(1.0, 9)
     tree = build_tree(TREE_SDES[layout], grid)
     tamed = TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h)
@@ -727,16 +755,15 @@ def test_streamed_tree_run_reports_the_stored_levels(layout):
             for block in blocks:
                 seen[i] = block.y, block.z
 
-        (block,) = _tree_sweep(tree, terminal, [(scheme, tamed)], reached)
-        assert block.y is None and block.z is None
+        (out,) = _tree_sweep(tree, terminal, [(scheme, tamed)], reached)
+        assert out.Y is None and out.Z is None
         last = stored.first_bad_step if stored.exploded else -1
         assert list(seen) == list(range(grid.steps, last, -1))
         assert all(seen[i][0].tobytes() == stored.Y[i].tobytes() for i in seen)
         assert seen[grid.steps][1] is None
         assert all(seen[i][1].tobytes() == stored.Z[i].tobytes() for i in seen if i < grid.steps)
-        assert block.iterations.tobytes() == stored.implicit_iterations.tobytes()
-        assert block.first_bad[0] == stored.first_bad_step
-        assert (block.first_bad[0] is not None) == stored.exploded
+        assert out.implicit_iterations.tobytes() == stored.implicit_iterations.tobytes()
+        assert (out.exploded, out.first_bad_step) == (stored.exploded, stored.first_bad_step)
     assert stored.exploded and stored.first_bad_step > 0
 
 
@@ -767,10 +794,11 @@ scheme.4.taming = none
 
 
 @pytest.mark.parametrize("steps, first_bad", [(12, 7), (24, 19)])
-def test_sweep_reports_an_exploded_row_as_nan_from_its_first_bad_step(steps, first_bad):
+def test_an_exploded_row_leaves_its_block_at_its_first_bad_step(steps, first_bad):
     # f = -y^3 + 0.5 z, g = x^3, sigma = 2: the untamed row of the one
-    # block explodes at a step where some of its nodes are still finite,
-    # and the rows beside it keep the block in the sweep down to level 0
+    # block explodes at a step where some of its nodes are still finite; it
+    # leaves the block there, and the rows beside it keep the block in the
+    # sweep down to level 0, every level below the terminal one finite
     cfg = parse_config(EXPLODING_BLOCK.format(steps=steps))
     grid = build_grid(cfg.horizon, steps)
     tree = build_tree(cfg.sde, grid)
@@ -779,18 +807,14 @@ def test_sweep_reports_an_exploded_row_as_nan_from_its_first_bad_step(steps, fir
 
     def reached(g, i, blocks):
         (block,) = blocks
-        assert block.members == [0, 1, 2, 3]
-        seen[i] = block.y[3].copy(), None if block.z is None else block.z[3].copy()
+        assert i == steps or (np.isfinite(block.y).all() and np.isfinite(block.z).all()), i
+        seen[i] = block.members
 
-    blocks = _tree_sweep(tree, cfg.terminal, [(run.scheme, TamedDriver(cfg.driver, run.taming, grid.h))
-                                              for run in cfg.schemes], reached)
-    assert [blocks[k].first_bad[k] for k in range(4)] == [None, None, None, first_bad]
+    outputs = _tree_sweep(tree, cfg.terminal, [(run.scheme, TamedDriver(cfg.driver, run.taming, grid.h))
+                                               for run in cfg.schemes], reached)
+    assert [out.first_bad_step for out in outputs] == [None, None, None, first_bad]
     assert list(seen) == list(range(steps, -1, -1))
-    for i, (y, z) in seen.items():
-        if i > first_bad:
-            assert np.isfinite(y).all() and (z is None or np.isfinite(z).all())
-        else:
-            assert np.isnan(y).all() and np.isnan(z).all(), i
+    assert all(seen[i] == ([0, 1, 2, 3] if i > first_bad else [0, 1, 2]) for i in seen)
 
 
 def _tree_group_members(h):
@@ -835,28 +859,25 @@ def test_tree_group_outputs_do_not_depend_on_member_order_or_blocks(layout):
         for k, out in zip(order, outputs):
             same(out, alone[k])
 
-    # swept: all nine members as one (9, nodes) block, each level reported
-    # (the implicit rows never explode)
+    # swept: all nine members as the rows of one block, each level
+    # reported; the exploding member leaves it at its first bad step (the
+    # implicit rows never explode)
     seen = {}
 
     def reached(g, i, blocks):
-        for block in blocks:
-            seen.setdefault(tuple(block.members), {})[i] = block.y
+        (block,) = blocks
+        assert block.y.shape == (len(block.members), tree.node_count(i))
+        seen[i] = dict(zip(block.members, block.y))
 
-    blocks = _tree_sweep(tree, terminal, members, reached)
-    assert sorted(seen) == [tuple(range(9))]
-    block = seen[tuple(range(9))]
-    assert list(block) == list(range(grid.steps, -1, -1))
-    assert all(y.shape == (9, tree.node_count(i)) for i, y in block.items())
-    for k, ref in enumerate(alone):
-        assert blocks[k].y is None and blocks[k].z is None
-        assert blocks[k].first_bad[k] == ref.first_bad_step
-        assert (blocks[k].first_bad[k] is not None) == ref.exploded
-        assert blocks[k].iterations[k].tobytes() == ref.implicit_iterations.tobytes()
+    outputs = _tree_sweep(tree, terminal, members, reached)
+    assert list(seen) == list(range(grid.steps, -1, -1))
+    for k, (out, ref) in enumerate(zip(outputs, alone)):
+        assert out.Y is None and out.Z is None
+        assert (out.exploded, out.first_bad_step) == (ref.exploded, ref.first_bad_step)
+        assert out.implicit_iterations.tobytes() == ref.implicit_iterations.tobytes()
         last = ref.first_bad_step if ref.exploded else -1
-        levels = {i: y[k] for i, y in block.items()}
-        assert all(levels[i].tobytes() == ref.Y[i].tobytes() for i in range(grid.steps, last, -1))
-        assert all(not np.isfinite(levels[i]).all() for i in range(last, -1, -1))
+        assert [i for i in seen if k in seen[i]] == list(range(grid.steps, last, -1))
+        assert all(seen[i][k].tobytes() == ref.Y[i].tobytes() for i in range(grid.steps, last, -1))
 
 
 def test_tree_group_takes_one_block_y_part_per_level(monkeypatch):
@@ -881,13 +902,23 @@ def test_tree_group_takes_one_block_y_part_per_level(monkeypatch):
     assert all(block is blocks[0] for block in blocks)
 
 
+def test_tree_group_rejects_a_driver_tamed_at_another_step():
+    grid = build_grid(1.0, 9)
+    tree = build_tree(TREE_SDES["recombining"], grid)
+    members = [(SchemeSpec(kind="explicit_tamed"), TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), 0.5))]
+    with pytest.raises(ValueError, match=f"driver was tamed at h=0.5, grid has h={grid.h}"):
+        tree_group_run(members, tree, TerminalSpec((0.0, 1.0)))
+
+
 def _sweep_checking_drops(op, xi, members, nodes):
     """Sweep one group, checking at each callback that every block's Y_i,
     Z_i and y-part at Y_{i+1} are C-ordered (rows, nodes(level)) arrays,
     and that no Z level or y-part of the callback before is alive, nor the
-    last level of a block that left the lockstep there.  Returns the blocks
-    and the levels at which one left."""
-    z_refs, y_refs, gone, left = [], [], [], []
+    last level of a block that left the lockstep there; and, once the sweep
+    has returned, that no level is.  The callback holds weak references
+    only.  Returns the outputs, the levels at which a block left and each
+    level's block members as the callback saw them."""
+    z_refs, y_refs, gone, left, seen = [], [], [], [], {}
 
     def reached(_, i, blocks):
         for block in blocks:
@@ -897,21 +928,22 @@ def _sweep_checking_drops(op, xi, members, nodes):
         assert all(ref() is None for ref in z_refs + gone)
         z_refs[:] = [weakref.ref(level) for block in blocks for level in (block.z, block.p)
                      if level is not None]
-        gone[:] = [ref for block, ref in y_refs if block not in blocks]
-        y_refs[:] = [(block, weakref.ref(block.y)) for block in blocks]
+        gone[:] = [ref for block, ref in y_refs if block() not in blocks]
+        y_refs[:] = [(weakref.ref(block), weakref.ref(block.y)) for block in blocks]
         left.extend(i for _ in gone)
+        seen[i] = [block.members for block in blocks]
 
-    (blocks,) = backward.sweep([(op, xi, members)], reached)
-    assert all(ref() is None for ref in z_refs + gone)
-    assert all(block.y is None and block.z is None for block in blocks)
-    return blocks, left
+    (outputs,) = backward.sweep([(op, xi, members)], reached)
+    assert all(ref() is None for ref in z_refs + gone + [ref for _, ref in y_refs])
+    assert all(out.Y is None and out.Z is None for out in outputs)
+    return outputs, left, seen
 
 
 def test_sweep_keeps_no_z_level_and_no_level_of_a_block_that_left():
     # after each callback the sweep drops every Z_i and y-part, and the last
     # Y level of a block whose rows have all exploded: a weak reference to one,
-    # taken in one callback, is dead at the next (a memory bound on the
-    # whole study would not see one leaked level)
+    # taken in one callback, is dead at the next, and none outlives the
+    # sweep (a memory bound on the whole study would not see one leaked level)
     grid = build_grid(1.0, 64)
     batch = sample_increments(grid, 2000, 20240, NoiseModel())
     ens = euler_simulate(SdeSpec(x0=0.0, diff_const=1.0), grid, batch)
@@ -919,9 +951,9 @@ def test_sweep_keeps_no_z_level_and_no_level_of_a_block_that_left():
     members = [(SchemeSpec(kind="implicit"), untamed(CUBIC, grid.h), None, False),
                (SchemeSpec(kind="explicit_untamed"), untamed(CUBIC, grid.h), None, False)]
     op = backward.LsmcOperator(BasisSpec(size=6), backward.ArrayRows(ens.X, batch.H), grid)
-    blocks, left = _sweep_checking_drops(op, xi, members, lambda i: 2000)
-    assert blocks[0].first_bad[0] is None
-    assert left == [blocks[1].first_bad[1]] and left[0] > 0
+    outputs, left, _ = _sweep_checking_drops(op, xi, members, lambda i: 2000)
+    assert not outputs[0].exploded
+    assert left == [outputs[1].first_bad_step] and left[0] > 0
 
     # on a tree: the implicit member and an untamed one of another base
     # driver, each a block; then the same two on the tree's enumerated
@@ -936,21 +968,24 @@ def test_sweep_keeps_no_z_level_and_no_level_of_a_block_that_left():
                    (*group[7], None, False)]
         xi = np.asarray(terminal(tree.levels[-1]), dtype=float)
         op = backward.TreeOperator(tree.grid, tree.recombining)
-        blocks, left = _sweep_checking_drops(op, xi, members, tree.node_count)
-        assert blocks[0].first_bad[0] is None
-        assert left == [blocks[1].first_bad[1]] and left[0] > 0
+        outputs, left, _ = _sweep_checking_drops(op, xi, members, tree.node_count)
+        assert not outputs[0].exploded
+        assert left == [outputs[1].first_bad_step] and left[0] > 0
 
         ens = enumerate_tree_paths(tree)
         op = backward._path_operator(ExactTreeBasis(), ens)
-        blocks, left = _sweep_checking_drops(op, terminal_values(terminal, ens), members,
-                                             lambda i: 2**grid.steps)
-        assert blocks[0].first_bad[0] is None
-        assert left == [blocks[1].first_bad[1]] and left[0] > 0
+        outputs, left, _ = _sweep_checking_drops(op, terminal_values(terminal, ens), members,
+                                                 lambda i: 2**grid.steps)
+        assert not outputs[0].exploded
+        assert left == [outputs[1].first_bad_step] and left[0] > 0
 
-        blocks, left = _sweep_checking_drops(backward.TreeOperator(tree.grid, tree.recombining), xi,
-                                             [(*member, None, False) for member in group[:2]]
-                                             + members[1:], tree.node_count)
-        assert blocks[0] is blocks[1] is blocks[2] and left == []
+        # the three share one block, which the exploding row leaves
+        outputs, left, seen = _sweep_checking_drops(
+            backward.TreeOperator(tree.grid, tree.recombining), xi,
+            [(*member, None, False) for member in group[:2]] + members[1:], tree.node_count)
+        first_bad = outputs[2].first_bad_step
+        assert 0 < first_bad < grid.steps - 1 and left == []
+        assert seen == {i: [[0, 1, 2] if i > first_bad else [0, 1]] for i in range(grid.steps, -1, -1)}
 
 
 # ---------------------------------------------------------------- closed-form ODE reference
@@ -1227,6 +1262,17 @@ def test_comparison_rejects_z_driver_with_partial_theta():
     with pytest.raises(ValueError, match="theta"):
         comparison_check(SchemeSpec(kind="explicit_tamed", theta_prime=0.5),
                          zdrv, term, zdrv, term, tree)
+
+
+def test_comparison_rejects_an_exploding_instance():
+    # the untamed kind explodes on the terminals 30 x^3 and 29 x^3: its
+    # block leaves the sweep before level 0, which the check needs
+    grid = build_grid(1.0, 9)
+    tree = build_tree(TREE_SDES["recombining"], grid)
+    tamed = TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h)
+    with pytest.raises(ValueError, match="comparison check needs non-exploded runs"):
+        comparison_check(SchemeSpec(kind="explicit_untamed"), tamed, TerminalSpec((0.0, 0.0, 0.0, 30.0)),
+                         tamed, TerminalSpec((0.0, 0.0, 0.0, 29.0)), tree)
 
 
 def test_comparison_peak_memory_is_a_few_levels():

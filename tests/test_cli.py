@@ -206,6 +206,16 @@ def with_keys(text, extra):
      "scheme.3.taming = mult_c\nscheme.3.r0 = 1e300\nscheme.3.exponent = 0.5\n", [],
      "scheme 'mult_c', N=4: the derived constants K^h_y, L^h_y, (K^h_y)^2 h and (L^h_y)^2 h "
      "are not all finite"),
+    ("converge", "oops\n", [], "expected 'key = value', got 'oops'"),
+    ("converge", " = 3\n", [], "empty key or value in ' = 3'"),
+    ("converge", "grids = 0\n", [], "grids must be positive integers"),
+    ("converge", "grids = 10,5\n", [], "grids must be strictly ascending"),
+    ("converge", "paths = 0\n", [], "paths must be >= 1"),
+    ("converge", "basis.size = 0\n", [], "basis.size must be >= 1"),
+    ("converge", "scheme.2.label = implicit\n", [], "scheme labels must be unique"),
+    ("converge", "noise.kind = bogus\n", [], "unknown noise kind 'bogus'"),
+    ("converge", "scheme.3.kind = explicit_tamed\nscheme.3.taming = mult_a\nscheme.3.r0 = -1\n", [],
+     "scheme.3: taming r0 must be positive"),
 ], ids=["inline-timing", "standardize", "implicit-tol", "implicit-max-iter", "threads-key",
         "threads-option", "probe-samples", "domain-bound", "domain-bound-nan", "domain-bound-inf",
         "horizon-inf-tree", "horizon-inf-taming", "seed-key", "seed-option",
@@ -214,7 +224,9 @@ def with_keys(text, extra):
         "probe-y-max-negative", "radius-overflow-converge", "radius-overflow-positivity",
         "radius-overflow-taming", "radius-overflow-tree", "radius-inf",
         "radius-overflow-constants-positivity", "radius-overflow-constants-taming",
-        "radius-overflow-constants-tree", "radius-overflow-constants-mult-c"])
+        "radius-overflow-constants-tree", "radius-overflow-constants-mult-c",
+        "line-without-equals", "empty-key", "grids-zero", "grids-descending", "paths-zero",
+        "basis-size-zero", "duplicate-label", "noise-kind", "r0-negative"])
 def test_rejected_value_is_config_error(tmp_path, capsys, command, extra, args, message):
     out = tmp_path / "x.csv"
     cfg = tmp_path / "bad.cfg"

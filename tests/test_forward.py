@@ -109,9 +109,3 @@ def test_terminal_law_moments():
     x_n = ens.X[-1]
     assert x_n.mean() == pytest.approx(0.7, abs=5 * 1.5 * math.sqrt(2.0 / m))
     assert x_n.var() == pytest.approx(1.5**2 * 2.0, rel=0.05)
-
-
-def test_lipschitz_flag():
-    assert TerminalSpec((0.0, 1.0)).globally_lipschitz
-    assert TerminalSpec((2.5,)).globally_lipschitz
-    assert not TerminalSpec((0.0, 0.0, 1.0)).globally_lipschitz
