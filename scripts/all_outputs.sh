@@ -15,6 +15,13 @@
 #                           the one base driver)
 #   lsmc_converge, lsmc_wide  converge and positivity on perfbench's configs,
 #                           --seed 7
+#   bound_<command>         each of the four subcommands on
+#                           scripts/positivity_study.cfg with
+#                           driver.domain_bound = 1e300 (the constants
+#                           overflow: converge runs, the others exit 2)
+#   x0_<command>            positivity and tree-oracle on
+#                           scripts/positivity_study.cfg with sde.x0 = 1e308
+#                           (the forward states blow up: both exit 4)
 # Each command's stdout, stderr and exit code go to <name>.stdout, with
 # OUTDIR written as the token OUTDIR.  The single-grid copies are made in a
 # temporary directory; perfbench's configs are read in place.  Every
@@ -37,6 +44,14 @@ record() {
     "$@" >"$tmp/stdout" 2>"$tmp/stderr" || rc=$?
     { cat "$tmp/stdout"; echo "--- stderr"; cat "$tmp/stderr"; echo "--- exit $rc"; } \
         | sed -e "s|$out|OUTDIR|g" -e "s|$tmp|TMPDIR|g" >"$out/$name.stdout"
+}
+
+# with_key CFG NAME KEY VALUE: a copy of CFG in the temporary directory,
+# named NAME.cfg, with KEY = VALUE in place of KEY's line (or added)
+with_key() {
+    local copy="$tmp/$2.cfg"
+    { grep -v -e "^$3 *=" "$1" || true; echo "$3 = $4"; } >"$copy"
+    echo "$copy"
 }
 
 # grids CFG: the N ladder of CFG, space-separated
@@ -72,5 +87,15 @@ record lsmc_converge python3 -m tamedbsde converge "$root/perfbench/configs/lsmc
     --seed 7 --out "$out/lsmc_converge.csv"
 record lsmc_wide python3 -m tamedbsde positivity "$root/perfbench/configs/lsmc_wide.cfg" \
     --seed 7 --out "$out/lsmc_wide.csv"
+
+cfg="$here/positivity_study.cfg"
+copy="$(with_key "$cfg" bound driver.domain_bound 1e300)"
+for command in converge positivity tree-oracle verify-taming; do
+    record "bound_$command" python3 -m tamedbsde "$command" "$copy" --out "$out/bound_$command.csv"
+done
+copy="$(with_key "$cfg" x0 sde.x0 1e308)"
+for command in positivity tree-oracle; do
+    record "x0_$command" python3 -m tamedbsde "$command" "$copy" --out "$out/x0_$command.csv"
+done
 
 echo "done; outputs in $out"

@@ -6,7 +6,7 @@ corresponding config entries; `--threads`, like the `threads` key, is
 accepted and ignored, as every study runs on one thread.  OpenBLAS is held
 to one thread, so the output does not depend on the core count.  Exit
 codes: 0 success, 2 invalid config, 3 I/O error, 4 numerical failure
-(ForwardBlowupError, ImplicitSolverError, DesignError when a step's
+(ForwardBlowupError on the paths or the tree's levels, ImplicitSolverError, DesignError when a step's
 regression design is not finite, or SchemeExplodedError when a
 convergence proxy scheme explodes; the message names the scheme, N, path
 and step where they apply).  Explosions of the schemes under study are

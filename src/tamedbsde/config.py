@@ -20,7 +20,9 @@ and blank lines.  Values are scalars or comma-separated lists.  Example::
 
 Scheme entries are numbered; each carries its own taming, `none` when it
 names no `scheme.<n>.taming` (its `r0` and `exponent` keys are then unknown
-keys).  Every number must be finite.
+keys).  Every number must be finite.  A key left out takes the default of
+the model field it sets (SdeSpec, polynomial_driver, ProbePlan, TamingSpec,
+SchemeSpec); only the keys no model type holds have their defaults here.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 from .drivers import DriverSpec, ProbePlan, TamedDriver, TamingSpec, polynomial_driver
 from .forward import SdeSpec, TerminalSpec
-from .grids import GAUSSIAN, NoiseModel, TRUNCATED, check_horizon, truncation_lambda
+from .grids import NoiseModel, TRUNCATED, check_horizon, truncation_lambda
 from .backward import IMPLICIT, SchemeSpec, check_implicit_guard
 
 
@@ -133,17 +135,14 @@ class _Reader:
                          "comma-separated finite numbers")
     int_list = _getter(lambda v: [int(part) for part in v.split(",")], "comma-separated integers")
 
+    def given(self, read, **keys) -> dict:
+        """{field: read(key)} for each field=key whose key the config sets:
+        keyword arguments that leave every other field at the default its
+        model type declares."""
+        return {name: read(key) for name, key in keys.items() if key in self.pairs}
+
     def unknown_keys(self):
         return sorted(set(self.pairs) - self.seen)
-
-
-def _taming_from(reader: _Reader, prefix: str, kind: str) -> TamingSpec:
-    r0 = reader.float_(f"{prefix}.r0", default=1.0)
-    exponent = reader.float_(f"{prefix}.exponent", default=None)
-    try:
-        return TamingSpec(kind=kind, r0=r0, exponent=exponent)
-    except ValueError as exc:
-        raise ConfigError(f"{prefix}: {exc}") from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -161,36 +160,21 @@ def parse_config(text: str) -> ExperimentConfig:
     seed = checked_seed(r.int_("seed"))
     try:
         check_horizon(horizon)
-        sde = SdeSpec(
-            x0=r.float_("sde.x0", default=0.0),
-            drift_const=r.float_("sde.b0", default=0.0),
-            drift_slope=r.float_("sde.b1", default=0.0),
-            diff_const=r.float_("sde.sigma", default=1.0),
-            diff_slope=r.float_("sde.sigma_slope", default=0.0),
-        )
+        sde = SdeSpec(**r.given(r.float_, x0="sde.x0", drift_const="sde.b0",
+                                drift_slope="sde.b1", diff_const="sde.sigma",
+                                diff_slope="sde.sigma_slope"))
         terminal = TerminalSpec(tuple(r.float_list("terminal.coeffs")))
-        driver = polynomial_driver(
-            r.float_list("driver.y_poly"),
-            z_coeff=r.float_("driver.z_coeff", default=0.0),
-            domain_bound=r.float_("driver.domain_bound", default=10.0),
-        )
+        driver = polynomial_driver(r.float_list("driver.y_poly"),
+                                   **r.given(r.float_, z_coeff="driver.z_coeff",
+                                             domain_bound="driver.domain_bound"))
         # optional sharper declarations, e.g. M_y = 0 for a driver that is
         # monotone on the domain the solution actually lives in
-        m_y = r.float_("driver.m_y", default=None)
-        l_y = r.float_("driver.l_y", default=None)
-        if m_y is not None or l_y is not None:
-            cons = replace(
-                driver.constants,
-                **({"m_y": m_y} if m_y is not None else {}),
-                **({"l_y": l_y} if l_y is not None else {}),
-            )
-            driver = DriverSpec(driver.y_coeffs, driver.z_coeff, cons)
-        probe = ProbePlan(
-            y_max=r.float_("tolerances.probe_y_max", default=10.0),
-            z_max=r.float_("tolerances.probe_z_max", default=10.0),
-            samples=r.int_("tolerances.probe_samples", default=10_000),
-            rel_slack=r.float_("tolerances.rel_slack", default=1e-9),
-        )
+        declared = r.given(r.float_, m_y="driver.m_y", l_y="driver.l_y")
+        if declared:
+            driver = DriverSpec(driver.y_coeffs, driver.z_coeff, replace(driver.constants, **declared))
+        probe = ProbePlan(**r.given(r.float_, y_max="tolerances.probe_y_max",
+                                    z_max="tolerances.probe_z_max", rel_slack="tolerances.rel_slack"),
+                          **r.given(r.int_, samples="tolerances.probe_samples"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -206,13 +190,14 @@ def parse_config(text: str) -> ExperimentConfig:
     if paths < 1:
         raise ConfigError("paths must be >= 1")
 
-    kind = r.str_("noise.kind", default=GAUSSIAN)
+    noise_fields = r.given(r.str_, kind="noise.kind")
     try:
-        noise = NoiseModel(
-            kind=kind,
-            radius0=r.float_("noise.r0", default=2.0) if kind == TRUNCATED else None,
-            use_log_schedule=r.bool_("noise.log_schedule", default=True) if kind == TRUNCATED else False,
-        )
+        # only truncated noise reads noise.r0 and noise.log_schedule (other
+        # kinds take them as unknown keys); their defaults live here
+        if noise_fields.get("kind") == TRUNCATED:
+            noise_fields.update(radius0=r.float_("noise.r0", default=2.0),
+                                use_log_schedule=r.bool_("noise.log_schedule", default=True))
+        noise = NoiseModel(**noise_fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -223,10 +208,14 @@ def parse_config(text: str) -> ExperimentConfig:
         prefix = f"scheme.{idx}"
         kind = r.str_(f"{prefix}.kind")
         label = r.str_(f"{prefix}.label", default=f"scheme{idx}")
-        taming_kind = r.str_(f"{prefix}.taming", default=None)
-        taming = TamingSpec() if taming_kind is None else _taming_from(r, prefix, taming_kind)
+        taming_fields = r.given(r.str_, kind=f"{prefix}.taming")
+        # a scheme that names no taming reads no r0 or exponent: those keys
+        # are then unknown keys
+        if taming_fields:
+            taming_fields |= r.given(r.float_, r0=f"{prefix}.r0", exponent=f"{prefix}.exponent")
         try:
-            scheme = SchemeSpec(kind=kind, theta_prime=r.float_(f"{prefix}.theta_prime", default=1.0))
+            taming = TamingSpec(**taming_fields)
+            scheme = SchemeSpec(kind=kind, **r.given(r.float_, theta_prime=f"{prefix}.theta_prime"))
         except ValueError as exc:
             raise ConfigError(f"{prefix}: {exc}") from None
         schemes.append(SchemeRun(label=label, scheme=scheme, taming=taming))

@@ -26,6 +26,9 @@ MULT_D = "mult_d"
 TAMING_KINDS = (NONE, INNER_PROJ, OUTER_PROJ, MULT_A, MULT_B, MULT_C, MULT_D)
 MULT_KINDS = (MULT_A, MULT_B, MULT_C, MULT_D)
 
+# the default |y| range on which a driver's m_y (and l_y) are certified
+DOMAIN_BOUND = 10.0
+
 
 @dataclass(frozen=True)
 class DriverConstants:
@@ -62,7 +65,11 @@ def _max_poly_on_candidates(coeffs, candidates) -> float:
     return float(np.max(horner(polynomial_terms(coeffs), np.asarray(candidates, dtype=float))))
 
 
-def derive_base_constants(y_coeffs, z_coeff: float = 0.0, domain_bound: float = 10.0) -> DriverConstants:
+# a polynomial far beyond its certified range overflows quietly: a constant
+# comes out non-finite instead of warning (checked_constants rejects those
+# of a tamed driver)
+@np.errstate(over="ignore", invalid="ignore")
+def derive_base_constants(y_coeffs, z_coeff: float, domain_bound: float) -> DriverConstants:
     """Constants for a polynomial driver, exact where the polynomial allows.
 
     The growth constants are global.  The one-sided Lipschitz constant is
@@ -106,19 +113,16 @@ class DriverSpec:
         if len(self.y_coeffs) == 0:
             raise ValueError("driver needs at least one y coefficient")
         if self.constants is None:
-            object.__setattr__(self, "constants", derive_base_constants(self.y_coeffs, self.z_coeff))
+            cons = derive_base_constants(self.y_coeffs, self.z_coeff, DOMAIN_BOUND)
+            object.__setattr__(self, "constants", cons)
 
     # The properties below are computed once per instance; cached_property
     # stores them in the instance dict, which a frozen dataclass allows.
     @cached_property
-    def degree(self) -> int:
-        nz = [k for k, a in enumerate(self.y_coeffs) if a != 0.0]
-        return max(nz) if nz else 0
-
-    @cached_property
     def growth_power(self) -> int:
-        """Polynomial growth degree m >= 1 used by the taming formulas."""
-        return max(self.degree, 1)
+        """Polynomial growth degree m >= 1 used by the taming formulas: the
+        degree of P, or 1 for a constant P."""
+        return max([1] + [k for k, a in enumerate(self.y_coeffs) if a != 0.0])
 
     @cached_property
     def y_terms(self) -> tuple[np.float64, ...]:
@@ -166,7 +170,7 @@ def horner(terms: tuple[np.float64, ...], x):
     return acc
 
 
-def polynomial_driver(y_coeffs, z_coeff: float = 0.0, domain_bound: float = 10.0) -> DriverSpec:
+def polynomial_driver(y_coeffs, z_coeff: float = 0.0, domain_bound: float = DOMAIN_BOUND) -> DriverSpec:
     """DriverSpec with constants derived for the polynomial on |y| <= domain_bound."""
     coeffs = tuple(float(a) for a in y_coeffs)
     return DriverSpec(coeffs, float(z_coeff), derive_base_constants(coeffs, z_coeff, domain_bound))
@@ -426,20 +430,28 @@ def _outer_lipschitz(coeffs, r: float) -> float:
     return float(np.max(np.abs(horner(polynomial_terms(dP), cands[inside]))))
 
 
-def _monotone_growth_base(base: DriverSpec, alpha: float = 1.0) -> tuple[float, float, float]:
+# Young parameter of the monotone-growth constants
+_YOUNG_ALPHA = 1.0
+# grid points of an empirical (grid-certified) constant on [-domain_bound, domain_bound]
+_PROFILE_POINTS = 2001
+
+
+def _monotone_growth_base(base: DriverSpec) -> tuple[float, float, float]:
     """(mbar_t, mbar_y, mbar_z) with y.f <= mbar_t + mbar_y y^2 + mbar_z z^2,
-    obtained from the monotonicity and growth constants with Young parameter alpha."""
+    obtained from the monotonicity and growth constants with Young parameter
+    _YOUNG_ALPHA."""
     c = base.constants
-    return c.k_t**2 / (2 * alpha), c.m_y + alpha, c.k_z**2 / (2 * alpha)
+    return c.k_t**2 / (2 * _YOUNG_ALPHA), c.m_y + _YOUNG_ALPHA, c.k_z**2 / (2 * _YOUNG_ALPHA)
 
 
-def _empirical_profile(driver: TamedDriver, n: int = 2001):
+def _empirical_profile(driver: TamedDriver):
     b = driver.base.constants.domain_bound
-    ys = np.linspace(-b, b, n)
+    ys = np.linspace(-b, b, _PROFILE_POINTS)
     vals = driver.tamed_y_part(ys)
     return ys, vals
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as derive_base_constants
 def derive_constants(driver: TamedDriver) -> DerivedConstants:
     """Constants of f^h at the driver's step size.
 
@@ -553,10 +565,15 @@ class AssumptionReport:
         return all(ch.passed for ch in self.checks.values())
 
 
-def _collect(name, margins, samples, slack, fitted=None, cap=10) -> AssumptionCheck:
+# violations an AssumptionCheck lists, the first in probe order
+_MAX_VIOLATIONS = 10
+
+
+def _collect(name, margins, samples, slack, fitted=None) -> AssumptionCheck:
     worst = float(np.max(margins)) if margins.size else 0.0
     bad = np.nonzero(~(margins <= slack))[0]  # a NaN margin (the probe overflowed) fails too
-    viol = [tuple(float(v) for v in samples[j]) + (float(margins[j]),) for j in bad[:cap]]
+    viol = [tuple(float(v) for v in samples[j]) + (float(margins[j]),)
+            for j in bad[:_MAX_VIOLATIONS]]
     return AssumptionCheck(name, bad.size == 0, worst, fitted, viol)
 
 

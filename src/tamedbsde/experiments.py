@@ -36,6 +36,7 @@ from .backward import (
 from .config import ConfigError, ExperimentConfig, SchemeRun
 from .drivers import (
     INNER_PROJ,
+    DerivedConstants,
     TamedDriver,
     TamingSpec,
     checked_constants,
@@ -92,7 +93,6 @@ class ErrorRow:
     error: float
     wallclock_ms: float
     exploded: bool
-    seed: int
 
 
 @dataclass
@@ -100,15 +100,6 @@ class ErrorReport:
     rows: list[ErrorRow]
     proxy_labels: list[str]
     seed: int
-
-
-@dataclass(frozen=True)
-class ExtremaRow:
-    scheme: str
-    index: int
-    t: float
-    min_y: float
-    max_y: float
 
 
 @dataclass
@@ -122,31 +113,17 @@ class PositivityStudyReport:
     mins: np.ndarray
     maxs: np.ndarray
     conditions: list[tuple[str, float, bool]]  # (label, step condition value, ok)
-    backend: str  # "regression" or "tree"
-
-    @property
-    def rows(self) -> list[ExtremaRow]:
-        """One row per scheme and step, each scheme's from step N down to
-        0: the rows of the CSV, built on each access."""
-        times = self.times.tolist()
-        return [ExtremaRow(label, i, times[i], lo[i], hi[i])
-                for label, lo, hi in zip(self.labels, self.mins.tolist(), self.maxs.tolist())
-                for i in range(len(times) - 1, -1, -1)]
 
 
 @dataclass(frozen=True)
 class TamingRow:
+    """One taming at one N: the constants its AssumptionReport derived and
+    the pass/fail of each of its checks."""
+
     taming: str
     steps: int
-    h: float
-    radius: float
-    k_t: float
-    k_y: float
-    l_y: float
-    k_y_sq_h: float
-    l_y_sq_h: float
-    empirical: bool
-    checks: dict
+    constants: DerivedConstants
+    checks: dict[str, bool]
 
 
 @dataclass
@@ -160,8 +137,8 @@ class TamingReport:
         first: dict[str, float] = {}
         last: dict[str, float] = {}
         for row in self.rows:
-            first.setdefault(row.taming, row.k_y_sq_h)
-            last[row.taming] = row.k_y_sq_h
+            first.setdefault(row.taming, row.constants.k_y_sq_h)
+            last[row.taming] = row.constants.k_y_sq_h
         return {label: last[label] > 4.0 * max(first[label], 1e-300) for label in first}
 
 
@@ -320,7 +297,7 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
         for run, out, level_mse in zip(cfg.schemes, outputs, errors):
             err = math.inf if out.exploded else float(np.max(np.sqrt(level_mse)))
             rows.append(ErrorRow(run.label, grid.steps, grid.h, err if math.isfinite(err) else math.inf,
-                                 out.wallclock_ms, out.exploded, cfg.seed))
+                                 out.wallclock_ms, out.exploded))
     rows.sort(key=lambda row: (row.scheme, row.steps))
     return ErrorReport(rows=rows, proxy_labels=[s.label for s in proxy_runs], seed=cfg.seed)
 
@@ -373,8 +350,7 @@ def _extrema_study(cfg: ExperimentConfig, backend: str) -> PositivityStudyReport
 
     sweep([(op, xi, members)], reduce_level)
     return PositivityStudyReport([run.label for run in runs], grid.times, mins, maxs,
-                                 [(run.label, c, c < 1.0) for run, c in zip(runs, conditions)],
-                                 backend)
+                                 [(run.label, c, c < 1.0) for run, c in zip(runs, conditions)])
 
 
 def positivity_study(cfg: ExperimentConfig) -> PositivityStudyReport:
@@ -399,17 +375,10 @@ def verify_taming_study(cfg: ExperimentConfig) -> TamingReport:
     rows: list[TamingRow] = []
     for taming, label in sorted(tamings.items(), key=lambda item: item[1]):
         for n in cfg.grids:
-            h = cfg.horizon / n
-            tamed = TamedDriver(base=cfg.driver, taming=taming, h=h)
+            tamed = TamedDriver(base=cfg.driver, taming=taming, h=cfg.horizon / n)
             report = _checked(label, n, verify_assumptions, tamed, cfg.probe)
-            cons = report.constants
-            rows.append(TamingRow(
-                taming=label, steps=n, h=h, radius=cons.radius,
-                k_t=cons.k_t, k_y=cons.k_y, l_y=cons.l_y,
-                k_y_sq_h=cons.k_y_sq_h, l_y_sq_h=cons.l_y_sq_h,
-                empirical=cons.empirical,
-                checks={name: ch.passed for name, ch in report.checks.items()},
-            ))
+            rows.append(TamingRow(label, n, report.constants,
+                                  {name: ch.passed for name, ch in report.checks.items()}))
     return TamingReport(rows=rows)
 
 
@@ -449,18 +418,19 @@ def emit_csv(report, path: str) -> None:
             _write_lines(target, [CONVERGENCE_HEADER] + [
                 ",".join([row.scheme, _fmt(row.steps), _fmt(row.h), _fmt(row.error),
                           _fmt(row.wallclock_ms if timed else 0.0), _fmt(row.exploded),
-                          _fmt(row.seed)])
+                          _fmt(report.seed)])
                 for row in report.rows])
     elif isinstance(report, PositivityStudyReport):
         _write_lines(path, _extrema_lines(report))
     elif isinstance(report, TamingReport):
         lines.append(TAMING_HEADER)
         for row in report.rows:
+            cons = row.constants
             checks = [row.checks.get(name, False) for name in CHECK_ORDER]
             lines.append(",".join(
-                [row.taming, _fmt(row.steps), _fmt(row.h), _fmt(row.radius),
-                 _fmt(row.k_t), _fmt(row.k_y), _fmt(row.l_y),
-                 _fmt(row.k_y_sq_h), _fmt(row.l_y_sq_h), _fmt(row.empirical)]
+                [row.taming, _fmt(row.steps), _fmt(cons.h), _fmt(cons.radius),
+                 _fmt(cons.k_t), _fmt(cons.k_y), _fmt(cons.l_y),
+                 _fmt(cons.k_y_sq_h), _fmt(cons.l_y_sq_h), _fmt(cons.empirical)]
                 + [_fmt(c) for c in checks] + [_fmt(all(checks))]))
         _write_lines(path, lines)
     else:
@@ -468,9 +438,9 @@ def emit_csv(report, path: str) -> None:
 
 
 def _extrema_lines(report: PositivityStudyReport) -> Iterator[str]:
-    """The header, then the lines of each scheme's `report.rows` (step N
-    first) as one string, made from its row of the arrays.  The fields are
-    str, int and float: _fmt's formats, without its dispatch."""
+    """The header, then each scheme's lines (step N first) as one string,
+    made from its row of the arrays.  The fields are str, int and float:
+    _fmt's formats, without its dispatch."""
     yield EXTREMA_HEADER
     times = report.times.tolist()
     steps = range(len(times) - 1, -1, -1)

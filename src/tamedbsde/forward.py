@@ -28,11 +28,23 @@ class ForwardBlowupError(RuntimeError):
         )
 
 
+def check_states(x: np.ndarray, step: int, steps: int) -> None:
+    """The blow-up rule of the forward states, on paths and on the tree:
+    raises ForwardBlowupError naming the lowest index of x (a path, or a
+    tree node) whose state at `step` of an N = `steps` grid is non-finite or
+    beyond the overflow limit."""
+    # NaN fails the comparison, so this also catches non-finite states
+    bad = ~(np.abs(x) <= OVERFLOW_LIMIT)
+    if bad.any():
+        p = int(np.argmax(bad))
+        raise ForwardBlowupError(p, step, float(x[p]), steps)
+
+
 @dataclass(frozen=True)
 class SdeSpec:
     """Scalar SDE dX = (b0 + b1 X) dt + (s0 + s1 X) dW, started at x0."""
 
-    x0: float
+    x0: float = 0.0
     drift_const: float = 0.0
     drift_slope: float = 0.0
     diff_const: float = 1.0
@@ -104,18 +116,13 @@ def euler_rows(sde: SdeSpec, X: np.ndarray, dW: np.ndarray, h: float, first: int
     row depends only on the row before it and its increments, so a run
     restarted from a stored row gives that row's successors to the bit.
 
-    Raises ForwardBlowupError naming the absolute step of the first
-    offending row and its lowest offending path where a state becomes
-    non-finite or exceeds the overflow limit.
+    Raises ForwardBlowupError (check_states) naming the absolute step of
+    the first offending row and its lowest offending path.
     """
     for k, dw in enumerate(dW):
         x = X[k]
         X[k + 1] = x + sde.drift(x) * h + sde.diffusion(x) * dw
-        # NaN fails the comparison, so this also catches non-finite states
-        bad = ~(np.abs(X[k + 1]) <= OVERFLOW_LIMIT)
-        if bad.any():
-            p = int(np.argmax(bad))
-            raise ForwardBlowupError(p, first + k + 1, float(X[k + 1, p]), steps)
+        check_states(X[k + 1], first + k + 1, steps)
 
 
 def terminal_values(terminal: TerminalSpec, ensemble: PathEnsemble) -> np.ndarray:

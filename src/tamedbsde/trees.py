@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import PathEnsemble, SdeSpec, euler_simulate
+from .forward import PathEnsemble, SdeSpec, check_states, euler_simulate
 from .grids import RADEMACHER, NoiseModel, PartitionGrid, increments_from_dw
 
 MAX_STEPS_BRANCHING = 14
@@ -65,7 +65,10 @@ def tree_levels(sde: SdeSpec, grid: PartitionGrid) -> Iterator[np.ndarray]:
 
     Recombination needs constant drift and diffusion (state-dependent drift
     makes up-down and down-up differ even with constant sigma).  Raises
-    ValueError, before the first level, when N exceeds the tree's cap.
+    ValueError, before the first level, when N exceeds the tree's cap, and
+    ForwardBlowupError by the rule of the paths (check_states) at the first
+    level with a state that is non-finite or beyond the overflow limit,
+    naming the node index as the path and the level as the step.
     """
     recombining = recombines(sde)
     n = grid.steps
@@ -77,7 +80,7 @@ def tree_levels(sde: SdeSpec, grid: PartitionGrid) -> Iterator[np.ndarray]:
     sqrt_h = math.sqrt(grid.h)
     x = np.array([sde.x0])
     yield x
-    for _ in range(n):
+    for level in range(1, n + 1):
         # x + b(x) h + sigma(x) (+-sqrt(h)) with each part evaluated once:
         # m + s (-sqrt(h)) equals m - s sqrt(h) bit for bit
         mean = x + sde.drift(x) * grid.h
@@ -90,6 +93,7 @@ def tree_levels(sde: SdeSpec, grid: PartitionGrid) -> Iterator[np.ndarray]:
             x = np.empty(2 * x.size)
             x[0::2] = mean - step
             x[1::2] = up
+        check_states(x, level, n)
         yield x
 
 

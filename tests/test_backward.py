@@ -13,6 +13,7 @@ from scipy.special import gammaln
 from tamedbsde import (
     BasisSpec,
     ExactTreeBasis,
+    ForwardBlowupError,
     IncrementBatch,
     NoiseModel,
     PathEnsemble,
@@ -103,6 +104,23 @@ def test_streamed_terminal_level_equals_the_stored_one_bitwise(sde, steps):
     x_n = terminal_level(sde, grid)
     assert x_n.dtype == tree.levels[steps].dtype
     assert x_n.tobytes() == tree.levels[steps].tobytes()
+
+
+@pytest.mark.parametrize("sde, node, level", [
+    # node 0 of level 1 is 1e13 / 6 - sqrt(1/6)
+    (SdeSpec(drift_const=1e13), 0, 1),
+    # |x| grows by about 4e3 a level, past 1e12 at level 4; the down node 0 first
+    (SdeSpec(x0=1.0, diff_slope=1e4), 0, 4),
+    # an up move multiplies x by 4e3, a down move by about 0: the all-up
+    # node 2^4 - 1 passes 1e12 first, at level 4
+    (SdeSpec(x0=1.0, drift_slope=11994.0, diff_slope=2e3 * math.sqrt(6.0)), 15, 4),
+], ids=["recombining", "branching", "branching-up"])
+def test_tree_levels_apply_the_forward_blowup_rule(sde, node, level):
+    grid = build_grid(1.0, 6)
+    with pytest.raises(ForwardBlowupError, match=f" at path {node}, step {level} of N=6 "):
+        terminal_level(sde, grid)
+    with pytest.raises(ForwardBlowupError, match=f" at path {node}, step {level} of N=6 "):
+        build_tree(sde, grid)
 
 
 def test_state_dependent_drift_breaks_recombination():
@@ -1104,7 +1122,7 @@ def test_tree_oracle_roots_match_the_benchmark_reference():
     assert cfg.grids == [250, 500, 1000]
     for steps in cfg.grids:
         report = tree_oracle_study(replace(cfg, grids=[steps]))
-        roots = {row.scheme: float(f"{row.min_y:.12g}") for row in report.rows if row.index == 0}
+        roots = {label: float(f"{lo[0]:.12g}") for label, lo in zip(report.labels, report.mins)}
         assert sorted(roots) == sorted(reference)
         for label, root in roots.items():
             want = reference[label][str(steps)]

@@ -9,6 +9,7 @@ import pytest
 import tamedbsde
 from tamedbsde import backward
 from tamedbsde.cli import main
+from tamedbsde.config import load_config
 
 CONV = """
 horizon = 1.0
@@ -387,6 +388,41 @@ def test_forward_blowup_is_numerical_failure(tmp_path, capsys):
     assert main(["converge", str(cfg)]) == 4
     err = capsys.readouterr().err
     assert "numerical failure" in err and "path 0, step 2 of N=8" in err
+
+
+@pytest.mark.parametrize("command, code", [("converge", 0), ("positivity", 2), ("tree-oracle", 2),
+                                           ("verify-taming", 2)])
+def test_driver_domain_bound_far_beyond_overflow_derives_constants_quietly(tmp_path, capsys,
+                                                                         command, code):
+    # P'(+-1e300) of f(y) = -y^3 overflows to -inf: the base m_y stays 0, the
+    # true supremum, so converge runs, and the tamed drivers' constants are
+    # not finite, which the other studies reject; no RuntimeWarning escapes
+    # (they are errors here)
+    text = with_keys(CONV.format(out=tmp_path / "x.csv"), "grids = 8\ndriver.domain_bound = 1e300\n")
+    cfg = tmp_path / "bound.cfg"
+    cfg.write_text(text)
+    assert load_config(str(cfg)).driver.constants.m_y == 0.0
+    assert main([command, str(cfg)]) == code
+    if code == 2:
+        err = capsys.readouterr().err
+        assert err.startswith("error: scheme 'implicit', N=8: the derived constants ")
+        assert err.rstrip().endswith("are not all finite")
+
+
+@pytest.mark.parametrize("extra", ["sde.x0 = 1e308\n", "sde.b0 = 1e300\n"], ids=["x0", "b0"])
+def test_tree_forward_blowup_is_the_paths_numerical_failure(tmp_path, capsys, extra):
+    # both backends apply one blow-up rule to the forward states: the first
+    # state beyond the overflow limit is at step 1 of N=8, path (node) 0
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(with_keys(POSITIVITY.format(out=tmp_path / "x.csv"), "grids = 8\n" + extra))
+    messages = []
+    for command in ("positivity", "tree-oracle"):
+        assert main([command, str(cfg)]) == 4, command
+        messages.append(capsys.readouterr().err)
+    assert messages[0] == messages[1]
+    assert messages[1].startswith("numerical failure: forward state non-finite or beyond 1e+12 "
+                                  "at path 0, step 1 of N=8 (value ")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_implicit_non_convergence_is_numerical_failure(tmp_path, capsys, monkeypatch):

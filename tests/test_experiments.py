@@ -33,7 +33,7 @@ from tamedbsde import (
     verify_taming_study,
 )
 from tamedbsde.config import ExperimentConfig
-from tamedbsde.experiments import ErrorReport, ErrorRow, ExtremaRow
+from tamedbsde.experiments import ErrorReport, ErrorRow
 from tamedbsde.regression import BasisSpec
 
 
@@ -372,10 +372,11 @@ def test_positivity_constant_solution():
         driver=polynomial_driver([0.0]), terminal=TerminalSpec((1.0,)), grids=[10],
         schemes=[SchemeRun("inner", SchemeSpec(kind="explicit_tamed"), TamingSpec(kind="inner_proj"))])
     report = positivity_study(cfg)
-    assert all(row.min_y == pytest.approx(1.0, abs=1e-12) for row in report.rows)
-    assert all(row.max_y == pytest.approx(1.0, abs=1e-12) for row in report.rows)
-    # rows are ordered with i descending
-    assert [row.index for row in report.rows] == list(range(10, -1, -1))
+    assert report.mins.shape == report.maxs.shape == (1, 11)
+    assert np.allclose(report.mins, 1.0, rtol=0.0, atol=1e-12)
+    assert np.allclose(report.maxs, 1.0, rtol=0.0, atol=1e-12)
+    # column i is time t_i
+    assert report.times.tolist() == build_grid(cfg.horizon, 10).times.tolist()
 
 
 def test_positivity_requires_single_grid():
@@ -394,8 +395,8 @@ def test_positivity_with_coarse_basis_is_report_only():
         schemes=[SchemeRun("inner", SchemeSpec(kind="explicit_tamed"),
                            TamingSpec(kind="inner_proj", r0=0.6))])
     report = positivity_study(cfg)
-    assert len(report.rows) == 11
-    assert all(np.isfinite(row.min_y) for row in report.rows)
+    assert report.mins.shape == (1, 11)
+    assert np.isfinite(report.mins).all()
 
 
 def test_tree_oracle_study_runs():
@@ -407,8 +408,7 @@ def test_tree_oracle_study_runs():
         schemes=[SchemeRun("outer", SchemeSpec(kind="explicit_tamed"),
                            TamingSpec(kind="outer_proj", r0=1.5))])
     report = tree_oracle_study(cfg)
-    assert report.backend == "tree"
-    assert min(row.min_y for row in report.rows) >= 0.0
+    assert report.mins.min() >= 0.0
     label, cond, ok = report.conditions[0]
     assert label == "outer" and ok and cond < 1.0
 
@@ -428,24 +428,24 @@ def test_extrema_studies_report_the_condition_of_the_driver_a_scheme_runs():
         assert dressed_cond == plain_cond > 30.0, study.__name__
 
 
-def _row_bits(rows):
-    return [(row.scheme, row.index, np.array([row.t, row.min_y, row.max_y]).tobytes())
-            for row in rows]
+def _extrema_bits(report):
+    return report.labels, report.times.tobytes(), report.mins.tobytes(), report.maxs.tobytes()
 
 
-def _stored_rows(runs, outputs, times):
-    """Extrema rows of stored outputs, each level reduced by the axis-1
+def _stored_extrema_bits(runs, outputs, times):
+    """_extrema_bits of stored outputs, each level reduced by the axis-1
     min and max over the (N+1, paths) Y (over each level's nodes on a
     tree)."""
-    rows = []
-    for run, out in zip(runs, outputs):
+    mins, maxs = [], []
+    for out in outputs:
         if isinstance(out.Y, list):
-            mins, maxs = [np.min(v) for v in out.Y], [np.max(v) for v in out.Y]
+            mins.append([np.min(v) for v in out.Y])
+            maxs.append([np.max(v) for v in out.Y])
         else:
-            mins, maxs = np.min(out.Y, axis=1), np.max(out.Y, axis=1)
-        rows += [ExtremaRow(run.label, i, float(times[i]), float(mins[i]), float(maxs[i]))
-                 for i in range(len(mins) - 1, -1, -1)]
-    return rows
+            mins.append(np.min(out.Y, axis=1))
+            maxs.append(np.max(out.Y, axis=1))
+    return ([run.label for run in runs], np.asarray(times).tobytes(),
+            np.array(mins).tobytes(), np.array(maxs).tobytes())
 
 
 @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(kind="truncated_gaussian", radius0=2.0)],
@@ -463,8 +463,8 @@ def test_streamed_positivity_study_bitwise_equals_stored_outputs(noise):
                                  BasisSpec(size=cfg.basis_size))
     assert [out.first_bad_step for out in outputs] == [None, None, 6]
     report = positivity_study(cfg)
-    assert _row_bits(report.rows) == _row_bits(_stored_rows(runs, outputs, grid.times))
-    assert sum(np.isnan(row.min_y) for row in report.rows) == 7
+    assert _extrema_bits(report) == _stored_extrema_bits(runs, outputs, grid.times)
+    assert np.isnan(report.mins).sum() == 7
 
 
 @pytest.mark.parametrize("sde", [SdeSpec(x0=0.5, diff_const=1.0),
@@ -482,7 +482,7 @@ def test_streamed_tree_oracle_study_bitwise_equals_stored_runs(sde):
     assert [out.exploded for out in outputs] == [False, False, True]
     assert 0 < outputs[-1].first_bad_step < grid.steps - 1
     report = tree_oracle_study(cfg)
-    assert _row_bits(report.rows) == _row_bits(_stored_rows(runs, outputs, grid.times))
+    assert _extrema_bits(report) == _stored_extrema_bits(runs, outputs, grid.times)
 
 
 def test_tree_oracle_peak_memory_is_the_extrema_and_a_few_levels():
@@ -511,11 +511,12 @@ def test_tree_oracle_peak_memory_is_the_extrema_and_a_few_levels():
 
 
 def _documented_extrema_csv(report):
-    """`scheme,i,t,min_Y,max_Y` and one line per row of `report.rows`, the
-    numbers with 12 significant digits."""
+    """`scheme,i,t,min_Y,max_Y` and one line per scheme and step, each
+    scheme's from step N down to 0, the numbers with 12 significant digits."""
+    n = report.times.size - 1
     return "".join(["scheme,i,t,min_Y,max_Y\n"] + [
-        f"{row.scheme},{row.index},{row.t:.12g},{row.min_y:.12g},{row.max_y:.12g}\n"
-        for row in report.rows])
+        f"{label},{i},{report.times[i]:.12g},{report.mins[k, i]:.12g},{report.maxs[k, i]:.12g}\n"
+        for k, label in enumerate(report.labels) for i in range(n, -1, -1)])
 
 
 @pytest.mark.parametrize("study", [positivity_study, tree_oracle_study])
@@ -529,8 +530,8 @@ def test_extrema_csv_from_arrays_equals_the_documented_rows(tmp_path, study):
     emit_csv(report, str(path))
     text = path.read_bytes().decode("utf-8")
     assert text == _documented_extrema_csv(report)
-    assert "nan" in text and len(report.rows) == report.mins.size == 3 * 10
-    assert [row.scheme for row in report.rows[::10]] == report.labels == ["implicit", "inner", "untamed"]
+    assert "nan" in text and report.mins.shape == report.maxs.shape == (3, 10)
+    assert report.labels == ["implicit", "inner", "untamed"]
 
 
 WIDE = """
@@ -597,9 +598,9 @@ def test_verify_taming_witness_behavior():
     rows = {label: [] for label in ("inner_critical", "inner_bad", "untamed")}
     for row in report.rows:
         rows[row.taming].append(row)
-    critical = [row.k_y_sq_h for row in rows["inner_critical"]]
+    critical = [row.constants.k_y_sq_h for row in rows["inner_critical"]]
     assert max(critical) - min(critical) < 1e-12
-    bad = [row.k_y_sq_h for row in rows["inner_bad"]]
+    bad = [row.constants.k_y_sq_h for row in rows["inner_bad"]]
     assert bad == sorted(bad) and bad[-1] > 10 * bad[0]
     flags = report.witness_growth()
     assert flags["inner_bad"] and not flags["inner_critical"]
@@ -618,7 +619,7 @@ def test_empty_report_writes_header_only(tmp_path):
 
 def test_single_row_two_lines(tmp_path):
     path = tmp_path / "one.csv"
-    row = ErrorRow("inner", 8, 0.125, 0.0123456789012345, 17.5, False, 42)
+    row = ErrorRow("inner", 8, 0.125, 0.0123456789012345, 17.5, False)
     emit_csv(ErrorReport(rows=[row], proxy_labels=["inner"], seed=42), str(path))
     lines = path.read_text().splitlines()
     assert len(lines) == 2
@@ -627,7 +628,7 @@ def test_single_row_two_lines(tmp_path):
 
 def test_exploded_row_uses_inf_literal(tmp_path):
     path = tmp_path / "inf.csv"
-    row = ErrorRow("untamed", 8, 0.125, float("inf"), 1.0, True, 7)
+    row = ErrorRow("untamed", 8, 0.125, float("inf"), 1.0, True)
     emit_csv(ErrorReport(rows=[row], proxy_labels=[], seed=7), str(path))
     assert path.read_text().splitlines()[1] == "untamed,8,0.125,inf,0,true,7"
 
