@@ -18,10 +18,19 @@
 #   bound_<command>         each of the four subcommands on
 #                           scripts/positivity_study.cfg with
 #                           driver.domain_bound = 1e300 (the constants
-#                           overflow: converge runs, the others exit 2)
+#                           overflow: all four exit 2)
 #   x0_<command>            positivity and tree-oracle on
 #                           scripts/positivity_study.cfg with sde.x0 = 1e308
 #                           (the forward states blow up: both exit 4)
+#   drift_<command>         converge, positivity and tree-oracle on
+#                           scripts/positivity_study.cfg with sde.x0 = 1e308
+#                           and sde.b1 = 10 (the drift overflows: all three
+#                           exit 4, no warning)
+#   terminal_<command>      the same three with sde.sigma = 100 and
+#                           terminal.coeffs = 0,0,0,0,1e300 (the terminal
+#                           map overflows: converge's proxy explodes, exit
+#                           4; the other two exit 0 with the explosions as
+#                           data; no warning)
 # Each command's stdout, stderr and exit code go to <name>.stdout, with
 # OUTDIR written as the token OUTDIR.  The single-grid copies are made in a
 # temporary directory; perfbench's configs are read in place.  Every
@@ -46,11 +55,18 @@ record() {
         | sed -e "s|$out|OUTDIR|g" -e "s|$tmp|TMPDIR|g" >"$out/$name.stdout"
 }
 
-# with_key CFG NAME KEY VALUE: a copy of CFG in the temporary directory,
-# named NAME.cfg, with KEY = VALUE in place of KEY's line (or added)
+# with_key CFG NAME KEY VALUE [KEY VALUE ...]: a copy of CFG in the
+# temporary directory, named NAME.cfg, with each KEY = VALUE in place of
+# KEY's line (or added)
 with_key() {
     local copy="$tmp/$2.cfg"
-    { grep -v -e "^$3 *=" "$1" || true; echo "$3 = $4"; } >"$copy"
+    cp "$1" "$copy"
+    shift 2
+    while [ $# -gt 0 ]; do
+        { grep -v -e "^$1 *=" "$copy" || true; echo "$1 = $2"; } >"$copy.new"
+        mv "$copy.new" "$copy"
+        shift 2
+    done
     echo "$copy"
 }
 
@@ -96,6 +112,14 @@ done
 copy="$(with_key "$cfg" x0 sde.x0 1e308)"
 for command in positivity tree-oracle; do
     record "x0_$command" python3 -m tamedbsde "$command" "$copy" --out "$out/x0_$command.csv"
+done
+copy="$(with_key "$cfg" drift sde.x0 1e308 sde.b1 10)"
+for command in converge positivity tree-oracle; do
+    record "drift_$command" python3 -m tamedbsde "$command" "$copy" --out "$out/drift_$command.csv"
+done
+copy="$(with_key "$cfg" terminal sde.sigma 100 terminal.coeffs 0,0,0,0,1e300)"
+for command in converge positivity tree-oracle; do
+    record "terminal_$command" python3 -m tamedbsde "$command" "$copy" --out "$out/terminal_$command.csv"
 done
 
 echo "done; outputs in $out"

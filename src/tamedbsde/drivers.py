@@ -59,12 +59,6 @@ def _real_roots(coeffs) -> np.ndarray:
     return real
 
 
-def _max_poly_on_candidates(coeffs, candidates) -> float:
-    if len(candidates) == 0:
-        return 0.0
-    return float(np.max(horner(polynomial_terms(coeffs), np.asarray(candidates, dtype=float))))
-
-
 # a polynomial far beyond its certified range overflows quietly: a constant
 # comes out non-finite instead of warning (checked_constants rejects those
 # of a tamed driver)
@@ -90,7 +84,7 @@ def derive_base_constants(y_coeffs, z_coeff: float, domain_bound: float) -> Driv
     ddP = npoly.polyder(dP) if dP.size > 1 else np.zeros(1)
     cands = list(_real_roots(ddP)) + [-domain_bound, domain_bound]
     cands = [u for u in cands if abs(u) <= domain_bound + 1e-12]
-    m_y = _max_poly_on_candidates(dP, cands)
+    m_y = float(np.max(horner(polynomial_terms(dP), np.asarray(cands, dtype=float))))
     # |y'^k - y^k| <= k max(|y'|,|y|)^{k-1} |y'-y| gives the global local-
     # Lipschitz certificate below
     l_y = float(sum(k * abs(ck) for k, ck in enumerate(c)))
@@ -103,18 +97,16 @@ def derive_base_constants(y_coeffs, z_coeff: float, domain_bound: float) -> Driv
 
 @dataclass(frozen=True)
 class DriverSpec:
-    """Base driver f(y, z) = sum_k a_k y^k + z_coeff * z."""
+    """Base driver f(y, z) = sum_k a_k y^k + z_coeff * z with its constants
+    (polynomial_driver derives them)."""
 
     y_coeffs: tuple[float, ...]
-    z_coeff: float = 0.0
-    constants: DriverConstants | None = None
+    z_coeff: float
+    constants: DriverConstants
 
     def __post_init__(self):
         if len(self.y_coeffs) == 0:
             raise ValueError("driver needs at least one y coefficient")
-        if self.constants is None:
-            cons = derive_base_constants(self.y_coeffs, self.z_coeff, DOMAIN_BOUND)
-            object.__setattr__(self, "constants", cons)
 
     # The properties below are computed once per instance; cached_property
     # stores them in the instance dict, which a frozen dataclass allows.
@@ -586,9 +578,16 @@ def _fit_constant(excess, weight):
 
 
 def checked_constants(driver: TamedDriver) -> DerivedConstants:
-    """derive_constants(driver), which must give finite K^h_y, L^h_y,
-    (K^h_y)^2 h and (L^h_y)^2 h: a large taming radius can overflow them,
-    and ValueError rejects such a driver."""
+    """derive_constants(driver), which needs a finite taming radius
+    r0 h^(-exponent) and must give finite K^h_y, L^h_y, (K^h_y)^2 h and
+    (L^h_y)^2 h; ValueError rejects a driver that breaks either, the radius
+    first.  Every study applies this rule to the drivers it runs."""
+    try:
+        radius = driver.radius
+    except OverflowError:
+        radius = math.inf
+    if not math.isfinite(radius):
+        raise ValueError("the taming radius r0 * h^(-exponent) is not finite")
     try:
         cons = derive_constants(driver)
         finite = all(map(math.isfinite, (cons.k_y, cons.l_y, cons.k_y_sq_h, cons.l_y_sq_h)))

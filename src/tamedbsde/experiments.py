@@ -2,9 +2,9 @@
 extrema study of Y (the positivity study on paths and the tree oracle on
 the exact tree, one study with two backends) and taming verification
 across the step ladder; all emit deterministic CSV.  The studies that run
-schemes go through `backward.sweep`, where an exploded scheme leaves its
-block at its first bad step, so a study sees only finite levels below the
-terminal one and no study masks a level itself.
+schemes admit each at each N in `_members` and go through `backward.sweep`,
+where an exploded scheme leaves its block at its first bad step, so a study
+sees only finite levels below the terminal one and masks no level itself.
 
 Brownian paths are simulated once on the finest grid and aggregated to each
 coarser one, so every scheme/grid pair sees the same underlying noise and
@@ -142,20 +142,30 @@ class TamingReport:
         return {label: last[label] > 4.0 * max(first[label], 1e-300) for label in first}
 
 
-def _tamed(cfg: ExperimentConfig, run: SchemeRun, h: float) -> TamedDriver:
-    """The driver `run` runs at step size h (scheme_driver), whose
-    constants its step condition reports."""
-    return scheme_driver(run.scheme, TamedDriver(base=cfg.driver, taming=run.taming, h=h))
-
-
 def _checked(label: str, n: int, check, *args):
-    """check(*args), where a ValueError (derived constants that are not all
-    finite, see checked_constants) means a configured scheme's taming is
-    invalid at N steps: a ConfigError naming the scheme and N."""
+    """check(*args), whose ValueError (see checked_constants) rejects a
+    scheme's taming at N steps: a ConfigError naming the scheme and N."""
     try:
         return check(*args)
     except ValueError as exc:
         raise ConfigError(f"scheme {label!r}, N={n}: {exc}") from None
+
+
+def _members(cfg: ExperimentConfig, runs: list[SchemeRun], grid: PartitionGrid,
+             required=()) -> tuple[list[tuple], list[DerivedConstants]]:
+    """The sweep members of `runs` at the grid's N and their constants: the
+    one admission of a configured scheme into a study that runs it.  Each
+    runs the driver its scheme runs (scheme_driver), which must pass
+    checked_constants (else a ConfigError "scheme 'x', N=n: ..."), labelled
+    "scheme 'x' (N=n)", or "proxy scheme ..." if one of `required`."""
+    n, members, constants = grid.steps, [], []
+    for run in runs:
+        driver = scheme_driver(run.scheme, TamedDriver(cfg.driver, run.taming, grid.h))
+        constants.append(_checked(run.label, n, checked_constants, driver))
+        proxy = run in required
+        label = f"{'proxy scheme' if proxy else 'scheme'} {run.label!r} (N={n})"
+        members.append((run.scheme, driver, label, proxy))
+    return members, constants
 
 
 class _SegmentRows:
@@ -255,8 +265,8 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     level are reduced as soon as the level is reached, so no scheme keeps
     more than one level of Y between its steps, and none of Z.  Each grid
     reads its X and H from its row source (_SegmentRows), which holds one
-    segment of them at a time next to the fine dW.  A proxy scheme that
-    explodes raises SchemeExplodedError at its step.
+    segment of them at a time next to the fine dW.  Every scheme is admitted
+    at every N before a path is sampled; an exploding proxy scheme raises.
     """
     if cfg.noise.kind == RADEMACHER and len(cfg.grids) > 1:
         raise ConfigError(f"noise kind {RADEMACHER!r} does not aggregate across grids; "
@@ -265,14 +275,10 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     proxy_runs = _proxy_runs(cfg)
     proxy_index = [cfg.schemes.index(run) for run in proxy_runs]
     grids = [build_grid(cfg.horizon, n) for n in reversed(cfg.grids)]
-    groups = []
-    for g, (grid, rows) in enumerate(zip(grids, _grid_paths(cfg, grids))):
-        members = []
-        for run in cfg.schemes:
-            required = g == 0 and run in proxy_runs
-            label = f"{'proxy scheme' if required else 'scheme'} {run.label!r} (N={grid.steps})"
-            members.append((run.scheme, _tamed(cfg, run, grid.h), label, required))
-        groups.append((LsmcOperator(basis, rows, grid), rows.xi, members))
+    members = [_members(cfg, cfg.schemes, grid, proxy_runs if g == 0 else ())[0]
+               for g, grid in enumerate(grids)]
+    groups = [(LsmcOperator(basis, rows, grid), rows.xi, group)
+              for grid, rows, group in zip(grids, _grid_paths(cfg, grids), members)]
     mse = [np.empty((len(cfg.schemes), grid.steps + 1)) for grid in grids]
     proxy = None
 
@@ -304,11 +310,11 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
 
 def _extrema_study(cfg: ExperimentConfig, backend: str) -> PositivityStudyReport:
     """Per-step extrema of Y for each scheme at the single configured N, and
-    each scheme's step condition: h * L^h_y on Monte-Carlo paths (`backend`
-    "regression"), step_size_condition at |H| = 1/sqrt(h) on the exact
-    Rademacher tree ("tree").
+    each scheme's step condition, step_size_condition at |H| = 0 on
+    Monte-Carlo paths (`backend` "regression"; that is h * L^h_y) and at
+    |H| = 1/sqrt(h) on the exact Rademacher tree ("tree").
 
-    Every scheme's constants are checked before any sampling, tree or sweep.
+    Every scheme is admitted (_members) before any sampling, tree or sweep.
     The schemes run as one lockstep group through `sweep`, whose callback
     reduces each row of each block level to its min and max, so Z lives only
     while its step runs.  On paths the study holds X, H and a level or two
@@ -322,16 +328,14 @@ def _extrema_study(cfg: ExperimentConfig, backend: str) -> PositivityStudyReport
     n = cfg.grids[0]
     grid = build_grid(cfg.horizon, n)
     runs = sorted(cfg.schemes, key=lambda s: s.label)
-    tamed = [_tamed(cfg, run, grid.h) for run in runs]
-    constants = [_checked(run.label, n, checked_constants, driver) for run, driver in zip(runs, tamed)]
+    members, constants = _members(cfg, runs, grid)
     if backend == "tree":
         try:
             x_n = terminal_level(cfg.sde, grid)
         except ValueError as exc:
             raise ConfigError(f"N={n}: {exc}") from None
         op, xi = TreeOperator(grid, recombines(cfg.sde)), np.asarray(cfg.terminal(x_n), dtype=float)
-        conditions = [step_size_condition(run.scheme, cons, 1.0 / math.sqrt(grid.h))
-                      for run, cons in zip(runs, constants)]
+        abs_h = 1.0 / math.sqrt(grid.h)
     else:
         batch = sample_increments(grid, cfg.paths, cfg.seed, cfg.noise)
         ensemble = euler_simulate(cfg.sde, grid, batch)
@@ -339,9 +343,8 @@ def _extrema_study(cfg: ExperimentConfig, backend: str) -> PositivityStudyReport
         op = LsmcOperator(BasisSpec(size=cfg.basis_size), ArrayRows(ensemble.X, batch.H), grid)
         xi = terminal_values(cfg.terminal, ensemble)
         del batch, ensemble
-        conditions = [grid.h * cons.l_y for cons in constants]
-
-    members = [(run.scheme, driver, f"scheme {run.label!r}", False) for run, driver in zip(runs, tamed)]
+        abs_h = 0.0
+    conditions = [step_size_condition(run.scheme, cons, abs_h) for run, cons in zip(runs, constants)]
     mins, maxs = np.full((2, len(runs), n + 1), np.nan)
 
     def reduce_level(_, i: int, blocks: list) -> None:
@@ -387,9 +390,7 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"  # also "inf", "-inf" and "nan"
-    return str(value)
+    return f"{float(value):.12g}"  # also "inf", "-inf" and "nan"
 
 
 CONVERGENCE_HEADER = "scheme,N,h,error,wallclock_ms,exploded,seed"

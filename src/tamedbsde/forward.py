@@ -76,6 +76,8 @@ class TerminalSpec:
     def terms(self) -> tuple[np.float64, ...]:
         return polynomial_terms(self.coeffs)
 
+    # an overflowing terminal value is data: the sweep decides what it means
+    @np.errstate(over="ignore", invalid="ignore")
     def __call__(self, x):
         return horner(self.terms, x)
 
@@ -109,6 +111,8 @@ def euler_simulate(sde: SdeSpec, grid: PartitionGrid, batch: IncrementBatch) -> 
     return PathEnsemble(X=X, increments=batch, grid=grid)
 
 
+# a state that overflows comes out non-finite, which check_states reports
+@np.errstate(over="ignore", invalid="ignore")
 def euler_rows(sde: SdeSpec, X: np.ndarray, dW: np.ndarray, h: float, first: int,
                steps: int) -> None:
     """Fill rows 1.. of X from row 0 by the Euler update, in place: X[k] is

@@ -63,20 +63,20 @@ class NoiseModel:
         "truncated_gaussian"  dW clipped at +-R(h), H = clip/h
         "rademacher"          dW = +-sqrt(h) signs, H = dW / h
     radius0:
-        base radius R0 for the truncated kind; with the log schedule the
-        effective radius is R0 * sqrt(h * (1 + ln(1/h))) for h < 1.
+        base radius R0 for the truncated kind; with the log schedule (on by
+        default) the effective radius is R0 * sqrt(h * (1 + ln(1/h))) for
+        h < 1, without it R0 itself.
     """
 
     kind: str = GAUSSIAN
-    radius0: float | None = None
-    use_log_schedule: bool = False
+    radius0: float = 2.0
+    use_log_schedule: bool = True
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {_KINDS}")
-        if self.kind == TRUNCATED:
-            if self.radius0 is None or not self.radius0 > 0.0:
-                raise ValueError("truncated_gaussian noise needs radius0 > 0")
+        if self.kind == TRUNCATED and not self.radius0 > 0.0:
+            raise ValueError("truncated_gaussian noise needs radius0 > 0")
 
 
 @dataclass(frozen=True)

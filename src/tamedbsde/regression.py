@@ -34,8 +34,6 @@ class RegressionFit:
     basis: BasisSpec
     center: float
     scale: float
-    rank: int
-    smallest_singular_value: float
 
 
 def hermite_matrix(x: np.ndarray, size: int) -> np.ndarray:
@@ -122,8 +120,7 @@ def fit_least_squares(design: np.ndarray, targets, basis: BasisSpec, center: flo
     bad = ~np.isfinite(targets)
     if bad.any():
         raise ValueError(f"non-finite target at index {int(np.argmax(bad))}")
-    return RegressionFit(coeffs=factors.solve(design, targets), basis=basis, center=center, scale=scale,
-                         rank=factors.rank, smallest_singular_value=factors.smallest_singular_value)
+    return RegressionFit(coeffs=factors.solve(design, targets), basis=basis, center=center, scale=scale)
 
 
 @dataclass(frozen=True)

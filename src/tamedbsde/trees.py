@@ -97,12 +97,16 @@ def tree_levels(sde: SdeSpec, grid: PartitionGrid) -> Iterator[np.ndarray]:
         yield x
 
 
+# tree_levels' callers: an overflowing state is non-finite for check_states
+# (an errstate inside the generator would stay set in its caller)
+@np.errstate(over="ignore", invalid="ignore")
 def build_tree(sde: SdeSpec, grid: PartitionGrid) -> TreeModel:
     """Every level of `tree_levels`, stored."""
     return TreeModel(grid=grid, sde=sde, recombining=recombines(sde),
                      levels=tuple(tree_levels(sde, grid)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as build_tree
 def terminal_level(sde: SdeSpec, grid: PartitionGrid) -> np.ndarray:
     """Level N of `tree_levels`, with the bits of build_tree's, computed
     while holding two levels at a time."""

@@ -202,7 +202,13 @@ def with_keys(text, extra):
     *[(command, "grids = 4\nscheme.2.r0 = 1e300\n", [],
        "scheme 'inner', N=4: the derived constants K^h_y, L^h_y, (K^h_y)^2 h and (L^h_y)^2 h "
        "are not all finite")
-      for command in ("positivity", "verify-taming", "tree-oracle")],
+      for command in ("positivity", "verify-taming", "tree-oracle", "converge")],
+    # the only proxy tamed at a radius whose K^h_y = r^2 overflows: rejected
+    # before it runs, at the finest N first
+    ("converge", "horizon = 2.0\nterminal.coeffs = 0,0,0,10\nscheme.1.kind = explicit_untamed\n"
+     "scheme.2.exponent = 0\nscheme.2.r0 = 1e200\n", [],
+     "scheme 'inner', N=8: the derived constants K^h_y, L^h_y, (K^h_y)^2 h and (L^h_y)^2 h "
+     "are not all finite"),
     ("verify-taming", "scheme.3.label = mult_c\nscheme.3.kind = explicit_tamed\n"
      "scheme.3.taming = mult_c\nscheme.3.r0 = 1e300\nscheme.3.exponent = 0.5\n", [],
      "scheme 'mult_c', N=4: the derived constants K^h_y, L^h_y, (K^h_y)^2 h and (L^h_y)^2 h "
@@ -225,7 +231,8 @@ def with_keys(text, extra):
         "probe-y-max-negative", "radius-overflow-converge", "radius-overflow-positivity",
         "radius-overflow-taming", "radius-overflow-tree", "radius-inf",
         "radius-overflow-constants-positivity", "radius-overflow-constants-taming",
-        "radius-overflow-constants-tree", "radius-overflow-constants-mult-c",
+        "radius-overflow-constants-tree", "radius-overflow-constants-converge",
+        "radius-overflow-constants-proxy", "radius-overflow-constants-mult-c",
         "line-without-equals", "empty-key", "grids-zero", "grids-descending", "paths-zero",
         "basis-size-zero", "duplicate-label", "noise-kind", "r0-negative"])
 def test_rejected_value_is_config_error(tmp_path, capsys, command, extra, args, message):
@@ -325,6 +332,100 @@ def test_extrema_study_checks_constants_before_any_work(tmp_path, capsys, monkey
     assert calls == [] and not out.exists()
 
 
+def test_converge_checks_constants_before_it_samples(tmp_path, capsys, monkeypatch):
+    # inner's (K^h_y)^2 h overflows at r0 = 1e300: converge rejects the
+    # config with the message the other three subcommands give, before a
+    # path is sampled or a scheme is swept
+    from tamedbsde import experiments
+
+    calls = []
+    for name in ("sample_increments", "sweep"):
+        monkeypatch.setattr(experiments, name, lambda *args, name=name, original=getattr(experiments, name),
+                            **kwargs: calls.append(name) or original(*args, **kwargs))
+    out = tmp_path / "x.csv"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(with_keys(CONV.format(out=out), "grids = 4\nscheme.2.r0 = 1e300\n"))
+    assert main(["converge", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: scheme 'inner', N=4: the derived constants K^h_y, L^h_y, (K^h_y)^2 h and "
+        "(L^h_y)^2 h are not all finite\n")
+    assert calls == [] and not out.exists()
+
+
+UNTAMED_ENTRY = """
+scheme.3.label = untamed
+scheme.3.kind = explicit_untamed
+scheme.3.taming = {taming}
+"""
+
+
+def test_untamed_entry_runs_untamed_whatever_taming_it_names(tmp_path, capsys):
+    # the entry names a taming whose radius 1e300 * 8^200 is not finite:
+    # the three sweep subcommands run the entry untamed, as they would with
+    # taming none, and only verify-taming, which checks every named
+    # taming, rejects it
+    base = with_keys(CONV.format(out="{out}"), "grids = 8\n")
+    named = base + UNTAMED_ENTRY.format(taming="inner_proj\nscheme.3.r0 = 1e300\nscheme.3.exponent = 200")
+    plain = base + UNTAMED_ENTRY.format(taming="none")
+    for command in ("converge", "positivity", "tree-oracle"):
+        outputs = []
+        for name, text in (("named", named), ("plain", plain)):
+            out = tmp_path / f"{command}_{name}.csv"
+            assert main([command, write(tmp_path, f"{name}.cfg", text, out)]) == 0, (command, name)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], command
+        assert "untamed" in outputs[0].decode()
+    capsys.readouterr()
+    out = tmp_path / "taming.csv"
+    assert main(["verify-taming", write(tmp_path, "named.cfg", named, out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: scheme 'untamed', N=8: the taming radius r0 * h^(-exponent) is not finite\n")
+    assert not out.exists()
+
+
+def _positivity_study_with(tmp_path, extra):
+    """scripts/positivity_study.cfg (grids = 10) with the lines of `extra`."""
+    scripts = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+    with open(os.path.join(scripts, "positivity_study.cfg"), encoding="utf-8") as fh:
+        text = fh.read()
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(with_keys(text, extra))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("command", ["converge", "positivity", "tree-oracle"])
+def test_drift_overflow_is_a_forward_blowup(tmp_path, capsys, command):
+    # b1 x0 = 1e309 overflows in the drift of the first step on every path
+    # (and node): a forward blow-up, not a RuntimeWarning (an error here)
+    out = tmp_path / "x.csv"
+    cfg = _positivity_study_with(tmp_path, "sde.x0 = 1e308\nsde.b1 = 10\n")
+    assert main([command, cfg, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == ("numerical failure: forward state non-finite or beyond 1e+12 "
+                                       "at path 0, step 1 of N=10 (value inf)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, code", [("converge", 4), ("positivity", 0), ("tree-oracle", 0)])
+def test_terminal_map_overflow_is_data(tmp_path, capsys, command, code):
+    # 1e300 x^4 overflows at |x| > ~116, which sigma = 100 reaches on some
+    # paths and nodes: those terminal values are inf, so the proxy explodes
+    # in converge and the extrema studies record the explosions as data
+    out = tmp_path / "x.csv"
+    cfg = _positivity_study_with(tmp_path, "sde.sigma = 100\nterminal.coeffs = 0,0,0,0,1e300\n")
+    assert main([command, cfg, "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    if code == 4:
+        assert captured.err.startswith(
+            "numerical failure: proxy scheme 'implicit' (N=10) exploded at step 9")
+        assert not out.exists()
+    else:
+        assert captured.err == ""
+        lines = out.read_text().splitlines()
+        assert lines[0] == "scheme,i,t,min_Y,max_Y" and len(lines) == 56
+        # the terminal level holds the overflowed values as they are
+        assert any(line.split(",")[1] == "10" and line.endswith(",inf") for line in lines)
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats costs more to import than the rest of the package
     src = os.path.dirname(os.path.dirname(os.path.abspath(tamedbsde.__file__)))
@@ -390,13 +491,13 @@ def test_forward_blowup_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in err and "path 0, step 2 of N=8" in err
 
 
-@pytest.mark.parametrize("command, code", [("converge", 0), ("positivity", 2), ("tree-oracle", 2),
+@pytest.mark.parametrize("command, code", [("converge", 2), ("positivity", 2), ("tree-oracle", 2),
                                            ("verify-taming", 2)])
 def test_driver_domain_bound_far_beyond_overflow_derives_constants_quietly(tmp_path, capsys,
                                                                          command, code):
     # P'(+-1e300) of f(y) = -y^3 overflows to -inf: the base m_y stays 0, the
-    # true supremum, so converge runs, and the tamed drivers' constants are
-    # not finite, which the other studies reject; no RuntimeWarning escapes
+    # true supremum, so the config parses, and the tamed drivers' constants
+    # are not finite, which every study rejects; no RuntimeWarning escapes
     # (they are errors here)
     text = with_keys(CONV.format(out=tmp_path / "x.csv"), "grids = 8\ndriver.domain_bound = 1e300\n")
     cfg = tmp_path / "bound.cfg"
@@ -444,19 +545,18 @@ def test_streamed_study_implicit_non_convergence_is_numerical_failure(tmp_path, 
     monkeypatch.setattr(backward, "IMPLICIT_MAX_ITER", 1)
     assert main([command, str(cfg)]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: scheme 'implicit': implicit solve did not converge at path ")
+    assert err.startswith("numerical failure: scheme 'implicit' (N=8): implicit solve did not converge "
+                          "at path ")
     assert err.rstrip().endswith("step 7")
     assert not (tmp_path / "x.csv").exists()
 
 
 def test_proxy_explosion_is_numerical_failure(tmp_path, capsys):
-    # the only proxy scheme is tamed at a radius past overflow, i.e. untamed
+    # the only proxy scheme starts from terminal values that overflow
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(CONV.format(out=tmp_path / "x.csv")
-                   .replace("horizon = 1.0", "horizon = 2.0")
-                   .replace("terminal.coeffs = 0,1", "terminal.coeffs = 0,0,0,10")
-                   .replace("scheme.1.kind = implicit", "scheme.1.kind = explicit_untamed")
-                   .replace("scheme.2.exponent = 0.25", "scheme.2.exponent = 0\nscheme.2.r0 = 1e200"))
+    cfg.write_text(with_keys(CONV.format(out=tmp_path / "x.csv"),
+                             "sde.sigma = 100\nterminal.coeffs = 0,0,0,0,1e300\n"
+                             "scheme.1.kind = explicit_untamed\n"))
     assert main(["converge", str(cfg)]) == 4
     err = capsys.readouterr().err
     assert "proxy scheme 'inner' (N=8) exploded at step" in err and "path" in err

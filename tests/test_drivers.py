@@ -344,7 +344,7 @@ def test_verifier_reports_fitted_constants_for_mult_kinds():
 
 def test_driver_spec_validation():
     with pytest.raises(ValueError):
-        DriverSpec(())
+        DriverSpec((), 0.0, DriverConstants(0, 0, 0, 0, 0, 0, 1))
     with pytest.raises(ValueError):
         TamingSpec(kind="sideways")
     with pytest.raises(ValueError):

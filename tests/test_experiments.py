@@ -90,7 +90,7 @@ def test_aggregation_rejects_rademacher():
 def test_aggregation_rejects_lambda_below_floor():
     # a fixed radius that passes at h = 1/64 gives Lambda ~ 0.13 at h = 1/4
     fine = build_grid(1.0, 64)
-    model = NoiseModel(kind="truncated_gaussian", radius0=0.2)
+    model = NoiseModel(kind="truncated_gaussian", radius0=0.2, use_log_schedule=False)
     batch = sample_increments(fine, 10, 3, model)
     with pytest.raises(ValueError, match="Lambda"):
         aggregate_to_grid(batch, fine, build_grid(1.0, 4), model)
@@ -448,7 +448,8 @@ def _stored_extrema_bits(runs, outputs, times):
             np.array(mins).tobytes(), np.array(maxs).tobytes())
 
 
-@pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(kind="truncated_gaussian", radius0=2.0)],
+@pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(kind="truncated_gaussian", radius0=2.0,
+                                                            use_log_schedule=False)],
                          ids=["gaussian", "truncated"])
 def test_streamed_positivity_study_bitwise_equals_stored_outputs(noise):
     # the untamed scheme explodes mid-run: its levels from step 6 down are NaN

@@ -3,6 +3,7 @@ import os
 import re
 
 from tamedbsde import parse_config
+from tamedbsde.grids import TRUNCATED, NoiseModel
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -68,3 +69,13 @@ def test_readme_numeric_defaults_are_the_parsed_ones():
     cfg = parse_config(MINIMAL)
     for key, value in DOCUMENTED_DEFAULTS.items():
         assert float(documented[key]) == value(cfg), key
+
+
+def test_readme_noise_defaults_are_the_model_types():
+    # a config that names only the truncated kind builds the library's
+    # truncated NoiseModel, with the README's R0 and schedule
+    documented = _documented_defaults()
+    noise = parse_config(MINIMAL + "noise.kind = truncated_gaussian\n").noise
+    assert noise == NoiseModel(kind=TRUNCATED)
+    assert (noise.radius0, noise.use_log_schedule) == (float(documented["noise.r0"]), True)
+    assert documented["noise.log_schedule"] == "true"

@@ -157,14 +157,14 @@ def test_factorized_fit_agrees_with_lstsq():
         cond = retained[0] / retained[-1]
         assert np.max(np.abs(design.fitted(fit) - reference)) \
             <= 64 * cond * eps * np.max(np.abs(reference))
-        assert fit.rank == rank == 12
-        assert abs(fit.smallest_singular_value - retained[-1]) <= 64 * eps * sv[0]
+        assert design.factors.rank == rank == 12
+        assert abs(design.factors.smallest_singular_value - retained[-1]) <= 64 * eps * sv[0]
 
 
 def test_constant_sample_has_rank_one():
     design = sample_design(BasisSpec(size=6), np.full(200, 0.5))
     fit = design.fit(np.linspace(0.0, 1.0, 200))
-    assert fit.rank == 1
+    assert design.factors.rank == 1
     np.testing.assert_allclose(design.fitted(fit), 0.5, rtol=1e-12)
 
 
@@ -222,8 +222,7 @@ def test_few_atom_sample_rank(atoms, size):
     rng = np.random.default_rng(atoms)
     x = 0.3 + 0.25 * rng.choice([-1.0, 1.0], size=(atoms - 1, 4_000)).sum(axis=0)
     assert np.unique(x).size == atoms
-    fit = sample_design(BasisSpec(size=size), x).fit(np.cos(x))
-    assert fit.rank == min(atoms, size)
+    assert sample_design(BasisSpec(size=size), x).factors.rank == min(atoms, size)
 
 
 def test_sample_design_holds_no_paths_sized_factor():
