@@ -31,6 +31,13 @@
 #                           map overflows: converge's proxy explodes, exit
 #                           4; the other two exit 0 with the explosions as
 #                           data; no warning)
+#   huge_<command>          positivity with grids = 10^15 and converge with
+#                           paths = 10^15 on scripts/positivity_study.cfg
+#                           (the arrays exceed the address space: both exit
+#                           2, "cannot allocate memory")
+#   huge_basis              positivity with basis.size = 10^15 on the same
+#                           config (the design's byte count overflows
+#                           intp: exit 2, "cannot allocate memory")
 # Each command's stdout, stderr and exit code go to <name>.stdout, with
 # OUTDIR written as the token OUTDIR.  The single-grid copies are made in a
 # temporary directory; perfbench's configs are read in place.  Every
@@ -121,5 +128,12 @@ copy="$(with_key "$cfg" terminal sde.sigma 100 terminal.coeffs 0,0,0,0,1e300)"
 for command in converge positivity tree-oracle; do
     record "terminal_$command" python3 -m tamedbsde "$command" "$copy" --out "$out/terminal_$command.csv"
 done
+
+record huge_positivity python3 -m tamedbsde positivity \
+    "$(with_key "$cfg" huge_grids grids 1000000000000000)" --out "$out/huge_positivity.csv"
+record huge_converge python3 -m tamedbsde converge \
+    "$(with_key "$cfg" huge_paths paths 1000000000000000)" --out "$out/huge_converge.csv"
+record huge_basis python3 -m tamedbsde positivity \
+    "$(with_key "$cfg" huge_basis basis.size 1000000000000000)" --out "$out/huge_basis.csv"
 
 echo "done; outputs in $out"

@@ -146,16 +146,20 @@ def _solve_implicit(driver: TamedDriver, c, z, h: float, step: int,
     evaluated again only where the step was halved.  Paths still outside
     the tolerance after IMPLICIT_MAX_ITER iterations raise
     ImplicitSolverError, which names the lowest of them.
+
+    Until the first path is frozen every path is live, and the loop does no
+    mask work: the candidate buffer becomes the iterate.
     """
     ctil = c + h * driver.base.z_coeff * np.asarray(z, dtype=float)
     y = ctil.copy()
-    live = np.ones(y.size, dtype=bool)
     res = y - ctil - h * driver.tamed_y_part(y)
     abs_res = np.abs(res)
     # the Newton update, the threshold and the masks live in buffers of
-    # this call, written in place each iteration
+    # this call, written in place each iteration; `live` is None while
+    # every path is live
     newton, threshold = np.empty_like(y), np.empty_like(y)
-    done, worse = np.empty_like(live), np.empty_like(live)
+    done, worse = np.empty(y.shape, dtype=bool), np.empty(y.shape, dtype=bool)
+    live = None
     for iterations in range(1, IMPLICIT_MAX_ITER + 1):
         np.multiply(h, driver.y_slope(y), out=newton)
         np.subtract(1.0, newton, out=newton)
@@ -166,10 +170,14 @@ def _solve_implicit(driver: TamedDriver, c, z, h: float, step: int,
         threshold += 1.0
         threshold *= IMPLICIT_TOL
         np.less_equal(abs_res, threshold, out=done)
-        done &= live
+        if live is not None:
+            done &= live
         if np.count_nonzero(done):
             np.copyto(y, newton, where=done & np.isfinite(newton))
-            live ^= done
+            if live is None:
+                live = ~done
+            else:
+                live ^= done
             if not np.count_nonzero(live):
                 break
         # halve steps that made the residual worse; the residual carries into
@@ -178,17 +186,23 @@ def _solve_implicit(driver: TamedDriver, c, z, h: float, step: int,
         res -= h * driver.tamed_y_part(newton)
         abs_next = np.abs(res)
         np.greater(abs_next, abs_res, out=worse)
-        worse &= live
+        if live is not None:
+            worse &= live
         abs_res = abs_next
         if np.count_nonzero(worse):
             newton[worse] = 0.5 * (y[worse] + newton[worse])
             res[worse] = newton[worse] - ctil[worse] - h * driver.tamed_y_part(newton[worse])
             abs_res[worse] = np.abs(res[worse])
-        np.copyto(y, newton, where=live)
+        if live is None:
+            y, newton = newton, y
+        else:
+            np.copyto(y, newton, where=live)
     else:
         # out of iterations: the live paths keep their last iterate, and
         # those outside the tolerance fail
-        bad = live & (abs_res > IMPLICIT_TOL * (1.0 + np.abs(y)))
+        bad = abs_res > IMPLICIT_TOL * (1.0 + np.abs(y))
+        if live is not None:
+            bad &= live
         if bad.any():
             raise ImplicitSolverError(int(np.argmax(bad)), step, scheme)
     return y, iterations

@@ -5,7 +5,8 @@ taking a flat key/value config file.  `--seed` and `--out` override the
 corresponding config entries; `--threads`, like the `threads` key, is
 accepted and ignored, as every study runs on one thread.  OpenBLAS is held
 to one thread, so the output does not depend on the core count.  Exit
-codes: 0 success, 2 invalid config, 3 I/O error, 4 numerical failure
+codes: 0 success, 2 invalid config or a size whose arrays cannot be
+allocated (MemoryError), 3 I/O error, 4 numerical failure
 (ForwardBlowupError on the paths or the tree's levels, ImplicitSolverError, DesignError when a step's
 regression design is not finite, or SchemeExplodedError when a
 convergence proxy scheme explodes; the message names the scheme, N, path
@@ -128,6 +129,9 @@ def _run(args) -> int:
             print(f"wrote {report.mins.size} rows to {cfg.output_path}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: cannot allocate memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

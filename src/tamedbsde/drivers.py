@@ -148,17 +148,23 @@ def horner(terms: tuple[np.float64, ...], x):
     """sum_k terms[k] x^k for a scalar or an array x.
 
     The operations and their order are those of
-    numpy.polynomial.polynomial.polyval (zero terms included), so the result
-    is bitwise equal to polyval(x, terms), signed zeros and inf * 0 -> nan
-    included; only polyval's per-call coercion and reshape are left out.
+    numpy.polynomial.polynomial.polyval, less the add of an interior zero
+    term, so the result is bitwise equal to polyval(x, terms), signed zeros
+    and inf * 0 -> nan included; only polyval's per-call coercion and
+    reshape are left out.  Adding +-0.0 can change only the sign of a zero:
+    a later nonzero term replaces that zero, and the constant term's add
+    settles its sign, unless the constant term is -0.0, when every term is
+    added.
     """
+    keep_zeros = not terms[0] and math.copysign(1.0, terms[0]) < 0.0
     acc = x * 0.0
     acc += terms[-1]
     # in place on an array (a scalar rebinds): the same operations without
     # a temporary per term
-    for a in terms[-2::-1]:
+    for k in range(len(terms) - 2, -1, -1):
         acc *= x
-        acc += a
+        if terms[k] or keep_zeros or k == 0:
+            acc += terms[k]
     return acc
 
 
@@ -205,20 +211,20 @@ class TamingSpec:
         return 0.5
 
 
-def _damping_numerator(kind: str, base: DriverSpec, y, p):
+def _damping_numerator(kind: str, base: DriverSpec, abs_y, p):
     """F(y) in the damping factor 1 / (1 + F(y)/r) of a multiplicative
-    kind; p is P(y)."""
+    kind, from |y| (unused by mult_a) and p = P(y)."""
     m = base.growth_power
     if kind == MULT_A:
         return np.abs(p)
     if kind == MULT_B:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.abs(p - base.value_at_zero) / np.abs(y)
-        return np.where(y == 0.0, 0.0, ratio)
+        # |P(y) - P(0)| / |y|, and 0 at y = 0
+        return np.divide(np.abs(p - base.value_at_zero), abs_y, out=np.zeros_like(p),
+                         where=abs_y != 0.0)
     if kind == MULT_C:
-        return np.abs(y) ** m
+        return abs_y ** m
     if kind == MULT_D:
-        return np.abs(y) ** (m - 1)
+        return abs_y ** (m - 1)
     raise AssertionError(kind)
 
 
@@ -277,21 +283,23 @@ class TamingBlock:
         if y.ndim == 0:
             return self.tamed_y_part(y.reshape(1))[0]
         x = y
+        # clip as np.clip does (NaN stays NaN), by the two ufuncs without
+        # np.clip's wrapper
         if self.inner is not None:
             rows, lo, hi = self.inner
             x = y.copy()
-            x[rows] = np.clip(y[rows], lo, hi)
+            x[rows] = np.minimum(np.maximum(y[rows], lo), hi)
         p = horner(self.base.y_terms, x)
         if self.outer is not None:
             rows, lo, hi = self.outer
-            p[rows] = np.clip(p[rows], lo, hi)
+            p[rows] = np.minimum(np.maximum(p[rows], lo), hi)
         if self.mult is not None:
             rows, _, r = self.mult
-            y_m, p_m = y[rows], p[rows]
+            p_m, abs_y = p[rows], np.abs(y[rows])
             # with one kind, its F is the whole (fresh) damping array
             damping = np.empty_like(p_m) if len(self.mult_kinds) > 1 else None
             for kind, sub in self.mult_kinds:
-                f = _damping_numerator(kind, self.base, y_m[sub], p_m[sub])
+                f = _damping_numerator(kind, self.base, abs_y[sub], p_m[sub])
                 if damping is None:
                     damping = f
                 else:
@@ -329,7 +337,10 @@ class TamedDriver:
         return TamingBlock((self,))
 
     def tamed_y_part(self, y):
-        """f^h's y-part at y: the block of one of TamingBlock."""
+        """f^h's y-part at y: the block of one of TamingBlock, or P itself
+        when untamed."""
+        if self.taming.kind == NONE:
+            return self.base.y_part(np.asarray(y, dtype=float))
         return self._taming.tamed_y_part(y)
 
     def __call__(self, y, z):
@@ -341,10 +352,10 @@ class TamedDriver:
         Analytic for every kind except mult_b, which falls back to a central
         difference (its damping factor has no convenient closed derivative).
         """
+        if self.taming.kind == NONE:
+            return self.base.y_part_slope(np.asarray(y, dtype=float))
         y = np.asarray(y, dtype=float)
         base, kind, r = self.base, self.taming.kind, self.radius
-        if kind == NONE:
-            return base.y_part_slope(y)
         if kind == INNER_PROJ:
             return np.where(np.abs(y) <= r, base.y_part_slope(np.clip(y, -r, r)), 0.0)
         if kind == OUTER_PROJ:
@@ -354,14 +365,15 @@ class TamedDriver:
             return (self.tamed_y_part(y + eps) - self.tamed_y_part(y - eps)) / (2.0 * eps)
         p = base.y_part(y)
         dp = base.y_part_slope(y)
-        f_num = _damping_numerator(kind, base, y, p)
+        abs_y = np.abs(y)
+        f_num = _damping_numerator(kind, base, abs_y, p)
         m = base.growth_power
         if kind == MULT_A:
             df_num = np.sign(p) * dp
         elif kind == MULT_C:
-            df_num = m * np.abs(y) ** (m - 1) * np.sign(y)
+            df_num = m * abs_y ** (m - 1) * np.sign(y)
         else:  # MULT_D
-            df_num = 0.0 * y if m == 1 else (m - 1) * np.abs(y) ** (m - 2) * np.sign(y)
+            df_num = 0.0 * y if m == 1 else (m - 1) * abs_y ** (m - 2) * np.sign(y)
         denom = 1.0 + f_num / r
         return (dp * denom - p * df_num / r) / denom**2
 
@@ -520,6 +532,11 @@ def derive_constants(driver: TamedDriver) -> DerivedConstants:
     )
 
 
+# the largest probe: the verifier holds about `samples` values in each of a
+# dozen pair arrays, so 10^7 samples take about 1 GB
+PROBE_SAMPLES_MAX = 10**7
+
+
 @dataclass(frozen=True)
 class ProbePlan:
     """Sampling plan of the assumption verifier."""
@@ -534,6 +551,10 @@ class ProbePlan:
             raise ValueError(f"probe range must be positive, got y_max={self.y_max}, z_max={self.z_max}")
         if self.samples < 0:
             raise ValueError(f"probe samples must be >= 0, got {self.samples}")
+        if self.samples > PROBE_SAMPLES_MAX:
+            raise ValueError(f"probe samples (tolerances.probe_samples) must be <= "
+                             f"{PROBE_SAMPLES_MAX}, the most the verifier's pair arrays "
+                             f"hold in memory, got {self.samples}")
         if not self.rel_slack >= 0.0:
             raise ValueError(f"probe rel_slack must be >= 0, got {self.rel_slack}")
 

@@ -33,10 +33,10 @@ def check_states(x: np.ndarray, step: int, steps: int) -> None:
     raises ForwardBlowupError naming the lowest index of x (a path, or a
     tree node) whose state at `step` of an N = `steps` grid is non-finite or
     beyond the overflow limit."""
-    # NaN fails the comparison, so this also catches non-finite states
-    bad = ~(np.abs(x) <= OVERFLOW_LIMIT)
-    if bad.any():
-        p = int(np.argmax(bad))
+    # max propagates NaN, which fails the comparison, so this also catches
+    # non-finite states; the offender is looked for only then
+    if not np.abs(x).max(initial=0.0) <= OVERFLOW_LIMIT:
+        p = int(np.argmax(~(np.abs(x) <= OVERFLOW_LIMIT)))
         raise ForwardBlowupError(p, step, float(x[p]), steps)
 
 

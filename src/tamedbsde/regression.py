@@ -40,7 +40,12 @@ def hermite_matrix(x: np.ndarray, size: int) -> np.ndarray:
     """C-ordered (size, M) rows He_0(x) .. He_{size-1}(x), each row written
     in place by the three-term recurrence from the two rows above it."""
     x = np.asarray(x, dtype=float)
-    out = np.empty((size, x.size), dtype=float)
+    try:
+        out = np.empty((size, x.size), dtype=float)
+    except ValueError as exc:
+        # numpy's "array is too big": the byte count overflows intp, an
+        # allocation failure like any other
+        raise MemoryError(str(exc)) from exc
     out[0] = 1.0
     if size > 1:
         out[1] = x

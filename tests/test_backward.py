@@ -4,6 +4,7 @@ import math
 import os
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from tamedbsde import (
 )
 from tamedbsde import backward, regression
 from tamedbsde.backward import step_size_condition
-from tamedbsde.drivers import TamingBlock
+from tamedbsde.drivers import TAMING_KINDS, TamingBlock
 from tamedbsde.regression import predict, sample_design
 from tamedbsde.trees import MAX_STEPS_BRANCHING, MAX_STEPS_RECOMBINING, path_node_index, terminal_level
 
@@ -520,6 +521,40 @@ def test_starved_active_set_solve_names_dense_path(monkeypatch, max_iter):
     assert (err.value.path, err.value.step) == (ref.value.path, 4)
 
 
+# c of mixed magnitudes with the values that freeze a path at once (0, and
+# +-1e80 under mult_a, where the Newton update is not finite), overflow f^h
+# to a NaN that never converges (+-1e103 at h = 0.01, +-inf, nan) or make a
+# step grow the residual, so that paths freeze in different iterations or
+# get halved
+SOLVE_C = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1e80, -1e80, 1e103, -1e103, np.inf, -np.inf, np.nan]),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(-8, 8)),
+)
+
+
+@given(kind=st.sampled_from(TAMING_KINDS), h=st.sampled_from([0.95, 0.25, 0.01]),
+       max_iter=st.sampled_from([1, 2, 50]),
+       cz=st.lists(st.tuples(SOLVE_C, st.floats(-3.0, 3.0)), min_size=1, max_size=24))
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_solve_implicit_bitwise_equals_dense(kind, h, max_iter, cz):
+    from tamedbsde.backward import ImplicitSolverError, _solve_implicit
+
+    driver = TamedDriver(polynomial_driver([0.0, 1.0, 0.0, -1.0], z_coeff=0.5),
+                         TamingSpec(kind=kind), h)
+    c, z = np.array(cz).T
+    with np.errstate(all="ignore"), mock.patch.object(backward, "IMPLICIT_MAX_ITER", max_iter):
+        try:
+            want = _dense_solve_implicit(driver, c, z, h, 1e-12, max_iter, 2)
+        except ImplicitSolverError as exc:
+            with pytest.raises(ImplicitSolverError) as err:
+                _solve_implicit(driver, c, z, h, 2)
+            assert (err.value.path, err.value.step) == (exc.path, exc.step)
+            return
+        y, it = _solve_implicit(driver, c, z, h, 2)
+    assert it == want[1]
+    assert y.tobytes() == want[0].tobytes()
+
+
 def test_implicit_solve_evaluates_the_driver_once_per_iteration(monkeypatch):
     from tamedbsde.backward import _solve_implicit
 
@@ -610,6 +645,9 @@ def _long_double_root(poly, h, c):
     ((0.0, 0.0, -1.0), 0.1, np.linspace(0.0, 3.0, 301)),
     ((0.0, 0.0, 0.0, -1.0), 0.125, np.linspace(-3.0, 3.0, 301)),
     ((0.0, 0.0, 0.0, -1.0), 0.001, np.linspace(-30.0, 30.0, 301)),
+    # FitzHugh-Nagumo and Allen-Cahn: nonzero interior terms
+    ((0.0, -0.3, 1.3, -1.0), 0.1, np.linspace(-3.0, 3.0, 301)),
+    ((0.0, 1.0, 0.0, -1.0), 0.1, np.linspace(-3.0, 3.0, 301)),
 ])
 @needs_long_double
 def test_implicit_solve_lands_on_the_long_double_root(poly, h, c):

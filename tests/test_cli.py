@@ -164,6 +164,9 @@ def with_keys(text, extra):
     ("converge", "threads = 0\n", [], "threads must be >= 1"),
     ("converge", "", ["--threads", "0"], "threads must be >= 1"),
     ("verify-taming", "tolerances.probe_samples = -5\n", [], "probe samples must be >= 0"),
+    # a probe of 2^128 samples: rejected at parse time, not blamed on a scheme
+    ("verify-taming", f"tolerances.probe_samples = {2**128}\n", [],
+     "probe samples (tolerances.probe_samples) must be <= 10000000"),
     ("verify-taming", "driver.domain_bound = -1\n", [], "domain_bound must be positive"),
     ("verify-taming", "driver.domain_bound = nan\n", [],
      "key 'driver.domain_bound': expected a finite number, got 'nan'"),
@@ -224,7 +227,8 @@ def with_keys(text, extra):
     ("converge", "scheme.3.kind = explicit_tamed\nscheme.3.taming = mult_a\nscheme.3.r0 = -1\n", [],
      "scheme.3: taming r0 must be positive"),
 ], ids=["inline-timing", "standardize", "implicit-tol", "implicit-max-iter", "threads-key",
-        "threads-option", "probe-samples", "domain-bound", "domain-bound-nan", "domain-bound-inf",
+        "threads-option", "probe-samples", "probe-samples-huge", "domain-bound",
+        "domain-bound-nan", "domain-bound-inf",
         "horizon-inf-tree", "horizon-inf-taming", "seed-key", "seed-option",
         "taming-kind", "taming-section", "exponent-nan", "r0-inf", "z-coeff-nan", "m-y-nan",
         "l-y-inf", "terminal-nan", "y-poly-nan", "rel-slack-nan", "probe-z-max-nan",
@@ -241,6 +245,27 @@ def test_rejected_value_is_config_error(tmp_path, capsys, command, extra, args, 
     cfg.write_text(with_keys(CONV.format(out=out), extra))
     assert main([command, str(cfg), *args]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# sizes whose arrays exceed the 47-bit user address space, so that their
+# allocation fails at once whatever the overcommit policy: the time grid
+# of N = 10^15 (7.11 PiB), the N = 8 increments of 10^15 paths (56.8 PiB),
+# and a design of 10^15 basis functions at 5000 paths, whose byte count
+# (4e19) overflows intp
+@pytest.mark.parametrize("command, text, extra, message", [
+    ("positivity", POSITIVITY, "grids = 1000000000000000\n", "Unable to allocate 7.11 PiB"),
+    ("converge", CONV, "paths = 1000000000000000\n", "Unable to allocate 56.8 PiB"),
+    ("positivity", POSITIVITY, "paths = 5000\nbasis.size = 1000000000000000\n",
+     "array is too big"),
+], ids=["grids", "paths", "basis"])
+def test_unallocatable_size_is_config_error(tmp_path, capsys, command, text, extra, message):
+    out = tmp_path / "x.csv"
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(with_keys(text.format(out=out), extra))
+    assert main([command, str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot allocate memory: {message}")
     assert not out.exists()
 
 

@@ -9,10 +9,9 @@ config.py reads) to values from that key's pool, or leaves the key out
 (None), and runs all four subcommands on it in process through
 `cli.main`.  The pools are edge values: 0, +-1e-300, +-1e300, 1e308, nan,
 +-inf, grids beyond the trees' caps (15, 2001), one path, non-nested and
-descending ladders, malformed entries.  Sizes whose arrays would not fit
-in memory (paths or N in the billions) are left out: they end in
-MemoryError, which no exit code covers.  `derandomize=True` and a fixed
-max_examples keep the examples the same on every run.
+descending ladders, malformed entries, and sizes of 10^15 (N, paths,
+basis size) whose arrays exceed the address space.  `derandomize=True` and
+a fixed max_examples keep the examples the same on every run.
 """
 
 import contextlib
@@ -63,6 +62,9 @@ INTS = ("0", "1", "-1", "2", "1.5", "nan", None)
 LISTS = ("0", "1e300", "0,0,0,0,1e300", "1e-300,-1e300,1e300", "0,nan", "0,inf",
          "0,0,0,0,0,1", "0,,1", None)
 BOOLS = ("true", "false", "yes", "0", "maybe", None)
+# a size whose arrays exceed the 47-bit address space: their allocation
+# fails at once (exit 2)
+HUGE = str(10**15)
 SCHEME = {
     "kind": ("implicit", "explicit_tamed", "explicit_untamed", "sideways", None),
     "label": ("implicit", "inner", "x", None),
@@ -79,10 +81,10 @@ POOLS = {
     "driver.y_poly": LISTS + ("0,0,0,-1e300", "1e300,0,0,-1"),
     **{f"driver.{key}": FLOATS for key in ("z_coeff", "domain_bound", "m_y", "l_y")},
     **{f"tolerances.{key}": FLOATS for key in ("probe_y_max", "probe_z_max", "rel_slack")},
-    "tolerances.probe_samples": INTS,
-    "grids": INTS + ("15", "2001", "2,4", "4,2", "3,4", "1,2,4,8,16"),
-    "paths": INTS,
-    "basis.size": INTS + ("400",),
+    "tolerances.probe_samples": INTS + (str(2**128),),
+    "grids": INTS + ("15", "2001", "2,4", "4,2", "3,4", "1,2,4,8,16", HUGE),
+    "paths": INTS + (HUGE,),
+    "basis.size": INTS + ("400", HUGE),
     "noise.kind": ("gaussian", "truncated_gaussian", "rademacher", "bogus", None),
     "noise.r0": FLOATS,
     "noise.log_schedule": BOOLS,

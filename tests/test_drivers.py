@@ -17,7 +17,7 @@ from tamedbsde import (
     polynomial_driver,
     verify_assumptions,
 )
-from tamedbsde.drivers import DriverConstants, TamingBlock
+from tamedbsde.drivers import DriverConstants, TamingBlock, horner, polynomial_terms
 
 CUBIC = polynomial_driver([0.0, 0.0, 0.0, -1.0])          # f(y) = -y^3
 FHN = polynomial_driver([0.0, 1.0, 0.0, -1.0])            # f(y) = y - y^3
@@ -70,6 +70,17 @@ def test_horner_bitwise_equals_polyval(coeffs, x):
         assert _same_bits(spec.y_part_slope(x), npoly.polyval(x, npoly.polyder(c)))
         if len(coeffs) <= 5:
             assert _same_bits(TerminalSpec(tuple(coeffs))(x), npoly.polyval(x, c))
+
+
+# horner skips the add of an interior zero term unless the constant term is
+# -0.0: at x = -0.0, (-0.0, 0.0, 1.0) needs its interior add for polyval's
+# sign, and the other polynomials skip theirs
+@pytest.mark.parametrize("coeffs", [(-0.0, 0.0, 1.0), (-0.0, -0.0, 0.0, -1.0),
+                                    (0.0, 0.0, 0.0, -1.0), (0.0, -0.0, 1.0), (1.0, 0.0, -0.0, 2.0)])
+def test_horner_zero_terms_keep_the_signs_of_polyval(coeffs):
+    x = np.array([0.0, -0.0, 1e-200, -1e-200, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 2.0, -2.0])
+    with np.errstate(all="ignore"):
+        assert horner(polynomial_terms(coeffs), x).tobytes() == npoly.polyval(x, coeffs).tobytes()
 
 
 # ---------------------------------------------------------------- taming maps
