@@ -34,7 +34,9 @@
 #   huge_<command>          positivity with grids = 10^15 and converge with
 #                           paths = 10^15 on scripts/positivity_study.cfg
 #                           (the arrays exceed the address space: both exit
-#                           2, "cannot allocate memory")
+#                           2, "cannot allocate memory"), and tree-oracle
+#                           with grids = 10^15 (beyond the tree's cap: exit
+#                           2 with the cap message, before any grid is made)
 #   huge_basis              positivity with basis.size = 10^15 on the same
 #                           config (the design's byte count overflows
 #                           intp: exit 2, "cannot allocate memory")
@@ -131,6 +133,8 @@ done
 
 record huge_positivity python3 -m tamedbsde positivity \
     "$(with_key "$cfg" huge_grids grids 1000000000000000)" --out "$out/huge_positivity.csv"
+record huge_tree-oracle python3 -m tamedbsde tree-oracle \
+    "$(with_key "$cfg" huge_tree_grids grids 1000000000000000)" --out "$out/huge_tree-oracle.csv"
 record huge_converge python3 -m tamedbsde converge \
     "$(with_key "$cfg" huge_paths paths 1000000000000000)" --out "$out/huge_converge.csv"
 record huge_basis python3 -m tamedbsde positivity \

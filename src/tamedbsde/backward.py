@@ -460,10 +460,12 @@ def sweep(groups: list[tuple], reached) -> list[list[SchemeOutput]]:
     overflow and invalid-value warnings off.
 
     At fine index j every group whose stride (fine steps over its steps)
-    divides j takes its step i = j / stride, finest first.  Groups may
-    share a grid (and its operator): those step in list order at each fine
-    index, so when group g reaches level i every earlier group on its grid
-    has reached it too, which the comparison check relies on.  A step's
+    divides j takes its step i = j / stride, finest first; ValueError
+    rejects, before any step, groups whose N do not all divide the first
+    group's.  Groups may share a grid (and its operator): those step in
+    list order at each fine index, so when group g reaches level i every
+    earlier group on its grid has reached it too, which the comparison
+    check relies on.  A step's
     `begin_step` (on paths, the row source's read, the design and its
     factorization) comes before the blocks' turns and `end_step` releases
     it after, so a block's targets live only during its own turn.
@@ -476,9 +478,13 @@ def sweep(groups: list[tuple], reached) -> list[list[SchemeOutput]]:
     member was in it, with an equal share of each `begin_step` among the
     blocks still going.
     """
-    running, outputs = [], []
     steps = groups[0][0].grid.steps
-    strides = [steps // op.grid.steps for op, _, _ in groups]
+    ns = [op.grid.steps for op, _, _ in groups]
+    if any(steps % n for n in ns):
+        raise ValueError("the grids of a sweep must come finest first, each N dividing the "
+                         f"first one's, got N = {', '.join(map(str, ns))}")
+    running, outputs = [], []
+    strides = [steps // n for n in ns]
     with np.errstate(over="ignore", invalid="ignore"):
         for g, (op, xi, members) in enumerate(groups):
             blocks: dict[object, list[int]] = {}
@@ -513,7 +519,7 @@ def sweep(groups: list[tuple], reached) -> list[list[SchemeOutput]]:
 
 
 def _stored(op, xi: np.ndarray, members: list[tuple[SchemeSpec, TamedDriver]],
-            labels: list | None, levels) -> list[SchemeOutput]:
+            levels) -> list[SchemeOutput]:
     """The sweep of one group with every member's levels kept: Y[k] and
     Z[k] are member k's N+1 and N levels, made NaN by `levels(n)` (an
     (n, nodes) array or a list of n level arrays), each filled when the
@@ -531,16 +537,14 @@ def _stored(op, xi: np.ndarray, members: list[tuple[SchemeSpec, TamedDriver]],
                 if block.z is not None:
                     Z[k][i][...] = block.z[row]
 
-    (outputs,) = sweep([(op, xi, [(scheme, tamed, labels[k] if labels else None, False)
-                                  for k, (scheme, tamed) in enumerate(members)])], store)
+    (outputs,) = sweep([(op, xi, [(scheme, tamed, None, False) for scheme, tamed in members])], store)
     for out, y, z in zip(outputs, Y, Z):
         out.Y, out.Z = y, z
     return outputs
 
 
 def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: PathEnsemble,
-                       xi: np.ndarray, basis: BasisSpec | ExactTreeBasis,
-                       labels: list[str] | None = None) -> list[SchemeOutput]:
+                       xi: np.ndarray, basis: BasisSpec | ExactTreeBasis) -> list[SchemeOutput]:
     """Backward recursion of several (scheme, driver) pairs over one path
     ensemble, in lockstep.
 
@@ -548,14 +552,13 @@ def run_backward_group(members: list[tuple[SchemeSpec, TamedDriver]], ensemble: 
     scheme still running takes its Z projection, then its Y projection,
     from it.  Each target is projected on its own, so a scheme's output
     does not depend on the rest of the group or its order.  An exploding
-    scheme's rows from its first bad step down are NaN.  `labels` name the
-    members in error messages.
+    scheme's rows from its first bad step down are NaN.
     """
     paths = ensemble.X.shape[1]
     op = _path_operator(basis, ensemble)
     if xi.shape != (paths,):
         raise ValueError(f"terminal values have shape {xi.shape}, expected ({paths},)")
-    return _stored(op, xi, members, labels, lambda n: np.full((n, paths), np.nan))
+    return _stored(op, xi, members, lambda n: np.full((n, paths), np.nan))
 
 
 def run_backward(scheme: SchemeSpec, tamed: TamedDriver, ensemble: PathEnsemble,
@@ -566,7 +569,7 @@ def run_backward(scheme: SchemeSpec, tamed: TamedDriver, ensemble: PathEnsemble,
 
 
 def tree_group_run(members: list[tuple[SchemeSpec, TamedDriver]], tree: TreeModel,
-                   terminal: TerminalSpec, labels: list[str] | None = None) -> list[SchemeOutput]:
+                   terminal: TerminalSpec) -> list[SchemeOutput]:
     """Backward recursion of several (scheme, driver) pairs on one tree, in
     one sweep, with E_i computed as the exact half/half child average.
 
@@ -576,19 +579,17 @@ def tree_group_run(members: list[tuple[SchemeSpec, TamedDriver]], tree: TreeMode
     implicit row is then solved on its own.  Every operation is elementwise
     along the rows, so a member's output does not depend on the rest of the
     group or its order.  An exploding member's levels from its first bad
-    step down are NaN.  `labels` name the members in error messages.
+    step down are NaN.
     """
-    xi = np.asarray(terminal(tree.levels[tree.steps]), dtype=float)
-    return _stored(TreeOperator(tree.grid, tree.recombining), xi, members, labels,
-                   lambda n: [np.full(tree.node_count(j), np.nan) for j in range(n)])
+    return _stored(TreeOperator(tree.grid, tree.recombining), terminal(tree.levels[tree.steps]),
+                   members, lambda n: [np.full(tree.node_count(j), np.nan) for j in range(n)])
 
 
 def tree_exact_run(scheme: SchemeSpec, tamed: TamedDriver, tree: TreeModel,
-                   terminal: TerminalSpec, label: str | None = None) -> SchemeOutput:
+                   terminal: TerminalSpec) -> SchemeOutput:
     """Backward recursion of one scheme on a tree: the group of one of
-    `tree_group_run`; `label` names the scheme in error messages."""
-    return tree_group_run([(scheme, tamed)], tree, terminal,
-                          None if label is None else [label])[0]
+    `tree_group_run`."""
+    return tree_group_run([(scheme, tamed)], tree, terminal)[0]
 
 
 def step_size_condition(scheme: SchemeSpec, cons: DerivedConstants, abs_h_increment: float) -> float:
@@ -599,6 +600,11 @@ def step_size_condition(scheme: SchemeSpec, cons: DerivedConstants, abs_h_increm
     h = cons.h
     lz_h = cons.l_z * abs_h_increment
     return h * (cons.l_y + lz_h + (1.0 - scheme.theta_prime) * h * lz_h * cons.l_y)
+
+
+# the relative tolerance of the comparison check's order relations: a
+# margin counts as ordered down to -COMPARISON_TOL * max(1, max |xi^1|, max |xi^2|)
+COMPARISON_TOL = 1e-12
 
 
 @dataclass
@@ -617,7 +623,7 @@ class ComparisonReport:
 
 def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: TerminalSpec,
                      tamed2: TamedDriver, terminal2: TerminalSpec,
-                     tree: TreeModel, tol: float = 1e-12) -> ComparisonReport:
+                     tree: TreeModel) -> ComparisonReport:
     """Run both instances on the same tree and check the order relations.
 
     Requires z-free drivers (gamma = 0 branch) or theta' = 1, and an
@@ -647,8 +653,9 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
     n = grid.steps
     op = TreeOperator(grid, tree.recombining)
     c1, c2 = driver1.base.z_coeff, driver2.base.z_coeff
-    xi1, xi2 = (np.asarray(terminal(tree.levels[n]), dtype=float) for terminal in (terminal1, terminal2))
+    xi1, xi2 = terminal1(tree.levels[n]), terminal2(tree.levels[n])
     scale = max(1.0, max(float(np.max(np.abs(xi1))), float(np.max(np.abs(xi2)))))
+    floor = -COMPARISON_TOL * scale  # the least margin that counts as ordered
 
     # per step the driver margin at the down and up children and min B,
     # per level min(Y^1_i - Y^2_i); reduced in level order at the end
@@ -693,7 +700,7 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
             b_min[i] = min(np.min(b[0]), np.min(b[1]))
         delta = y1_i - y2_i
         delta_min[i] = np.min(delta)
-        violations += int(np.sum(delta < -tol * scale))
+        violations += int(np.sum(delta < floor))
         below[:] = y1_i, y2_i
 
     sweep([(op, xi, [(scheme, driver, None, False)]) for xi, driver in ((xi1, driver1), (xi2, driver2))],
@@ -706,7 +713,7 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
     return ComparisonReport(
         condition_value=condition, condition_ok=condition < 1.0,
         terminal_margin=terminal_margin, driver_margin=driver_margin,
-        inputs_ordered=terminal_margin >= -tol * scale and driver_margin >= -tol * scale,
+        inputs_ordered=terminal_margin >= floor and driver_margin >= floor,
         output_margin=output_margin, outputs_ordered=violations == 0,
         violations=violations,
         min_b_factor=float(b_min.min()) if n else 1.0, b_factor_min_per_step=b_min,

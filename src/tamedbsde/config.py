@@ -142,6 +142,17 @@ class _Reader:
         model type declares."""
         return {name: read(key) for name, key in keys.items() if key in self.pairs}
 
+    def built(self, keys, make, *args, **kwargs):
+        """make(*args, **kwargs), whose arguments were read from `keys`: a
+        ValueError it raises is a ConfigError that names those of the keys
+        the config sets."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            named = [key for key in keys if key in self.pairs]
+            raise ConfigError(f"{'key' if len(named) == 1 else 'keys'} "
+                              f"{', '.join(map(repr, named))}: {exc}") from None
+
     def unknown_keys(self):
         return sorted(set(self.pairs) - self.seen)
 
@@ -153,31 +164,32 @@ def parse_config(text: str) -> ExperimentConfig:
     sections (nested grids, scheme numbering, noise model fields), and when
     an N of the ladder violates the implicit step guard or the truncated
     noise's Lambda floor (the studies check the tamed drivers they run).
+    Each message names the key, the scheme entry or the N it is about: a
+    value a model type rejects is prefixed with the keys it was read from.
     """
     pairs = _parse_pairs(text)
     r = _Reader(pairs)
 
     horizon = r.float_("horizon")
     seed = checked_seed(r.int_("seed"))
-    try:
-        check_horizon(horizon)
-        sde = SdeSpec(**r.given(r.float_, x0="sde.x0", drift_const="sde.b0",
-                                drift_slope="sde.b1", diff_const="sde.sigma",
-                                diff_slope="sde.sigma_slope"))
-        terminal = TerminalSpec(tuple(r.float_list("terminal.coeffs")))
-        driver = polynomial_driver(r.float_list("driver.y_poly"),
-                                   **r.given(r.float_, z_coeff="driver.z_coeff",
-                                             domain_bound="driver.domain_bound"))
-        # optional sharper declarations, e.g. M_y = 0 for a driver that is
-        # monotone on the domain the solution actually lives in
-        declared = r.given(r.float_, m_y="driver.m_y", l_y="driver.l_y")
-        if declared:
-            driver = DriverSpec(driver.y_coeffs, driver.z_coeff, replace(driver.constants, **declared))
-        probe = ProbePlan(**r.given(r.float_, y_max="tolerances.probe_y_max",
-                                    z_max="tolerances.probe_z_max", rel_slack="tolerances.rel_slack"),
-                          **r.given(r.int_, samples="tolerances.probe_samples"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    r.built(["horizon"], check_horizon, horizon)
+    # every value is finite, which is all SdeSpec checks
+    sde = SdeSpec(**r.given(r.float_, x0="sde.x0", drift_const="sde.b0", drift_slope="sde.b1",
+                            diff_const="sde.sigma", diff_slope="sde.sigma_slope"))
+    terminal = r.built(["terminal.coeffs"], TerminalSpec, tuple(r.float_list("terminal.coeffs")))
+    driver_keys = {"z_coeff": "driver.z_coeff", "domain_bound": "driver.domain_bound"}
+    driver = r.built(["driver.y_poly", *driver_keys.values()], polynomial_driver,
+                     r.float_list("driver.y_poly"), **r.given(r.float_, **driver_keys))
+    # optional sharper declarations, e.g. M_y = 0 for a driver that is
+    # monotone on the domain the solution actually lives in
+    declared = r.given(r.float_, m_y="driver.m_y", l_y="driver.l_y")
+    if declared:
+        driver = DriverSpec(driver.y_coeffs, driver.z_coeff, replace(driver.constants, **declared))
+    probe_keys = {"y_max": "tolerances.probe_y_max", "z_max": "tolerances.probe_z_max",
+                  "rel_slack": "tolerances.rel_slack"}
+    probe = r.built(probe_keys.values(), ProbePlan, **r.given(r.float_, **probe_keys))
+    probe = r.built(["tolerances.probe_samples"], replace, probe,
+                    **r.given(r.int_, samples="tolerances.probe_samples"))
 
     grids = r.int_list("grids")
     if any(n < 1 for n in grids):
@@ -191,16 +203,14 @@ def parse_config(text: str) -> ExperimentConfig:
     if paths < 1:
         raise ConfigError("paths must be >= 1")
 
-    noise_fields = r.given(r.str_, kind="noise.kind")
-    try:
-        # only truncated noise reads noise.r0 and noise.log_schedule (other
-        # kinds take them as unknown keys)
-        if noise_fields.get("kind") == TRUNCATED:
-            noise_fields |= r.given(r.float_, radius0="noise.r0")
-            noise_fields |= r.given(r.bool_, use_log_schedule="noise.log_schedule")
-        noise = NoiseModel(**noise_fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    noise_fields, noise_keys = r.given(r.str_, kind="noise.kind"), ["noise.kind"]
+    # only truncated noise reads noise.r0 and noise.log_schedule (other
+    # kinds take them as unknown keys)
+    if noise_fields.get("kind") == TRUNCATED:
+        noise_fields |= r.given(r.float_, radius0="noise.r0")
+        noise_fields |= r.given(r.bool_, use_log_schedule="noise.log_schedule")
+        noise_keys += ["noise.r0", "noise.log_schedule"]
+    noise = r.built(noise_keys, NoiseModel, **noise_fields)
 
     indices = sorted({int(k.split(".")[1]) for k in pairs if k.startswith("scheme.")
                       if k.split(".")[1].isdigit()})
@@ -214,14 +224,18 @@ def parse_config(text: str) -> ExperimentConfig:
         # are then unknown keys
         if taming_fields:
             taming_fields |= r.given(r.float_, r0=f"{prefix}.r0", exponent=f"{prefix}.exponent")
+        scheme_fields = r.given(r.float_, theta_prime=f"{prefix}.theta_prime")
         try:
             taming = TamingSpec(**taming_fields)
-            scheme = SchemeSpec(kind=kind, **r.given(r.float_, theta_prime=f"{prefix}.theta_prime"))
+            scheme = SchemeSpec(kind=kind, **scheme_fields)
         except ValueError as exc:
             raise ConfigError(f"{prefix}: {exc}") from None
         schemes.append(SchemeRun(label=label, scheme=scheme, taming=taming))
-    if len({run.label for run in schemes}) != len(schemes):
-        raise ConfigError("scheme labels must be unique")
+    first: dict[str, int] = {}
+    for idx, run in zip(indices, schemes):
+        if first.setdefault(run.label, idx) != idx:
+            raise ConfigError(f"scheme labels must be unique: scheme.{first[run.label]} and "
+                              f"scheme.{idx} are both labelled {run.label!r}")
 
     # accepted for old configs and ignored: every study runs on one thread
     if r.int_("threads", default=1) < 1:

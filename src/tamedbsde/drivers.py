@@ -59,6 +59,13 @@ def _real_roots(coeffs) -> np.ndarray:
     return real
 
 
+def _derivatives(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients of P' and P'' for those of P, zeros(1) for the
+    derivative of a constant."""
+    dP = npoly.polyder(c) if c.size > 1 else np.zeros(1)
+    return dP, npoly.polyder(dP) if dP.size > 1 else np.zeros(1)
+
+
 # a polynomial far beyond its certified range overflows quietly: a constant
 # comes out non-finite instead of warning (checked_constants rejects those
 # of a tamed driver)
@@ -80,8 +87,7 @@ def derive_base_constants(y_coeffs, z_coeff: float, domain_bound: float) -> Driv
     abs_c = np.abs(c)
     k_t = float(np.sum(abs_c[:mm])) if c.size > 1 else float(abs_c.sum())
     k_y = float(np.sum(abs_c))
-    dP = npoly.polyder(c) if c.size > 1 else np.zeros(1)
-    ddP = npoly.polyder(dP) if dP.size > 1 else np.zeros(1)
+    dP, ddP = _derivatives(c)
     cands = list(_real_roots(ddP)) + [-domain_bound, domain_bound]
     cands = [u for u in cands if abs(u) <= domain_bound + 1e-12]
     m_y = float(np.max(horner(polynomial_terms(dP), np.asarray(cands, dtype=float))))
@@ -421,8 +427,7 @@ def _outer_lipschitz(coeffs, r: float) -> float:
     the sub-level set (a root of P -+ r) or at a critical point of P'.
     """
     c = np.asarray(coeffs, dtype=float)
-    dP = npoly.polyder(c) if c.size > 1 else np.zeros(1)
-    ddP = npoly.polyder(dP) if dP.size > 1 else np.zeros(1)
+    dP, ddP = _derivatives(c)
     cands = [0.0]
     hi = c.copy(); hi[0] -= r
     lo = c.copy(); lo[0] += r
@@ -448,13 +453,6 @@ def _monotone_growth_base(base: DriverSpec) -> tuple[float, float, float]:
     return c.k_t**2 / (2 * _YOUNG_ALPHA), c.m_y + _YOUNG_ALPHA, c.k_z**2 / (2 * _YOUNG_ALPHA)
 
 
-def _empirical_profile(driver: TamedDriver):
-    b = driver.base.constants.domain_bound
-    ys = np.linspace(-b, b, _PROFILE_POINTS)
-    vals = driver.tamed_y_part(ys)
-    return ys, vals
-
-
 @np.errstate(over="ignore", invalid="ignore")  # as derive_base_constants
 def derive_constants(driver: TamedDriver) -> DerivedConstants:
     """Constants of f^h at the driver's step size.
@@ -464,71 +462,50 @@ def derive_constants(driver: TamedDriver) -> DerivedConstants:
     get grid-certified constants flagged `empirical` (their growth is known
     qualitatively but carries no published closed form).
     """
-    base, kind, h, r = driver.base, driver.taming.kind, driver.h, driver.radius
+    base, kind, r = driver.base, driver.taming.kind, driver.radius
     c = base.constants
     m = base.growth_power
     mbar_t, mbar_y, mbar_z = _monotone_growth_base(base)
-    common = dict(h=h, radius=r, k_z=c.k_z, l_z=c.l_z, m_y=c.m_y)
-
+    # unless a kind says otherwise: the base growth constants at degree 1,
+    # closed-form, and the monotone-growth constants with mbar_y >= 0 (any
+    # damping factor in [0, 1] preserves them)
+    k_t, k_y, degree, empirical = c.k_t, c.k_y, 1, False
+    mbar = (mbar_t, max(0.0, mbar_y), mbar_z)
     if kind == INNER_PROJ:
-        return DerivedConstants(
-            k_t=c.k_t, k_y=c.k_y * r ** (m - 1),
-            l_y=2.0 * c.l_y * (1.0 + 2.0 * r ** (m - 1)),
-            mbar_t=c.k_t**2 / 2.0, mbar_y=max(0.0, c.m_y) + 1.0, mbar_z=c.k_z**2 / 2.0,
-            growth_degree=1, empirical=False, **common,
-        )
-    if kind == OUTER_PROJ:
-        return DerivedConstants(
-            k_t=r, k_y=0.0,
-            l_y=_outer_lipschitz(base.y_coeffs, r),
-            mbar_t=max(0.0, mbar_t), mbar_y=max(0.0, mbar_y), mbar_z=mbar_z,
-            growth_degree=1, empirical=False, **common,
-        )
-    if kind == MULT_C:
-        return DerivedConstants(
-            k_t=c.k_t + c.k_y * r, k_y=0.0,
-            l_y=c.l_y * (1.0 + 2.0 * r),
-            mbar_t=mbar_t, mbar_y=max(0.0, mbar_y), mbar_z=mbar_z,
-            growth_degree=1, empirical=False, **common,
-        )
-    if kind == MULT_D:
-        return DerivedConstants(
-            k_t=c.k_t, k_y=c.k_y * r,
-            l_y=c.l_y * (3.0 + 2.0 * r),
-            mbar_t=mbar_t, mbar_y=max(0.0, mbar_y), mbar_z=mbar_z,
-            growth_degree=1, empirical=False, **common,
-        )
-
-    if kind == NONE:
-        # the base growth bound (degree m) is the honest certificate; a
-        # finite global Lipschitz constant does not exist for m >= 2, so the
-        # grid value below is domain-limited by construction
-        ys, vals = _empirical_profile(driver)
-        slopes = np.abs(np.diff(vals) / np.diff(ys))
-        return DerivedConstants(
-            k_t=c.k_t, k_y=c.k_y,
-            l_y=float(slopes.max()),
-            mbar_t=mbar_t, mbar_y=mbar_y, mbar_z=mbar_z,
-            growth_degree=m, empirical=True, **common,
-        )
-
-    # mult_a / mult_b: grid-certified linear growth and Lipschitz constants;
-    # the monotone-growth constants stay closed-form (any damping factor in
-    # [0, 1] preserves them)
-    ys, vals = _empirical_profile(driver)
-    av = np.abs(vals)
-    v0 = float(np.abs(driver.tamed_y_part(0.0)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope_bound = (av - v0) / np.abs(ys)
-    k_y = float(np.nanmax(np.where(np.abs(ys) > 1e-9, slope_bound, -np.inf)))
-    k_y = max(k_y, 0.0)
-    k_t = float(np.max(av - k_y * np.abs(ys)))
-    slopes = np.abs(np.diff(vals) / np.diff(ys))
+        k_y = c.k_y * r ** (m - 1)
+        l_y = 2.0 * c.l_y * (1.0 + 2.0 * r ** (m - 1))
+        mbar = (mbar_t, max(0.0, c.m_y) + 1.0, mbar_z)
+    elif kind == OUTER_PROJ:
+        k_t, k_y, l_y = r, 0.0, _outer_lipschitz(base.y_coeffs, r)
+        mbar = (max(0.0, mbar_t), max(0.0, mbar_y), mbar_z)
+    elif kind == MULT_C:
+        k_t, k_y, l_y = c.k_t + c.k_y * r, 0.0, c.l_y * (1.0 + 2.0 * r)
+    elif kind == MULT_D:
+        k_y, l_y = c.k_y * r, c.l_y * (3.0 + 2.0 * r)
+    else:
+        # the untamed driver, mult_a and mult_b: a Lipschitz constant
+        # certified on a grid of [-domain_bound, domain_bound]
+        empirical = True
+        ys = np.linspace(-c.domain_bound, c.domain_bound, _PROFILE_POINTS)
+        vals = driver.tamed_y_part(ys)
+        l_y = float(np.abs(np.diff(vals) / np.diff(ys)).max())
+        if kind == NONE:
+            # the base growth bound (degree m) is the honest certificate; a
+            # finite global Lipschitz constant does not exist for m >= 2, so
+            # the grid value is domain-limited by construction
+            degree, mbar = m, (mbar_t, mbar_y, mbar_z)
+        else:
+            # mult_a / mult_b: grid-certified linear growth as well
+            av = np.abs(vals)
+            v0 = float(np.abs(driver.tamed_y_part(0.0)))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slope_bound = (av - v0) / np.abs(ys)
+            k_y = max(float(np.nanmax(np.where(np.abs(ys) > 1e-9, slope_bound, -np.inf))), 0.0)
+            k_t = float(np.max(av - k_y * np.abs(ys)))
     return DerivedConstants(
-        k_t=k_t, k_y=k_y,
-        l_y=float(slopes.max()),
-        mbar_t=mbar_t, mbar_y=max(0.0, mbar_y), mbar_z=mbar_z,
-        growth_degree=1, empirical=True, **common,
+        h=driver.h, radius=r, k_t=k_t, k_y=k_y, k_z=c.k_z, l_y=l_y, l_z=c.l_z,
+        mbar_t=mbar[0], mbar_y=mbar[1], mbar_z=mbar[2], m_y=c.m_y,
+        growth_degree=degree, empirical=empirical,
     )
 
 
@@ -552,9 +529,8 @@ class ProbePlan:
         if self.samples < 0:
             raise ValueError(f"probe samples must be >= 0, got {self.samples}")
         if self.samples > PROBE_SAMPLES_MAX:
-            raise ValueError(f"probe samples (tolerances.probe_samples) must be <= "
-                             f"{PROBE_SAMPLES_MAX}, the most the verifier's pair arrays "
-                             f"hold in memory, got {self.samples}")
+            raise ValueError(f"probe samples must be <= {PROBE_SAMPLES_MAX}, the most the "
+                             f"verifier's pair arrays hold in memory, got {self.samples}")
         if not self.rel_slack >= 0.0:
             raise ValueError(f"probe rel_slack must be >= 0, got {self.rel_slack}")
 
@@ -582,10 +558,26 @@ class AssumptionReport:
 _MAX_VIOLATIONS = 10
 
 
-def _collect(name, margins, samples, slack, fitted=None) -> AssumptionCheck:
-    worst = float(np.max(margins)) if margins.size else 0.0
-    bad = np.nonzero(~(margins <= slack))[0]  # a NaN margin (the probe overflowed) fails too
-    viol = [tuple(float(v) for v in samples[j]) + (float(margins[j]),)
+def _check(name, excess, samples, scale, rel_slack, weight=None, region=None) -> AssumptionCheck:
+    """The check `name` on the probe: excess <= rel_slack * (1 + scale) at
+    every sample, where a NaN excess (the probe overflowed) fails.
+
+    With a remainder weight w, it first fits the smallest C with
+    excess <= C w (_fit_constant; on `region` alone where one is given),
+    subtracts the remainder rem = C w (0 outside the region) and widens the
+    slack to rel_slack * (1 + scale + rem); C is the fitted constant.
+    """
+    fitted, slack = None, 1.0 + scale
+    if weight is not None:
+        fitted = _fit_constant(excess if region is None else np.where(region, excess, -np.inf), weight)
+        rem = fitted * weight
+        if region is not None:
+            rem = np.where(region, rem, 0.0)
+        excess, slack = excess - rem, slack + rem
+    slack = rel_slack * slack
+    worst = float(np.max(excess)) if excess.size else 0.0
+    bad = np.nonzero(~(excess <= slack))[0]
+    viol = [tuple(float(v) for v in samples[j]) + (float(excess[j]),)
             for j in bad[:_MAX_VIOLATIONS]]
     return AssumptionCheck(name, bad.size == 0, worst, fitted, viol)
 
@@ -637,16 +629,12 @@ def verify_assumptions(driver: TamedDriver, probe: ProbePlan | None = None) -> A
     """
     probe = probe or ProbePlan()
     cons = checked_constants(driver)
-    base, kind = driver.base, driver.taming.kind
+    base, kind, r = driver.base, driver.taming.kind, driver.radius
     m = base.growth_power
-    r = driver.radius
-    h_pow = driver.h ** driver.exponent if kind in MULT_KINDS else 1.0
 
     n_y = max(int(math.isqrt(probe.samples)), 2)
     ys = np.linspace(-probe.y_max, probe.y_max, n_y)
     zs = np.array([0.0]) if base.z_coeff == 0.0 else np.array([-probe.z_max, 0.0, probe.z_max])
-
-    checks: dict[str, AssumptionCheck] = {}
 
     # pointwise checks on (y, z) singles
     yy = np.repeat(ys, zs.size)
@@ -655,70 +643,44 @@ def verify_assumptions(driver: TamedDriver, probe: ProbePlan | None = None) -> A
     f = eval_driver(base, yy, zz)
     singles = np.column_stack([yy, zz])
 
-    rhs = np.abs(f)
-    slack = probe.rel_slack * (1.0 + np.abs(rhs))
-    checks["domination"] = _collect("domination", np.abs(fh) - rhs, singles, slack)
-
-    rhs = cons.k_t + cons.k_y * np.abs(yy) ** cons.growth_degree + cons.k_z * np.abs(zz)
-    slack = probe.rel_slack * (1.0 + np.abs(rhs))
-    checks["growth"] = _collect("growth", np.abs(fh) - rhs, singles, slack)
-
-    rhs = cons.mbar_t + cons.mbar_y * yy**2 + cons.mbar_z * zz**2
-    slack = probe.rel_slack * (1.0 + np.abs(rhs))
-    checks["monotone_growth"] = _collect("monotone_growth", yy * fh - rhs, singles, slack)
-
     # pair checks on (y', y) at z = 0 (the z-part is linear and untouched)
     yp, y = [a.ravel() for a in np.meshgrid(ys, ys, indexing="ij")]
     pairs = np.column_stack([yp, y])
     dy = yp - y
     dfh = driver(yp, 0.0) - driver(y, 0.0)
 
-    lip_excess = np.abs(dfh) - cons.l_y * np.abs(dy)
-    mon_excess = dy * dfh - cons.m_y * dy**2
+    # the (weight, region) of each remainder: the multiplicative kinds'
+    # weights carry h^exponent and hold on the whole probe; the projections,
+    # exactly L^h_y-Lipschitz, have monotonicity and residual remainders
+    # outside the identity region; the untamed driver has none
+    lip = mon = res = (None, None)
     if kind in MULT_KINDS:
-        w_reg = (1.0 + np.abs(yp) ** (2 * m) + np.abs(y) ** (2 * m)) * h_pow
-        c_reg = _fit_constant(lip_excess, w_reg)
-        sl = probe.rel_slack * (1.0 + cons.l_y * np.abs(dy) + c_reg * w_reg)
-        checks["lipschitz_y"] = _collect(
-            "lipschitz_y", lip_excess - c_reg * w_reg, pairs, sl, fitted=c_reg)
-        c_mon = _fit_constant(mon_excess, w_reg)
-        sl = probe.rel_slack * (1.0 + np.abs(cons.m_y) * dy**2 + c_mon * w_reg)
-        checks["monotonicity"] = _collect(
-            "monotonicity", mon_excess - c_mon * w_reg, pairs, sl, fitted=c_mon)
-    else:
-        # projections (and the untamed driver) are exactly L^h_y-Lipschitz
-        sl = probe.rel_slack * (1.0 + cons.l_y * np.abs(dy))
-        checks["lipschitz_y"] = _collect("lipschitz_y", lip_excess, pairs, sl)
-        if kind == NONE:
-            sl = probe.rel_slack * (1.0 + np.abs(cons.m_y) * dy**2)
-            checks["monotonicity"] = _collect("monotonicity", mon_excess, pairs, sl)
+        h_pow = driver.h ** driver.exponent
+        lip = mon = ((1.0 + np.abs(yp) ** (2 * m) + np.abs(y) ** (2 * m)) * h_pow, None)
+        res = ((1.0 + np.abs(yy) ** (2 * m) + np.abs(zz)) * h_pow, None)
+    elif kind != NONE:
+        if kind == INNER_PROJ:
+            outside = (np.abs(yp) > r) | (np.abs(y) > r)
+            inside = np.abs(yy) <= r
         else:
-            if kind == INNER_PROJ:
-                outside = (np.abs(yp) > r) | (np.abs(y) > r)
-            else:
-                outside = (np.abs(base.y_part(yp)) > r) | (np.abs(base.y_part(y)) > r)
-            w_mon = 1.0 + np.abs(yp) ** (2 * m) + np.abs(y) ** (2 * m)
-            c_mon = _fit_constant(np.where(outside, mon_excess, -np.inf), w_mon)
-            rem = np.where(outside, c_mon * w_mon, 0.0)
-            sl = probe.rel_slack * (1.0 + np.abs(cons.m_y) * dy**2 + rem)
-            checks["monotonicity"] = _collect(
-                "monotonicity", mon_excess - rem, pairs, sl, fitted=c_mon)
+            outside = (np.abs(base.y_part(yp)) > r) | (np.abs(base.y_part(y)) > r)
+            inside = np.abs(f) <= r
+        mon = (1.0 + np.abs(yp) ** (2 * m) + np.abs(y) ** (2 * m), outside)
+        res = (1.0 + np.abs(yy) ** m + np.abs(zz), ~inside)
 
-    # residual consistency: zero on the identity region, fitted bound beyond
-    res = np.abs(f - fh)
-    if kind == NONE:
-        checks["residual"] = _collect("residual", res, singles, probe.rel_slack * (1.0 + np.abs(f)))
-    elif kind == INNER_PROJ or kind == OUTER_PROJ:
-        inside = np.abs(yy) <= r if kind == INNER_PROJ else np.abs(f) <= r
-        w = 1.0 + np.abs(yy) ** m + np.abs(zz)
-        c_res = _fit_constant(np.where(~inside, res, -np.inf), w)
-        rem = np.where(inside, 0.0, c_res * w)
-        sl = probe.rel_slack * (1.0 + np.abs(f) + rem)
-        checks["residual"] = _collect("residual", res - rem, singles, sl, fitted=c_res)
-    else:
-        w = (1.0 + np.abs(yy) ** (2 * m) + np.abs(zz)) * h_pow
-        c_res = _fit_constant(res, w)
-        sl = probe.rel_slack * (1.0 + np.abs(f) + c_res * w)
-        checks["residual"] = _collect("residual", res - c_res * w, singles, sl, fitted=c_res)
-
-    return AssumptionReport(constants=cons, checks=checks)
+    rel = probe.rel_slack
+    abs_fh, abs_f = np.abs(fh), np.abs(f)
+    growth = cons.k_t + cons.k_y * np.abs(yy) ** cons.growth_degree + cons.k_z * np.abs(zz)
+    mono = cons.mbar_t + cons.mbar_y * yy**2 + cons.mbar_z * zz**2
+    checks = [
+        _check("domination", abs_fh - abs_f, singles, abs_f, rel),
+        _check("growth", abs_fh - growth, singles, np.abs(growth), rel),
+        _check("monotone_growth", yy * fh - mono, singles, np.abs(mono), rel),
+        _check("lipschitz_y", np.abs(dfh) - cons.l_y * np.abs(dy), pairs, cons.l_y * np.abs(dy),
+               rel, *lip),
+        _check("monotonicity", dy * dfh - cons.m_y * dy**2, pairs, np.abs(cons.m_y) * dy**2,
+               rel, *mon),
+        # residual consistency: zero on the identity region, fitted bound beyond
+        _check("residual", np.abs(f - fh), singles, abs_f, rel, *res),
+    ]
+    return AssumptionReport(constants=cons, checks={check.name: check for check in checks})

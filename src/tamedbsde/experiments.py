@@ -54,7 +54,7 @@ from .grids import (
     sample_increments,
 )
 from .regression import BasisSpec
-from .trees import recombines, terminal_level
+from .trees import check_steps, recombines, terminal_level
 
 
 def _sum_to_grids(dW: np.ndarray, fine: PartitionGrid, coarse: list[PartitionGrid],
@@ -199,7 +199,7 @@ class _SegmentRows:
         for k in range(math.ceil(grid.steps / self.span)):
             self._load(k)
             self.checkpoints.append(self.X[-1].copy())
-        self.xi = np.asarray(cfg.terminal(self.checkpoints.pop()), dtype=float)
+        self.xi = cfg.terminal(self.checkpoints.pop())
 
     def _load(self, k: int) -> None:
         """Rebuild segment k, X_a .. X_b and H_{a+1} .. H_b, in place of the
@@ -250,7 +250,8 @@ def _proxy_runs(cfg: ExperimentConfig) -> list[SchemeRun]:
     chosen = [s for s in (implicit, inner) if s is not None]
     if not chosen:
         raise ConfigError(
-            "convergence proxy needs an implicit scheme or an inner-projection explicit scheme")
+            "convergence proxy needs an implicit scheme or an inner-projection explicit scheme "
+            "(scheme.<n>.kind = implicit, or explicit_tamed with scheme.<n>.taming = inner_proj)")
     return chosen
 
 
@@ -314,7 +315,8 @@ def _extrema_study(cfg: ExperimentConfig, backend: str) -> PositivityStudyReport
     Monte-Carlo paths (`backend` "regression"; that is h * L^h_y) and at
     |H| = 1/sqrt(h) on the exact Rademacher tree ("tree").
 
-    Every scheme is admitted (_members) before any sampling, tree or sweep.
+    A tree beyond its cap is rejected first, then every scheme is admitted
+    (_members) before any sampling, tree or sweep.
     The schemes run as one lockstep group through `sweep`, whose callback
     reduces each row of each block level to its min and max, so Z lives only
     while its step runs.  On paths the study holds X, H and a level or two
@@ -324,17 +326,20 @@ def _extrema_study(cfg: ExperimentConfig, backend: str) -> PositivityStudyReport
     extrema keep their NaN prefill from there down."""
     if len(cfg.grids) != 1:
         study = "tree oracle" if backend == "tree" else "positivity study"
-        raise ConfigError(f"{study} expects exactly one grid size")
+        raise ConfigError(f"{study} expects exactly one grid size, got grids = "
+                          f"{','.join(map(str, cfg.grids))}")
     n = cfg.grids[0]
+    if backend == "tree":
+        # the tree's cap comes first: no time grid is made for an N beyond it
+        try:
+            check_steps(cfg.sde, n)
+        except ValueError as exc:
+            raise ConfigError(f"N={n}: {exc}") from None
     grid = build_grid(cfg.horizon, n)
     runs = sorted(cfg.schemes, key=lambda s: s.label)
     members, constants = _members(cfg, runs, grid)
     if backend == "tree":
-        try:
-            x_n = terminal_level(cfg.sde, grid)
-        except ValueError as exc:
-            raise ConfigError(f"N={n}: {exc}") from None
-        op, xi = TreeOperator(grid, recombines(cfg.sde)), np.asarray(cfg.terminal(x_n), dtype=float)
+        op, xi = TreeOperator(grid, recombines(cfg.sde)), cfg.terminal(terminal_level(cfg.sde, grid))
         abs_h = 1.0 / math.sqrt(grid.h)
     else:
         batch = sample_increments(grid, cfg.paths, cfg.seed, cfg.noise)

@@ -131,4 +131,4 @@ def euler_rows(sde: SdeSpec, X: np.ndarray, dW: np.ndarray, h: float, first: int
 
 def terminal_values(terminal: TerminalSpec, ensemble: PathEnsemble) -> np.ndarray:
     """xi_m = g(X_{m,N}) for every path m."""
-    return np.asarray(terminal(ensemble.X[-1]), dtype=float)
+    return terminal(ensemble.X[-1])

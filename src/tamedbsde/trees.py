@@ -58,6 +58,18 @@ def recombines(sde: SdeSpec) -> bool:
     return sde.diff_slope == 0.0 and sde.drift_slope == 0.0
 
 
+def check_steps(sde: SdeSpec, steps: int) -> None:
+    """Raises ValueError when a tree of `sde` with `steps` steps exceeds
+    its cap: MAX_STEPS_RECOMBINING, or MAX_STEPS_BRANCHING for a tree that
+    does not recombine."""
+    recombining = recombines(sde)
+    cap = MAX_STEPS_RECOMBINING if recombining else MAX_STEPS_BRANCHING
+    if steps > cap:
+        raise ValueError(
+            f"tree with {steps} steps exceeds the {'recombining' if recombining else 'branching'} cap {cap}"
+        )
+
+
 def tree_levels(sde: SdeSpec, grid: PartitionGrid) -> Iterator[np.ndarray]:
     """The forward states of levels 0..N, one level at a time: Euler
     dynamics driven by +-sqrt(h) signs.  A level is computed from the one
@@ -65,18 +77,15 @@ def tree_levels(sde: SdeSpec, grid: PartitionGrid) -> Iterator[np.ndarray]:
 
     Recombination needs constant drift and diffusion (state-dependent drift
     makes up-down and down-up differ even with constant sigma).  Raises
-    ValueError, before the first level, when N exceeds the tree's cap, and
-    ForwardBlowupError by the rule of the paths (check_states) at the first
-    level with a state that is non-finite or beyond the overflow limit,
-    naming the node index as the path and the level as the step.
+    ValueError, before the first level, when N exceeds the tree's cap
+    (check_steps), and ForwardBlowupError by the rule of the paths
+    (check_states) at the first level with a state that is non-finite or
+    beyond the overflow limit, naming the node index as the path and the
+    level as the step.
     """
     recombining = recombines(sde)
     n = grid.steps
-    cap = MAX_STEPS_RECOMBINING if recombining else MAX_STEPS_BRANCHING
-    if n > cap:
-        raise ValueError(
-            f"tree with {n} steps exceeds the {'recombining' if recombining else 'branching'} cap {cap}"
-        )
+    check_steps(sde, n)
     sqrt_h = math.sqrt(grid.h)
     x = np.array([sde.x0])
     yield x

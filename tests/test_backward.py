@@ -966,6 +966,24 @@ def test_tree_group_rejects_a_driver_tamed_at_another_step():
         tree_group_run(members, tree, TerminalSpec((0.0, 1.0)))
 
 
+@pytest.mark.parametrize("steps", [(10, 4), (10, 3), (4, 10)], ids=["10-4", "10-3", "4-10"])
+def test_sweep_rejects_a_grid_whose_n_does_not_divide_the_first(steps):
+    # the first group's N sets the fine steps: at (10, 4) and (10, 3) the
+    # second group once reported a level twice and took an extra step, and
+    # at (4, 10) its stride of 0 raised ZeroDivisionError
+    groups = []
+    for n in steps:
+        grid = build_grid(1.0, n)
+        tree = build_tree(TREE_SDES["recombining"], grid)
+        groups.append((backward.TreeOperator(grid, tree.recombining), tree.levels[n].copy(),
+                       [(SchemeSpec(kind="explicit_tamed"),
+                         TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h), None, False)]))
+    reached = []
+    with pytest.raises(ValueError, match=f"N = {steps[0]}, {steps[1]}$"):
+        backward.sweep(groups, lambda *args: reached.append(args))
+    assert reached == []
+
+
 def _sweep_checking_drops(op, xi, members, nodes):
     """Sweep one group, checking at each callback that every block's Y_i,
     Z_i and y-part at Y_{i+1} are C-ordered (rows, nodes(level)) arrays,

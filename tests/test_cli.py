@@ -163,11 +163,14 @@ def with_keys(text, extra):
     ("converge", "scheme.1.implicit_max_iter = 10\n", [], "scheme.1.implicit_max_iter"),
     ("converge", "threads = 0\n", [], "threads must be >= 1"),
     ("converge", "", ["--threads", "0"], "threads must be >= 1"),
-    ("verify-taming", "tolerances.probe_samples = -5\n", [], "probe samples must be >= 0"),
+    # a value a model type rejects names the keys it was read from
+    ("verify-taming", "tolerances.probe_samples = -5\n", [],
+     "key 'tolerances.probe_samples': probe samples must be >= 0"),
     # a probe of 2^128 samples: rejected at parse time, not blamed on a scheme
     ("verify-taming", f"tolerances.probe_samples = {2**128}\n", [],
-     "probe samples (tolerances.probe_samples) must be <= 10000000"),
-    ("verify-taming", "driver.domain_bound = -1\n", [], "domain_bound must be positive"),
+     "key 'tolerances.probe_samples': probe samples must be <= 10000000"),
+    ("verify-taming", "driver.domain_bound = -1\n", [],
+     "keys 'driver.y_poly', 'driver.domain_bound': driver domain_bound must be positive"),
     ("verify-taming", "driver.domain_bound = nan\n", [],
      "key 'driver.domain_bound': expected a finite number, got 'nan'"),
     ("verify-taming", "driver.domain_bound = inf\n", [],
@@ -194,7 +197,15 @@ def with_keys(text, extra):
      "key 'tolerances.rel_slack': expected a finite number, got 'nan'"),
     ("verify-taming", "tolerances.probe_z_max = nan\n", [],
      "key 'tolerances.probe_z_max': expected a finite number, got 'nan'"),
-    ("verify-taming", "tolerances.probe_y_max = -1\n", [], "probe range must be positive"),
+    ("verify-taming", "tolerances.probe_y_max = -1\n", [],
+     "key 'tolerances.probe_y_max': probe range must be positive"),
+    ("verify-taming", "tolerances.rel_slack = -1\n", [],
+     "key 'tolerances.rel_slack': probe rel_slack must be >= 0"),
+    ("converge", "terminal.coeffs = 0,0,0,0,0,1\n", [],
+     "key 'terminal.coeffs': terminal polynomial must have degree between 0 and 4"),
+    # a scheme's malformed number is named once, by its key
+    ("converge", "scheme.2.theta_prime = inf\n", [],
+     "error: key 'scheme.2.theta_prime': expected a finite number, got 'inf'"),
     *[(command, "grids = 64\nscheme.2.exponent = 200\n", [],
        "scheme 'inner', N=64: the taming radius r0 * h^(-exponent) is not finite")
       for command in ("converge", "positivity", "verify-taming", "tree-oracle")],
@@ -222,8 +233,9 @@ def with_keys(text, extra):
     ("converge", "grids = 10,5\n", [], "grids must be strictly ascending"),
     ("converge", "paths = 0\n", [], "paths must be >= 1"),
     ("converge", "basis.size = 0\n", [], "basis.size must be >= 1"),
-    ("converge", "scheme.2.label = implicit\n", [], "scheme labels must be unique"),
-    ("converge", "noise.kind = bogus\n", [], "unknown noise kind 'bogus'"),
+    ("converge", "scheme.2.label = implicit\n", [],
+     "scheme labels must be unique: scheme.1 and scheme.2 are both labelled 'implicit'"),
+    ("converge", "noise.kind = bogus\n", [], "key 'noise.kind': unknown noise kind 'bogus'"),
     ("converge", "scheme.3.kind = explicit_tamed\nscheme.3.taming = mult_a\nscheme.3.r0 = -1\n", [],
      "scheme.3: taming r0 must be positive"),
 ], ids=["inline-timing", "standardize", "implicit-tol", "implicit-max-iter", "threads-key",
@@ -232,7 +244,8 @@ def with_keys(text, extra):
         "horizon-inf-tree", "horizon-inf-taming", "seed-key", "seed-option",
         "taming-kind", "taming-section", "exponent-nan", "r0-inf", "z-coeff-nan", "m-y-nan",
         "l-y-inf", "terminal-nan", "y-poly-nan", "rel-slack-nan", "probe-z-max-nan",
-        "probe-y-max-negative", "radius-overflow-converge", "radius-overflow-positivity",
+        "probe-y-max-negative", "rel-slack-negative", "terminal-degree", "theta-prime-inf",
+        "radius-overflow-converge", "radius-overflow-positivity",
         "radius-overflow-taming", "radius-overflow-tree", "radius-inf",
         "radius-overflow-constants-positivity", "radius-overflow-constants-taming",
         "radius-overflow-constants-tree", "radius-overflow-constants-converge",
@@ -313,10 +326,12 @@ def test_rademacher_noise_across_grids_is_config_error(tmp_path, capsys):
     assert "'rademacher'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("steps, sde", [(2048, ""), (20, "sde.b1 = 0.1\n")],
-                         ids=["recombining", "branching"])
+@pytest.mark.parametrize("steps, sde", [(2048, ""), (20, "sde.b1 = 0.1\n"), (10**15, "")],
+                         ids=["recombining", "branching", "recombining-huge"])
 def test_tree_beyond_its_cap_is_config_error(tmp_path, capsys, steps, sde):
-    # the recombining tree is capped at N=2000, the branching one at N=14
+    # the recombining tree is capped at N=2000, the branching one at N=14;
+    # the cap is checked before the N + 1 grid times are made, so N = 10^15
+    # (7.11 PiB of them) gets the cap message, not an allocation failure
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(POSITIVITY.format(out=tmp_path / "x.csv").replace("grids = 10", f"grids = {steps}")
                    + sde)

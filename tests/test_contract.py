@@ -1,7 +1,9 @@
 """The CLI contract under edge-valued configs: every run of every
 subcommand ends in exit 0, 2, 3 or 4, raises nothing and lets no warning
 escape; exit 0 writes the output, and any other code leaves an existing
-output file byte-identical (and no temporary file beside it).
+output file byte-identical (and no temporary file beside it); an exit-2
+message names a config key, a scheme or an N, except the allocation
+failure's ("cannot allocate memory"), which passes numpy's message on.
 
 Each example starts from BASE, a tiny config every subcommand accepts, sets
 one to MAX_CHANGES of its keys (drawn from POOLS, which holds every key
@@ -17,6 +19,7 @@ a fixed max_examples keep the examples the same on every run.
 import contextlib
 import io
 import os
+import re
 import tempfile
 import warnings
 
@@ -94,6 +97,14 @@ POOLS = {
 }
 
 
+# what an exit-2 message may name: a key of POOLS as a whole word (a dotted
+# key whole too), a scheme by label or number (scheme 'x', scheme.3 or
+# scheme.<n>), or an N (N=8)
+SUBJECT = re.compile("|".join([r"(?<![\w.])(?:" + "|".join(map(re.escape, sorted(POOLS, key=len, reverse=True)))
+                               + r")(?![\w.])", r"scheme '[^']*'", r"scheme\.(?:\d+|<n>)", r"\bN=\d"]))
+ALLOCATION_FAILURE = "error: cannot allocate memory: "
+
+
 @st.composite
 def configs(draw) -> dict:
     keys = draw(st.lists(st.sampled_from(sorted(POOLS)), unique=True, min_size=1, max_size=MAX_CHANGES))
@@ -121,7 +132,10 @@ def run(command: str, text: str) -> int:
                 contextlib.redirect_stderr(stderr):
             warnings.simplefilter("error")
             code = main([command, path, "--out", out])
-        assert code in (0, 2, 3, 4), (command, code, stderr.getvalue())
+        message = stderr.getvalue()
+        assert code in (0, 2, 3, 4), (command, code, message)
+        if code == 2:
+            assert message.startswith(ALLOCATION_FAILURE) or SUBJECT.search(message), (command, message)
         with open(out, "rb") as fh:
             written = fh.read()
         left = sorted(os.listdir(tmp))

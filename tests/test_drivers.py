@@ -332,6 +332,47 @@ def test_a_probe_that_overflows_fails_its_checks_without_warnings():
     assert all(check.violations for check in report.checks.values())
 
 
+# y_slope is the implicit Newton step's slope: a wrong one only slows
+# Newton down, so it is checked against a central difference of
+# tamed_y_part (step 1e-5 max(1, |y|)) on 6001 points of [-3, 3], at the
+# points whose stencil +-1e-3 crosses no kink of the kind (|y| = r, |P| = r,
+# a sign change of P, of P - P(0) or of y).  The tolerance was set before
+# the first run: 1e-6 relative to max(1, |slope|); mult_b's own slope is a
+# difference of step 1e-7 max(1, |y|), whose rounding dominates.
+SLOPE_RTOL = 1e-6
+
+
+def _kink_side(d, y):
+    """A value that changes only across a kink of d's tamed y-part."""
+    kind, r, p = d.taming.kind, d.radius, d.base.y_part(y)
+    if kind == "inner_proj":
+        return np.abs(y) <= r
+    if kind == "outer_proj":
+        return np.abs(p) <= r
+    if kind == "mult_a":
+        return np.sign(p)
+    if kind == "mult_b":
+        return 3 * np.sign(p - d.base.value_at_zero) + np.sign(y)
+    return np.sign(y) if kind != "none" else np.zeros_like(y)
+
+
+@pytest.mark.parametrize("base", [CUBIC, FHN, QUADRATIC, polynomial_driver([0.0, -0.3, 1.3, -1.0]),
+                                  polynomial_driver([0.5, -2.0])],
+                         ids=["cubic", "fhn", "quadratic", "fitzhugh-nagumo", "linear"])
+@pytest.mark.parametrize("kind", ["none", "inner_proj", "outer_proj", "mult_a", "mult_b",
+                                  "mult_c", "mult_d"])
+def test_y_slope_matches_a_central_difference(base, kind):
+    d = tamed(base, kind, r0=0.8, h=1 / 16)
+    y = np.linspace(-3.0, 3.0, 6001)
+    side = _kink_side(d, y)
+    y = y[(_kink_side(d, y - 1e-3) == side) & (_kink_side(d, y + 1e-3) == side)]
+    assert y.size > 4000
+    eps = 1e-5 * np.maximum(1.0, np.abs(y))
+    reference = (d.tamed_y_part(y + eps) - d.tamed_y_part(y - eps)) / (2.0 * eps)
+    slope = d.y_slope(y)
+    assert np.all(np.abs(slope - reference) <= SLOPE_RTOL * np.maximum(1.0, np.abs(reference)))
+
+
 def test_outer_stays_below_radius():
     d = tamed(CUBIC, "outer_proj", r0=1.5, exponent=0.5)
     ys = np.linspace(-10, 10, 1001)
