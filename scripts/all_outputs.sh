@@ -19,6 +19,10 @@
 #                           scripts/positivity_study.cfg with
 #                           driver.domain_bound = 1e300 (the constants
 #                           overflow: all four exit 2)
+#   span_<command>          each of the four subcommands on the same config
+#                           with driver.y_poly = 0,0,1e300,0,1e-300 (finite
+#                           coefficients too far apart for a root search:
+#                           all four exit 2, naming the key)
 #   x0_<command>            positivity and tree-oracle on
 #                           scripts/positivity_study.cfg with sde.x0 = 1e308
 #                           (the forward states blow up: both exit 4)
@@ -117,6 +121,10 @@ cfg="$here/positivity_study.cfg"
 copy="$(with_key "$cfg" bound driver.domain_bound 1e300)"
 for command in converge positivity tree-oracle verify-taming; do
     record "bound_$command" python3 -m tamedbsde "$command" "$copy" --out "$out/bound_$command.csv"
+done
+copy="$(with_key "$cfg" span driver.y_poly 0,0,1e300,0,1e-300)"
+for command in converge positivity tree-oracle verify-taming; do
+    record "span_$command" python3 -m tamedbsde "$command" "$copy" --out "$out/span_$command.csv"
 done
 copy="$(with_key "$cfg" x0 sde.x0 1e308)"
 for command in positivity tree-oracle; do

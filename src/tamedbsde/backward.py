@@ -626,11 +626,15 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
                      tree: TreeModel) -> ComparisonReport:
     """Run both instances on the same tree and check the order relations.
 
-    Requires z-free drivers (gamma = 0 branch) or theta' = 1, and an
-    explicit scheme kind.  Reports whether the inputs were ordered
-    (xi^1 >= xi^2 and f^{h,1} >= f^{h,2} at the sampled nodes), whether the
-    outputs came out ordered at every node, the per-step linearization
-    factors B and the step-size condition.
+    Requires an explicit scheme kind, and z-free drivers or theta' = 1.
+    Then Delta Y_i = E_i[Delta Y_{i+1} B_{i+1}] + h E_i[f^{h,1} - f^{h,2}]
+    at (Y^2_{i+1}, Z^2_i), with the one linearization factor
+    B = 1 + h beta + h gamma H_{i+1}: beta the difference quotient of
+    f^{h,1} in y (0 where Delta Y_{i+1} = 0) and gamma its z coefficient
+    where Z^1_i != Z^2_i, else 0 (so 0 for z-free drivers).  Reports
+    whether the inputs were ordered (xi^1 >= xi^2 and f^{h,1} >= f^{h,2}
+    at the sampled nodes), whether the outputs came out ordered at every
+    node, the per-step minimum of B and the step-size condition.
 
     The instances run as two groups of one `sweep` on the tree's grid, and
     the margins, B factors and step condition use the drivers the sweep
@@ -647,19 +651,16 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
     if not z_free and scheme.theta_prime != 1.0:
         raise ValueError("comparison needs z-free drivers or theta' = 1")
 
-    grid = tree.grid
-    h = grid.h
+    h, n = tree.grid.h, tree.steps
     sqrt_h = math.sqrt(h)
-    n = grid.steps
-    op = TreeOperator(grid, tree.recombining)
+    op = TreeOperator(tree.grid, tree.recombining)
     c1, c2 = driver1.base.z_coeff, driver2.base.z_coeff
     xi1, xi2 = terminal1(tree.levels[n]), terminal2(tree.levels[n])
     scale = max(1.0, max(float(np.max(np.abs(xi1))), float(np.max(np.abs(xi2)))))
     floor = -COMPARISON_TOL * scale  # the least margin that counts as ordered
 
-    # per step the driver margin at the down and up children and min B,
-    # per level min(Y^1_i - Y^2_i); reduced in level order at the end
-    driver_min = np.empty((n, 2))
+    # per step the least driver margin and B, per level min(Y^1_i - Y^2_i)
+    driver_min = np.empty(n)
     b_min = np.empty(n)
     delta_min = np.empty(n + 1)
     violations = 0
@@ -683,21 +684,12 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
             y1, y2 = op.children(below[0]), op.children(below[1])
             p1_y1, p2_y2 = op.children(p1), op.children(p2)
             p1_y2 = op.children(driver1.tamed_y_part(below[1]))
-            diff = (p1_y2 + c1 * z2) - (p2_y2 + c2 * z2)
-            driver_min[i] = np.min(diff[0]), np.min(diff[1])
+            driver_min[i] = np.min((p1_y2 + c1 * z2) - (p2_y2 + c2 * z2))
             dy = y1 - y2
             num = (p1_y1 + c1 * z1) - (p1_y2 + c1 * z1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                beta = np.where(dy != 0.0, num / np.where(dy != 0.0, dy, 1.0), 0.0)
-            if z_free:
-                b = 1.0 + h * beta
-            else:
-                gamma = np.where(z1 - z2 != 0.0, c1, 0.0)
-                num_hat = (p1_y1 + c1 * 0.0) - (p1_y2 + c1 * 0.0)
-                beta_hat = np.where(dy != 0.0, num_hat / np.where(dy != 0.0, dy, 1.0), 0.0)
-                b = 1.0 + h * beta + h * gamma * (1.0 + (1.0 - scheme.theta_prime) * h * beta_hat) \
-                    * sign / sqrt_h
-            b_min[i] = min(np.min(b[0]), np.min(b[1]))
+            beta = np.where(dy != 0.0, num / np.where(dy != 0.0, dy, 1.0), 0.0)
+            gamma = np.where(z1 - z2 != 0.0, c1, 0.0)
+            b_min[i] = np.min(1.0 + h * beta + h * gamma * sign / sqrt_h)
         delta = y1_i - y2_i
         delta_min[i] = np.min(delta)
         violations += int(np.sum(delta < floor))
@@ -707,8 +699,8 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
           compare)
 
     terminal_margin = float(delta_min[n])
-    driver_margin = min([np.inf, *driver_min.ravel().tolist()])
-    output_margin = float(min(delta_min))
+    driver_margin = float(driver_min.min(initial=np.inf))
+    output_margin = float(delta_min.min())
     condition = step_size_condition(scheme, derive_constants(driver1), 1.0 / sqrt_h)
     return ComparisonReport(
         condition_value=condition, condition_ok=condition < 1.0,

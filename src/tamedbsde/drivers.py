@@ -54,9 +54,13 @@ def _real_roots(coeffs) -> np.ndarray:
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
     if c.size <= 1:
         return np.array([])
-    roots = npoly.polyroots(c)
-    real = roots[np.abs(roots.imag) < 1e-9].real
-    return real
+    try:
+        roots = npoly.polyroots(c)
+    except np.linalg.LinAlgError:
+        # its companion matrix overflows, e.g. for P'' of 0,0,1e300,0,1e-300
+        raise ValueError("the driver's polynomial coefficients span too many orders of magnitude "
+                         "for a root search") from None
+    return roots[np.abs(roots.imag) < 1e-9].real
 
 
 def _derivatives(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,13 +18,12 @@ OVERFLOW_LIMIT = 1e12
 class ForwardBlowupError(RuntimeError):
     """Forward state left the finite range; records the offending path/step."""
 
-    def __init__(self, path: int, step: int, value: float, steps: int | None = None):
+    def __init__(self, path: int, step: int, value: float, steps: int):
         self.path = path
         self.step = step
-        of = "" if steps is None else f" of N={steps}"
         super().__init__(
             f"forward state non-finite or beyond {OVERFLOW_LIMIT:.0e} "
-            f"at path {path}, step {step}{of} (value {value!r})"
+            f"at path {path}, step {step} of N={steps} (value {value!r})"
         )
 
 

@@ -149,5 +149,4 @@ def enumerate_tree_paths(tree: TreeModel) -> PathEnsemble:
 def path_node_index(tree: TreeModel, level: int) -> np.ndarray:
     """Node index of every enumerated path at a level (branching layout)."""
     n = tree.steps
-    p = np.arange(2**n, dtype=np.int64)
-    return (p >> (n - level)).astype(np.int64) if level > 0 else np.zeros(2**n, dtype=np.int64)
+    return np.arange(2**n, dtype=np.int64) >> (n - level)

@@ -41,7 +41,7 @@ from tamedbsde import (
     tree_oracle_study,
 )
 from tamedbsde import backward, regression
-from tamedbsde.backward import step_size_condition
+from tamedbsde.backward import scheme_driver, step_size_condition
 from tamedbsde.drivers import TAMING_KINDS, TamingBlock
 from tamedbsde.regression import predict, sample_design
 from tamedbsde.trees import MAX_STEPS_BRANCHING, MAX_STEPS_RECOMBINING, path_node_index, terminal_level
@@ -1278,6 +1278,52 @@ def test_path_storage_is_level_major(monkeypatch):
 
 
 # ---------------------------------------------------------------- qualitative checks
+
+# the residual bound of the discrete comparison identity, relative to
+# max(1, max |Delta Y_i|), fixed before the first run: rounding of a few
+# operations per node
+IDENTITY_TOL = 1e-13
+
+
+@pytest.mark.parametrize("layout, steps", [("recombining", 32), ("branching", 10)])
+@pytest.mark.parametrize("z_coeff, theta_prime", [(0.0, 1.0), (0.0, 0.5), (0.0, 0.0), (0.5, 1.0), (-0.7, 1.0)])
+@pytest.mark.parametrize("kind", ["none", "inner_proj", "outer_proj", "mult_b", "mult_d"])
+def test_comparison_b_factor_satisfies_the_discrete_identity(layout, steps, z_coeff, theta_prime, kind):
+    # from two stored runs, children taken by node index, not by the check:
+    # Delta Y_i = E_i[Delta Y_{i+1} B_{i+1}] + h E_i[f^{h,1} - f^{h,2}] at
+    # (Y^2_{i+1}, Z^2_i), with B = 1 + h beta + h gamma H_{i+1}, whose
+    # per-step minima are the check's
+    grid = build_grid(1.0, steps)
+    tree = build_tree(TREE_SDES[layout], grid)
+    scheme = SchemeSpec(kind="explicit_untamed" if kind == "none" else "explicit_tamed",
+                        theta_prime=theta_prime)
+    taming = TamingSpec(kind="inner_proj" if kind == "none" else kind, r0=0.8)
+    tamed = [TamedDriver(polynomial_driver(coeffs, z_coeff=z_coeff), taming, grid.h)
+             for coeffs in ([0.0, -0.3, 1.3, -1.0], [-0.1, 0.0, 0.0, -1.0])]
+    terminals = TerminalSpec((0.0, 1.0)), TerminalSpec((-0.1, 1.0))
+    report = comparison_check(scheme, tamed[0], terminals[0], tamed[1], terminals[1], tree)
+    out1, out2 = (tree_exact_run(scheme, d, tree, g) for d, g in zip(tamed, terminals))
+    f1, f2 = (scheme_driver(scheme, d) for d in tamed)
+    h, sqrt_h = grid.h, math.sqrt(grid.h)
+    b_min = np.empty(steps)
+    for i in range(steps):
+        j = np.arange(tree.node_count(i))
+        z1, z2 = out1.Z[i], out2.Z[i]
+        gamma = np.where(z1 - z2 != 0.0, z_coeff, 0.0)
+        terms, b_kids = [], []
+        for kid, sign in ((j, -1.0), (j + 1, 1.0)) if tree.recombining else ((2 * j, -1.0), (2 * j + 1, 1.0)):
+            y1, y2 = out1.Y[i + 1][kid], out2.Y[i + 1][kid]
+            dy = y1 - y2
+            beta = np.where(dy != 0.0, (f1(y1, z1) - f1(y2, z1)) / np.where(dy != 0.0, dy, 1.0), 0.0)
+            b = 1.0 + h * beta + h * gamma * sign / sqrt_h
+            b_kids.append(np.min(b))
+            terms.append(dy * b + h * (f1(y2, z2) - f2(y2, z2)))
+        delta = out1.Y[i] - out2.Y[i]
+        residual = np.max(np.abs(delta - 0.5 * (terms[0] + terms[1])))
+        assert residual <= IDENTITY_TOL * max(1.0, np.max(np.abs(delta))), (i, residual)
+        b_min[i] = min(b_kids)
+    assert b_min.tobytes() == report.b_factor_min_per_step.tobytes()
+
 
 def test_comparison_identical_inputs():
     grid = build_grid(1.0, 6)

@@ -193,6 +193,10 @@ def with_keys(text, extra):
      "key 'terminal.coeffs': expected comma-separated finite numbers, got 'nan'"),
     ("converge", "driver.y_poly = 0,nan,0,-1\n", [],
      "key 'driver.y_poly': expected comma-separated finite numbers, got '0,nan,0,-1'"),
+    # finite coefficients whose P'' companion matrix overflows
+    ("verify-taming", "driver.y_poly = 0,0,1e300,0,1e-300\n", [],
+     "key 'driver.y_poly': the driver's polynomial coefficients span too many orders of magnitude "
+     "for a root search"),
     ("verify-taming", "tolerances.rel_slack = nan\n", [],
      "key 'tolerances.rel_slack': expected a finite number, got 'nan'"),
     ("verify-taming", "tolerances.probe_z_max = nan\n", [],
@@ -243,7 +247,7 @@ def with_keys(text, extra):
         "domain-bound-nan", "domain-bound-inf",
         "horizon-inf-tree", "horizon-inf-taming", "seed-key", "seed-option",
         "taming-kind", "taming-section", "exponent-nan", "r0-inf", "z-coeff-nan", "m-y-nan",
-        "l-y-inf", "terminal-nan", "y-poly-nan", "rel-slack-nan", "probe-z-max-nan",
+        "l-y-inf", "terminal-nan", "y-poly-nan", "y-poly-span", "rel-slack-nan", "probe-z-max-nan",
         "probe-y-max-negative", "rel-slack-negative", "terminal-degree", "theta-prime-inf",
         "radius-overflow-converge", "radius-overflow-positivity",
         "radius-overflow-taming", "radius-overflow-tree", "radius-inf",
