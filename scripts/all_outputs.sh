@@ -44,6 +44,13 @@
 #   huge_basis              positivity with basis.size = 10^15 on the same
 #                           config (the design's byte count overflows
 #                           intp: exit 2, "cannot allocate memory")
+#   branching_tree-oracle   tree-oracle on scripts/positivity_study.cfg with
+#                           sde.b1 = 0.5 (a state-dependent drift: the
+#                           branching tree, run backward to its root, exit 0)
+#   growth_verify-taming    verify-taming on scripts/taming_check.cfg with
+#                           scheme.1.exponent = 0.5 (inner beyond its
+#                           critical exponent: the growth-witness line names
+#                           it, exit 0)
 # Each command's stdout, stderr and exit code go to <name>.stdout, with
 # OUTDIR written as the token OUTDIR.  The single-grid copies are made in a
 # temporary directory; perfbench's configs are read in place.  Every
@@ -147,5 +154,11 @@ record huge_converge python3 -m tamedbsde converge \
     "$(with_key "$cfg" huge_paths paths 1000000000000000)" --out "$out/huge_converge.csv"
 record huge_basis python3 -m tamedbsde positivity \
     "$(with_key "$cfg" huge_basis basis.size 1000000000000000)" --out "$out/huge_basis.csv"
+record branching_tree-oracle python3 -m tamedbsde tree-oracle \
+    "$(with_key "$cfg" branching sde.b1 0.5)" --out "$out/branching_tree-oracle.csv"
+
+record growth_verify-taming python3 -m tamedbsde verify-taming \
+    "$(with_key "$here/taming_check.cfg" growth scheme.1.exponent 0.5)" \
+    --out "$out/growth_verify-taming.csv"
 
 echo "done; outputs in $out"

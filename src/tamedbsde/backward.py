@@ -12,7 +12,8 @@ aligns a level-(i+1) array with level i, and `mean(kids)` and
 `mean_h(kids)` return E_i[v] and E_i[v H_{i+1}] of kids = children(v).  The
 operator is Hermite least squares on Monte-Carlo paths (which records each
 step's fit rank), per-prefix averaging on enumerated tree paths or the child
-average on tree levels.  The schemes on one path ensemble run in lockstep
+average on tree levels (`trees.TreeOperator`, which owns the tree's layout).
+The schemes on one path ensemble run in lockstep
 and share each step's operator, and the groups of nested grids run in one
 sweep over fine time (`sweep`), which hands each level to a callback: the
 stored outputs of run_backward_group and tree_group_run, or the level-by-level
@@ -35,12 +36,11 @@ import numpy as np
 
 from .drivers import NONE, DerivedConstants, TamedDriver, TamingBlock, TamingSpec, derive_constants
 from .forward import PathEnsemble, TerminalSpec
-from .grids import PartitionGrid
 from .regression import BasisSpec, sample_design
 # Nothing here calls predict; it stays bound as backward.predict because the
 # benchmark's trace probes (perfbench/spans.py) look it up by that name.
 from .regression import predict  # noqa: F401
-from .trees import TreeModel
+from .trees import TreeModel, TreeOperator
 
 EXPLICIT_TAMED = "explicit_tamed"
 EXPLICIT_UNTAMED = "explicit_untamed"
@@ -284,43 +284,6 @@ class _PrefixOperator(LsmcOperator):
         groups = 2**self.step
         block = target.size // groups
         return np.repeat(target.reshape(groups, block).mean(axis=1), block)[None]
-
-
-class TreeOperator:
-    """Exact child averages on a tree level: children(v) is the (2, rows,
-    nodes) view of the down and up child of every level-i node of a
-    (rows, nodes) block.  It needs only the grid and the layout
-    (`recombining`), not the tree's levels."""
-
-    # every operation is elementwise along the rows of a block
-    row_blocks = True
-
-    def __init__(self, grid: PartitionGrid, recombining: bool):
-        self.grid = grid
-        self.recombining = recombining
-        self.two_sqrt_h = 2.0 * math.sqrt(grid.h)
-
-    def begin_step(self, step: int) -> None:
-        pass
-
-    def end_step(self) -> None:
-        pass
-
-    def children(self, v):
-        if self.recombining:
-            # node j's children are j and j+1: overlapping windows of each
-            # contiguous row (as_strided is slower)
-            return np.ndarray((2,) + v.shape[:-1] + (v.shape[-1] - 1,), buffer=v,
-                              strides=(v.strides[-1],) + v.strides)
-        kids = v.reshape(v.shape[:-1] + (-1, 2))
-        return kids.transpose(-1, *range(kids.ndim - 1))
-
-    @staticmethod
-    def mean(kids):
-        return 0.5 * (kids[0] + kids[1])
-
-    def mean_h(self, kids):
-        return (kids[1] - kids[0]) / self.two_sqrt_h
 
 
 def _path_operator(basis: BasisSpec | ExactTreeBasis, ensemble: PathEnsemble) -> LsmcOperator:
@@ -581,7 +544,7 @@ def tree_group_run(members: list[tuple[SchemeSpec, TamedDriver]], tree: TreeMode
     group or its order.  An exploding member's levels from its first bad
     step down are NaN.
     """
-    return _stored(TreeOperator(tree.grid, tree.recombining), terminal(tree.levels[tree.steps]),
+    return _stored(TreeOperator(tree.grid, tree.sde), terminal(tree.levels[tree.steps]),
                    members, lambda n: [np.full(tree.node_count(j), np.nan) for j in range(n)])
 
 
@@ -652,8 +615,7 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
         raise ValueError("comparison needs z-free drivers or theta' = 1")
 
     h, n = tree.grid.h, tree.steps
-    sqrt_h = math.sqrt(h)
-    op = TreeOperator(tree.grid, tree.recombining)
+    op = TreeOperator(tree.grid, tree.sde)
     c1, c2 = driver1.base.z_coeff, driver2.base.z_coeff
     xi1, xi2 = terminal1(tree.levels[n]), terminal2(tree.levels[n])
     scale = max(1.0, max(float(np.max(np.abs(xi1))), float(np.max(np.abs(xi2)))))
@@ -666,7 +628,7 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
     violations = 0
     taken = [None, None]  # the (1, nodes) Y_i, Z_i and y-part at Y_{i+1} each instance took last
     below = [None, None]  # the Y_{i+1} each instance left
-    sign = np.array([-1.0, 1.0])[:, None, None]  # the H sign of the down and up child
+    sign = op.child_signs[:, None, None]  # broadcast over the rows and nodes of a level
 
     def compare(g: int, i: int, blocks: list) -> None:
         nonlocal violations
@@ -689,7 +651,7 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
             num = (p1_y1 + c1 * z1) - (p1_y2 + c1 * z1)
             beta = np.where(dy != 0.0, num / np.where(dy != 0.0, dy, 1.0), 0.0)
             gamma = np.where(z1 - z2 != 0.0, c1, 0.0)
-            b_min[i] = np.min(1.0 + h * beta + h * gamma * sign / sqrt_h)
+            b_min[i] = np.min(1.0 + h * beta + h * gamma * sign / op.sqrt_h)
         delta = y1_i - y2_i
         delta_min[i] = np.min(delta)
         violations += int(np.sum(delta < floor))
@@ -701,7 +663,7 @@ def comparison_check(scheme: SchemeSpec, tamed1: TamedDriver, terminal1: Termina
     terminal_margin = float(delta_min[n])
     driver_margin = float(driver_min.min(initial=np.inf))
     output_margin = float(delta_min.min())
-    condition = step_size_condition(scheme, derive_constants(driver1), 1.0 / sqrt_h)
+    condition = step_size_condition(scheme, derive_constants(driver1), op.abs_h)
     return ComparisonReport(
         condition_value=condition, condition_ok=condition < 1.0,
         terminal_margin=terminal_margin, driver_margin=driver_margin,

@@ -89,7 +89,7 @@ def derive_base_constants(y_coeffs, z_coeff: float, domain_bound: float) -> Driv
     m = int(nz[-1]) if nz.size else 0
     mm = max(m, 1)
     abs_c = np.abs(c)
-    k_t = float(np.sum(abs_c[:mm])) if c.size > 1 else float(abs_c.sum())
+    k_t = float(np.sum(abs_c[:mm]))
     k_y = float(np.sum(abs_c))
     dP, ddP = _derivatives(c)
     cands = list(_real_roots(ddP)) + [-domain_bound, domain_bound]

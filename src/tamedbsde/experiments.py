@@ -26,7 +26,6 @@ from .backward import (
     ArrayRows,
     EXPLICIT_TAMED,
     LsmcOperator,
-    TreeOperator,
     run_backward,  # noqa: F401  (unused; the benchmark's trace probes look it up here)
     scheme_driver,
     step_size_condition,
@@ -54,7 +53,7 @@ from .grids import (
     sample_increments,
 )
 from .regression import BasisSpec
-from .trees import check_steps, recombines, terminal_level
+from .trees import TreeOperator, check_steps, terminal_level
 
 
 def _sum_to_grids(dW: np.ndarray, fine: PartitionGrid, coarse: list[PartitionGrid],
@@ -303,8 +302,7 @@ def convergence_study(cfg: ExperimentConfig) -> ErrorReport:
     for grid, outputs, errors in zip(grids, sweep(groups, reduce_level), mse):
         for run, out, level_mse in zip(cfg.schemes, outputs, errors):
             err = math.inf if out.exploded else float(np.max(np.sqrt(level_mse)))
-            rows.append(ErrorRow(run.label, grid.steps, grid.h, err if math.isfinite(err) else math.inf,
-                                 out.wallclock_ms, out.exploded))
+            rows.append(ErrorRow(run.label, grid.steps, grid.h, err, out.wallclock_ms, out.exploded))
     rows.sort(key=lambda row: (row.scheme, row.steps))
     return ErrorReport(rows=rows, proxy_labels=[s.label for s in proxy_runs], seed=cfg.seed)
 
@@ -339,8 +337,8 @@ def _extrema_study(cfg: ExperimentConfig, backend: str) -> PositivityStudyReport
     runs = sorted(cfg.schemes, key=lambda s: s.label)
     members, constants = _members(cfg, runs, grid)
     if backend == "tree":
-        op, xi = TreeOperator(grid, recombines(cfg.sde)), cfg.terminal(terminal_level(cfg.sde, grid))
-        abs_h = 1.0 / math.sqrt(grid.h)
+        op, xi = TreeOperator(grid, cfg.sde), cfg.terminal(terminal_level(cfg.sde, grid))
+        abs_h = op.abs_h
     else:
         batch = sample_increments(grid, cfg.paths, cfg.seed, cfg.noise)
         ensemble = euler_simulate(cfg.sde, grid, batch)

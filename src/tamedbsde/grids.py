@@ -14,7 +14,7 @@ no inverse CDF, so tree, taming-check and config runs never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,12 +30,13 @@ LAMBDA_FLOOR = 0.5
 
 @dataclass(frozen=True)
 class PartitionGrid:
-    """Uniform partition of [0, T] into N steps of size h = T/N."""
+    """Uniform partition of [0, T] into N steps of size h = T/N.  Equality
+    and hash follow T, N and h, which determine the times."""
 
     horizon: float
     steps: int
     h: float
-    times: np.ndarray
+    times: np.ndarray = field(compare=False)
 
 
 def check_horizon(horizon: float) -> None:

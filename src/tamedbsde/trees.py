@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,12 +25,13 @@ MAX_STEPS_RECOMBINING = 2000
 @dataclass(frozen=True)
 class TreeModel:
     """Forward-state values per level; children of node j are 2j (down) and
-    2j+1 (up) in branching mode, j (down) and j+1 (up) when recombining."""
+    2j+1 (up) in branching mode, j (down) and j+1 (up) when the tree of
+    `sde` recombines (`recombines`).  Equality and hash follow the grid and
+    the SDE, which determine the levels."""
 
     grid: PartitionGrid
     sde: SdeSpec
-    recombining: bool
-    levels: tuple[np.ndarray, ...]
+    levels: tuple[np.ndarray, ...] = field(compare=False)
 
     @property
     def steps(self) -> int:
@@ -44,7 +45,7 @@ class TreeModel:
         C(level, k) / 2^level, each the correctly rounded quotient of exact
         integers (the coefficients by the multiplicative recurrence, which
         costs far less than one math.comb per node)."""
-        if not self.recombining:
+        if not recombines(self.sde):
             return np.full(2**level, 0.5**level)
         denom, coeff, weights = 1 << level, 1, []
         for k in range(level + 1):
@@ -56,6 +57,49 @@ class TreeModel:
 def recombines(sde: SdeSpec) -> bool:
     """Whether the tree of `sde` recombines: constant drift and diffusion."""
     return sde.diff_slope == 0.0 and sde.drift_slope == 0.0
+
+
+class TreeOperator:
+    """Exact child averages on the tree of `sde` on `grid`, built from those
+    two rather than from the levels: children(v) is the (2, rows, nodes)
+    view of the down and up child of every level-i node of a (rows, nodes)
+    block, laid out as tree_levels lays the nodes out (`recombines(sde)`).
+    The child increments are stated once: H_{i+1} = child_signs / sqrt_h
+    for the down and up child, so |H| = abs_h, and mean_h = E_i[v H]
+    divides the up-down difference by two_sqrt_h."""
+
+    # every operation is elementwise along the rows of a block
+    row_blocks = True
+    child_signs = np.array([-1.0, 1.0])
+
+    def __init__(self, grid: PartitionGrid, sde: SdeSpec):
+        self.grid = grid
+        self.recombining = recombines(sde)
+        self.sqrt_h = math.sqrt(grid.h)
+        self.two_sqrt_h = 2.0 * self.sqrt_h
+        self.abs_h = 1.0 / self.sqrt_h
+
+    def begin_step(self, step: int) -> None:
+        pass
+
+    def end_step(self) -> None:
+        pass
+
+    def children(self, v):
+        if self.recombining:
+            # node j's children are j and j+1: overlapping windows of each
+            # contiguous row (as_strided is slower)
+            return np.ndarray((2,) + v.shape[:-1] + (v.shape[-1] - 1,), buffer=v,
+                              strides=(v.strides[-1],) + v.strides)
+        kids = v.reshape(v.shape[:-1] + (-1, 2))
+        return kids.transpose(-1, *range(kids.ndim - 1))
+
+    @staticmethod
+    def mean(kids):
+        return 0.5 * (kids[0] + kids[1])
+
+    def mean_h(self, kids):
+        return (kids[1] - kids[0]) / self.two_sqrt_h
 
 
 def check_steps(sde: SdeSpec, steps: int) -> None:
@@ -111,8 +155,7 @@ def tree_levels(sde: SdeSpec, grid: PartitionGrid) -> Iterator[np.ndarray]:
 @np.errstate(over="ignore", invalid="ignore")
 def build_tree(sde: SdeSpec, grid: PartitionGrid) -> TreeModel:
     """Every level of `tree_levels`, stored."""
-    return TreeModel(grid=grid, sde=sde, recombining=recombines(sde),
-                     levels=tuple(tree_levels(sde, grid)))
+    return TreeModel(grid=grid, sde=sde, levels=tuple(tree_levels(sde, grid)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as build_tree

@@ -45,7 +45,7 @@ from tamedbsde.config import ExperimentConfig
 from tamedbsde.drivers import DriverConstants, DriverSpec
 from tamedbsde.experiments import aggregate_to_grid
 from tamedbsde.grids import truncation_radius
-from tamedbsde.trees import path_node_index
+from tamedbsde.trees import path_node_index, recombines
 
 SEED = 20240
 
@@ -75,7 +75,7 @@ def test_criterion_1_oracle_equivalence():
     for steps in (4, 8, 12):
         grid = build_grid(1.0, steps)
         tree = build_tree(sde, grid)
-        assert not tree.recombining
+        assert not recombines(tree.sde)
         ens = enumerate_tree_paths(tree)
         xi = terminal_values(terminal, ens)
         basis = ExactTreeBasis()

@@ -44,7 +44,8 @@ from tamedbsde import backward, regression
 from tamedbsde.backward import scheme_driver, step_size_condition
 from tamedbsde.drivers import TAMING_KINDS, TamingBlock
 from tamedbsde.regression import predict, sample_design
-from tamedbsde.trees import MAX_STEPS_BRANCHING, MAX_STEPS_RECOMBINING, path_node_index, terminal_level
+from tamedbsde.trees import (MAX_STEPS_BRANCHING, MAX_STEPS_RECOMBINING, path_node_index, recombines,
+                             terminal_level)
 
 ZERO = polynomial_driver([0.0])
 LINEAR = polynomial_driver([0.0, -1.0])
@@ -60,7 +61,7 @@ def untamed(base, h):
 
 def test_recombining_levels():
     tree = build_tree(SdeSpec(x0=0.0, diff_const=1.0), build_grid(1.0, 6))
-    assert tree.recombining
+    assert recombines(tree.sde)
     assert [lvl.size for lvl in tree.levels] == [1, 2, 3, 4, 5, 6, 7]
     np.testing.assert_allclose(tree.level_weights(3), [1 / 8, 3 / 8, 3 / 8, 1 / 8])
 
@@ -85,7 +86,7 @@ def test_recombining_level_weights_are_exact_binomials():
 
 def test_branching_levels_and_cap():
     tree = build_tree(SdeSpec(x0=0.0, diff_const=1.0, diff_slope=0.3), build_grid(1.0, 5))
-    assert not tree.recombining
+    assert not recombines(tree.sde)
     assert [lvl.size for lvl in tree.levels] == [1, 2, 4, 8, 16, 32]
     with pytest.raises(ValueError, match="cap"):
         build_tree(SdeSpec(x0=0.0, diff_slope=0.3), build_grid(1.0, 15))
@@ -101,7 +102,7 @@ def test_branching_levels_and_cap():
 def test_streamed_terminal_level_equals_the_stored_one_bitwise(sde, steps):
     grid = build_grid(1.0, steps)
     tree = build_tree(sde, grid)
-    assert tree.recombining == (sde.drift_slope == 0.0)
+    assert recombines(tree.sde) == (sde.drift_slope == 0.0)
     x_n = terminal_level(sde, grid)
     assert x_n.dtype == tree.levels[steps].dtype
     assert x_n.tobytes() == tree.levels[steps].tobytes()
@@ -126,7 +127,22 @@ def test_tree_levels_apply_the_forward_blowup_rule(sde, node, level):
 
 def test_state_dependent_drift_breaks_recombination():
     tree = build_tree(SdeSpec(x0=0.0, drift_slope=0.5, diff_const=1.0), build_grid(1.0, 3))
-    assert not tree.recombining
+    assert not recombines(tree.sde)
+
+
+def test_grid_and_tree_equality_and_hash_follow_their_inputs():
+    # the times and the levels are determined by the other fields, and
+    # compare as arrays, so they take no part in == and hash
+    grid = build_grid(1.0, 4)
+    assert grid == build_grid(1.0, 4) and hash(grid) == hash(build_grid(1.0, 4))
+    assert grid != build_grid(1.0, 8) and grid != build_grid(2.0, 8)
+    for sde in (SdeSpec(x0=0.5), SdeSpec(x0=0.5, drift_slope=0.5)):
+        tree = build_tree(sde, grid)
+        assert tree == build_tree(sde, build_grid(1.0, 4))
+        assert hash(tree) == hash(build_tree(sde, build_grid(1.0, 4)))
+        assert tree != build_tree(sde, build_grid(1.0, 8))
+        assert tree != build_tree(replace(sde, x0=0.25), grid)
+    assert len({build_grid(1.0, 4), build_grid(1.0, 4), build_grid(1.0, 8)}) == 2
 
 
 def test_enumerated_paths_visit_tree_nodes():
@@ -710,7 +726,7 @@ def _reference_tree_run(scheme, tamed, tree, terminal):
     z_coeff = driver.base.z_coeff
 
     def children(values):
-        if tree.recombining:
+        if recombines(tree.sde):
             return values[:-1], values[1:]
         resh = values.reshape(-1, 2)
         return resh[:, 0], resh[:, 1]
@@ -766,7 +782,7 @@ TREE_SDES = {
 def test_tree_run_bitwise_equals_reference_loop(layout, kind, scheme_kind, theta_prime):
     grid = build_grid(1.0, 9)
     tree = build_tree(TREE_SDES[layout], grid)
-    assert tree.recombining == (layout == "recombining")
+    assert recombines(tree.sde) == (layout == "recombining")
     driver = TamedDriver(polynomial_driver([0.0, 1.0, 0.0, -1.0], z_coeff=0.5),
                          TamingSpec(kind=kind), grid.h)
     scheme = SchemeSpec(kind=scheme_kind, theta_prime=theta_prime)
@@ -788,7 +804,7 @@ def _tree_sweep(tree, terminal, members, reached):
     """The outputs of (scheme, driver) pairs swept on the tree, unlabelled
     and not required."""
     xi = np.asarray(terminal(tree.levels[tree.steps]), dtype=float)
-    (outputs,) = backward.sweep([(backward.TreeOperator(tree.grid, tree.recombining), xi,
+    (outputs,) = backward.sweep([(backward.TreeOperator(tree.grid, tree.sde), xi,
                                   [(scheme, tamed, None, False) for scheme, tamed in members])], reached)
     return outputs
 
@@ -858,7 +874,7 @@ def test_an_exploded_row_leaves_its_block_at_its_first_bad_step(steps, first_bad
     cfg = parse_config(EXPLODING_BLOCK.format(steps=steps))
     grid = build_grid(cfg.horizon, steps)
     tree = build_tree(cfg.sde, grid)
-    assert tree.recombining
+    assert recombines(tree.sde)
     seen = {}
 
     def reached(g, i, blocks):
@@ -975,7 +991,7 @@ def test_sweep_rejects_a_grid_whose_n_does_not_divide_the_first(steps):
     for n in steps:
         grid = build_grid(1.0, n)
         tree = build_tree(TREE_SDES["recombining"], grid)
-        groups.append((backward.TreeOperator(grid, tree.recombining), tree.levels[n].copy(),
+        groups.append((backward.TreeOperator(grid, tree.sde), tree.levels[n].copy(),
                        [(SchemeSpec(kind="explicit_tamed"),
                          TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h), None, False)]))
     reached = []
@@ -1041,7 +1057,7 @@ def test_sweep_keeps_no_z_level_and_no_level_of_a_block_that_left():
         members = [(SchemeSpec(kind="implicit"), untamed(CUBIC, grid.h), None, False),
                    (*group[7], None, False)]
         xi = np.asarray(terminal(tree.levels[-1]), dtype=float)
-        op = backward.TreeOperator(tree.grid, tree.recombining)
+        op = backward.TreeOperator(tree.grid, tree.sde)
         outputs, left, _ = _sweep_checking_drops(op, xi, members, tree.node_count)
         assert not outputs[0].exploded
         assert left == [outputs[1].first_bad_step] and left[0] > 0
@@ -1055,7 +1071,7 @@ def test_sweep_keeps_no_z_level_and_no_level_of_a_block_that_left():
 
         # the three share one block, which the exploding row leaves
         outputs, left, seen = _sweep_checking_drops(
-            backward.TreeOperator(tree.grid, tree.recombining), xi,
+            backward.TreeOperator(tree.grid, tree.sde), xi,
             [(*member, None, False) for member in group[:2]] + members[1:], tree.node_count)
         first_bad = outputs[2].first_bad_step
         assert 0 < first_bad < grid.steps - 1 and left == []
@@ -1311,7 +1327,7 @@ def test_comparison_b_factor_satisfies_the_discrete_identity(layout, steps, z_co
         z1, z2 = out1.Z[i], out2.Z[i]
         gamma = np.where(z1 - z2 != 0.0, z_coeff, 0.0)
         terms, b_kids = [], []
-        for kid, sign in ((j, -1.0), (j + 1, 1.0)) if tree.recombining else ((2 * j, -1.0), (2 * j + 1, 1.0)):
+        for kid, sign in ((j, -1.0), (j + 1, 1.0)) if recombines(tree.sde) else ((2 * j, -1.0), (2 * j + 1, 1.0)):
             y1, y2 = out1.Y[i + 1][kid], out2.Y[i + 1][kid]
             dy = y1 - y2
             beta = np.where(dy != 0.0, (f1(y1, z1) - f1(y2, z1)) / np.where(dy != 0.0, dy, 1.0), 0.0)
@@ -1411,7 +1427,7 @@ def test_comparison_peak_memory_is_a_few_levels():
     lo = TamedDriver(polynomial_driver([-0.1, 0.0, 0.0, -1.0], z_coeff=0.5), taming, grid.h)
     term = TerminalSpec((0.0, 1.0))
     bound = 64 * (steps + 1) * 8
-    assert tree.recombining and bound < 2**20
+    assert recombines(tree.sde) and bound < 2**20
     tracemalloc.start()
     try:
         report = comparison_check(SchemeSpec(kind="explicit_tamed"), hi, term, lo, term, tree)
@@ -1467,7 +1483,7 @@ def test_pathwise_size_bound():
             xi_sq_max = float(np.max(term(tree.levels[steps]) ** 2))
             acc = np.zeros(tree.levels[steps].size)
             for i in range(steps - 1, -1, -1):
-                down, up = (acc[:-1], acc[1:]) if tree.recombining else (acc[0::2], acc[1::2])
+                down, up = (acc[:-1], acc[1:]) if recombines(tree.sde) else (acc[0::2], acc[1::2])
                 acc = 0.25 * out.Z[i] ** 2 * h + 0.5 * (down + up)
                 remaining = 1.0 - grid.times[i]
                 bound = math.exp(c * remaining) * (xi_sq_max + big_c * remaining)

@@ -90,6 +90,22 @@ def test_verify_taming_roundtrip(tmp_path):
     assert header.startswith("taming,N,h,radius")
 
 
+def test_verify_taming_names_the_tamings_whose_growth_witness_grows(tmp_path, capsys):
+    # inner at exponent 1/2 instead of its critical 1/(2(m-1)) = 1/4 for
+    # f = -y^3: its radius grows faster than the growth assumption allows
+    scripts = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+    with open(os.path.join(scripts, "taming_check.cfg"), encoding="utf-8") as fh:
+        text = fh.read()
+    cfg = tmp_path / "grow.cfg"
+    cfg.write_text(with_keys(text, "scheme.1.exponent = 0.5\n"))
+    assert main(["verify-taming", str(cfg), "--out", str(tmp_path / "t.csv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "growth witness (K_y^h)^2 h grows along the ladder for: inner"
+    assert main(["verify-taming", os.path.join(scripts, "taming_check.cfg"),
+                 "--out", str(tmp_path / "u.csv")]) == 0
+    assert "growth witness" not in capsys.readouterr().out
+
+
 def test_seed_override_changes_output(tmp_path):
     out_a, out_b, out_c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
     cfg = write(tmp_path, "c.cfg", CONV, "{placeholder}")

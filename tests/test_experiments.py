@@ -35,6 +35,7 @@ from tamedbsde import (
 from tamedbsde.config import ExperimentConfig
 from tamedbsde.experiments import ErrorReport, ErrorRow
 from tamedbsde.regression import BasisSpec
+from tamedbsde.trees import recombines
 
 
 def small_config(**overrides):
@@ -476,7 +477,7 @@ def test_streamed_tree_oracle_study_bitwise_equals_stored_runs(sde):
                        schemes=small_config().schemes + [UNTAMED])
     grid = build_grid(cfg.horizon, 9)
     tree = build_tree(sde, grid)
-    assert tree.recombining == (sde.drift_slope == 0.0)
+    assert recombines(tree.sde) == (sde.drift_slope == 0.0)
     runs = sorted(cfg.schemes, key=lambda run: run.label)
     outputs = [tree_exact_run(run.scheme, TamedDriver(cfg.driver, run.taming, grid.h), tree, cfg.terminal)
                for run in runs]
@@ -718,3 +719,33 @@ def test_missing_scheme_rejected():
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config(GOOD + "seed = 8\n")
+
+
+MULT_LABELS = ("mult_a", "mult_b", "mult_c", "mult_d")
+
+
+@pytest.mark.parametrize("steps", [250, 500, 1000])
+def test_mult_roots_on_the_tree_ladder_agree_on_the_cubic_and_differ_on_fitzhugh_nagumo(steps):
+    # the four multiplicative tamings of perfbench/configs/tree_ladder.cfg
+    # (r0 = 1, exponent 1/2) on its tree, by the tree oracle.  For f = -y^3
+    # mult_a's and mult_c's dampings agree, as do mult_b's and mult_d's, so
+    # their roots are equal bit for bit; below the root their extrema agree
+    # to rounding only (|y|^3 and |P(y)| round differently), bounded here by
+    # 1e-14.  For FitzHugh-Nagumo (0, -0.3, 1.3, -1) the four roots differ
+    # pairwise by more than 1e-4.  The bounds were fixed before the run.
+    from dataclasses import replace
+
+    cfg = load_config(os.path.join(ROOT, "perfbench", "configs", "tree_ladder.cfg"))
+    cfg = replace(cfg, grids=[steps], schemes=[run for run in cfg.schemes if run.label in MULT_LABELS])
+    cubic = tree_oracle_study(cfg)
+    roots = dict(zip(cubic.labels, cubic.mins[:, 0].tolist()))
+    assert sorted(roots) == list(MULT_LABELS)
+    assert roots["mult_a"] == roots["mult_c"] and roots["mult_b"] == roots["mult_d"]
+    assert roots["mult_a"] != roots["mult_b"]
+    for first, second in (("mult_a", "mult_c"), ("mult_b", "mult_d")):
+        j, k = cubic.labels.index(first), cubic.labels.index(second)
+        for extrema in (cubic.mins, cubic.maxs):
+            assert np.max(np.abs(extrema[j] - extrema[k])) <= 1e-14
+    fhn = tree_oracle_study(replace(cfg, driver=polynomial_driver([0.0, -0.3, 1.3, -1.0])))
+    values = sorted(fhn.mins[:, 0].tolist())
+    assert min(np.diff(values)) > 1e-4
