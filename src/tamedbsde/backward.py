@@ -356,19 +356,30 @@ class _SchemeRun:
         """Z_i, then Y_i, of every row, from Y_{i+1} in `y`.  The tamed
         y-part at Y_{i+1} is evaluated once, for the Z target (its z-part
         added as TamedDriver.__call__ adds it) and the explicit Y target,
-        which is taken only when the block has explicit rows.  Each
-        implicit row is then solved from its own E_i[Y_{i+1}] where its
-        Z_i is finite; elsewhere the row leaves, whatever its Y_i holds."""
+        which is taken only when the block has explicit rows: a z-free
+        driver's explicit Y target is Y_{i+1} + f^h h on the parent level,
+        averaged once; a z-dependent driver adds its z-part at each child.
+        Each implicit row is then solved from its own E_i[Y_{i+1}] where
+        its Z_i is finite; elsewhere the row leaves, whatever its Y_i
+        holds."""
         driver = self.driver
         z_coeff = driver.base.z_coeff
         y_next = self.y
         p = driver.tamed_y_part(y_next)
         z = op.mean_h(op.children(y_next + self.weight * (p + z_coeff * 0.0) * h))
         z_finite = np.isfinite(z).all()
-        if self.explicit:
-            y = op.mean(op.children(y_next) + (op.children(p) + z_coeff * z) * h)
-        else:
+        if not self.explicit:
             y = np.empty(z.shape)
+        elif z_coeff == 0.0:
+            # the per-child form's bits: p + 0.0 * z is p but where p is
+            # -0.0 and z is +0.0 or positive, and then y + (+-0.0) * h
+            # differs only where y is -0.0 too; a row whose Z_i is not
+            # finite leaves either way
+            y = op.mean(op.children(y_next + p * h))
+        else:
+            # Z_i belongs to the level-i node: no rounding moves its part
+            # to the parent level
+            y = op.mean(op.children(y_next) + (op.children(p) + z_coeff * z) * h)
         for row in self.implicit:
             if z_finite or np.isfinite(z[row]).all():
                 (c,) = op.mean(op.children(y_next[row:row + 1]))

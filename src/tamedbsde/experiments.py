@@ -448,9 +448,11 @@ def _extrema_lines(report: PositivityStudyReport) -> Iterator[str]:
     yield EXTREMA_HEADER
     times = report.times.tolist()
     steps = range(len(times) - 1, -1, -1)
+    # each "i,t" stamp is formatted once, for every scheme
+    stamps = [(i, f"{i},{times[i]:.12g}") for i in steps]
     for label, lo, hi in zip(report.labels, report.mins, report.maxs):
         lo, hi = lo.tolist(), hi.tolist()
-        yield "\n".join(f"{label},{i},{times[i]:.12g},{lo[i]:.12g},{hi[i]:.12g}" for i in steps)
+        yield "\n".join(f"{label},{stamp},{lo[i]:.12g},{hi[i]:.12g}" for i, stamp in stamps)
 
 
 def _write_lines(path: str, lines: Iterable[str]) -> None:

@@ -237,11 +237,10 @@ def _wide_ensemble(steps, paths=3000):
     return grid, batch, ens, xi
 
 
-@pytest.mark.parametrize("theta_prime", [1.0, 0.5])
-def test_step_projection_bitwise_equals_fit_then_predict(theta_prime):
+def _assert_step_projection_equals_fit_then_predict(base, theta_prime):
     grid, batch, ens, xi = _wide_ensemble(6)
     basis = BasisSpec(size=12)
-    tamed = TamedDriver(CUBIC, TamingSpec(kind="inner_proj"), grid.h)
+    tamed = TamedDriver(base, TamingSpec(kind="inner_proj"), grid.h)
     out = run_backward(SchemeSpec(kind="explicit_tamed", theta_prime=theta_prime),
                        tamed, ens, xi, basis)
     assert not out.exploded
@@ -253,6 +252,19 @@ def test_step_projection_bitwise_equals_fit_then_predict(theta_prime):
         assert np.array_equal(out.Z[i], z_i), i
         y_target = y_next + tamed(y_next, z_i) * h
         assert np.array_equal(out.Y[i], predict(sample_design(basis, x).fit(y_target), basis, x)), i
+
+
+@pytest.mark.parametrize("theta_prime", [1.0, 0.5])
+def test_step_projection_bitwise_equals_fit_then_predict(theta_prime):
+    # z-free: the explicit Y target is formed before the projection
+    _assert_step_projection_equals_fit_then_predict(CUBIC, theta_prime)
+
+
+@pytest.mark.parametrize("theta_prime", [1.0, 0.5])
+def test_z_dependent_step_projection_bitwise_equals_fit_then_predict(theta_prime):
+    # the explicit Y target adds Z_i's part at each path
+    _assert_step_projection_equals_fit_then_predict(
+        polynomial_driver([0.0, 1.0, 0.0, -1.0], z_coeff=0.5), theta_prime)
 
 
 def test_one_design_build_per_step(monkeypatch):
@@ -774,20 +786,39 @@ TREE_SDES = {
 }
 
 
-@pytest.mark.parametrize("layout", sorted(TREE_SDES))
-@pytest.mark.parametrize("kind", ["none", "inner_proj", "outer_proj",
-                                  "mult_a", "mult_b", "mult_c", "mult_d"])
-@pytest.mark.parametrize("scheme_kind", ["explicit_tamed", "implicit"])
-@pytest.mark.parametrize("theta_prime", [0.0, 0.5, 1.0])
-def test_tree_run_bitwise_equals_reference_loop(layout, kind, scheme_kind, theta_prime):
+def _tree_reference_cases(test):
+    """Parametrize `test` over every layout, taming kind, scheme kind and
+    theta' of the reference loop."""
+    for name, values in (("theta_prime", [0.0, 0.5, 1.0]),
+                         ("scheme_kind", ["explicit_tamed", "implicit"]),
+                         ("kind", ["none", "inner_proj", "outer_proj",
+                                   "mult_a", "mult_b", "mult_c", "mult_d"]),
+                         ("layout", sorted(TREE_SDES))):
+        test = pytest.mark.parametrize(name, values)(test)
+    return test
+
+
+def _assert_tree_case_matches_reference(layout, kind, scheme_kind, theta_prime, z_coeff):
     grid = build_grid(1.0, 9)
     tree = build_tree(TREE_SDES[layout], grid)
     assert recombines(tree.sde) == (layout == "recombining")
-    driver = TamedDriver(polynomial_driver([0.0, 1.0, 0.0, -1.0], z_coeff=0.5),
+    driver = TamedDriver(polynomial_driver([0.0, 1.0, 0.0, -1.0], z_coeff=z_coeff),
                          TamingSpec(kind=kind), grid.h)
     scheme = SchemeSpec(kind=scheme_kind, theta_prime=theta_prime)
     out = _assert_tree_run_matches_reference(scheme, driver, tree, TerminalSpec((0.0, 1.0)))
     assert not out.exploded
+
+
+@_tree_reference_cases
+def test_tree_run_bitwise_equals_reference_loop(layout, kind, scheme_kind, theta_prime):
+    # z-dependent: the explicit Y target adds Z_i's part at each child
+    _assert_tree_case_matches_reference(layout, kind, scheme_kind, theta_prime, 0.5)
+
+
+@_tree_reference_cases
+def test_z_free_tree_run_bitwise_equals_reference_loop(layout, kind, scheme_kind, theta_prime):
+    # z-free: the explicit Y target is averaged from the parent level
+    _assert_tree_case_matches_reference(layout, kind, scheme_kind, theta_prime, 0.0)
 
 
 @pytest.mark.parametrize("layout", sorted(TREE_SDES))
